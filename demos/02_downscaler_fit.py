@@ -64,8 +64,5 @@ for label, fit, data in (("own regime", own, obs.subset(truth.regime == 2)),
         data.z[usable],
         seed=7,
     )
-    rep = evaluate(
-        data.y[usable],
-        [GaussianSummary(float(m), float(v)) for m, v in zip(pred.mu, pred.var)],
-    )
+    rep = evaluate(data.y[usable], GaussianSummary(pred.mu, pred.var))
     print(f"{label:12s} {usable.sum():6d}  {rep.rmse:6.3f} {rep.coverage95:9.1f}%  {rep.avg_posterior_sd:7.3f}")

@@ -17,25 +17,25 @@ import numpy as np
 
 from . import io as pio
 from .config import MCMCConfig
-from .crossval import KFOLD, SPATIAL, evaluate as eval_pairs
+from .crossval import KFOLD, SPATIAL
 from .downscaler import fit_downscaler, predict_at
-from .ensemble import fit_joint, fit_two_stage, krige_weights
+from .ensemble import fit_joint, fit_two_stage, krige_weights, predict_mixture
 from .errors import PmFusionError, SchemaError
 from .geo import CTM, SAT, GridSpec
-from .kernels import GaussianSummary
 from .pipeline import (
     JOINT,
     TWO_STAGE,
     PipelineConfig,
+    _reports,
     combine_predictions,
     cv_component_table,
     load_pipeline_config,
-    mixture_rows,
+    row_weights,
     run_pipeline,
     save_pipeline_config,
 )
 from .synth import SceneConfig, generate_scene
-from .tables import PredictiveTable, SOURCE_COLUMNS
+from .tables import PredictiveTable
 
 
 def _add_mcmc_args(p: argparse.ArgumentParser, iters: int = 10_000):
@@ -74,6 +74,27 @@ def _load_table(args, require_sat: bool):
         monitors, obs, ctm, ctm_spec, sat, sat_spec, cov, n_days
     )
     return data, monitors, (ctm_spec, sat_spec, n_days)
+
+
+def _observed(obs_path, predictive_path, inputs: PredictiveTable) -> np.ndarray:
+    """The observation of every predictive row, in row order.
+
+    Raises SchemaError naming the predictive file and the first (site_id,
+    day) row that has no observation.
+    """
+    ids, day, y = pio.load_obs(obs_path)
+    y_of = dict(zip(zip(ids, day.tolist()), y))
+    out = np.empty(inputs.n_records)
+    for i, key in enumerate(zip(inputs.ids, inputs.day.tolist())):
+        if key not in y_of:
+            raise SchemaError(f"{predictive_path}: no observation for (site_id, day) {key}")
+        out[i] = y_of[key]
+    return out
+
+
+def _site_weights(path) -> dict:
+    w_ids, w_cols = pio.load_weights(path)
+    return dict(zip(w_ids, w_cols["w_mean"]))
 
 
 def _cmd_synth(args) -> int:
@@ -137,23 +158,8 @@ def _cmd_fit_downscaler(args) -> int:
         view.z if source == SAT else None,
         seed=args.seed + 1,
     )
-    k = SOURCE_COLUMNS.index(source)
-    n = pred.mu.shape[0]
-    mu = np.zeros((n, 2))
-    var = np.ones((n, 2))
-    avail = np.zeros((n, 2), dtype=bool)
-    mu[:, k] = pred.mu
-    var[:, k] = np.where(pred.available, pred.var, 1.0)
-    avail[:, k] = pred.available
-    mu[:, k] = np.where(pred.available, mu[:, k], 0.0)
-    table = PredictiveTable(
-        ids=pred.ids,
-        day=pred.day,
-        mu=mu,
-        var=var,
-        available=avail,
-        locations={s.site_id: s for s in view.sites},
-    )
+    preds = (pred, None) if source == CTM else (None, pred)
+    table = combine_predictions(view, *preds)
     meta = {"seed": args.seed, "config": pio.config_hash({"cmd": "fit-downscaler", "source": source, "seed": args.seed})}
     pio.emit_predictive(args.out, table, meta)
     acc = {k: round(v, 3) for k, v in fit.acceptance.items() if isinstance(v, float)}
@@ -164,17 +170,8 @@ def _cmd_fit_downscaler(args) -> int:
 
 def _cmd_fit_ensemble(args) -> int:
     monitors = pio.load_monitors(args.monitors)
-    ids, day, y = pio.load_obs(args.obs)
     inputs = pio.load_predictive(args.predictive, {l.site_id: l for l in monitors})
-    y_of = {}
-    for i in range(ids.shape[0]):
-        y_of[(ids[i], int(day[i]))] = y[i]
-    aligned = np.empty(inputs.ids.shape[0])
-    for i in range(inputs.ids.shape[0]):
-        key = (inputs.ids[i], int(inputs.day[i]))
-        if key not in y_of:
-            raise SchemaError(f"no observation for predictive row {key}")
-        aligned[i] = y_of[key]
+    aligned = _observed(args.obs, args.predictive, inputs)
     fitter = fit_joint if args.variant == JOINT else fit_two_stage
     field = fitter(aligned, inputs, monitors, _mcmc_from(args))
     meta = {"seed": args.seed, "config": pio.config_hash({"cmd": "fit-ensemble", "variant": args.variant, "seed": args.seed})}
@@ -200,26 +197,15 @@ def _cmd_krige_weights(args) -> int:
 def _cmd_predict(args) -> int:
     monitors = pio.load_monitors(args.monitors)
     inputs = pio.load_predictive(args.predictive, {l.site_id: l for l in monitors})
-    w_ids, w_cols = pio.load_weights(args.weights)
-    w_of = dict(zip(w_ids, w_cols["w_mean"]))
-    for sid in np.unique(inputs.ids):
-        if sid not in w_of:
-            raise SchemaError(f"no weight row for site '{sid}'")
-    w_row = np.array([w_of[sid] for sid in inputs.ids])
-    mixes = mixture_rows(inputs, w_row)
+    mix = predict_mixture(
+        row_weights(inputs, _site_weights(args.weights)), inputs.mu, inputs.var, inputs.available
+    )
+    columns = (mix.mean, mix.sd, mix.quantile(0.025), mix.quantile(0.975), mix.w)
     header = ("site_id", "day", "mean", "sd", "q025", "q975", "w")
     meta = {"seed": 0, "config": pio.config_hash({"cmd": "predict"})}
     rows = (
-        [
-            str(inputs.ids[i]),
-            str(int(inputs.day[i])),
-            pio._fmt(m.mean),
-            pio._fmt(m.sd),
-            pio._fmt(m.quantile(0.025)),
-            pio._fmt(m.quantile(0.975)),
-            pio._fmt(m.w),
-        ]
-        for i, m in enumerate(mixes)
+        [str(inputs.ids[i]), str(int(inputs.day[i])), *(pio._fmt(c[i]) for c in columns)]
+        for i in range(inputs.n_records)
     )
     pio._write_csv(args.out, header, rows, meta)
     print(f"wrote {inputs.ids.shape[0]} mixture predictions to {args.out}")
@@ -240,50 +226,10 @@ def _cmd_cv(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     monitors = pio.load_monitors(args.monitors)
-    ids, day, y = pio.load_obs(args.obs)
     inputs = pio.load_predictive(args.predictive, {l.site_id: l for l in monitors})
-    y_of = {(ids[i], int(day[i])): y[i] for i in range(ids.shape[0])}
-    aligned = np.array(
-        [y_of[(inputs.ids[i], int(inputs.day[i]))] for i in range(inputs.ids.shape[0])]
-    )
-    reports = []
-    for k, name in enumerate(SOURCE_COLUMNS):
-        ok = inputs.available[:, k]
-        if not ok.any():
-            continue
-        preds = [
-            GaussianSummary(float(inputs.mu[i, k]), float(inputs.var[i, k]))
-            for i in np.flatnonzero(ok)
-        ]
-        reports.append(
-            replace(
-                eval_pairs(aligned[ok], preds),
-                method=name,
-                estimation="downscaler",
-                input_derivation="file",
-            )
-        )
-    if args.weights:
-        w_ids, w_cols = pio.load_weights(args.weights)
-        w_of = dict(zip(w_ids, w_cols["w_mean"]))
-        any_ok = inputs.available.any(axis=1)
-        sub = PredictiveTable(
-            ids=inputs.ids[any_ok],
-            day=inputs.day[any_ok],
-            mu=inputs.mu[any_ok],
-            var=inputs.var[any_ok],
-            available=inputs.available[any_ok],
-            locations=inputs.locations,
-        )
-        w_row = np.array([w_of[sid] for sid in sub.ids])
-        reports.append(
-            replace(
-                eval_pairs(aligned[any_ok], mixture_rows(sub, w_row)),
-                method="ensemble",
-                estimation="given",
-                input_derivation="file",
-            )
-        )
+    y = _observed(args.obs, args.predictive, inputs)
+    w_of_site = _site_weights(args.weights) if args.weights else None
+    reports = _reports(y, inputs, w_of_site, "given", "file")
     meta = {"seed": 0, "config": pio.config_hash({"cmd": "evaluate"})}
     pio.emit_evaluation(args.out, reports, meta)
     for r in reports:

@@ -69,24 +69,23 @@ class EvalReport:
     input_derivation: str = ""
 
 
-def evaluate(y, predictions) -> EvalReport:
-    """Score held-out observations against predictive distributions.
+def evaluate(y, pred) -> EvalReport:
+    """Score held-out observations against their predictive distributions.
 
-    predictions is a sequence of objects exposing .mean, .sd and
-    .quantile(p) (GaussianSummary or MixtureDistribution). Metrics: RMSE of
-    the predictive mean, percent coverage of the central 95% interval,
-    average predictive SD, and squared Pearson correlation.
+    pred holds one predictive per entry of y in arrays and exposes .mean,
+    .sd and .quantile(p) (GaussianSummary or MixtureDistribution). Metrics:
+    RMSE of the predictive mean, percent coverage of the central 95%
+    interval, average predictive SD, and squared Pearson correlation.
     """
     y = np.asarray(y, dtype=float)
-    preds = list(predictions)
-    if y.shape[0] != len(preds):
+    mean = np.asarray(pred.mean, dtype=float)
+    if mean.shape != y.shape:
         raise ValueError("y and predictions must align")
     if y.shape[0] == 0:
         raise EmptyInputError("nothing to evaluate")
-    mean = np.array([p.mean for p in preds])
-    sd = np.array([p.sd for p in preds])
-    lo = np.array([p.quantile(0.025) for p in preds])
-    hi = np.array([p.quantile(0.975) for p in preds])
+    sd = pred.sd
+    lo = pred.quantile(0.025)
+    hi = pred.quantile(0.975)
     rmse = float(np.sqrt(np.mean((y - mean) ** 2)))
     coverage = float(np.mean((y >= lo) & (y <= hi)) * 100.0)
     avg_sd = float(np.mean(sd))

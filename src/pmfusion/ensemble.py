@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from .config import MCMCConfig
@@ -112,26 +111,29 @@ class LatentAssignment:
 
 @dataclass(frozen=True)
 class MixtureDistribution:
-    """Two-component Normal mixture; w is the weight on component 1 (CTM)."""
+    """Two-component Normal mixtures; w is the weight on component 1 (CTM).
 
-    w: float
-    mu1: float
-    var1: float
-    mu2: float
-    var2: float
+    The fields are scalars or equal-shape arrays, one entry per predictive.
+    """
+
+    w: float | np.ndarray
+    mu1: float | np.ndarray
+    var1: float | np.ndarray
+    mu2: float | np.ndarray
+    var2: float | np.ndarray
 
     def __post_init__(self):
-        if not 0.0 <= self.w <= 1.0:
+        if np.any(self.w < 0.0) or np.any(self.w > 1.0):
             raise DomainError("mixture weight must lie in [0, 1]")
-        if self.var1 <= 0 or self.var2 <= 0:
+        if np.any(self.var1 <= 0) or np.any(self.var2 <= 0):
             raise DomainError("component variances must be positive")
 
     @property
-    def mean(self) -> float:
+    def mean(self):
         return self.w * self.mu1 + (1.0 - self.w) * self.mu2
 
     @property
-    def variance(self) -> float:
+    def variance(self):
         m = self.mean
         second = self.w * (self.var1 + self.mu1**2) + (1.0 - self.w) * (
             self.var2 + self.mu2**2
@@ -139,52 +141,46 @@ class MixtureDistribution:
         return second - m * m
 
     @property
-    def sd(self) -> float:
-        return math.sqrt(self.variance)
+    def sd(self):
+        return np.sqrt(np.maximum(self.variance, 0.0))
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        c = self.w * ndtr((x - self.mu1) / math.sqrt(self.var1)) + (
+        c = self.w * ndtr((x - self.mu1) / np.sqrt(self.var1)) + (
             1.0 - self.w
-        ) * ndtr((x - self.mu2) / math.sqrt(self.var2))
+        ) * ndtr((x - self.mu2) / np.sqrt(self.var2))
         return float(c) if c.ndim == 0 else c
 
-    def quantile(self, p: float) -> float:
-        """Inverse CDF by monotone root-finding."""
-        if not 0.0 < p < 1.0:
-            raise DomainError("quantile level must lie in (0, 1)")
-        sd1, sd2 = math.sqrt(self.var1), math.sqrt(self.var2)
-        scale = max(sd1, sd2)
-        lo = min(self.mu1 - 10 * sd1, self.mu2 - 10 * sd2)
-        hi = max(self.mu1 + 10 * sd1, self.mu2 + 10 * sd2)
-        while self.cdf(lo) > p:
-            lo -= 10 * scale
-        while self.cdf(hi) < p:
-            hi += 10 * scale
-        return float(brentq(lambda x: self.cdf(x) - p, lo, hi, xtol=1e-13 * scale + 1e-300, rtol=8.9e-16))
+    def quantile(self, p: float):
+        """Inverse CDF at level p, by bisection on the exact CDF.
+
+        The bisection brackets each mixture by its components' +-10 SD, so
+        levels below Phi(-10) (about 7.6e-24) are refused.
+        """
+        if not ndtr(-10.0) <= p < 1.0:
+            raise DomainError("quantile level must lie in [Phi(-10), 1)")
+        return mixture_quantiles_arrays(self.w, self.mu1, self.var1, self.mu2, self.var2, p)
 
 
-def predict_mixture(
-    w: float,
-    comp1: tuple[float, float] | None,
-    comp2: tuple[float, float] | None,
-) -> MixtureDistribution:
-    """Combine the available component predictives into a mixture.
+def predict_mixture(w, mu: np.ndarray, var: np.ndarray, available: np.ndarray) -> MixtureDistribution:
+    """Combine the available component predictives of each row into a mixture.
 
-    comp1/comp2 are (mu, var) for the CTM and satellite models, or None when
-    that source is unavailable at the target. A missing satellite component
-    collapses the mixture onto the CTM model (w forced to 1), and vice versa.
-    Raises NoInputsError when neither component exists.
+    mu, var and available are (n, 2) arrays with the CTM model in column 0
+    and the satellite model in column 1; w (scalar or (n,)) is the weight on
+    the CTM model and is read only where both exist. A row with one source
+    collapses onto it (w forced to 1 or 0). Raises NoInputsError when a row
+    has neither.
     """
-    if comp1 is None and comp2 is None:
+    a1, a2 = available[:, 0], available[:, 1]
+    if not np.all(a1 | a2):
         raise NoInputsError("no available component to combine")
-    if comp2 is None:
-        mu, var = comp1
-        return MixtureDistribution(1.0, mu, var, mu, var)
-    if comp1 is None:
-        mu, var = comp2
-        return MixtureDistribution(0.0, mu, var, mu, var)
-    return MixtureDistribution(float(w), comp1[0], comp1[1], comp2[0], comp2[1])
+    return MixtureDistribution(
+        np.where(a1 & a2, w, np.where(a1, 1.0, 0.0)),
+        np.where(a1, mu[:, 0], mu[:, 1]),
+        np.where(a1, var[:, 0], var[:, 1]),
+        np.where(a2, mu[:, 1], mu[:, 0]),
+        np.where(a2, var[:, 1], var[:, 0]),
+    )
 
 
 def mixture_quantiles_arrays(
@@ -196,7 +192,7 @@ def mixture_quantiles_arrays(
     p: float,
     tol: float = 1e-10,
 ) -> np.ndarray:
-    """Vectorized mixture quantiles by bisection; used for gridded surfaces."""
+    """Vectorized mixture quantiles by bisection, to tol in units of the wider SD."""
     sd1, sd2 = np.sqrt(var1), np.sqrt(var2)
     lo = np.minimum(mu1 - 10 * sd1, mu2 - 10 * sd2)
     hi = np.maximum(mu1 + 10 * sd1, mu2 + 10 * sd2)
@@ -328,10 +324,12 @@ def update_tau2(
     d = distance_matrix(locations)
     chol, _ = jittered_cholesky(np.exp(-d / rho))
     half = solve_triangular(chol, q, lower=True)
-    quad = float(half @ half)
-    shape = ig_a + 0.5 * q.shape[0]
-    rate = ig_b + 0.5 * quad
-    return float(rate / rng.gamma(shape, 1.0))
+    return _draw_tau2(float(half @ half), q.shape[0], ig_a, ig_b, rng)
+
+
+def _draw_tau2(quad: float, s_count: int, ig_a: float, ig_b: float, rng) -> float:
+    """IG(a + S/2, b + quad / 2) draw of tau2, given quad = q' C(rho)^{-1} q."""
+    return float((ig_b + 0.5 * quad) / rng.gamma(ig_a + 0.5 * s_count, 1.0))
 
 
 def _q_loglik(q: np.ndarray, tau2: float, corr_chol: np.ndarray) -> float:
@@ -455,10 +453,8 @@ def fit_joint(y, inputs, locations, mcmc: MCMCConfig) -> WeightFieldSamples:
         acc_q += accepted
         acc_q_window += accepted
 
-        quad = tau2 * float(q @ r)  # q' C^{-1} q with the current precision
-        shape = mcmc.ig_a + 0.5 * s_count
-        rate = mcmc.ig_b + 0.5 * quad
-        tau2_new = float(rate / rng.gamma(shape, 1.0))
+        # q' C^{-1} q with the current precision
+        tau2_new = _draw_tau2(tau2 * float(q @ r), s_count, mcmc.ig_a, mcmc.ig_b, rng)
         prec *= tau2 / tau2_new
         r *= tau2 / tau2_new
         tau2 = tau2_new
@@ -574,10 +570,7 @@ def fit_two_stage(y, inputs, locations, mcmc: MCMCConfig) -> WeightFieldSamples:
     keep_at = {it: j for j, it in enumerate(mcmc.kept_iterations())}
     for it in range(mcmc.n_iter):
         half = solve_triangular(corr_chol, q_med, lower=True)
-        quad = float(half @ half)
-        shape = mcmc.ig_a + 0.5 * q_med.shape[0]
-        rate = mcmc.ig_b + 0.5 * quad
-        tau2 = float(rate / rng.gamma(shape, 1.0))
+        tau2 = _draw_tau2(float(half @ half), q_med.shape[0], mcmc.ig_a, mcmc.ig_b, rng)
         rho, accepted, corr_chol = update_rho(
             q_med,
             tau2,

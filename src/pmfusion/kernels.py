@@ -75,22 +75,25 @@ class CarParams:
 
 @dataclass(frozen=True)
 class GaussianSummary:
-    """A Normal predictive summarized by its mean and variance."""
+    """Normal predictives summarized by their means and variances.
 
-    mean: float
-    variance: float
+    The fields are scalars or equal-shape arrays, one entry per predictive.
+    """
+
+    mean: float | np.ndarray
+    variance: float | np.ndarray
 
     def __post_init__(self):
-        if not np.isfinite(self.mean) or not np.isfinite(self.variance):
+        if not np.all(np.isfinite(self.mean)) or not np.all(np.isfinite(self.variance)):
             raise ValueError("summary moments must be finite")
-        if self.variance < 0:
+        if np.any(self.variance < 0):
             raise ValueError("variance must be nonnegative")
 
     @property
-    def sd(self) -> float:
-        return float(np.sqrt(self.variance))
+    def sd(self):
+        return np.sqrt(self.variance)
 
-    def quantile(self, p: float) -> float:
+    def quantile(self, p: float):
         if not 0.0 < p < 1.0:
             raise DomainError("quantile level must lie in (0, 1)")
         return self.mean + self.sd * float(ndtri(p))

@@ -25,18 +25,16 @@ from .config import MCMCConfig
 from .crossval import KFOLD, SPATIAL, EvalReport, evaluate, make_folds
 from .downscaler import SourcePredictions, cv_predict, fit_downscaler, predict_at
 from .ensemble import (
-    MixtureDistribution,
     WeightFieldSamples,
     fit_joint,
     fit_two_stage,
     krige_weights,
-    mixture_quantiles_arrays,
     predict_mixture,
 )
-from .errors import OverwriteError, StageError
+from .errors import OverwriteError, SchemaError, StageError
 from .geo import CTM, SAT, GridSpec, Location, distance_matrix
 from .kernels import GaussianSummary
-from .tables import ObservationTable, PredictiveTable
+from .tables import SOURCE_COLUMNS, ObservationTable, PredictiveTable
 
 JOINT = "joint"
 TWO_STAGE = "two_stage"
@@ -140,10 +138,13 @@ class PipelineResult:
 
 def combine_predictions(
     data: ObservationTable,
-    pred_ctm: SourcePredictions,
+    pred_ctm: SourcePredictions | None,
     pred_sat: SourcePredictions | None,
 ) -> PredictiveTable:
-    """Stack per-source record-aligned predictions into one component table."""
+    """Stack per-source record-aligned predictions into one component table.
+
+    A source given as None is unavailable on every row.
+    """
     n = data.n_records
     mu = np.zeros((n, 2))
     var = np.ones((n, 2))
@@ -166,14 +167,18 @@ def combine_predictions(
     )
 
 
-def mixture_rows(inputs: PredictiveTable, w_of_row: np.ndarray) -> list[MixtureDistribution]:
-    """Per-record mixtures; rows with one source collapse onto it."""
-    out = []
-    for i in range(inputs.ids.shape[0]):
-        c1 = (inputs.mu[i, 0], inputs.var[i, 0]) if inputs.available[i, 0] else None
-        c2 = (inputs.mu[i, 1], inputs.var[i, 1]) if inputs.available[i, 1] else None
-        out.append(predict_mixture(float(w_of_row[i]), c1, c2))
-    return out
+def row_weights(inputs: PredictiveTable, w_of_site) -> np.ndarray:
+    """Weight on the CTM model of each row where both sources exist; NaN elsewhere.
+
+    Raises SchemaError for a site that such a row needs and w_of_site lacks.
+    """
+    both = inputs.both_available()
+    missing = set(inputs.ids[both]).difference(w_of_site)
+    if missing:
+        raise SchemaError(f"no weight row for site '{min(missing)}'")
+    w = np.full(inputs.n_records, np.nan)
+    w[both] = [w_of_site[sid] for sid in inputs.ids[both]]
+    return w
 
 
 def _load_inputs(cfg: PipelineConfig):
@@ -348,110 +353,76 @@ def _surface_stage(cfg: PipelineConfig, data, fits, weights, ctm, sat, seeds):
     ctm_link = linked(ctm, cfg.ctm_grid)
     sat_link = linked(sat, cfg.sat_grid) if sat is not None else None
 
-    rows_day = []
-    rows_row = []
-    rows_col = []
-    rows_mean = []
-    rows_sd = []
-    rows_lo = []
-    rows_hi = []
-    rows_w = []
+    rows = []
     rr = np.arange(m) // grid.n_cols
     cc = np.arange(m) % grid.n_cols
     pred_seed_ctm = int(seeds[5].generate_state(1)[0])
     pred_seed_sat = int(seeds[6].generate_state(1)[0])
     for d in days:
         day_vec = np.full(m, d, dtype=np.int64)
-        comp = {}
-        for source, link, fit, pseed in (
-            (CTM, ctm_link, fits[CTM], pred_seed_ctm),
-            (SAT, sat_link, fits[SAT] if SAT in fits else None, pred_seed_sat),
+        mu = np.zeros((m, 2))
+        var = np.ones((m, 2))
+        avail = np.zeros((m, 2), dtype=bool)
+        for k, (source, link, pseed) in enumerate(
+            ((CTM, ctm_link, pred_seed_ctm), (SAT, sat_link, pred_seed_sat))
         ):
+            fit = fits.get(source)
             if link is None or fit is None:
-                comp[source] = None
                 continue
             values, cells, inside = link
             x = np.full(m, np.nan)
             ok = inside.copy()
             x[ok] = values[d - 1, cells[ok, 0], cells[ok, 1]]
             z = _nearest_site_rows(data, targets, d) if source == SAT else None
-            comp[source] = predict_at(
-                fit, targets, np.arange(m), day_vec, x, z, seed=pseed + d
+            pred = predict_at(fit, targets, np.arange(m), day_vec, x, z, seed=pseed + d)
+            mu[:, k], var[:, k], avail[:, k] = pred.mu, pred.var, pred.available
+        usable = avail.any(axis=1)
+        mix = predict_mixture(kriged["w_mean"][usable], mu[usable], var[usable], avail[usable])
+        rows.append(
+            (
+                day_vec[usable],
+                rr[usable],
+                cc[usable],
+                mix.mean,
+                mix.sd,
+                mix.quantile(0.025),
+                mix.quantile(0.975),
+                mix.w,
             )
-        c1, c2 = comp[CTM], comp[SAT]
-        a1 = c1.available if c1 is not None else np.zeros(m, dtype=bool)
-        a2 = c2.available if c2 is not None else np.zeros(m, dtype=bool)
-        usable = a1 | a2
-        w_eff = np.where(a1 & a2, kriged["w_mean"], np.where(a1, 1.0, 0.0))
-        mu1 = np.where(a1, c1.mu if c1 is not None else 0.0, 0.0)
-        v1 = np.where(a1, c1.var if c1 is not None else 1.0, 1.0)
-        mu2 = np.where(a2, c2.mu if c2 is not None else 0.0, 0.0)
-        v2 = np.where(a2, c2.var if c2 is not None else 1.0, 1.0)
-        mu2 = np.where(a2, mu2, mu1)
-        v2 = np.where(a2, v2, v1)
-        mu1 = np.where(a1, mu1, mu2)
-        v1 = np.where(a1, v1, v2)
-        mean = w_eff * mu1 + (1.0 - w_eff) * mu2
-        second = w_eff * (v1 + mu1**2) + (1.0 - w_eff) * (v2 + mu2**2)
-        sd = np.sqrt(np.maximum(second - mean**2, 0.0))
-        lo = mixture_quantiles_arrays(w_eff, mu1, v1, mu2, v2, 0.025)
-        hi = mixture_quantiles_arrays(w_eff, mu1, v1, mu2, v2, 0.975)
-        rows_day.append(day_vec[usable])
-        rows_row.append(rr[usable])
-        rows_col.append(cc[usable])
-        rows_mean.append(mean[usable])
-        rows_sd.append(sd[usable])
-        rows_lo.append(lo[usable])
-        rows_hi.append(hi[usable])
-        rows_w.append(w_eff[usable])
+        )
 
-    surface = pio.SurfaceOutput(
-        day=np.concatenate(rows_day),
-        row=np.concatenate(rows_row),
-        col=np.concatenate(rows_col),
-        mean=np.concatenate(rows_mean),
-        sd=np.concatenate(rows_sd),
-        q025=np.concatenate(rows_lo),
-        q975=np.concatenate(rows_hi),
-        w=np.concatenate(rows_w),
-    )
+    surface = pio.SurfaceOutput(*(np.concatenate(col) for col in zip(*rows)))
     target_ids = [t.site_id for t in targets]
     return surface, target_ids, kriged
 
 
-def _reports(cfg, data, cv_inputs, weights) -> list:
+def _reports(
+    y, inputs: PredictiveTable, w_of_site, estimation: str, derivation: str
+) -> list[EvalReport]:
+    """Held-out scores of each source and, given site weights, of their mixture.
+
+    y aligns with the rows of inputs. w_of_site maps a site id to its mean
+    weight on the CTM model; it is read only for rows where both sources
+    exist, and None leaves the ensemble out.
+    """
     reps = []
-    summ = weights.summary()
-    site_of = {l.site_id: j for j, l in enumerate(weights.locations)}
-    w_row = np.array([summ["w_mean"][site_of[data.sites[i].site_id]] for i in data.site_idx])
-    for k, name in ((0, CTM), (1, SAT)):
-        ok = cv_inputs.available[:, k]
-        if not ok.any():
-            continue
-        preds = [
-            GaussianSummary(float(cv_inputs.mu[i, k]), float(cv_inputs.var[i, k]))
-            for i in np.flatnonzero(ok)
-        ]
-        rep = evaluate(data.y[ok], preds)
-        reps.append(
-            replace(rep, method=name, estimation="downscaler", input_derivation=cfg.derivation)
+    for k, name in enumerate(SOURCE_COLUMNS):
+        ok = inputs.available[:, k]
+        if ok.any():
+            rep = evaluate(y[ok], GaussianSummary(inputs.mu[ok, k], inputs.var[ok, k]))
+            reps.append(
+                replace(rep, method=name, estimation="downscaler", input_derivation=derivation)
+            )
+    if w_of_site is not None:
+        any_ok = inputs.available.any(axis=1)
+        w_row = row_weights(inputs, w_of_site)
+        mix = predict_mixture(
+            w_row[any_ok], inputs.mu[any_ok], inputs.var[any_ok], inputs.available[any_ok]
         )
-    any_ok = cv_inputs.available.any(axis=1)
-    mixes = mixture_rows(
-        PredictiveTable(
-            ids=cv_inputs.ids[any_ok],
-            day=cv_inputs.day[any_ok],
-            mu=cv_inputs.mu[any_ok],
-            var=cv_inputs.var[any_ok],
-            available=cv_inputs.available[any_ok],
-            locations=cv_inputs.locations,
-        ),
-        w_row[any_ok],
-    )
-    rep = evaluate(data.y[any_ok], mixes)
-    reps.append(
-        replace(rep, method="ensemble", estimation=cfg.variant, input_derivation=cfg.derivation)
-    )
+        rep = evaluate(y[any_ok], mix)
+        reps.append(
+            replace(rep, method="ensemble", estimation=estimation, input_derivation=derivation)
+        )
     return reps
 
 
@@ -541,7 +512,11 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         paths["surface"] = pio.emit_surface(run_dir / "surface.csv", surface, meta)
         checkpoint()
 
-    reports = run_stage("evaluate", lambda: _reports(cfg, data, cv_inputs, weights))
+    w_of_site = dict(zip(weights.site_ids, weights.summary()["w_mean"]))
+    reports = run_stage(
+        "evaluate",
+        lambda: _reports(data.y, cv_inputs, w_of_site, cfg.variant, cfg.derivation),
+    )
     paths["evaluation"] = pio.emit_evaluation(run_dir / "evaluation.csv", reports, meta)
 
     manifest["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S")

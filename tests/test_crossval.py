@@ -104,7 +104,7 @@ class TestEvaluate:
         mu = rng.normal(12, 4, n)
         sd = rng.uniform(0.5, 2.0, n)
         y = mu + sd * rng.standard_normal(n)
-        rep = evaluate(y, [GaussianSummary(mu[i], sd[i] ** 2) for i in range(n)])
+        rep = evaluate(y, GaussianSummary(mu, sd**2))
         assert rep.n_pairs == n
         assert abs(rep.coverage95 - 95.0) < 1.5
         assert rep.rmse == pytest.approx(float(np.sqrt(np.mean((y - mu) ** 2))), rel=1e-12)
@@ -116,29 +116,26 @@ class TestEvaluate:
         rng = np.random.default_rng(22)
         n = 200
         y = rng.normal(5, 2, n)
-        preds = [
-            MixtureDistribution(0.4, y[i] + rng.normal(0, 0.5), 1.0,
-                                y[i] - rng.normal(0, 0.5), 2.0)
-            for i in range(n)
-        ]
+        noise = rng.normal(0, 0.5, (n, 2))
+        preds = MixtureDistribution(0.4, y + noise[:, 0], 1.0, y - noise[:, 1], 2.0)
         rep = evaluate(y, preds)
         assert np.isfinite(rep.rmse)
         assert 0.0 <= rep.coverage95 <= 100.0
 
     def test_degenerate_spread_gives_nan_r2(self):
         y = np.array([1.0, 2.0, 3.0])
-        preds = [GaussianSummary(2.0, 1.0)] * 3
+        preds = GaussianSummary(np.full(3, 2.0), np.ones(3))
         rep = evaluate(y, preds)
         assert np.isnan(rep.r2)
         assert np.isfinite(rep.rmse)
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyInputError):
-            evaluate(np.array([]), [])
+            evaluate(np.array([]), GaussianSummary(np.array([]), np.array([])))
 
     def test_misaligned_lengths_rejected(self):
         with pytest.raises(ValueError, match="align"):
-            evaluate(np.array([1.0, 2.0]), [GaussianSummary(1.0, 1.0)])
+            evaluate(np.array([1.0, 2.0]), GaussianSummary(np.ones(1), np.ones(1)))
 
     def test_report_label_fields_default_empty(self):
         rep = EvalReport(rmse=1.0, coverage95=95.0, avg_posterior_sd=1.0, r2=0.5, n_pairs=10)

@@ -340,19 +340,24 @@ class TestMixtureDistribution:
             self.ref().quantile(0.0)
         with pytest.raises(DomainError):
             self.ref().quantile(1.0)
+        with pytest.raises(DomainError):
+            self.ref().quantile(1e-30)
 
     def test_predict_mixture_degenerate_components(self):
-        only1 = predict_mixture(0.42, (3.0, 1.5), None)
-        assert only1.w == 1.0
-        assert only1.quantile(0.5) == pytest.approx(3.0, abs=1e-10)
-        assert only1.quantile(0.975) == pytest.approx(
+        mu = np.array([[3.0, 7.0], [3.0, 7.0], [3.0, 7.0]])
+        var = np.array([[1.5, 2.0], [1.5, 2.0], [1.5, 2.0]])
+        avail = np.array([[True, False], [False, True], [True, True]])
+        mix = predict_mixture(0.42, mu, var, avail)
+        assert mix.w[0] == 1.0
+        assert mix.quantile(0.5)[0] == pytest.approx(3.0, abs=1e-10)
+        assert mix.quantile(0.975)[0] == pytest.approx(
             norm.ppf(0.975, 3.0, math.sqrt(1.5)), abs=1e-9
         )
-        only2 = predict_mixture(0.42, None, (7.0, 2.0))
-        assert only2.w == 0.0
-        assert only2.mean == pytest.approx(7.0)
+        assert mix.w[1] == 0.0
+        assert mix.mean[1] == pytest.approx(7.0)
+        assert mix.w[2] == 0.42
         with pytest.raises(NoInputsError):
-            predict_mixture(0.5, None, None)
+            predict_mixture(0.5, mu, var, np.array([[True, False], [False, False], [True, True]]))
 
     def test_vectorized_quantiles_match_scalar(self):
         rng = np.random.default_rng(152)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pmfusion import cli
 from pmfusion import io as pio
 from pmfusion.config import MCMCConfig
 from pmfusion.errors import OverwriteError, StageError
@@ -137,6 +138,20 @@ class TestRunPipeline:
         rep_joint = next(r for r in result.reports if r.method == "ensemble")
         assert rep_two.estimation == TWO_STAGE
         assert abs(rep_two.rmse - rep_joint.rmse) < 0.5
+
+    def test_two_stage_with_a_site_the_satellite_never_sees(self, scene, tmp_path):
+        truth, paths, _ = scene
+        row, col = truth.site_cell_sat[0]
+        lines = paths["grid_sat"].read_text().splitlines()
+        kept = [l for l in lines if l.split(",")[1:3] != [str(row), str(col)]]
+        assert len(kept) < len(lines)
+        grid_sat = tmp_path / "grid_sat.csv"
+        grid_sat.write_text("\n".join(kept) + "\n")
+        cfg = make_config(truth, paths, tmp_path / "runs", grid_sat=str(grid_sat), variant=TWO_STAGE)
+        out = run_pipeline(cfg)
+        assert "m000" not in out.weights.site_ids
+        rep = next(r for r in out.reports if r.method == "ensemble")
+        assert rep.n_pairs == out.cv_inputs.n_records
 
     def test_failed_stage_is_tagged_and_recorded(self, scene, tmp_path):
         truth, paths, _ = scene
@@ -267,8 +282,12 @@ class TestCli:
             cwd=cli_scene, env=pmfusion_env,
         )
         assert out.returncode == 0, out.stderr
-        reports = pio.load_evaluation(out_csv)
-        assert any(r.method == "ensemble" for r in reports)
+        got = {r.method: r for r in pio.load_evaluation(out_csv)}
+        want = {r.method: r for r in pio.load_evaluation(run_dir / "evaluation.csv")}
+        # the command and the pipeline score through the same report code
+        for method in ("ctm", "sat", "ensemble"):
+            for name in ("rmse", "coverage95", "avg_posterior_sd", "r2", "n_pairs"):
+                assert getattr(got[method], name) == getattr(want[method], name), (method, name)
 
     def test_missing_input_is_a_clean_failure(self, cli_scene, pmfusion_env):
         out = run_cli(
@@ -281,3 +300,62 @@ class TestCli:
         )
         assert out.returncode != 0
         assert "nope.csv" in out.stderr
+
+
+def run_main(capsys, *args):
+    """cli.main in this process: (exit code, stderr lines)."""
+    code = cli.main([str(a) for a in args])
+    return code, capsys.readouterr().err.splitlines()
+
+
+class TestCliInProcess:
+    @pytest.mark.parametrize("command", ["evaluate", "fit-ensemble"])
+    def test_unmatched_observation_is_a_typed_error(self, command, scene, result, tmp_path, capsys):
+        _, paths, _ = scene
+        lines = paths["obs"].read_text().splitlines()
+        assert lines[1].startswith("m000,1,")
+        obs = tmp_path / "obs.csv"
+        obs.write_text("\n".join(lines[:1] + lines[2:]) + "\n")
+        predictive = result.paths["cv_predictive"]
+        common = ("--monitors", paths["monitors"], "--obs", obs, "--predictive", predictive)
+        if command == "evaluate":
+            args = (*common, "--out", tmp_path / "scores.csv")
+        else:
+            args = (*common, "--out-weights", tmp_path / "w.csv", "--out-samples", tmp_path / "s.csv")
+        code, err = run_main(capsys, command, *args)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert str(predictive) in err[0] and "('m000', 1)" in err[0]
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_weights_without_a_needed_site_are_a_typed_error(self, command, scene, result, tmp_path, capsys):
+        _, paths, _ = scene
+        sid = result.cv_inputs.ids[result.cv_inputs.both_available()][0]
+        lines = result.paths["site_weights"].read_text().splitlines()
+        weights = tmp_path / "weights.csv"
+        weights.write_text("\n".join(l for l in lines if not l.startswith(f"{sid},")) + "\n")
+        args = ["--monitors", paths["monitors"], "--predictive", result.paths["cv_predictive"],
+                "--weights", weights, "--out", tmp_path / "out.csv"]
+        if command == "evaluate":
+            args += ["--obs", paths["obs"]]
+        code, err = run_main(capsys, command, *args)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:") and sid in err[0]
+
+    @pytest.mark.parametrize("source", [CTM, SAT])
+    def test_fit_downscaler_writes_one_source(self, source, scene, tmp_path, capsys):
+        _, paths, _ = scene
+        out = tmp_path / "pred.csv"
+        code, err = run_main(
+            capsys, "fit-downscaler",
+            "--monitors", paths["monitors"], "--obs", paths["obs"],
+            "--grid-ctm", paths["grid_ctm"], "--grid-sat", paths["grid_sat"],
+            "--covariates", paths["covariates"], "--scene", paths["scene"],
+            "--source", source, "--iters", 40, "--out", out,
+        )
+        assert code == 0, err
+        monitors = pio.load_monitors(paths["monitors"])
+        table = pio.load_predictive(out, {l.site_id: l for l in monitors})
+        k = (CTM, SAT).index(source)
+        assert table.n_records > 0
+        assert table.available[:, k].all() and not table.available[:, 1 - k].any()
