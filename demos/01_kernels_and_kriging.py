@@ -28,7 +28,7 @@ print(f"field over {len(sites)} sites: sd {field.std():.2f} "
 
 # kriging back onto the sites is exact up to jitter
 at_sites = krige(sites, field, sites, params)
-gap = max(abs(g.mean - v) for g, v in zip(at_sites, field))
+gap = np.max(np.abs(at_sites.mean - field))
 print(f"max |kriged - field| at the sites: {gap:.2e}")
 
 # transect through the domain, then far beyond it
@@ -36,9 +36,9 @@ targets = [Location(f"t{k}", float(x), 100.0) for k, x in enumerate(np.arange(0,
 preds = krige(sites, field, targets, params)
 
 print("\n   x_km    mean     sd   nearest-site-km")
-for t, g in zip(targets, preds):
+for t, mean, sd in zip(targets, preds.mean, preds.sd):
     d_near = min(np.hypot(t.x_km - s.x_km, t.y_km - s.y_km) for s in sites)
-    print(f"  {t.x_km:5.0f}  {g.mean:6.2f}  {g.sd:5.2f}   {d_near:6.1f}")
+    print(f"  {t.x_km:5.0f}  {mean:6.2f}  {sd:5.2f}   {d_near:6.1f}")
 
-far = preds[-1]
-print(f"\nfar target: mean {far.mean:.3f} -> 0, sd {far.sd:.3f} -> {np.sqrt(params.marginal_variance):.3f}")
+print(f"\nfar target: mean {preds.mean[-1]:.3f} -> 0, sd {preds.sd[-1]:.3f} -> "
+      f"{np.sqrt(params.marginal_variance):.3f}")

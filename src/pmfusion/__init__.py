@@ -76,8 +76,6 @@ from .synth import (
     SceneConfig,
     SceneTruth,
     SplitScene,
-    brute_force_mixture_cdf,
-    brute_force_weight_posterior,
     generate_scene,
     generate_split_scene,
 )
@@ -134,8 +132,6 @@ __all__ = [
     "evaluate",
     "generate_scene",
     "generate_split_scene",
-    "brute_force_weight_posterior",
-    "brute_force_mixture_cdf",
     "run_pipeline",
     "load_pipeline_config",
     "save_pipeline_config",

@@ -521,7 +521,6 @@ def predict_at(
     z: np.ndarray | None = None,
     *,
     seed: int = 0,
-    sample_stride: int = 1,
 ) -> SourcePredictions:
     """Posterior predictive mean/variance at arbitrary targets.
 
@@ -536,91 +535,111 @@ def predict_at(
     z holds raw-scale covariates (standardized internally with the scaler
     from the fit); required when the fit used the satellite source.
     """
+    batch = (days, linked_x, z, seed)
+    return predict_batches(fit, locations, loc_idx, [batch])[0]
+
+
+def predict_batches(
+    fit: DownscalerFit,
+    locations: list[Location],
+    loc_idx: np.ndarray,
+    batches,
+) -> list[SourcePredictions]:
+    """predict_at for several record batches on the same targets.
+
+    batches is an iterable, read once, of (days, linked_x, z, seed) as in
+    predict_at; each gives the same result as its own predict_at call, and
+    only its available rows are kept. Each posterior sample's GP conditional
+    at the locations is built once and shared by all batches; every batch
+    draws its fields from its own generator, in sample order.
+    """
     loc_idx = np.asarray(loc_idx, dtype=np.int64)
-    days = np.asarray(days, dtype=np.int64)
-    linked_x = np.asarray(linked_x, dtype=float)
-    n = days.shape[0]
-    if loc_idx.shape[0] != n or linked_x.shape[0] != n:
-        raise ValueError("loc_idx, days, linked_x must have equal length")
-    if days.min(initial=1) < 1 or days.max(initial=1) > fit.n_days:
-        raise OutOfDomainError(f"target days must lie in 1..{fit.n_days}")
-    if fit.source == SAT:
-        if z is None:
-            raise ValueError("satellite predictions need the covariate block z")
-        z = np.asarray(z, dtype=float)
-        if z.shape != (n, N_COVARIATES):
-            raise ValueError(f"z must have shape ({n}, {N_COVARIATES})")
-        z_std = (z - fit.z_mean) / fit.z_sd
-    else:
-        z_std = None
-
-    avail = np.isfinite(linked_x)
+    n = loc_idx.shape[0]
     ids = np.array([locations[i].site_id for i in loc_idx], dtype=object)
-    mu = np.full(n, np.nan)
-    var = np.full(n, np.nan)
-    if not avail.any():
-        return SourcePredictions(ids=ids, day=days, mu=mu, var=var, available=avail)
-
-    rng = np.random.default_rng(seed)
-    sub = np.flatnonzero(avail)
-    sub_loc = loc_idx[sub]
-    sub_day0 = days[sub] - 1
-    sub_x = linked_x[sub]
-    sub_zg_base = z_std[sub] if z_std is not None else None
+    out, live = [], []
+    for days, linked_x, z, seed in batches:
+        days = np.asarray(days, dtype=np.int64)
+        linked_x = np.asarray(linked_x, dtype=float)
+        if days.shape[0] != n or linked_x.shape[0] != n:
+            raise ValueError("loc_idx, days, linked_x must have equal length")
+        if days.min(initial=1) < 1 or days.max(initial=1) > fit.n_days:
+            raise OutOfDomainError(f"target days must lie in 1..{fit.n_days}")
+        if fit.source == SAT:
+            if z is None:
+                raise ValueError("satellite predictions need the covariate block z")
+            z = np.asarray(z, dtype=float)
+            if z.shape != (n, N_COVARIATES):
+                raise ValueError(f"z must have shape ({n}, {N_COVARIATES})")
+        avail = np.isfinite(linked_x)
+        pred = SourcePredictions(
+            ids=ids, day=days, mu=np.full(n, np.nan), var=np.full(n, np.nan), available=avail
+        )
+        out.append(pred)
+        if avail.any():
+            sub = np.flatnonzero(avail)
+            zg = (z[sub] - fit.z_mean) / fit.z_sd if fit.source == SAT else None
+            live.append(_Batch(pred, loc_idx[sub], days[sub] - 1, linked_x[sub], zg, seed))
+    if not live:
+        return out
 
     d_sites = distance_matrix(fit.sites)
     d_cross = distance_matrix(fit.sites, locations)
     n_loc = len(locations)
-
-    sample_ids = range(0, len(fit), max(sample_stride, 1))
     count = 0
-    mean_acc = np.zeros(sub.size)
-    m2_acc = np.zeros(sub.size)
     s2y_acc = 0.0
-    for j in sample_ids:
-        v1_star = _conditional_field_draw(
-            d_sites, d_cross, fit.v1[j], float(fit.theta1[j]), rng
-        )
-        v2_star = _conditional_field_draw(
-            d_sites, d_cross, fit.v2[j], float(fit.theta2[j]), rng
-        )
+    for j in range(len(fit)):
+        mean1, sd1 = _conditional_field(d_sites, d_cross, fit.v1[j], float(fit.theta1[j]))
+        mean2, sd2 = _conditional_field(d_sites, d_cross, fit.v2[j], float(fit.theta2[j]))
         a11, a21, a22 = fit.a_coreg[j]
-        alpha1 = a11 * v1_star
-        beta1 = a21 * v1_star + a22 * v2_star
-        pred = (
-            fit.alpha0[j][sub_day0]
-            + alpha1[sub_loc]
-            + (fit.beta0[j][sub_day0] + beta1[sub_loc]) * sub_x
-        )
-        if sub_zg_base is not None:
-            pred = pred + sub_zg_base @ fit.gamma[j]
         count += 1
-        delta = pred - mean_acc
-        mean_acc += delta / count
-        m2_acc += delta * (pred - mean_acc)
         s2y_acc += float(fit.sigma2_y[j])
+        for b in live:
+            v1_star = mean1 + sd1 * b.rng.standard_normal(n_loc)
+            v2_star = mean2 + sd2 * b.rng.standard_normal(n_loc)
+            alpha1 = a11 * v1_star
+            beta1 = a21 * v1_star + a22 * v2_star
+            pred = (
+                fit.alpha0[j][b.day0]
+                + alpha1[b.loc]
+                + (fit.beta0[j][b.day0] + beta1[b.loc]) * b.x
+            )
+            if b.zg is not None:
+                pred = pred + b.zg @ fit.gamma[j]
+            delta = pred - b.mean
+            b.mean += delta / count
+            b.m2 += delta * (pred - b.mean)
 
-    mu[sub] = mean_acc
-    spread = m2_acc / max(count - 1, 1)
-    var[sub] = spread + s2y_acc / count
-    return SourcePredictions(ids=ids, day=days, mu=mu, var=var, available=avail)
+    for b in live:
+        b.out.mu[b.out.available] = b.mean
+        b.out.var[b.out.available] = b.m2 / max(count - 1, 1) + s2y_acc / count
+    return out
 
 
-def _conditional_field_draw(
+class _Batch:
+    """The available rows of one predict_batches batch, its generator and its
+    running (Welford) mean and sum of squared deviations."""
+
+    def __init__(self, out, loc, day0, x, zg, seed):
+        self.out, self.loc, self.day0, self.x, self.zg = out, loc, day0, x, zg
+        self.rng = np.random.default_rng(seed)
+        self.mean = np.zeros(x.size)
+        self.m2 = np.zeros(x.size)
+
+
+def _conditional_field(
     d_sites: np.ndarray,
     d_cross: np.ndarray,
     v: np.ndarray,
     theta: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw a unit-variance exponential-GP field at targets given site values."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and SD at targets of a unit-variance exponential-GP field given site values."""
     corr = np.exp(-d_sites / theta)
     chol, _ = jittered_cholesky(corr)
     lk = solve_triangular(chol, np.exp(-d_cross / theta), lower=True)
     lv = solve_triangular(chol, v, lower=True)
     mean = lk.T @ lv
     sd = np.sqrt(np.maximum(1.0 - np.sum(lk * lk, axis=0), 0.0))
-    return mean + sd * rng.standard_normal(mean.shape[0])
+    return mean, sd
 
 
 def cv_predict(

@@ -208,15 +208,25 @@ def emit_obs(path, ids, day, pm25, meta: dict | None = None):
 
 
 def load_obs(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Observation rows; records with an empty pm25 field are dropped."""
+    """Observation rows; records with an empty pm25 field are dropped.
+
+    Raises SchemaError at a kept row that repeats a (site_id, day).
+    """
     r = _Reader(path, OBS_COLUMNS)
     ids, day, y = [], [], []
+    line_of = {}
     for lineno, rec in r.rows:
         value = r.floats(lineno, rec, 2, allow_empty=True)
         if np.isnan(value):
             continue
-        ids.append(r.text(lineno, rec, 0))
-        day.append(r.ints(lineno, rec, 1))
+        key = (r.text(lineno, rec, 0), r.ints(lineno, rec, 1))
+        if key in line_of:
+            raise SchemaError(
+                f"{r.path}:{lineno}: (site_id, day) {key} repeats line {line_of[key]}"
+            )
+        line_of[key] = lineno
+        ids.append(key[0])
+        day.append(key[1])
         y.append(value)
     return (
         np.asarray(ids, dtype=object),

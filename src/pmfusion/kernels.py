@@ -189,24 +189,13 @@ def krige(
     targets,
     p: ExpCovParams,
     mean: float = 0.0,
-) -> list[GaussianSummary]:
+) -> GaussianSummary:
     """Simple kriging with known constant mean.
 
-    Returns one GaussianSummary per target. Exact (up to jitter) at observed
-    locations; reverts to N(mean, marginal_variance) far from all data.
+    Returns one array-valued GaussianSummary, an entry per target. Exact (up
+    to jitter) at observed locations; reverts to N(mean, marginal_variance)
+    far from all data.
     """
-    m, v = krige_arrays(observed_locations, observed_values, targets, p, mean)
-    return [GaussianSummary(float(mi), float(vi)) for mi, vi in zip(m, v)]
-
-
-def krige_arrays(
-    observed_locations,
-    observed_values: np.ndarray,
-    targets,
-    p: ExpCovParams,
-    mean: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Array-valued simple kriging: (means, variances) at targets."""
     values = np.asarray(observed_values, dtype=float)
     d_obs = distance_matrix(observed_locations)
     d_cross = distance_matrix(observed_locations, targets)
@@ -217,7 +206,7 @@ def krige_arrays(
     lv = solve_triangular(l, values - mean, lower=True)
     mu = mean + lk.T @ lv
     var = p.marginal_variance - np.sum(lk * lk, axis=0)
-    return mu, np.maximum(var, 0.0)
+    return GaussianSummary(mu, np.maximum(var, 0.0))
 
 
 def car_neighbor_count(horizon: int) -> np.ndarray:

@@ -15,7 +15,9 @@ status so partial runs are recognizable.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ import numpy as np
 from . import io as pio
 from .config import MCMCConfig
 from .crossval import KFOLD, SPATIAL, EvalReport, evaluate, make_folds
-from .downscaler import SourcePredictions, cv_predict, fit_downscaler, predict_at
+from .downscaler import SourcePredictions, cv_predict, fit_downscaler, predict_at, predict_batches
 from .ensemble import (
     WeightFieldSamples,
     fit_joint,
@@ -297,24 +299,18 @@ def _full_predictive(data, fits, seeds) -> PredictiveTable:
     return combine_predictions(data, preds[CTM], preds[SAT])
 
 
-def _nearest_site_rows(data: ObservationTable, targets: list[Location], day: int) -> np.ndarray:
-    """Raw covariate rows for targets: the same-day row of the nearest monitor."""
-    d = distance_matrix(data.sites, targets)
-    nearest = d.argmin(axis=0)
-    z_of_site = {}
-    sel = np.flatnonzero(data.day == day)
-    for i in sel:
-        z_of_site.setdefault(int(data.site_idx[i]), data.z[i])
-    any_day_of_site = {}
-    for i in range(data.n_records):
-        any_day_of_site.setdefault(int(data.site_idx[i]), data.z[i])
-    out = np.zeros((len(targets), data.z.shape[1]))
-    for j, s in enumerate(nearest):
-        row = z_of_site.get(int(s))
-        if row is None:
-            row = any_day_of_site[int(s)]
-        out[j] = row
-    return out
+def _nearest_site_rows(
+    data: ObservationTable, targets: list[Location], days
+) -> Iterator[np.ndarray]:
+    """Raw covariate rows for targets, one block per day: the same-day row of
+    the nearest monitor with records, else that monitor's first row."""
+    sites, first = np.unique(data.site_idx, return_index=True)
+    nearest = distance_matrix([data.sites[s] for s in sites], targets).argmin(axis=0)
+    for day in days:
+        row = first.copy()
+        sel = np.flatnonzero(data.day == day)
+        row[np.searchsorted(sites, data.site_idx[sel])] = sel
+        yield data.z[row[nearest]]
 
 
 def _surface_stage(cfg: PipelineConfig, data, fits, weights, ctm, sat, seeds):
@@ -335,7 +331,7 @@ def _surface_stage(cfg: PipelineConfig, data, fits, weights, ctm, sat, seeds):
     ]
     kriged = krige_weights(weights, targets, seed=int(seeds[4].generate_state(1)[0]))
 
-    # linked proxy values per target cell
+    # linked proxy values of the target cells on a day
     def linked(values_present, spec):
         if values_present is None or spec is None:
             return None
@@ -348,39 +344,42 @@ def _surface_stage(cfg: PipelineConfig, data, fits, weights, ctm, sat, seeds):
             dtype=np.int64,
         )
         inside = cells[:, 0] >= 0
-        return values, cells, inside
 
-    ctm_link = linked(ctm, cfg.ctm_grid)
-    sat_link = linked(sat, cfg.sat_grid) if sat is not None else None
+        def on_day(d):
+            x = np.full(m, np.nan)
+            x[inside] = values[d - 1, cells[inside, 0], cells[inside, 1]]
+            return x
+
+        return on_day
+
+    # one predict_batches call per source, one batch per day; the batches are
+    # built as they are read, so only their available rows stay in memory
+    preds = {}
+    links = (linked(ctm, cfg.ctm_grid), linked(sat, cfg.sat_grid))
+    for k, (source, link) in enumerate(zip((CTM, SAT), links)):
+        fit = fits.get(source)
+        if link is None or fit is None:
+            continue
+        pseed = int(seeds[5 + k].generate_state(1)[0])
+        zs = _nearest_site_rows(data, targets, days) if source == SAT else repeat(None)
+        batches = ((np.full(m, d, dtype=np.int64), link(d), z, pseed + d) for d, z in zip(days, zs))
+        preds[k] = predict_batches(fit, targets, np.arange(m), batches)
 
     rows = []
     rr = np.arange(m) // grid.n_cols
     cc = np.arange(m) % grid.n_cols
-    pred_seed_ctm = int(seeds[5].generate_state(1)[0])
-    pred_seed_sat = int(seeds[6].generate_state(1)[0])
-    for d in days:
-        day_vec = np.full(m, d, dtype=np.int64)
+    for i, d in enumerate(days):
         mu = np.zeros((m, 2))
         var = np.ones((m, 2))
         avail = np.zeros((m, 2), dtype=bool)
-        for k, (source, link, pseed) in enumerate(
-            ((CTM, ctm_link, pred_seed_ctm), (SAT, sat_link, pred_seed_sat))
-        ):
-            fit = fits.get(source)
-            if link is None or fit is None:
-                continue
-            values, cells, inside = link
-            x = np.full(m, np.nan)
-            ok = inside.copy()
-            x[ok] = values[d - 1, cells[ok, 0], cells[ok, 1]]
-            z = _nearest_site_rows(data, targets, d) if source == SAT else None
-            pred = predict_at(fit, targets, np.arange(m), day_vec, x, z, seed=pseed + d)
+        for k, day_preds in preds.items():
+            pred, day_preds[i] = day_preds[i], None  # freed once mixed
             mu[:, k], var[:, k], avail[:, k] = pred.mu, pred.var, pred.available
         usable = avail.any(axis=1)
         mix = predict_mixture(kriged["w_mean"][usable], mu[usable], var[usable], avail[usable])
         rows.append(
             (
-                day_vec[usable],
+                np.full(m, d, dtype=np.int64)[usable],
                 rr[usable],
                 cc[usable],
                 mix.mean,

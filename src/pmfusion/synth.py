@@ -1,4 +1,4 @@
-"""Forward generative scenes with known truth, plus brute-force oracles.
+"""Forward generative scenes with known truth.
 
 generate_scene runs the full hierarchy forward: latent site fields from
 their GPs, daily series from the CAR models, two gridded proxy fields,
@@ -8,10 +8,6 @@ calibration model. Satellite cells are masked Bernoulli(sat_missing_rate).
 The scene also carries the exact per-source component predictives
 (mean = alpha_st + beta_st X + Z gamma, variance = sigma2_y), so ensemble
 estimation can be tested in isolation from downscaler fitting.
-
-The brute-force oracles marginalize z analytically on a discrete grid and
-evaluate the mixture CDF directly; they share no code with the samplers
-they check.
 """
 
 from __future__ import annotations
@@ -19,10 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
 
-from .ensemble import MixtureDistribution
-from .errors import DomainError
 from .geo import CTM, SAT, GridSpec, Location, coords_array, distance_matrix, link_points
 from .kernels import inv_logit, jittered_cholesky, sample_tridiag_mvn, car_neighbor_count
 from .tables import COVARIATE_NAMES, N_COVARIATES, ObservationTable, PredictiveTable
@@ -358,51 +351,3 @@ def generate_split_scene(
         err1=err1,
         err2=err2,
     )
-
-
-def default_weight_grid(n: int = 2000) -> np.ndarray:
-    return (np.arange(n, dtype=float) + 0.5) / n
-
-
-def brute_force_weight_posterior(
-    y: np.ndarray,
-    mu1: np.ndarray,
-    var1: np.ndarray,
-    mu2: np.ndarray,
-    var2: np.ndarray,
-    grid: np.ndarray | None = None,
-    prior: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact discrete posterior over a single site's weight, z marginalized.
-
-    posterior(w) on the grid is proportional to
-    prior(w) * prod_t [w phi1(y_t) + (1 - w) phi2(y_t)]; the default grid is
-    2,000 midpoints of (0, 1) and the default prior is flat (Beta(1, 1)).
-    """
-    if grid is None:
-        grid = default_weight_grid()
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 0.0) or np.any(grid >= 1.0):
-        raise DomainError("weight grid must lie strictly inside (0, 1)")
-    y = np.asarray(y, dtype=float)
-    ll1 = norm.logpdf(y, loc=mu1, scale=np.sqrt(var1))
-    ll2 = norm.logpdf(y, loc=mu2, scale=np.sqrt(var2))
-    logw = np.log(grid)[:, None]
-    log1mw = np.log1p(-grid)[:, None]
-    loglik = np.logaddexp(logw + ll1[None, :], log1mw + ll2[None, :]).sum(axis=1)
-    if prior is not None:
-        loglik = loglik + np.log(np.asarray(prior, dtype=float))
-    post = np.exp(loglik - loglik.max())
-    return grid, post / post.sum()
-
-
-def brute_force_mixture_cdf(m: MixtureDistribution, x) -> float | np.ndarray:
-    """Direct mixture CDF: w Phi((x-mu1)/sd1) + (1-w) Phi((x-mu2)/sd2)."""
-    c = m.w * norm.cdf(x, loc=m.mu1, scale=np.sqrt(m.var1)) + (1.0 - m.w) * norm.cdf(
-        x, loc=m.mu2, scale=np.sqrt(m.var2)
-    )
-    return c
-
-
-def weight_posterior_mean(grid: np.ndarray, post: np.ndarray) -> float:
-    return float(np.dot(grid, post))

@@ -1,0 +1,62 @@
+"""Brute-force oracles for the ensemble tests.
+
+They marginalize z analytically on a discrete weight grid and evaluate the
+mixture CDF directly, with scipy.stats densities; they share no code with
+the samplers they check.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.stats import norm
+
+from pmfusion.ensemble import MixtureDistribution
+from pmfusion.errors import DomainError
+
+
+def default_weight_grid(n: int = 2000) -> np.ndarray:
+    return (np.arange(n, dtype=float) + 0.5) / n
+
+
+def brute_force_weight_posterior(
+    y: np.ndarray,
+    mu1: np.ndarray,
+    var1: np.ndarray,
+    mu2: np.ndarray,
+    var2: np.ndarray,
+    grid: np.ndarray | None = None,
+    prior: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact discrete posterior over a single site's weight, z marginalized.
+
+    posterior(w) on the grid is proportional to
+    prior(w) * prod_t [w phi1(y_t) + (1 - w) phi2(y_t)]; the default grid is
+    2,000 midpoints of (0, 1) and the default prior is flat (Beta(1, 1)).
+    """
+    if grid is None:
+        grid = default_weight_grid()
+    grid = np.asarray(grid, dtype=float)
+    if np.any(grid <= 0.0) or np.any(grid >= 1.0):
+        raise DomainError("weight grid must lie strictly inside (0, 1)")
+    y = np.asarray(y, dtype=float)
+    ll1 = norm.logpdf(y, loc=mu1, scale=np.sqrt(var1))
+    ll2 = norm.logpdf(y, loc=mu2, scale=np.sqrt(var2))
+    logw = np.log(grid)[:, None]
+    log1mw = np.log1p(-grid)[:, None]
+    loglik = np.logaddexp(logw + ll1[None, :], log1mw + ll2[None, :]).sum(axis=1)
+    if prior is not None:
+        loglik = loglik + np.log(np.asarray(prior, dtype=float))
+    post = np.exp(loglik - loglik.max())
+    return grid, post / post.sum()
+
+
+def brute_force_mixture_cdf(m: MixtureDistribution, x) -> float | np.ndarray:
+    """Direct mixture CDF: w Phi((x-mu1)/sd1) + (1-w) Phi((x-mu2)/sd2)."""
+    c = m.w * norm.cdf(x, loc=m.mu1, scale=np.sqrt(m.var1)) + (1.0 - m.w) * norm.cdf(
+        x, loc=m.mu2, scale=np.sqrt(m.var2)
+    )
+    return c
+
+
+def weight_posterior_mean(grid: np.ndarray, post: np.ndarray) -> float:
+    return float(np.dot(grid, post))

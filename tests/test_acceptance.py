@@ -32,14 +32,10 @@ from pmfusion.ensemble import (
 from pmfusion.geo import CTM, SAT, GridSpec, Location, distance_matrix
 from pmfusion.kernels import inv_logit, jittered_cholesky
 from pmfusion.pipeline import PipelineConfig, save_pipeline_config
-from pmfusion.synth import (
-    SceneConfig,
-    brute_force_weight_posterior,
-    generate_scene,
-    generate_split_scene,
-    weight_posterior_mean,
-)
+from pmfusion.synth import SceneConfig, generate_scene, generate_split_scene
 from pmfusion.tables import PredictiveTable
+
+from oracles import brute_force_weight_posterior, weight_posterior_mean
 
 N_GATES = 10
 

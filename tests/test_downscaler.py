@@ -8,13 +8,14 @@ conditional computed by an independent dense linear-algebra route.
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import solve_triangular
 from scipy.stats import chi2
 
 from pmfusion.config import MCMCConfig
-from pmfusion.downscaler import _Blocks, cv_predict, fit_downscaler, predict_at
+from pmfusion.downscaler import _Blocks, cv_predict, fit_downscaler, predict_at, predict_batches
 from pmfusion.errors import InsufficientDataError, OutOfDomainError
-from pmfusion.geo import CTM, SAT, Location
-from pmfusion.kernels import ETA_GRID
+from pmfusion.geo import CTM, SAT, Location, distance_matrix
+from pmfusion.kernels import ETA_GRID, jittered_cholesky
 from pmfusion.tables import N_COVARIATES, ObservationTable
 
 
@@ -484,6 +485,82 @@ class TestPredictAt:
         c = predict_at(fit, targets, idx, days, x, seed=11)
         assert np.array_equal(a.mu, b.mu) and np.array_equal(a.var, b.var)
         assert not np.array_equal(a.mu, c.mu)
+
+
+def per_call_reference(fit, locations, loc_idx, days, x, z, seed):
+    """(mu, var) of one predict_at call, every sample's GP conditional rebuilt
+    for the call: the reference for the operators predict_batches shares."""
+    mu = np.full(x.shape[0], np.nan)
+    var = np.full(x.shape[0], np.nan)
+    sub = np.flatnonzero(np.isfinite(x))
+    if sub.size == 0:
+        return mu, var
+    rng = np.random.default_rng(seed)
+    d_sites = distance_matrix(fit.sites)
+    d_cross = distance_matrix(fit.sites, locations)
+    mean = np.zeros(sub.size)
+    m2 = np.zeros(sub.size)
+    s2y = 0.0
+    for j in range(len(fit)):
+        fields = []
+        for v, theta in ((fit.v1[j], float(fit.theta1[j])), (fit.v2[j], float(fit.theta2[j]))):
+            chol, _ = jittered_cholesky(np.exp(-d_sites / theta))
+            lk = solve_triangular(chol, np.exp(-d_cross / theta), lower=True)
+            cond_mean = lk.T @ solve_triangular(chol, v, lower=True)
+            cond_sd = np.sqrt(np.maximum(1.0 - np.sum(lk * lk, axis=0), 0.0))
+            fields.append(cond_mean + cond_sd * rng.standard_normal(len(locations)))
+        a11, a21, a22 = fit.a_coreg[j]
+        alpha1 = a11 * fields[0]
+        beta1 = a21 * fields[0] + a22 * fields[1]
+        d0, loc = days[sub] - 1, loc_idx[sub]
+        pred = fit.alpha0[j][d0] + alpha1[loc] + (fit.beta0[j][d0] + beta1[loc]) * x[sub]
+        if z is not None:
+            pred = pred + ((z - fit.z_mean) / fit.z_sd)[sub] @ fit.gamma[j]
+        delta = pred - mean
+        mean += delta / (j + 1)
+        m2 += delta * (pred - mean)
+        s2y += float(fit.sigma2_y[j])
+    mu[sub] = mean
+    var[sub] = m2 / max(len(fit) - 1, 1) + s2y / len(fit)
+    return mu, var
+
+
+class TestPredictBatches:
+    @pytest.mark.parametrize("source", [CTM, SAT])
+    def test_batches_match_separate_calls_bit_for_bit(self, source):
+        rng = np.random.default_rng(46)
+        data = build_table(rng, 8, 12, noise_sd=1.0)
+        fit = fit_downscaler(data, source, MCMCConfig(n_iter=60, burn_in=30, thin=2, seed=46))
+        # the fitted monitors plus new locations, so the field conditionals do not collapse
+        targets = list(data.sites) + [Location(f"new{i}", *rng.uniform(0, 100, 2)) for i in range(6)]
+        m = len(targets)
+        idx = np.arange(m)
+        batches = []
+        for d in (2, 4, 5, 9):
+            x = rng.normal(8.0, 3.0, m)
+            x[rng.random(m) < 0.3] = np.nan
+            if d == 4:
+                x[:] = np.nan  # a day with no available target draws nothing
+            z = rng.normal(0.0, 1.0, (m, N_COVARIATES)) if source == SAT else None
+            batches.append((np.full(m, d), x, z, 100 + d))
+        got = predict_batches(fit, targets, idx, batches)
+        assert len(got) == len(batches)
+        for (days, x, z, seed), batch in zip(batches, got):
+            single = predict_at(fit, targets, idx, days, x, z, seed=seed)
+            ref_mu, ref_var = per_call_reference(fit, targets, idx, days, x, z, seed)
+            for pred in (batch, single):
+                assert np.array_equal(pred.available, np.isfinite(x))
+                assert np.array_equal(pred.mu, ref_mu, equal_nan=True)
+                assert np.array_equal(pred.var, ref_var, equal_nan=True)
+        assert not got[1].available.any() and np.isnan(got[1].mu).all()
+        assert np.isfinite(got[2].mu[got[2].available]).all()
+
+    def test_each_batch_is_validated(self, noiseless_fit):
+        data, fit = noiseless_fit
+        good = (data.day[:3], data.x_ctm[:3], None, 0)
+        bad = (np.array([1, 2, data.n_days + 1]), data.x_ctm[:3], None, 0)
+        with pytest.raises(OutOfDomainError):
+            predict_batches(fit, data.sites, data.site_idx[:3], [good, bad])
 
 
 class TestCvPredict:

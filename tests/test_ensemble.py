@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import solve_triangular
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
@@ -32,10 +33,11 @@ from pmfusion.ensemble import (
     update_z,
 )
 from pmfusion.errors import DomainError, NoInputsError
-from pmfusion.geo import Location
-from pmfusion.kernels import inv_logit, logit
-from pmfusion.synth import brute_force_weight_posterior, weight_posterior_mean
+from pmfusion.geo import Location, distance_matrix
+from pmfusion.kernels import inv_logit, jittered_cholesky, logit
 from pmfusion.tables import PredictiveTable
+
+from oracles import brute_force_weight_posterior, weight_posterior_mean
 
 # frozen oracle values for the reference mixture
 # w=0.3, mu1=-1, var1=0.5, mu2=2, var2=4
@@ -586,3 +588,48 @@ class TestKrigeWeights:
         assert_allclose(one["w_mean"], two["w_mean"], rtol=0, atol=0)
         strided = krige_weights(field, targets, seed=9, sample_stride=2)
         assert np.isfinite(strided["w_mean"]).all()
+
+    def test_chunk_sizes_match_the_chunk_major_reference(self):
+        rng = np.random.default_rng(164)
+        field = self.synthetic_field(rng, n_samples=30)
+        field = WeightFieldSamples(
+            locations=field.locations,
+            q=field.q,
+            tau2=rng.uniform(0.5, 2.0, 30),
+            rho=rng.uniform(20.0, 80.0, 30),
+            t_s=field.t_s,
+        )
+        targets = [Location(f"t{i}", *rng.uniform(0, 150, 2)) for i in range(12)]
+        # 4 and 12 divide the 12 targets, 5 does not; 2048 is the default
+        for chunk in (4, 5, 12, 2048):
+            got = krige_weights(field, targets, seed=7, chunk=chunk)
+            want = krige_per_chunk_reference(field, targets, seed=7, chunk=chunk)
+            for key in ("w_mean", "w_lo", "w_hi", "q_mean"):
+                assert np.array_equal(got[key], want[key]), (chunk, key)
+
+
+def krige_per_chunk_reference(field, targets, seed, chunk):
+    """krige_weights spelled out: each target chunk takes every sample's
+    conditional draw in turn (chunk-major order), so the output depends on the
+    chunk size only through that order."""
+    rng = np.random.default_rng(seed)
+    d_obs = distance_matrix(field.locations)
+    d_cross = distance_matrix(field.locations, targets)
+    n_t = d_cross.shape[1]
+    out = {key: np.zeros(n_t) for key in ("w_mean", "w_lo", "w_hi", "q_mean")}
+    for start in range(0, n_t, chunk):
+        stop = min(start + chunk, n_t)
+        draws = np.zeros((len(field), stop - start))
+        for j in range(len(field)):
+            rho = float(field.rho[j])
+            chol, _ = jittered_cholesky(np.exp(-d_obs / rho))
+            lk = solve_triangular(chol, np.exp(-d_cross[:, start:stop] / rho), lower=True)
+            mean = lk.T @ solve_triangular(chol, field.q[j], lower=True)
+            var = float(field.tau2[j]) * np.maximum(1.0 - np.sum(lk * lk, axis=0), 0.0)
+            draws[j] = mean + np.sqrt(var) * rng.standard_normal(stop - start)
+        w = inv_logit(draws)
+        out["w_mean"][start:stop] = w.mean(axis=0)
+        out["w_lo"][start:stop] = np.quantile(w, 0.025, axis=0)
+        out["w_hi"][start:stop] = np.quantile(w, 0.975, axis=0)
+        out["q_mean"][start:stop] = draws.mean(axis=0)
+    return out

@@ -23,7 +23,6 @@ from pmfusion.kernels import (
     inv_logit,
     jittered_cholesky,
     krige,
-    krige_arrays,
     log1pexp,
     logit,
     mvn_logpdf_zero_mean,
@@ -292,9 +291,8 @@ class TestKriging:
         c = exp_cov_matrix(d, params)
         vals = np.linalg.cholesky(c + 1e-12 * np.eye(15)) @ rng.standard_normal(15)
         out = krige(pts, vals, pts, params)
-        for g, v in zip(out, vals):
-            np.testing.assert_allclose(g.mean, v, atol=1e-6)
-            assert g.variance < 1e-6
+        np.testing.assert_allclose(out.mean, vals, atol=1e-6)
+        assert (out.variance < 1e-6).all()
 
     def test_reverts_to_prior_far_away(self):
         rng = np.random.default_rng(10)
@@ -303,8 +301,8 @@ class TestKriging:
         params = ExpCovParams(2.0, 30.0)
         far = [Location("far", 1e6, 1e6)]
         out = krige(pts, vals, far, params)
-        np.testing.assert_allclose(out[0].mean, 0.0, atol=1e-8)
-        np.testing.assert_allclose(out[0].variance, 2.0, atol=1e-8)
+        np.testing.assert_allclose(out.mean[0], 0.0, atol=1e-8)
+        np.testing.assert_allclose(out.variance[0], 2.0, atol=1e-8)
 
     def test_matches_dense_gls_formula(self):
         rng = np.random.default_rng(11)
@@ -314,7 +312,8 @@ class TestKriging:
         c = exp_cov_matrix(distance_matrix(obs), params)
         k = exp_cov_matrix(distance_matrix(obs, targets), params)
         vals = rng.standard_normal(12)
-        mu, var = krige_arrays(obs, vals, targets, params)
+        out = krige(obs, vals, targets, params)
+        mu, var = out.mean, out.variance
         expect_mu = k.T @ np.linalg.solve(c, vals)
         expect_var = params.marginal_variance - np.sum(k * np.linalg.solve(c, k), axis=0)
         np.testing.assert_allclose(mu, expect_mu, atol=1e-8)
@@ -325,7 +324,7 @@ class TestKriging:
         obs = _random_points(rng, 20, scale=10.0)  # tight cluster stresses conditioning
         vals = rng.standard_normal(20)
         params = ExpCovParams(1.0, 200.0)
-        _, var = krige_arrays(obs, vals, _random_points(rng, 50), params)
+        var = krige(obs, vals, _random_points(rng, 50), params).variance
         assert (var >= 0).all()
 
 

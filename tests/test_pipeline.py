@@ -13,16 +13,18 @@ from pmfusion import cli
 from pmfusion import io as pio
 from pmfusion.config import MCMCConfig
 from pmfusion.errors import OverwriteError, StageError
-from pmfusion.geo import CTM, SAT, GridSpec
+from pmfusion.geo import CTM, SAT, GridSpec, Location
 from pmfusion.pipeline import (
     JOINT,
     TWO_STAGE,
     PipelineConfig,
+    _nearest_site_rows,
     load_pipeline_config,
     run_pipeline,
     save_pipeline_config,
 )
 from pmfusion.synth import SceneConfig, generate_scene
+from pmfusion.tables import ObservationTable
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +185,27 @@ class TestRunPipeline:
         assert np.all(surf.w == 1.0)
 
 
+class TestNearestSiteRows:
+    def test_same_day_row_else_first_row_of_nearest_monitor_with_records(self):
+        # a has no records, b has days 3 and 1 (in that order), c has day 2
+        sites = [Location("a", 0.0, 0.0), Location("b", 10.0, 0.0), Location("c", 100.0, 0.0)]
+        data = ObservationTable(
+            sites=sites,
+            site_idx=[1, 2, 1],
+            day=[3, 2, 1],
+            y=[5.0, 6.0, 7.0],
+            x_ctm=[1.0, 1.0, 1.0],
+            x_sat=[np.nan] * 3,
+            z=np.arange(18.0).reshape(3, 6),
+            n_days=3,
+        )
+        # t0 lies nearest to a, which has no row to give, so b serves it
+        targets = [Location("t0", 1.0, 0.0), Location("t1", 95.0, 0.0)]
+        day1, day2 = _nearest_site_rows(data, targets, (1, 2))
+        np.testing.assert_array_equal(day1, data.z[[2, 1]])
+        np.testing.assert_array_equal(day2, data.z[[0, 1]])
+
+
 class TestPipelineConfig:
     def test_json_round_trip(self, scene, tmp_path):
         truth, paths, _ = scene
@@ -327,6 +350,28 @@ class TestCliInProcess:
         assert len(err) == 1 and err[0].startswith("error:")
         assert str(predictive) in err[0] and "('m000', 1)" in err[0]
 
+    @pytest.mark.parametrize("command", ["evaluate", "fit-ensemble", "fit-downscaler"])
+    def test_repeated_observation_row_is_a_typed_error(self, command, scene, result, tmp_path, capsys):
+        _, paths, _ = scene
+        lines = paths["obs"].read_text().splitlines()
+        assert lines[1].startswith("m000,1,")
+        obs = tmp_path / "obs.csv"
+        obs.write_text("\n".join(lines + ["m000,1,500.0"]) + "\n")
+        predictive = result.paths["cv_predictive"]
+        common = ("--monitors", paths["monitors"], "--obs", obs)
+        if command == "evaluate":
+            args = (*common, "--predictive", predictive, "--out", tmp_path / "scores.csv")
+        elif command == "fit-ensemble":
+            args = (*common, "--predictive", predictive,
+                    "--out-weights", tmp_path / "w.csv", "--out-samples", tmp_path / "s.csv")
+        else:
+            args = (*common, "--grid-ctm", paths["grid_ctm"], "--scene", paths["scene"],
+                    "--source", CTM, "--iters", 40, "--out", tmp_path / "pred.csv")
+        code, err = run_main(capsys, command, *args)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert f"{obs}:{len(lines) + 1}:" in err[0] and "('m000', 1)" in err[0]
+
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
     def test_weights_without_a_needed_site_are_a_typed_error(self, command, scene, result, tmp_path, capsys):
         _, paths, _ = scene
@@ -359,3 +404,11 @@ class TestCliInProcess:
         k = (CTM, SAT).index(source)
         assert table.n_records > 0
         assert table.available[:, k].all() and not table.available[:, 1 - k].any()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded(pmfusion_env):
+    # scipy.stats serves only the test oracles; the program never needs it
+    code = "import sys, pmfusion.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=pmfusion_env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -7,17 +7,16 @@ from scipy.stats import norm
 
 from pmfusion.ensemble import MixtureDistribution
 from pmfusion.errors import DomainError
-from pmfusion.synth import (
-    SceneConfig,
+from pmfusion.synth import SceneConfig, generate_scene, generate_split_scene
+from pmfusion.geo import SAT, GridSpec
+from pmfusion.tables import COVARIATE_NAMES
+
+from oracles import (
     brute_force_mixture_cdf,
     brute_force_weight_posterior,
     default_weight_grid,
-    generate_scene,
-    generate_split_scene,
     weight_posterior_mean,
 )
-from pmfusion.geo import SAT, GridSpec
-from pmfusion.tables import COVARIATE_NAMES
 
 
 class TestGenerateScene:
