@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .config import MCMCConfig
 from .errors import InsufficientDataError, OutOfDomainError
@@ -35,10 +34,12 @@ from .kernels import (
     ETA_GRID,
     car_logdet_table,
     car_neighbor_count,
+    chol_factor_solve,
     jittered_cholesky,
     mvn_logpdf_zero_mean,
     sample_from_log_weights,
     sample_tridiag_mvn,
+    tri_solve,
 )
 from .tables import N_COVARIATES, ObservationTable
 
@@ -225,8 +226,8 @@ class _Blocks:
         self.eta_b = 0.5
         self.theta1 = max(diam / 4.0, self.theta_floor)
         self.theta2 = max(diam / 4.0, self.theta_floor)
-        self._set_range_cache(1, self.theta1)
-        self._set_range_cache(2, self.theta2)
+        self._set_range_cache(1, self._range_chol(self.theta1))
+        self._set_range_cache(2, self._range_chol(self.theta2))
         self.step_theta = [0.5, 0.5]
         self.theta_accept = [0, 0]
         self.theta_tries = [0, 0]
@@ -248,10 +249,13 @@ class _Blocks:
         """y minus everything except the site-level terms and noise."""
         return self.y - self.alpha0[self.day0] - self.beta0[self.day0] * self.x - self._zg()
 
-    def _set_range_cache(self, which: int, theta: float) -> None:
-        corr = np.exp(-self.d_sites / theta)
-        chol, _ = jittered_cholesky(corr)
-        rinv = cho_solve((chol, True), np.eye(self.S))
+    def _range_chol(self, theta: float) -> np.ndarray:
+        """Cholesky factor of the unit-variance site correlation at range theta."""
+        chol, _ = jittered_cholesky(np.exp(-self.d_sites / theta))
+        return chol
+
+    def _set_range_cache(self, which: int, chol: np.ndarray) -> None:
+        rinv = chol_factor_solve(chol, np.eye(self.S))
         if which == 1:
             self.chol_r1, self.rinv1 = chol, rinv
         else:
@@ -269,11 +273,9 @@ class _Blocks:
             - alpha1[self.site]
             - (self.beta0[self.day0] + beta1[self.site]) * self.x
         )
-        mean = cho_solve((self.ztz_chol, True), self.zmat.T @ r)
+        mean = chol_factor_solve(self.ztz_chol, self.zmat.T @ r)
         z = self.rng.standard_normal(self.p_cov)
-        self.gamma = mean + np.sqrt(self.sigma2_y) * solve_triangular(
-            self.ztz_chol, z, lower=True, trans="T"
-        )
+        self.gamma = mean + np.sqrt(self.sigma2_y) * tri_solve(self.ztz_chol, z, trans=1)
 
     def _daily_series_draw(
         self, weights_diag: np.ndarray, wr_day: np.ndarray,
@@ -313,9 +315,9 @@ class _Blocks:
         b = np.bincount(self.site, weights=coef * resid, minlength=self.S) / self.sigma2_y
         prec = rinv + np.diag(g / self.sigma2_y)
         chol, _ = jittered_cholesky(prec)
-        mean = cho_solve((chol, True), b)
+        mean = chol_factor_solve(chol, b)
         z = self.rng.standard_normal(self.S)
-        return mean + solve_triangular(chol, z, lower=True, trans="T")
+        return mean + tri_solve(chol, z, trans=1)
 
     def draw_v1(self) -> None:
         e = self._resid_no_site()
@@ -337,9 +339,9 @@ class _Blocks:
         prec = f.T @ f / self.sigma2_y + np.eye(3) / A_PRIOR_VAR
         rhs = f.T @ e / self.sigma2_y
         chol, _ = jittered_cholesky(prec)
-        mean = cho_solve((chol, True), rhs)
+        mean = chol_factor_solve(chol, rhs)
         z = self.rng.standard_normal(3)
-        a = mean + solve_triangular(chol, z, lower=True, trans="T")
+        a = mean + tri_solve(chol, z, trans=1)
         # reflect into the identified half-space A11 >= 0, A22 >= 0; the joint
         # sign flips leave alpha1, beta1 and both GP priors invariant
         if a[0] < 0:
@@ -405,12 +407,12 @@ class _Blocks:
         self.theta_tries[which - 1] += 1
         accepted = False
         if prop >= self.theta_floor:
-            chol_prop, _ = jittered_cholesky(np.exp(-self.d_sites / prop))
+            chol_prop = self._range_chol(prop)
             cur = mvn_logpdf_zero_mean(v, chol) + self._log_range_prior(theta) + np.log(theta)
             new = mvn_logpdf_zero_mean(v, chol_prop) + self._log_range_prior(prop) + np.log(prop)
             if np.log(self.rng.random()) < new - cur:
                 accepted = True
-                self._set_range_cache(which, prop)
+                self._set_range_cache(which, chol_prop)
                 if which == 1:
                     self.theta1 = prop
                 else:
@@ -635,8 +637,8 @@ def _conditional_field(
     """Mean and SD at targets of a unit-variance exponential-GP field given site values."""
     corr = np.exp(-d_sites / theta)
     chol, _ = jittered_cholesky(corr)
-    lk = solve_triangular(chol, np.exp(-d_cross / theta), lower=True)
-    lv = solve_triangular(chol, v, lower=True)
+    lk = tri_solve(chol, np.exp(-d_cross / theta))
+    lv = tri_solve(chol, v)
     mean = lk.T @ lv
     sd = np.sqrt(np.maximum(1.0 - np.sum(lk * lk, axis=0), 0.0))
     return mean, sd

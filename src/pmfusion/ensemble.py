@@ -33,18 +33,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 from scipy.special import ndtr
 
 from .config import MCMCConfig
 from .errors import DomainError, NoInputsError
 from .geo import Location, distance_matrix
 from .kernels import (
+    chol_factor_solve,
     inv_logit,
     jittered_cholesky,
     log1pexp,
     logit,
     norm_logpdf,
+    tri_solve,
 )
 
 _ADAPT_WINDOW = 50
@@ -323,7 +324,7 @@ def update_tau2(
     q = np.asarray(q, dtype=float)
     d = distance_matrix(locations)
     chol, _ = jittered_cholesky(np.exp(-d / rho))
-    half = solve_triangular(chol, q, lower=True)
+    half = tri_solve(chol, q)
     return _draw_tau2(float(half @ half), q.shape[0], ig_a, ig_b, rng)
 
 
@@ -335,7 +336,7 @@ def _draw_tau2(quad: float, s_count: int, ig_a: float, ig_b: float, rng) -> floa
 def _q_loglik(q: np.ndarray, tau2: float, corr_chol: np.ndarray) -> float:
     """MVN(0, tau2 * C) log density of q given the Cholesky factor of C."""
     s = q.shape[0]
-    half = solve_triangular(corr_chol, q, lower=True)
+    half = tri_solve(corr_chol, q)
     return -0.5 * (
         s * math.log(2.0 * math.pi * tau2)
         + 2.0 * float(np.sum(np.log(np.diag(corr_chol))))
@@ -429,7 +430,7 @@ def fit_joint(y, inputs, locations, mcmc: MCMCConfig) -> WeightFieldSamples:
     tau2 = 1.0
     rho = prob.rho_init
     corr_chol, _ = jittered_cholesky(np.exp(-prob.d / rho))
-    corr_inv = cho_solve((corr_chol, True), np.eye(s_count))
+    corr_inv = chol_factor_solve(corr_chol, np.eye(s_count))
     prec = corr_inv / tau2
     r = prec @ q
 
@@ -472,7 +473,7 @@ def fit_joint(y, inputs, locations, mcmc: MCMCConfig) -> WeightFieldSamples:
             corr_chol=corr_chol,
         )
         if rho_accepted:
-            corr_inv = cho_solve((corr_chol, True), np.eye(s_count))
+            corr_inv = chol_factor_solve(corr_chol, np.eye(s_count))
             prec = corr_inv / tau2
             r = prec @ q
             acc_rho += 1
@@ -569,7 +570,7 @@ def fit_two_stage(y, inputs, locations, mcmc: MCMCConfig) -> WeightFieldSamples:
     out_rho = np.zeros(n_kept)
     keep_at = {it: j for j, it in enumerate(mcmc.kept_iterations())}
     for it in range(mcmc.n_iter):
-        half = solve_triangular(corr_chol, q_med, lower=True)
+        half = tri_solve(corr_chol, q_med)
         tau2 = _draw_tau2(float(half @ half), q_med.shape[0], mcmc.ig_a, mcmc.ig_b, rng)
         rho, accepted, corr_chol = update_rho(
             q_med,
@@ -638,8 +639,8 @@ def krige_weights(
             tau2_j = float(field.tau2[j])
             rho_j = float(field.rho[j])
             chol, _ = jittered_cholesky(np.exp(-d_obs / rho_j))
-            lk = solve_triangular(chol, np.exp(-dc / rho_j), lower=True)
-            lv = solve_triangular(chol, field.q[j], lower=True)
+            lk = tri_solve(chol, np.exp(-dc / rho_j))
+            lv = tri_solve(chol, field.q[j])
             mean = lk.T @ lv
             var = tau2_j * np.maximum(1.0 - np.sum(lk * lk, axis=0), 0.0)
             draws[out_j] = mean + np.sqrt(var) * rng.standard_normal(stop - start)

@@ -79,6 +79,21 @@ class GridSpec:
         row = min(int((y - self.origin_y) / self.cell_km), self.n_rows - 1)
         return row, col
 
+    def cells_of(self, xy: np.ndarray) -> np.ndarray:
+        """`cell_of` for an (n, 2) array of points: an (n, 2) int array of
+        (row, col), with (-1, -1) for points outside the extent."""
+        xmin, ymin, xmax, ymax = self.extent
+        x, y = xy[:, 0], xy[:, 1]
+        inside = (xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)
+        cells = np.full((xy.shape[0], 2), -1, dtype=np.int64)
+        cells[inside, 0] = np.minimum(
+            ((y[inside] - self.origin_y) / self.cell_km).astype(np.int64), self.n_rows - 1
+        )
+        cells[inside, 1] = np.minimum(
+            ((x[inside] - self.origin_x) / self.cell_km).astype(np.int64), self.n_cols - 1
+        )
+        return cells
+
     def cell_center(self, row: int, col: int) -> tuple[float, float]:
         if not (0 <= row < self.n_rows and 0 <= col < self.n_cols):
             raise OutOfDomainError(f"cell ({row}, {col}) outside grid")
@@ -109,13 +124,17 @@ def link_points(points: list[Location] | np.ndarray, grid: GridSpec) -> np.ndarr
     -------
     (n, 2) int array of (row, col), one per point.
 
-    Raises OutOfDomainError if any point falls outside the grid.
+    Raises OutOfDomainError naming the first point outside the grid.
     """
     xy = coords_array(points)
-    out = np.empty((xy.shape[0], 2), dtype=np.int64)
-    for i, (x, y) in enumerate(xy):
-        out[i] = grid.cell_of(float(x), float(y))
-    return out
+    cells = grid.cells_of(xy)
+    outside = np.flatnonzero(cells[:, 0] < 0)
+    if outside.size:
+        x, y = xy[outside[0]]
+        raise OutOfDomainError(
+            f"point ({float(x)}, {float(y)}) outside grid extent {grid.extent}"
+        )
+    return cells
 
 
 def coords_array(points) -> np.ndarray:

@@ -24,6 +24,7 @@ import csv
 import hashlib
 import io as _io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -142,11 +143,17 @@ class _Reader:
                 f"{self.path}:{lineno}: empty value in column '{self.expected[col]}'"
             )
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise ParseError(
                 f"{self.path}:{lineno}: non-numeric value '{text}' in column '{self.expected[col]}'"
             ) from None
+        if not math.isfinite(value):
+            # an empty field is the one spelling of "missing"
+            raise ParseError(
+                f"{self.path}:{lineno}: non-finite value '{text}' in column '{self.expected[col]}'"
+            )
+        return value
 
     def ints(self, lineno: int, rec: list[str], col: int) -> int:
         val = self.floats(lineno, rec, col)
@@ -594,9 +601,10 @@ def assemble_observations(
     n_days: int | None = None,
 ) -> ObservationTable:
     """Join monitors, observations, linked grid values, and covariates into
-    one record table. CTM values must exist for every observation; satellite
-    and covariates are optional (missing satellite becomes NaN, missing
-    covariate table becomes zeros)."""
+    one record table. Every monitor needs at least one observation and CTM
+    values must exist for every observation; satellite and covariates are
+    optional (missing satellite becomes NaN, missing covariate table becomes
+    zeros)."""
     from .geo import link_points
 
     ids, day, y = obs
@@ -605,6 +613,10 @@ def assemble_observations(
         if sid not in by_id:
             raise SchemaError(f"observation references unknown site_id '{sid}'")
     site_idx = np.asarray([by_id[s] for s in ids], dtype=np.int64)
+    unmeasured = np.flatnonzero(np.bincount(site_idx, minlength=len(monitors)) == 0)
+    if unmeasured.size:
+        names = ", ".join(monitors[k].site_id for k in unmeasured)
+        raise SchemaError(f"monitors with no measured day: {names}")
     horizon = int(n_days if n_days is not None else (day.max() if day.size else 2))
     horizon = max(horizon, 2)
 

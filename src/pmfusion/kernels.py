@@ -1,8 +1,9 @@
 """Shared statistical kernels.
 
-Covariance construction and factorization, simple kriging, first-order
-temporal conditional-autoregressive (CAR) pieces, logit transforms, and
-small samplers reused by the downscaler and ensemble fitters.
+Covariance construction and factorization, the package's triangular and
+Cholesky solves, simple kriging, first-order temporal
+conditional-autoregressive (CAR) pieces, logit transforms, and small
+samplers reused by the downscaler and ensemble fitters.
 
 Conventions: distances in km, exponential covariance
 ``C(d) = marginal_variance * exp(-d / range_km)``, CAR full conditionals
@@ -16,15 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import (
-    cho_factor,
-    cho_solve,
-    cho_solve_banded,
-    cholesky_banded,
-    eigh_tridiagonal,
-    solve_banded,
-    solve_triangular,
-)
+from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 from scipy.special import ndtri
 
 from .errors import DomainError, NotPositiveDefiniteError
@@ -40,6 +33,12 @@ _JITTER_MAX = 1e-4
 # the CAR dependence parameter is sampled on interval midpoints of [0, 1];
 # midpoints keep eta < 1 so the implied joint prior stays proper
 ETA_GRID = (np.arange(1000, dtype=float) + 0.5) / 1000.0
+
+# the float64 LAPACK routines behind scipy.linalg's triangular, Cholesky and
+# banded solvers; called directly to skip scipy's per-call input handling
+_TRTRS, _POTRS, _PBTRF, _PBTRS, _GBSV = get_lapack_funcs(
+    ("trtrs", "potrs", "pbtrf", "pbtrs", "gbsv"), (np.empty(0),)
+)
 
 
 @dataclass(frozen=True)
@@ -115,28 +114,74 @@ def jittered_cholesky(c: np.ndarray) -> tuple[np.ndarray, float]:
     Raises NotPositiveDefiniteError when even the largest jitter fails.
     """
     c = np.asarray(c, dtype=float)
+    try:
+        return np.linalg.cholesky(c), 0.0
+    except np.linalg.LinAlgError:
+        pass
     scale = float(np.mean(np.diag(c)))
     if scale <= 0:
         scale = 1.0
-    eps = 0.0
     rel = _JITTER_START
-    while True:
+    while rel <= _JITTER_MAX:
+        eps = rel * scale
         try:
-            l = np.linalg.cholesky(c if eps == 0.0 else c + eps * np.eye(c.shape[0]))
-            return l, eps
+            return np.linalg.cholesky(c + eps * np.eye(c.shape[0])), eps
         except np.linalg.LinAlgError:
-            if rel > _JITTER_MAX:
-                raise NotPositiveDefiniteError(
-                    f"matrix not positive definite at jitter {eps:.3e}"
-                ) from None
-            eps = rel * scale
             rel *= 10.0
+    raise NotPositiveDefiniteError(f"matrix not positive definite at jitter {eps:.3e}")
+
+
+def _check_finite(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+
+
+def _check_lower_system(l: np.ndarray, b: np.ndarray) -> None:
+    if l.ndim != 2 or l.shape[0] != l.shape[1]:
+        raise ValueError("expected a square factor")
+    if b.ndim not in (1, 2) or b.shape[0] != l.shape[0]:
+        raise ValueError(f"shapes of the factor {l.shape} and b {b.shape} are incompatible")
+    _check_finite(l, b)
+
+
+def tri_solve(l: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """Solve L x = b (trans=0) or L^T x = b (trans=1) for lower-triangular L.
+
+    LAPACK trtrs with the arguments scipy.linalg.solve_triangular passes, so
+    the result is the same to the bit. b is (n,) or (n, k). Raises
+    ValueError on non-finite input and LinAlgError on a zero diagonal.
+    """
+    l = np.asarray(l, dtype=float)
+    b = np.asarray(b, dtype=float)
+    _check_lower_system(l, b)
+    if l.flags.f_contiguous:
+        x, info = _TRTRS(l, b, lower=1, trans=trans)
+    else:
+        # trtrs reads Fortran order: solve the transposed, upper system
+        x, info = _TRTRS(l.T, b, lower=0, trans=1 - trans)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
+
+
+def chol_factor_solve(l: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (L L^T) x = b given the lower Cholesky factor L.
+
+    LAPACK potrs with the arguments scipy.linalg.cho_solve passes, so the
+    result is the same to the bit. Raises ValueError on non-finite input.
+    """
+    l = np.asarray(l, dtype=float)
+    b = np.asarray(b, dtype=float)
+    _check_lower_system(l, b)
+    x, _ = _POTRS(l, b, lower=1)
+    return x
 
 
 def chol_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve C x = b through the jittered Cholesky factor."""
     l, _ = jittered_cholesky(c)
-    return cho_solve((l, True), np.asarray(b, dtype=float))
+    return chol_factor_solve(l, b)
 
 
 def chol_logdet(c: np.ndarray) -> float:
@@ -148,7 +193,7 @@ def chol_logdet(c: np.ndarray) -> float:
 def mvn_logpdf_zero_mean(x: np.ndarray, chol_lower: np.ndarray) -> float:
     """Log density of N(0, C) at x given the lower Cholesky factor of C."""
     x = np.asarray(x, dtype=float)
-    w = solve_triangular(chol_lower, x, lower=True)
+    w = tri_solve(chol_lower, x)
     n = x.shape[0]
     return -0.5 * (
         n * np.log(2.0 * np.pi)
@@ -202,8 +247,8 @@ def krige(
     c_obs = exp_cov_matrix(d_obs, p)
     k = exp_cov_matrix(d_cross, p)
     l, _ = jittered_cholesky(c_obs)
-    lk = solve_triangular(l, k, lower=True)
-    lv = solve_triangular(l, values - mean, lower=True)
+    lk = tri_solve(l, k)
+    lv = tri_solve(l, values - mean)
     mu = mean + lk.T @ lv
     var = p.marginal_variance - np.sum(lk * lk, axis=0)
     return GaussianSummary(mu, np.maximum(var, 0.0))
@@ -277,20 +322,27 @@ def sample_tridiag_mvn(
 ) -> np.ndarray:
     """One draw from N(Q^{-1} b, Q^{-1}) for tridiagonal precision Q.
 
-    Q has diagonal prec_diag and sub/super diagonal prec_off. O(T) via a
-    banded Cholesky factorization.
+    Q has diagonal prec_diag and sub/super diagonal prec_off. O(T) via the
+    banded Cholesky factor Q = U^T U (LAPACK pbtrf and pbtrs, then gbsv for
+    U x = z, each with the arguments scipy.linalg's cholesky_banded,
+    cho_solve_banded and solve_banded pass). Raises ValueError on
+    non-finite input and NotPositiveDefiniteError when Q is not PD.
     """
     t = prec_diag.shape[0]
     ab = np.zeros((2, t))
     ab[1] = prec_diag
     ab[0, 1:] = prec_off
-    try:
-        u = cholesky_banded(ab, lower=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from None
-    mean = cho_solve_banded((u, False), b)
+    b = np.asarray(b, dtype=float)
+    if b.shape != (t,):
+        raise ValueError(f"b must have shape ({t},)")
+    _check_finite(ab, b)
+    u, info = _PBTRF(ab, lower=0)
+    if info > 0:
+        raise NotPositiveDefiniteError(f"{info}-th leading minor not positive definite")
+    mean, _ = _PBTRS(u, b, lower=0)
     z = rng.standard_normal(t)
-    return mean + solve_banded((0, 1), u, z)
+    _, _, x, _ = _GBSV(0, 1, u, z)
+    return mean + x
 
 
 def tridiag_conditional_moments(

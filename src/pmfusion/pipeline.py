@@ -336,13 +336,7 @@ def _surface_stage(cfg: PipelineConfig, data, fits, weights, ctm, sat, seeds):
         if values_present is None or spec is None:
             return None
         values, _ = values_present
-        cells = np.array(
-            [
-                spec.cell_of(x, y) if spec.contains(x, y) else (-1, -1)
-                for x, y in centers
-            ],
-            dtype=np.int64,
-        )
+        cells = spec.cells_of(centers)
         inside = cells[:, 0] >= 0
 
         def on_day(d):

@@ -1,13 +1,15 @@
-"""Brute-force oracles for the ensemble tests.
+"""Oracles for the tests, sharing no code with what they check.
 
-They marginalize z analytically on a discrete weight grid and evaluate the
-mixture CDF directly, with scipy.stats densities; they share no code with
-the samplers they check.
+The brute-force ensemble oracles marginalize z analytically on a discrete
+weight grid and evaluate the mixture CDF directly, with scipy.stats
+densities. The scipy references are the public scipy.linalg calls that the
+kernels' direct LAPACK solves stand in for.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import linalg
 from scipy.stats import norm
 
 from pmfusion.ensemble import MixtureDistribution
@@ -60,3 +62,26 @@ def brute_force_mixture_cdf(m: MixtureDistribution, x) -> float | np.ndarray:
 
 def weight_posterior_mean(grid: np.ndarray, post: np.ndarray) -> float:
     return float(np.dot(grid, post))
+
+
+# -- scipy references for pmfusion.kernels' LAPACK solves -----------------
+
+
+def scipy_tri_solve(l, b, trans=0):
+    return linalg.solve_triangular(l, b, lower=True, trans=trans)
+
+
+def scipy_chol_factor_solve(l, b):
+    return linalg.cho_solve((l, True), b)
+
+
+def scipy_tridiag_mvn(prec_diag, prec_off, b, rng):
+    """sample_tridiag_mvn through scipy's banded Cholesky and banded solves."""
+    t = prec_diag.shape[0]
+    ab = np.zeros((2, t))
+    ab[1] = prec_diag
+    ab[0, 1:] = prec_off
+    u = linalg.cholesky_banded(ab, lower=False)
+    mean = linalg.cho_solve_banded((u, False), b)
+    z = rng.standard_normal(t)
+    return mean + linalg.solve_banded((0, 1), u, z)

@@ -8,15 +8,17 @@ conditional computed by an independent dense linear-algebra route.
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.stats import chi2
 
+from pmfusion import downscaler, kernels
 from pmfusion.config import MCMCConfig
 from pmfusion.downscaler import _Blocks, cv_predict, fit_downscaler, predict_at, predict_batches
 from pmfusion.errors import InsufficientDataError, OutOfDomainError
 from pmfusion.geo import CTM, SAT, Location, distance_matrix
 from pmfusion.kernels import ETA_GRID, jittered_cholesky
 from pmfusion.tables import N_COVARIATES, ObservationTable
+from oracles import scipy_chol_factor_solve, scipy_tri_solve, scipy_tridiag_mvn
 
 
 def build_table(rng, n_sites, n_days, *, alpha=0.0, beta=1.0, gamma=None,
@@ -389,6 +391,46 @@ class TestFitDownscaler:
         )
         with pytest.raises(InsufficientDataError, match="3"):
             fit_downscaler(broken, SAT, MCMCConfig(n_iter=10, burn_in=5, thin=1))
+
+
+class TestLapackSolvesInTheSampler:
+    """The sweep's direct LAPACK solves and reused range factor change no bit."""
+
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_accepted_range_keeps_the_proposal_factor(self, which):
+        rng = np.random.default_rng(41)
+        blocks = _Blocks(build_table(rng, 12, 6), CTM, MCMCConfig(n_iter=10, burn_in=5, thin=1, seed=4))
+        fix_state(blocks, rng)
+        for _ in range(200):
+            before = blocks.theta_accept[which - 1]
+            blocks.draw_theta(which, adapt=False)
+            if blocks.theta_accept[which - 1] > before:
+                break
+        else:
+            pytest.fail("no range proposal accepted in 200 tries")
+        theta = blocks.theta1 if which == 1 else blocks.theta2
+        chol = blocks.chol_r1 if which == 1 else blocks.chol_r2
+        rinv = blocks.rinv1 if which == 1 else blocks.rinv2
+        want, _ = jittered_cholesky(np.exp(-blocks.d_sites / theta))
+        assert np.array_equal(chol, want)
+        assert np.array_equal(rinv, cho_solve((want, True), np.eye(blocks.S)))
+
+    @pytest.mark.parametrize("source", [CTM, SAT])
+    def test_fit_equals_the_scipy_solves_bitwise(self, source, monkeypatch):
+        rng = np.random.default_rng(42)
+        data = build_table(rng, 9, 15, gamma=[0.5, -0.3, 0.0, 0.2, 0.1, -0.1])
+        mcmc = MCMCConfig(n_iter=80, burn_in=40, thin=2, seed=11)
+        fit = fit_downscaler(data, source, mcmc)
+        assert fit.acceptance["theta1"] > 0 and fit.acceptance["theta2"] > 0
+        monkeypatch.setattr(downscaler, "tri_solve", scipy_tri_solve)
+        monkeypatch.setattr(downscaler, "chol_factor_solve", scipy_chol_factor_solve)
+        monkeypatch.setattr(downscaler, "sample_tridiag_mvn", scipy_tridiag_mvn)
+        monkeypatch.setattr(kernels, "tri_solve", scipy_tri_solve)
+        ref = fit_downscaler(data, source, mcmc)
+        for name in ("gamma", "alpha0", "beta0", "a_coreg", "v1", "v2", "sigma2_y",
+                     "sigma2_alpha0", "sigma2_beta0", "eta_alpha0", "eta_beta0",
+                     "theta1", "theta2"):
+            assert np.array_equal(getattr(fit, name), getattr(ref, name)), name
 
 
 class TestCovariateRecovery:

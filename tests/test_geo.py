@@ -86,6 +86,43 @@ class TestLinking:
         with pytest.raises(OutOfDomainError):
             link_points([Location("bad", -5.0, 5.0)], grid)
 
+    def test_link_outside_names_the_first_point_outside(self, grid):
+        pts = [Location("a", 1.0, 1.0), Location("b", 50.0, 2.5), Location("c", -1.0, 3.0)]
+        with pytest.raises(OutOfDomainError, match=r"point \(50\.0, 2\.5\) outside"):
+            link_points(pts, grid)
+
+
+class TestCellsOf:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GridSpec(0.0, 0.0, 4.0, 10, 12, SAT),
+            GridSpec(-12.0, -12.0, 12.0, 11, 11, CTM),
+            GridSpec(10.0, 10.0, 1.25, 80, 80),
+            GridSpec(0.3, -7.1, 0.7, 9, 13),
+        ],
+    )
+    def test_equals_cell_of_on_a_lattice_with_boundaries_and_edges(self, spec):
+        xmin, ymin, xmax, ymax = spec.extent
+        # every cell boundary and both extent edges, quarter points between
+        # them, and points just outside either edge
+        xs = np.concatenate([
+            spec.origin_x + spec.cell_km * np.arange(0, spec.n_cols + 0.25, 0.25),
+            [xmin, xmax, np.nextafter(xmin, -np.inf), np.nextafter(xmax, np.inf)],
+        ])
+        ys = np.concatenate([
+            spec.origin_y + spec.cell_km * np.arange(0, spec.n_rows + 0.25, 0.25),
+            [ymin, ymax, np.nextafter(ymin, -np.inf), np.nextafter(ymax, np.inf)],
+        ])
+        xy = np.array([(x, y) for x in xs for y in ys])
+        cells = spec.cells_of(xy)
+        for (x, y), cell in zip(xy, cells):
+            x, y = float(x), float(y)
+            want = spec.cell_of(x, y) if spec.contains(x, y) else (-1, -1)
+            assert tuple(cell) == want, (x, y)
+        assert (cells[:, 0] < 0).any() and (cells[:, 0] >= 0).any()
+        assert cells.dtype == np.int64 and cells.shape == (xy.shape[0], 2)
+
 
 class TestDistanceMatrix:
     def test_symmetric_zero_diagonal(self):

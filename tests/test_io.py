@@ -135,6 +135,49 @@ class TestGrid:
             load_grid(p, spec, n_days=3)
 
 
+# every spelling float() accepts for a non-finite number
+NON_FINITE = ["nan", "NaN", "-nan", "+NAN", "inf", "-inf", "+inf", "Infinity", "-INFINITY", " inf "]
+
+
+class TestNonFiniteNumbers:
+    """An empty cell is the only way to write "missing"; nan and inf are errors."""
+
+    @pytest.mark.parametrize("text", NON_FINITE)
+    def test_pm25(self, tmp_path, text):
+        p = tmp_path / "obs.csv"
+        p.write_text(f"site_id,day,pm25\na,1,3.0\na,2,{text}\n")
+        with pytest.raises(ParseError, match=rf"obs\.csv:3: non-finite value .* column 'pm25'"):
+            load_obs(p)
+
+    @pytest.mark.parametrize("text", NON_FINITE)
+    def test_grid_value(self, tmp_path, text):
+        spec = GridSpec(0.0, 0.0, 1.0, 2, 2, CTM)
+        p = tmp_path / "grid.csv"
+        p.write_text(f"day,row,col,value\n1,0,0,4.0\n1,0,1,\n1,1,1,{text}\n")
+        with pytest.raises(ParseError, match=rf"grid\.csv:4: non-finite value .* column 'value'"):
+            load_grid(p, spec, n_days=1)
+
+    @pytest.mark.parametrize("text", NON_FINITE)
+    def test_covariate(self, tmp_path, text):
+        p = tmp_path / "covariates.csv"
+        p.write_text(f"site_id,day,elev,forest,road,emis,wind,temp\na,1,1,2,3,{text},5,6\n")
+        with pytest.raises(ParseError, match=rf"covariates\.csv:2: non-finite value .* column 'emis'"):
+            load_covariates(p)
+
+    @pytest.mark.parametrize("text", NON_FINITE)
+    def test_monitor_coordinate(self, tmp_path, text):
+        p = tmp_path / "monitors.csv"
+        p.write_text(f"# comment\nsite_id,x_km,y_km\na,1.0,2.0\nb,3.0,{text}\n")
+        with pytest.raises(ParseError, match=rf"monitors\.csv:4: non-finite value .* column 'y_km'"):
+            load_monitors(p)
+
+    def test_empty_cell_still_means_missing(self, tmp_path):
+        p = tmp_path / "obs.csv"
+        p.write_text("site_id,day,pm25\na,1,3.0\na,2,\n")
+        ids, day, y = load_obs(p)
+        assert list(day) == [1] and list(y) == [3.0]
+
+
 class TestCovariates:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -382,6 +425,15 @@ class TestAssembleObservations:
         values[scene.obs.day[0] - 1, rc[0], rc[1]] = np.nan
         with pytest.raises(SchemaError, match="no ctm grid value"):
             assemble_observations(monitors, obs, (values, present), scene.config.ctm_grid, n_days=8)
+
+    def test_monitor_without_a_measured_day_rejected(self, tmp_path):
+        scene, monitors, obs, cov, ctm, sat = self.pieces(tmp_path)
+        ids, day, y = obs
+        keep = (ids != "m001") & (ids != "m003")
+        with pytest.raises(SchemaError, match="no measured day: m001, m003$"):
+            assemble_observations(
+                monitors, (ids[keep], day[keep], y[keep]), ctm, scene.config.ctm_grid, n_days=8
+            )
 
     def test_missing_covariate_row_rejected(self, tmp_path):
         scene, monitors, obs, cov, ctm, sat = self.pieces(tmp_path)

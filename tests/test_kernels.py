@@ -16,6 +16,7 @@ from pmfusion.kernels import (
     car_neighbor_count,
     car_precision_tridiag,
     car_normalized_eigvals,
+    chol_factor_solve,
     chol_logdet,
     chol_solve,
     exp_cov_matrix,
@@ -29,8 +30,10 @@ from pmfusion.kernels import (
     norm_logpdf,
     sample_from_log_weights,
     sample_tridiag_mvn,
+    tri_solve,
     tridiag_conditional_moments,
 )
+from oracles import scipy_chol_factor_solve, scipy_tri_solve, scipy_tridiag_mvn
 
 
 def _random_points(rng, n, scale=100.0):
@@ -100,6 +103,113 @@ class TestMvnLogpdf:
         chol, _ = jittered_cholesky(c)
         expect = multivariate_normal(mean=np.zeros(6), cov=c).logpdf(x)
         np.testing.assert_allclose(mvn_logpdf_zero_mean(x, chol), expect, atol=1e-9)
+
+
+def _spd_factor(rng, s):
+    a = rng.standard_normal((s, s))
+    return np.linalg.cholesky(a @ a.T + s * np.eye(s))
+
+
+def _rhs(rng, s, kind):
+    if kind == "eye":
+        return np.eye(s)
+    if kind == "strided":
+        return rng.standard_normal((s, 9))[:, ::2]
+    return rng.standard_normal(s if kind == "1d" else (s, kind))
+
+
+def _spd_tridiag(rng, t):
+    off = -rng.uniform(0.1, 1.0, t - 1)
+    diag = np.abs(np.r_[off, 0.0]) + np.abs(np.r_[0.0, off]) + rng.uniform(0.1, 2.0, t)
+    return diag, off
+
+
+class TestLapackSolves:
+    """The direct LAPACK solves equal the scipy calls they replace, bit for bit."""
+
+    @pytest.mark.parametrize("s", [3, 20, 63])
+    @pytest.mark.parametrize("trans", [0, 1])
+    @pytest.mark.parametrize("kind", ["1d", 1, 7, "eye", "strided"])
+    def test_tri_solve_equals_solve_triangular(self, s, trans, kind):
+        rng = np.random.default_rng(10 * s + trans)
+        l = _spd_factor(rng, s)
+        b = _rhs(rng, s, kind)
+        assert np.array_equal(tri_solve(l, b, trans=trans), scipy_tri_solve(l, b, trans))
+        # a Fortran-ordered factor goes to trtrs untransposed, as in scipy
+        lf = np.asfortranarray(l)
+        assert np.array_equal(tri_solve(lf, b, trans=trans), scipy_tri_solve(lf, b, trans))
+
+    @pytest.mark.parametrize("s", [3, 20, 63])
+    @pytest.mark.parametrize("kind", ["1d", 1, 7, "eye", "strided"])
+    def test_chol_factor_solve_equals_cho_solve(self, s, kind):
+        rng = np.random.default_rng(s)
+        l = _spd_factor(rng, s)
+        b = _rhs(rng, s, kind)
+        assert np.array_equal(chol_factor_solve(l, b), scipy_chol_factor_solve(l, b))
+
+    def test_range_correlation_factors(self):
+        # the factors the samplers solve with: exponential correlations
+        rng = np.random.default_rng(8)
+        d = distance_matrix(_random_points(rng, 63))
+        for theta in (5.0, 40.0, 400.0):
+            l, _ = jittered_cholesky(np.exp(-d / theta))
+            v = rng.standard_normal(63)
+            k = np.exp(-d[:, :40] / theta)
+            assert np.array_equal(tri_solve(l, v), scipy_tri_solve(l, v))
+            assert np.array_equal(tri_solve(l, k), scipy_tri_solve(l, k))
+            assert np.array_equal(tri_solve(l, v, trans=1), scipy_tri_solve(l, v, 1))
+            eye = np.eye(63)
+            assert np.array_equal(chol_factor_solve(l, eye), scipy_chol_factor_solve(l, eye))
+
+    @pytest.mark.parametrize("t", [2, 5, 90, 365])
+    def test_tridiag_draw_equals_the_scipy_banded_calls(self, t):
+        rng = np.random.default_rng(t)
+        diag, off = _spd_tridiag(rng, t)
+        b = rng.standard_normal(t)
+        got = sample_tridiag_mvn(diag, off, b, np.random.default_rng(3))
+        want = scipy_tridiag_mvn(diag, off, b, np.random.default_rng(3))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_value_error(self, bad):
+        rng = np.random.default_rng(4)
+        l = _spd_factor(rng, 6)
+        b = rng.standard_normal(6)
+        for solve in (tri_solve, chol_factor_solve):
+            l_bad = l.copy()
+            l_bad[4, 2] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve(l_bad, b)
+            b_bad = b.copy()
+            b_bad[1] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve(l, b_bad)
+        diag, off = _spd_tridiag(rng, 6)
+        for which in range(3):
+            args = [diag.copy(), off.copy(), b.copy()]
+            args[which][2] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                sample_tridiag_mvn(*args, rng)
+
+    def test_singular_triangle_raises_linalg_error(self):
+        l = _spd_factor(np.random.default_rng(5), 5)
+        l[2, 2] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            tri_solve(l, np.ones(5))
+
+    def test_non_pd_tridiagonal_raises(self):
+        diag = np.array([1.0, -2.0, 1.0])
+        off = np.array([0.1, 0.1])
+        with pytest.raises(NotPositiveDefiniteError):
+            sample_tridiag_mvn(diag, off, np.zeros(3), np.random.default_rng(0))
+
+    def test_shape_mismatch_raises_value_error(self):
+        l = _spd_factor(np.random.default_rng(6), 5)
+        for solve in (tri_solve, chol_factor_solve):
+            with pytest.raises(ValueError, match="incompatible"):
+                solve(l, np.ones(4))
+            with pytest.raises(ValueError, match="square"):
+                solve(l[:, :4], np.ones(5))
 
 
 class TestGaussianSummary:

@@ -387,6 +387,25 @@ class TestCliInProcess:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:") and sid in err[0]
 
+    def test_run_all_names_a_monitor_without_a_measured_day(self, scene, tmp_path, capsys):
+        truth, paths, _ = scene
+        # every pm25 cell of m000 emptied: load_obs drops those rows
+        lines = [
+            f"{l.rsplit(',', 1)[0]}," if l.startswith("m000,") else l
+            for l in paths["obs"].read_text().splitlines()
+        ]
+        obs = tmp_path / "obs.csv"
+        obs.write_text("\n".join(lines) + "\n")
+        cfg = make_config(truth, paths, tmp_path / "runs", obs=str(obs))
+        cfg_path = save_pipeline_config(tmp_path / "config.json", cfg)
+        code, err = run_main(capsys, "run-all", "--config", cfg_path)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:") and "m000" in err[0]
+        assert "stage 'load'" in err[0]
+        manifest = pio.load_json(tmp_path / "runs" / f"run_{cfg.digest()}" / "manifest.json")
+        assert manifest["status"] == "failed"
+        assert "stage1-cv-downscalers" not in manifest["timings_s"]
+
     @pytest.mark.parametrize("source", [CTM, SAT])
     def test_fit_downscaler_writes_one_source(self, source, scene, tmp_path, capsys):
         _, paths, _ = scene
