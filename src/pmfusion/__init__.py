@@ -24,16 +24,13 @@ from .config import MCMCConfig
 from .crossval import KFOLD, SPATIAL, EvalReport, FoldPlan, evaluate, make_folds
 from .downscaler import (
     DownscalerFit,
-    DownscalerState,
     SourcePredictions,
     cv_predict,
     fit_downscaler,
     predict_at,
 )
 from .ensemble import (
-    LatentAssignment,
     MixtureDistribution,
-    WeightField,
     WeightFieldSamples,
     fit_joint,
     fit_site_weights,
@@ -44,7 +41,6 @@ from .ensemble import (
     update_q,
     update_rho,
     update_tau2,
-    update_z,
 )
 from .errors import (
     DomainError,
@@ -62,7 +58,7 @@ from .errors import (
 )
 from .geo import CTM, SAT, SOURCES, GridSpec, Location, distance_matrix, link_points
 from .io import SurfaceOutput, assemble_observations, config_hash, export_scene
-from .kernels import CarParams, ExpCovParams, GaussianSummary, inv_logit, krige, logit
+from .kernels import GaussianSummary, inv_logit, logit
 from .pipeline import (
     JOINT,
     TWO_STAGE,
@@ -98,14 +94,9 @@ __all__ = [
     "ObservationTable",
     "PredictiveTable",
     "GaussianSummary",
-    "ExpCovParams",
-    "CarParams",
-    "DownscalerState",
     "DownscalerFit",
     "SourcePredictions",
-    "WeightField",
     "WeightFieldSamples",
-    "LatentAssignment",
     "MixtureDistribution",
     "EvalReport",
     "FoldPlan",
@@ -124,7 +115,6 @@ __all__ = [
     "krige_weights",
     "predict_mixture",
     "membership_prob",
-    "update_z",
     "update_q",
     "update_tau2",
     "update_rho",
@@ -140,7 +130,6 @@ __all__ = [
     "config_hash",
     "distance_matrix",
     "link_points",
-    "krige",
     "logit",
     "inv_logit",
     "PmFusionError",

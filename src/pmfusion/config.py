@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
+
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -30,16 +33,22 @@ class MCMCConfig:
     rho_prior_rate: float = 0.005
 
     def __post_init__(self):
+        for name in ("n_iter", "burn_in", "thin"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.n_iter <= 0:
-            raise ValueError("n_iter must be positive")
+            raise DomainError("n_iter must be positive")
         if not 0 <= self.burn_in < self.n_iter:
-            raise ValueError("burn_in must satisfy 0 <= burn_in < n_iter")
+            raise DomainError(
+                f"burn_in must satisfy 0 <= burn_in < n_iter, got burn_in={self.burn_in}, n_iter={self.n_iter}"
+            )
         if self.thin < 1:
-            raise ValueError("thin must be >= 1")
+            raise DomainError("thin must be >= 1")
         if self.kappa_w <= 0 or self.kappa_rho <= 0:
-            raise ValueError("proposal variances must be positive")
+            raise DomainError("proposal variances must be positive")
         if min(self.ig_a, self.ig_b, self.rho_prior_shape, self.rho_prior_rate) <= 0:
-            raise ValueError("prior hyperparameters must be positive")
+            raise DomainError("prior hyperparameters must be positive")
 
     @property
     def n_kept(self) -> int:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .chain import Chain
 from .config import MCMCConfig
 from .errors import InsufficientDataError, OutOfDomainError
 from .geo import CTM, SAT, Location, distance_matrix
@@ -34,7 +35,9 @@ from .kernels import (
     ETA_GRID,
     car_logdet_table,
     car_neighbor_count,
+    car_precision_tridiag,
     chol_factor_solve,
+    exp_krige,
     jittered_cholesky,
     mvn_logpdf_zero_mean,
     sample_from_log_weights,
@@ -45,42 +48,6 @@ from .tables import N_COVARIATES, ObservationTable
 
 # N(0, A_PRIOR_VAR) prior on each free element of the coregionalization matrix
 A_PRIOR_VAR = 1.0e3
-
-_ADAPT_WINDOW = 50
-_ADAPT_LOW = 0.30
-_ADAPT_HIGH = 0.45
-
-
-@dataclass(frozen=True)
-class DownscalerState:
-    """One posterior sample of all downscaler parameters."""
-
-    gamma: np.ndarray
-    alpha0: np.ndarray
-    beta0: np.ndarray
-    a_coreg: np.ndarray  # (A11, A21, A22), lower-triangular by construction
-    v1: np.ndarray
-    v2: np.ndarray
-    sigma2_y: float
-    sigma2_alpha0: float
-    sigma2_beta0: float
-    eta_alpha0: float
-    eta_beta0: float
-    theta1: float
-    theta2: float
-
-    @property
-    def a_matrix(self) -> np.ndarray:
-        a11, a21, a22 = self.a_coreg
-        return np.array([[a11, 0.0], [a21, a22]])
-
-    @property
-    def alpha1(self) -> np.ndarray:
-        return self.a_coreg[0] * self.v1
-
-    @property
-    def beta1(self) -> np.ndarray:
-        return self.a_coreg[1] * self.v1 + self.a_coreg[2] * self.v2
 
 
 @dataclass
@@ -93,7 +60,7 @@ class DownscalerFit:
     gamma: np.ndarray
     alpha0: np.ndarray
     beta0: np.ndarray
-    a_coreg: np.ndarray
+    a_coreg: np.ndarray  # (A11, A21, A22), lower-triangular by construction
     v1: np.ndarray
     v2: np.ndarray
     sigma2_y: np.ndarray
@@ -109,23 +76,6 @@ class DownscalerFit:
 
     def __len__(self) -> int:
         return self.sigma2_y.shape[0]
-
-    def state(self, i: int) -> DownscalerState:
-        return DownscalerState(
-            gamma=self.gamma[i],
-            alpha0=self.alpha0[i],
-            beta0=self.beta0[i],
-            a_coreg=self.a_coreg[i],
-            v1=self.v1[i],
-            v2=self.v2[i],
-            sigma2_y=float(self.sigma2_y[i]),
-            sigma2_alpha0=float(self.sigma2_alpha0[i]),
-            sigma2_beta0=float(self.sigma2_beta0[i]),
-            eta_alpha0=float(self.eta_alpha0[i]),
-            eta_beta0=float(self.eta_beta0[i]),
-            theta1=float(self.theta1[i]),
-            theta2=float(self.theta2[i]),
-        )
 
 
 @dataclass
@@ -228,10 +178,7 @@ class _Blocks:
         self.theta2 = max(diam / 4.0, self.theta_floor)
         self._set_range_cache(1, self._range_chol(self.theta1))
         self._set_range_cache(2, self._range_chol(self.theta2))
-        self.step_theta = [0.5, 0.5]
-        self.theta_accept = [0, 0]
-        self.theta_tries = [0, 0]
-        self.theta_window = [0, 0]
+        self.chain = Chain(mcmc, theta1=0.5, theta2=0.5)
 
     # -- residual helpers ------------------------------------------------
 
@@ -281,8 +228,7 @@ class _Blocks:
         self, weights_diag: np.ndarray, wr_day: np.ndarray,
         eta: float, sigma2_car: float,
     ) -> np.ndarray:
-        prior_diag = self.n_t / sigma2_car
-        prior_off = np.full(self.T - 1, -eta / sigma2_car)
+        prior_diag, prior_off = car_precision_tridiag(self.n_t, eta, sigma2_car)
         post_diag = prior_diag + weights_diag / self.sigma2_y
         b = wr_day / self.sigma2_y
         return sample_tridiag_mvn(post_diag, prior_off, b, self.rng)
@@ -398,13 +344,13 @@ class _Blocks:
     def _log_range_prior(self, theta: float) -> float:
         return (self.mcmc.rho_prior_shape - 1.0) * np.log(theta) - self.mcmc.rho_prior_rate * theta
 
-    def draw_theta(self, which: int, adapt: bool) -> None:
+    def draw_theta(self, which: int) -> bool:
+        """Random-walk MH on log theta_which; returns whether the move was accepted."""
         theta = self.theta1 if which == 1 else self.theta2
         v = self.v1 if which == 1 else self.v2
         chol = self.chol_r1 if which == 1 else self.chol_r2
-        step = self.step_theta[which - 1]
-        prop = float(theta * np.exp(step * self.rng.standard_normal()))
-        self.theta_tries[which - 1] += 1
+        name = f"theta{which}"
+        prop = float(theta * np.exp(self.chain.step(name) * self.rng.standard_normal()))
         accepted = False
         if prop >= self.theta_floor:
             chol_prop = self._range_chol(prop)
@@ -417,18 +363,10 @@ class _Blocks:
                     self.theta1 = prop
                 else:
                     self.theta2 = prop
-        if accepted:
-            self.theta_accept[which - 1] += 1
-            self.theta_window[which - 1] += 1
-        if adapt and self.theta_tries[which - 1] % _ADAPT_WINDOW == 0:
-            rate = self.theta_window[which - 1] / _ADAPT_WINDOW
-            if rate > _ADAPT_HIGH:
-                self.step_theta[which - 1] *= 1.25
-            elif rate < _ADAPT_LOW:
-                self.step_theta[which - 1] *= 0.8
-            self.theta_window[which - 1] = 0
+        self.chain.tried(name, accepted)
+        return accepted
 
-    def sweep(self, adapt: bool) -> None:
+    def sweep(self) -> None:
         self.draw_gamma()
         self.draw_alpha0()
         self.draw_beta0()
@@ -440,8 +378,8 @@ class _Blocks:
         self.draw_eta_alpha0()
         self.draw_sigma2_beta0()
         self.draw_eta_beta0()
-        self.draw_theta(1, adapt)
-        self.draw_theta(2, adapt)
+        self.draw_theta(1)
+        self.draw_theta(2)
 
 
 def fit_downscaler(data: ObservationTable, source: str, mcmc: MCMCConfig) -> DownscalerFit:
@@ -458,8 +396,7 @@ def fit_downscaler(data: ObservationTable, source: str, mcmc: MCMCConfig) -> Dow
     source, the horizon is shorter than 2 days, or a covariate is constant.
     """
     blocks = _Blocks(data, source, mcmc)
-    kept = list(mcmc.kept_iterations())
-    n_kept = len(kept)
+    n_kept = mcmc.n_kept
     out = DownscalerFit(
         source=source,
         sites=blocks.sites,
@@ -481,15 +418,9 @@ def fit_downscaler(data: ObservationTable, source: str, mcmc: MCMCConfig) -> Dow
         z_sd=blocks.z_sd,
         acceptance={},
     )
-    keep_at = {it: j for j, it in enumerate(kept)}
-    accept_at_burn = [0, 0]
-    tries_at_burn = [0, 0]
-    for it in range(mcmc.n_iter):
-        blocks.sweep(adapt=it < mcmc.burn_in)
-        if it + 1 == mcmc.burn_in:
-            accept_at_burn = list(blocks.theta_accept)
-            tries_at_burn = list(blocks.theta_tries)
-        j = keep_at.get(it)
+    chain = blocks.chain
+    for _, j in chain:
+        blocks.sweep()
         if j is not None:
             out.gamma[j] = blocks.gamma
             out.alpha0[j] = blocks.alpha0
@@ -505,11 +436,8 @@ def fit_downscaler(data: ObservationTable, source: str, mcmc: MCMCConfig) -> Dow
             out.theta1[j] = blocks.theta1
             out.theta2[j] = blocks.theta2
     out.acceptance = {
-        "theta1": (blocks.theta_accept[0] - accept_at_burn[0])
-        / max(blocks.theta_tries[0] - tries_at_burn[0], 1),
-        "theta2": (blocks.theta_accept[1] - accept_at_burn[1])
-        / max(blocks.theta_tries[1] - tries_at_burn[1], 1),
-        "step_theta": tuple(blocks.step_theta),
+        **chain.acceptance(),
+        "step_theta": (chain.step("theta1"), chain.step("theta2")),
     }
     return out
 
@@ -590,8 +518,9 @@ def predict_batches(
     count = 0
     s2y_acc = 0.0
     for j in range(len(fit)):
-        mean1, sd1 = _conditional_field(d_sites, d_cross, fit.v1[j], float(fit.theta1[j]))
-        mean2, sd2 = _conditional_field(d_sites, d_cross, fit.v2[j], float(fit.theta2[j]))
+        mean1, resid1 = exp_krige(d_sites, d_cross, fit.v1[j], float(fit.theta1[j]))
+        mean2, resid2 = exp_krige(d_sites, d_cross, fit.v2[j], float(fit.theta2[j]))
+        sd1, sd2 = np.sqrt(resid1), np.sqrt(resid2)
         a11, a21, a22 = fit.a_coreg[j]
         count += 1
         s2y_acc += float(fit.sigma2_y[j])
@@ -626,22 +555,6 @@ class _Batch:
         self.rng = np.random.default_rng(seed)
         self.mean = np.zeros(x.size)
         self.m2 = np.zeros(x.size)
-
-
-def _conditional_field(
-    d_sites: np.ndarray,
-    d_cross: np.ndarray,
-    v: np.ndarray,
-    theta: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and SD at targets of a unit-variance exponential-GP field given site values."""
-    corr = np.exp(-d_sites / theta)
-    chol, _ = jittered_cholesky(corr)
-    lk = tri_solve(chol, np.exp(-d_cross / theta))
-    lv = tri_solve(chol, v)
-    mean = lk.T @ lv
-    sd = np.sqrt(np.maximum(1.0 - np.sum(lk * lk, axis=0), 0.0))
-    return mean, sd
 
 
 def cv_predict(

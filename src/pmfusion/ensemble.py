@@ -35,34 +35,22 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
+from .chain import Chain
 from .config import MCMCConfig
-from .errors import DomainError, NoInputsError
+from .errors import DomainError, NoInputsError, SchemaError
 from .geo import Location, distance_matrix
 from .kernels import (
     chol_factor_solve,
+    exp_krige,
     inv_logit,
     jittered_cholesky,
-    log1pexp,
     logit,
     norm_logpdf,
     tri_solve,
 )
 
-_ADAPT_WINDOW = 50
-_ADAPT_LOW = 0.30
-_ADAPT_HIGH = 0.45
-
 # refresh r = P q from scratch periodically to cap round-off accumulation
 _REFRESH_EVERY = 128
-
-
-@dataclass(frozen=True)
-class WeightField:
-    """One posterior sample of the weight surface parameters."""
-
-    q: np.ndarray
-    tau2: float
-    rho: float
 
 
 @dataclass
@@ -83,9 +71,6 @@ class WeightFieldSamples:
     def __len__(self) -> int:
         return self.tau2.shape[0]
 
-    def sample(self, i: int) -> WeightField:
-        return WeightField(q=self.q[i], tau2=float(self.tau2[i]), rho=float(self.rho[i]))
-
     def w_samples(self) -> np.ndarray:
         return inv_logit(self.q)
 
@@ -97,17 +82,6 @@ class WeightFieldSamples:
             "w_hi": np.quantile(w, 0.975, axis=0),
             "q_mean": self.q.mean(axis=0),
         }
-
-
-@dataclass(frozen=True)
-class LatentAssignment:
-    """Daily component memberships for the records where both sources exist."""
-
-    record_idx: np.ndarray
-    site_idx: np.ndarray
-    day: np.ndarray
-    z: np.ndarray
-    prob: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -225,50 +199,22 @@ def membership_prob(
 ) -> np.ndarray:
     """Posterior probability that y came from component 1."""
     delta = norm_logpdf(y, mu1, var1) - norm_logpdf(y, mu2, var2)
-    return inv_logit(logit(np.clip(w, 1e-12, 1 - 1e-12)) + delta)
+    return _membership_prob(logit(np.clip(w, 1e-12, 1 - 1e-12)), delta)
 
 
-def update_z(
-    y: np.ndarray,
-    inputs,
-    q: np.ndarray,
-    rng: np.random.Generator,
-    locations: list[Location] | None = None,
-) -> LatentAssignment:
-    """Step 1: draw daily memberships where both components are available.
-
-    q is ordered like `locations` (or like the site order of first
-    appearance in inputs.ids when locations is None).
-    """
-    both = inputs.both_available()
-    idx = np.flatnonzero(both)
-    site_idx = _site_index(inputs.ids, locations)
-    p = membership_prob(
-        np.asarray(y, dtype=float)[idx],
-        inputs.mu[idx, 0],
-        inputs.var[idx, 0],
-        inputs.mu[idx, 1],
-        inputs.var[idx, 1],
-        inv_logit(np.asarray(q, dtype=float))[site_idx[idx]],
-    )
-    z = (rng.random(idx.size) < p).astype(np.int8)
-    return LatentAssignment(
-        record_idx=idx, site_idx=site_idx[idx], day=inputs.day[idx], z=z, prob=p
-    )
+def _membership_prob(q, delta_ll):
+    """P(z = 1) given the weight logit q and the log density ratio
+    delta_ll = log N(y | mu1, var1) - log N(y | mu2, var2); the fitters
+    call it with their precomputed delta_ll."""
+    return inv_logit(q + delta_ll)
 
 
-def _site_index(ids: np.ndarray, locations: list[Location] | None) -> np.ndarray:
-    if locations is not None:
-        order = {l.site_id: i for i, l in enumerate(locations)}
-    else:
-        order = {}
-        for sid in ids:
-            if sid not in order:
-                order[sid] = len(order)
+def _site_index(ids: np.ndarray, locations: list[Location]) -> np.ndarray:
+    order = {l.site_id: i for i, l in enumerate(locations)}
     try:
         return np.array([order[sid] for sid in ids], dtype=np.int64)
     except KeyError as exc:
-        raise ValueError(f"record id {exc.args[0]!r} not among the weight-field sites") from None
+        raise SchemaError(f"record id {exc.args[0]!r} not among the weight-field sites") from None
 
 
 def _scalar_log1pexp(x: float) -> float:
@@ -410,7 +356,8 @@ class _EnsembleProblem:
         self.rho_init = max(diam / 4.0, 1e-3)
 
     def draw_assignment_sums(self, q: np.ndarray, rng) -> np.ndarray:
-        p = inv_logit(q[self.row_site] + self.delta_ll)
+        """Step 1: draw every membership; returns the per-site sums of z."""
+        p = _membership_prob(q[self.row_site], self.delta_ll)
         z = rng.random(self.rows.size) < p
         return np.bincount(self.row_site, weights=z.astype(float), minlength=self.s_count)
 
@@ -434,25 +381,15 @@ def fit_joint(y, inputs, locations, mcmc: MCMCConfig) -> WeightFieldSamples:
     prec = corr_inv / tau2
     r = prec @ q
 
-    step_sd = np.full(s_count, math.sqrt(mcmc.kappa_w))
-    step_rho = math.sqrt(mcmc.kappa_rho)
-    acc_q = np.zeros(s_count)
-    acc_q_window = np.zeros(s_count)
-    acc_rho = 0
-    acc_rho_window = 0
+    chain = Chain(mcmc, q=np.full(s_count, math.sqrt(mcmc.kappa_w)), rho=math.sqrt(mcmc.kappa_rho))
     n_kept = mcmc.n_kept
     out_q = np.zeros((n_kept, s_count))
     out_tau2 = np.zeros(n_kept)
     out_rho = np.zeros(n_kept)
-    keep_at = {it: j for j, it in enumerate(mcmc.kept_iterations())}
-    acc_q_at_burn = np.zeros(s_count)
-    acc_rho_at_burn = 0
 
-    for it in range(mcmc.n_iter):
+    for it, j in chain:
         z_sum = prob.draw_assignment_sums(q, rng)
-        accepted = update_q(z_sum, prob.t_s, q, prec, r, step_sd, rng)
-        acc_q += accepted
-        acc_q_window += accepted
+        chain.tried("q", update_q(z_sum, prob.t_s, q, prec, r, chain.step("q"), rng))
 
         # q' C^{-1} q with the current precision
         tau2_new = _draw_tau2(tau2 * float(q @ r), s_count, mcmc.ig_a, mcmc.ig_b, rng)
@@ -465,55 +402,33 @@ def fit_joint(y, inputs, locations, mcmc: MCMCConfig) -> WeightFieldSamples:
             tau2,
             rho,
             prob.locations,
-            step_rho**2,
+            chain.step("rho") ** 2,
             rng,
             mcmc.rho_prior_shape,
             mcmc.rho_prior_rate,
             d=prob.d,
             corr_chol=corr_chol,
         )
+        chain.tried("rho", rho_accepted)
         if rho_accepted:
             corr_inv = chol_factor_solve(corr_chol, np.eye(s_count))
             prec = corr_inv / tau2
             r = prec @ q
-            acc_rho += 1
-            acc_rho_window += 1
         elif it % _REFRESH_EVERY == 0:
             r = prec @ q
 
-        if it < mcmc.burn_in and (it + 1) % _ADAPT_WINDOW == 0:
-            rates = acc_q_window / _ADAPT_WINDOW
-            step_sd[rates > _ADAPT_HIGH] *= 1.25
-            step_sd[rates < _ADAPT_LOW] *= 0.8
-            acc_q_window[:] = 0
-            rho_rate = acc_rho_window / _ADAPT_WINDOW
-            if rho_rate > _ADAPT_HIGH:
-                step_rho *= 1.25
-            elif rho_rate < _ADAPT_LOW:
-                step_rho *= 0.8
-            acc_rho_window = 0
-
-        if it + 1 == mcmc.burn_in:
-            acc_q_at_burn = acc_q.copy()
-            acc_rho_at_burn = acc_rho
-
-        j = keep_at.get(it)
         if j is not None:
             out_q[j] = q
             out_tau2[j] = tau2
             out_rho[j] = rho
 
-    post = max(mcmc.n_iter - mcmc.burn_in, 1)
     return WeightFieldSamples(
         locations=prob.locations,
         q=out_q,
         tau2=out_tau2,
         rho=out_rho,
         t_s=prob.t_s,
-        acceptance={
-            "q": float(np.mean(acc_q - acc_q_at_burn) / post),
-            "rho": (acc_rho - acc_rho_at_burn) / post,
-        },
+        acceptance=chain.acceptance(),
     )
 
 
@@ -528,14 +443,11 @@ def fit_site_weights(y, inputs, locations, mcmc: MCMCConfig) -> tuple[np.ndarray
     rng = np.random.default_rng(mcmc.seed)
     s_count = prob.s_count
     w = np.full(s_count, 0.5)
-    n_kept = mcmc.n_kept
-    out_w = np.zeros((n_kept, s_count))
-    keep_at = {it: j for j, it in enumerate(mcmc.kept_iterations())}
-    for it in range(mcmc.n_iter):
+    out_w = np.zeros((mcmc.n_kept, s_count))
+    for _, j in Chain(mcmc):
         q = logit(np.clip(w, 1e-12, 1 - 1e-12))
         z_sum = prob.draw_assignment_sums(q, rng)
         w = rng.beta(1.0 + z_sum, 1.0 + prob.t_s - z_sum)
-        j = keep_at.get(it)
         if j is not None:
             out_w[j] = w
     return out_w, prob.t_s
@@ -562,14 +474,12 @@ def fit_two_stage(y, inputs, locations, mcmc: MCMCConfig) -> WeightFieldSamples:
     rho = max(diam / 4.0, 1e-3)
     tau2 = max(float(np.var(q_med)), 1e-3)
     corr_chol, _ = jittered_cholesky(np.exp(-d / rho))
-    step_rho = math.sqrt(mcmc.kappa_rho)
-    acc_window = 0
+    chain = Chain(mcmc, rho=math.sqrt(mcmc.kappa_rho))
     n_kept = mcmc.n_kept
     out_q = np.tile(q_med, (n_kept, 1))
     out_tau2 = np.zeros(n_kept)
     out_rho = np.zeros(n_kept)
-    keep_at = {it: j for j, it in enumerate(mcmc.kept_iterations())}
-    for it in range(mcmc.n_iter):
+    for _, j in chain:
         half = tri_solve(corr_chol, q_med)
         tau2 = _draw_tau2(float(half @ half), q_med.shape[0], mcmc.ig_a, mcmc.ig_b, rng)
         rho, accepted, corr_chol = update_rho(
@@ -577,22 +487,14 @@ def fit_two_stage(y, inputs, locations, mcmc: MCMCConfig) -> WeightFieldSamples:
             tau2,
             rho,
             kept_locs,
-            step_rho**2,
+            chain.step("rho") ** 2,
             rng,
             mcmc.rho_prior_shape,
             mcmc.rho_prior_rate,
             d=d,
             corr_chol=corr_chol,
         )
-        acc_window += accepted
-        if it < mcmc.burn_in and (it + 1) % _ADAPT_WINDOW == 0:
-            rate_w = acc_window / _ADAPT_WINDOW
-            if rate_w > _ADAPT_HIGH:
-                step_rho *= 1.25
-            elif rate_w < _ADAPT_LOW:
-                step_rho *= 0.8
-            acc_window = 0
-        j = keep_at.get(it)
+        chain.tried("rho", accepted)
         if j is not None:
             out_tau2[j] = tau2
             out_rho[j] = rho
@@ -602,7 +504,7 @@ def fit_two_stage(y, inputs, locations, mcmc: MCMCConfig) -> WeightFieldSamples:
         tau2=out_tau2,
         rho=out_rho,
         t_s=t_s[keep],
-        acceptance={},
+        acceptance=chain.acceptance(),
     )
 
 
@@ -611,7 +513,6 @@ def krige_weights(
     targets,
     seed: int = 0,
     chunk: int = 2048,
-    sample_stride: int = 1,
 ) -> dict[str, np.ndarray]:
     """Krige the logit field to targets and push draws through inv_logit.
 
@@ -625,8 +526,7 @@ def krige_weights(
     d_obs = distance_matrix(field.locations)
     d_cross = distance_matrix(field.locations, targets)
     n_t = d_cross.shape[1]
-    idx = np.arange(0, len(field), max(sample_stride, 1))
-    n_s = idx.size
+    n_s = len(field)
     w_mean = np.zeros(n_t)
     w_lo = np.zeros(n_t)
     w_hi = np.zeros(n_t)
@@ -635,15 +535,10 @@ def krige_weights(
         stop = min(start + chunk, n_t)
         dc = d_cross[:, start:stop]
         draws = np.zeros((n_s, stop - start))
-        for out_j, j in enumerate(idx):
-            tau2_j = float(field.tau2[j])
-            rho_j = float(field.rho[j])
-            chol, _ = jittered_cholesky(np.exp(-d_obs / rho_j))
-            lk = tri_solve(chol, np.exp(-dc / rho_j))
-            lv = tri_solve(chol, field.q[j])
-            mean = lk.T @ lv
-            var = tau2_j * np.maximum(1.0 - np.sum(lk * lk, axis=0), 0.0)
-            draws[out_j] = mean + np.sqrt(var) * rng.standard_normal(stop - start)
+        for j in range(n_s):
+            mean, resid = exp_krige(d_obs, dc, field.q[j], float(field.rho[j]))
+            var = float(field.tau2[j]) * resid
+            draws[j] = mean + np.sqrt(var) * rng.standard_normal(stop - start)
         w_draws = inv_logit(draws)
         w_mean[start:stop] = w_draws.mean(axis=0)
         w_lo[start:stop] = np.quantile(w_draws, 0.025, axis=0)

@@ -64,24 +64,13 @@ class GridSpec:
             self.origin_y + self.n_rows * self.cell_km,
         )
 
-    def contains(self, x: float, y: float) -> bool:
-        xmin, ymin, xmax, ymax = self.extent
-        return xmin <= x <= xmax and ymin <= y <= ymax
-
-    def cell_of(self, x: float, y: float) -> tuple[int, int]:
-        """Map a point to its (row, col); boundary points go to the higher cell,
-        clipped so the far edge still belongs to the last cell."""
-        if not self.contains(x, y):
-            raise OutOfDomainError(
-                f"point ({x}, {y}) outside grid extent {self.extent}"
-            )
-        col = min(int((x - self.origin_x) / self.cell_km), self.n_cols - 1)
-        row = min(int((y - self.origin_y) / self.cell_km), self.n_rows - 1)
-        return row, col
-
     def cells_of(self, xy: np.ndarray) -> np.ndarray:
-        """`cell_of` for an (n, 2) array of points: an (n, 2) int array of
-        (row, col), with (-1, -1) for points outside the extent."""
+        """(row, col) of each point of an (n, 2) array, as an (n, 2) int array.
+
+        A point on a cell boundary goes to the higher cell, clipped so the
+        far edge still belongs to the last cell; a point outside the closed
+        extent gets (-1, -1).
+        """
         xmin, ymin, xmax, ymax = self.extent
         x, y = xy[:, 0], xy[:, 1]
         inside = (xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)
@@ -93,14 +82,6 @@ class GridSpec:
             ((x[inside] - self.origin_x) / self.cell_km).astype(np.int64), self.n_cols - 1
         )
         return cells
-
-    def cell_center(self, row: int, col: int) -> tuple[float, float]:
-        if not (0 <= row < self.n_rows and 0 <= col < self.n_cols):
-            raise OutOfDomainError(f"cell ({row}, {col}) outside grid")
-        return (
-            self.origin_x + (col + 0.5) * self.cell_km,
-            self.origin_y + (row + 0.5) * self.cell_km,
-        )
 
     def all_centers(self) -> np.ndarray:
         """(n_rows*n_cols, 2) array of centres, row-major order."""

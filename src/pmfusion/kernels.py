@@ -1,12 +1,12 @@
 """Shared statistical kernels.
 
-Covariance construction and factorization, the package's triangular and
-Cholesky solves, simple kriging, first-order temporal
+Covariance factorization, the package's triangular and Cholesky solves,
+simple kriging of an exponential-correlation field, first-order temporal
 conditional-autoregressive (CAR) pieces, logit transforms, and small
 samplers reused by the downscaler and ensemble fitters.
 
-Conventions: distances in km, exponential covariance
-``C(d) = marginal_variance * exp(-d / range_km)``, CAR full conditionals
+Conventions: distances in km, exponential correlation
+``C(d) = exp(-d / range_km)``, CAR full conditionals
 ``E[a_t | a_-t] = eta * sum_{t' ~ t} a_t' / n_t`` and
 ``Var[a_t | a_-t] = sigma2 / n_t`` with n_t = 1 at the series endpoints
 and 2 in the interior.
@@ -21,7 +21,6 @@ from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 from scipy.special import ndtri
 
 from .errors import DomainError, NotPositiveDefiniteError
-from .geo import distance_matrix
 
 # logit outputs are clamped so round trips through inv_logit stay finite
 _W_CLIP = 1e-12
@@ -39,37 +38,6 @@ ETA_GRID = (np.arange(1000, dtype=float) + 0.5) / 1000.0
 _TRTRS, _POTRS, _PBTRF, _PBTRS, _GBSV = get_lapack_funcs(
     ("trtrs", "potrs", "pbtrf", "pbtrs", "gbsv"), (np.empty(0),)
 )
-
-
-@dataclass(frozen=True)
-class ExpCovParams:
-    """Exponential covariance: marginal variance (sill) and range in km."""
-
-    marginal_variance: float
-    range_km: float
-
-    def __post_init__(self):
-        if self.marginal_variance < 0:
-            raise ValueError("marginal_variance must be >= 0")
-        if self.range_km <= 0:
-            raise ValueError("range_km must be > 0")
-
-
-@dataclass(frozen=True)
-class CarParams:
-    """First-order temporal CAR: dependence eta, conditional variance, horizon T."""
-
-    dependence: float
-    conditional_variance: float
-    horizon: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.dependence <= 1.0:
-            raise ValueError("dependence must lie in [0, 1]")
-        if self.conditional_variance <= 0:
-            raise ValueError("conditional_variance must be > 0")
-        if self.horizon < 2:
-            raise ValueError("horizon must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -96,14 +64,6 @@ class GaussianSummary:
         if not 0.0 < p < 1.0:
             raise DomainError("quantile level must lie in (0, 1)")
         return self.mean + self.sd * float(ndtri(p))
-
-
-def exp_cov_matrix(d: np.ndarray, p: ExpCovParams) -> np.ndarray:
-    """Exponential covariance matrix from a distance matrix (km)."""
-    d = np.asarray(d, dtype=float)
-    if np.any(d < 0):
-        raise DomainError("distances must be nonnegative")
-    return p.marginal_variance * np.exp(-d / p.range_km)
 
 
 def jittered_cholesky(c: np.ndarray) -> tuple[np.ndarray, float]:
@@ -178,18 +138,6 @@ def chol_factor_solve(l: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def chol_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve C x = b through the jittered Cholesky factor."""
-    l, _ = jittered_cholesky(c)
-    return chol_factor_solve(l, b)
-
-
-def chol_logdet(c: np.ndarray) -> float:
-    """log det C through the jittered Cholesky factor."""
-    l, _ = jittered_cholesky(c)
-    return 2.0 * float(np.sum(np.log(np.diag(l))))
-
-
 def mvn_logpdf_zero_mean(x: np.ndarray, chol_lower: np.ndarray) -> float:
     """Log density of N(0, C) at x given the lower Cholesky factor of C."""
     x = np.asarray(x, dtype=float)
@@ -202,56 +150,22 @@ def mvn_logpdf_zero_mean(x: np.ndarray, chol_lower: np.ndarray) -> float:
     )
 
 
-def gp_univariate_conditional(
-    i: int, values: np.ndarray, c: np.ndarray
-) -> tuple[float, float]:
-    """Conditional N(mean, var) of component i of a zero-mean MVN given the rest.
+def exp_krige(
+    d_obs: np.ndarray, d_cross: np.ndarray, values: np.ndarray, range_km: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simple kriging of a zero-mean, unit-variance exponential-correlation field.
 
-    Parameters
-    ----------
-    i      : index of the component being conditioned on the others
-    values : the other components, length n-1, in original order with i removed
-    c      : full (n, n) covariance matrix
+    d_obs holds the (n, n) distances between the observed sites, d_cross the
+    (n, m) distances from them to the targets, values the field at the
+    sites. Returns the conditional mean lk.T @ lv and the residual variance
+    max(1 - sum(lk**2), 0) at each target, where L is the jittered Cholesky
+    factor of the site correlation, lk = L^{-1} k and lv = L^{-1} values.
+    Scale the residual by the field's variance for a field of another sill.
     """
-    n = c.shape[0]
-    if not 0 <= i < n:
-        raise IndexError(f"index {i} out of range for {n} components")
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] != n - 1:
-        raise ValueError("values must hold the n-1 remaining components")
-    keep = np.arange(n) != i
-    c_rest = c[np.ix_(keep, keep)]
-    cross = c[i, keep]
-    sol = chol_solve(c_rest, cross)
-    mean = float(sol @ values)
-    var = float(c[i, i] - sol @ cross)
-    return mean, max(var, 0.0)
-
-
-def krige(
-    observed_locations,
-    observed_values: np.ndarray,
-    targets,
-    p: ExpCovParams,
-    mean: float = 0.0,
-) -> GaussianSummary:
-    """Simple kriging with known constant mean.
-
-    Returns one array-valued GaussianSummary, an entry per target. Exact (up
-    to jitter) at observed locations; reverts to N(mean, marginal_variance)
-    far from all data.
-    """
-    values = np.asarray(observed_values, dtype=float)
-    d_obs = distance_matrix(observed_locations)
-    d_cross = distance_matrix(observed_locations, targets)
-    c_obs = exp_cov_matrix(d_obs, p)
-    k = exp_cov_matrix(d_cross, p)
-    l, _ = jittered_cholesky(c_obs)
-    lk = tri_solve(l, k)
-    lv = tri_solve(l, values - mean)
-    mu = mean + lk.T @ lv
-    var = p.marginal_variance - np.sum(lk * lk, axis=0)
-    return GaussianSummary(mu, np.maximum(var, 0.0))
+    chol, _ = jittered_cholesky(np.exp(-d_obs / range_km))
+    lk = tri_solve(chol, np.exp(-d_cross / range_km))
+    lv = tri_solve(chol, values)
+    return lk.T @ lv, np.maximum(1.0 - np.sum(lk * lk, axis=0), 0.0)
 
 
 def car_neighbor_count(horizon: int) -> np.ndarray:
@@ -264,33 +178,14 @@ def car_neighbor_count(horizon: int) -> np.ndarray:
     return n
 
 
-def car_full_conditional(t: int, series: np.ndarray, p: CarParams) -> tuple[float, float]:
-    """Mean and variance of a_t given the rest of the series under the CAR model.
+def car_precision_tridiag(
+    n_t: np.ndarray, eta: float, sigma2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(diag, superdiag) of the joint CAR precision (D - eta W) / sigma2.
 
-    t is 1-based with 1 <= t <= horizon; series holds the full vector a_1..a_T
-    (the value at t itself is ignored).
+    n_t is the neighbor count of each day (car_neighbor_count).
     """
-    series = np.asarray(series, dtype=float)
-    if series.shape[0] != p.horizon:
-        raise ValueError("series length must equal the horizon")
-    if not 1 <= t <= p.horizon:
-        raise DomainError(f"t={t} outside 1..{p.horizon}")
-    neighbors = []
-    if t > 1:
-        neighbors.append(series[t - 2])
-    if t < p.horizon:
-        neighbors.append(series[t])
-    n_t = float(len(neighbors))
-    mean = p.dependence * float(np.sum(neighbors)) / n_t
-    return mean, p.conditional_variance / n_t
-
-
-def car_precision_tridiag(p: CarParams) -> tuple[np.ndarray, np.ndarray]:
-    """(diag, superdiag) of the joint CAR precision (D - eta W) / sigma2."""
-    n_t = car_neighbor_count(p.horizon)
-    diag = n_t / p.conditional_variance
-    off = np.full(p.horizon - 1, -p.dependence / p.conditional_variance)
-    return diag, off
+    return n_t / sigma2, np.full(n_t.shape[0] - 1, -eta / sigma2)
 
 
 def car_normalized_eigvals(horizon: int) -> np.ndarray:
@@ -345,18 +240,6 @@ def sample_tridiag_mvn(
     return mean + x
 
 
-def tridiag_conditional_moments(
-    prec_diag: np.ndarray, prec_off: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean vector and dense covariance of N(Q^{-1} b, Q^{-1}); small-T oracle use."""
-    t = prec_diag.shape[0]
-    q = np.diag(prec_diag)
-    q[np.arange(t - 1), np.arange(1, t)] = prec_off
-    q[np.arange(1, t), np.arange(t - 1)] = prec_off
-    cov = np.linalg.inv(q)
-    return cov @ b, cov
-
-
 def sample_from_log_weights(logw: np.ndarray, rng: np.random.Generator) -> int:
     """Sample an index proportionally to exp(logw), stable under shifts."""
     logw = np.asarray(logw, dtype=float)
@@ -383,13 +266,6 @@ def inv_logit(q) -> np.ndarray | float:
     e = np.exp(arr[~pos])
     out[~pos] = e / (1.0 + e)
     return float(out) if np.isscalar(q) else out
-
-
-def log1pexp(x) -> np.ndarray | float:
-    """log(1 + e^x) without overflow."""
-    arr = np.asarray(x, dtype=float)
-    out = np.where(arr > 30.0, arr, np.log1p(np.exp(np.minimum(arr, 30.0))))
-    return float(out) if np.isscalar(x) else out
 
 
 def norm_logpdf(x, mean, var) -> np.ndarray | float:

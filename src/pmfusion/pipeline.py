@@ -33,7 +33,7 @@ from .ensemble import (
     krige_weights,
     predict_mixture,
 )
-from .errors import OverwriteError, SchemaError, StageError
+from .errors import OutOfDomainError, OverwriteError, SchemaError, StageError
 from .geo import CTM, SAT, GridSpec, Location, distance_matrix
 from .kernels import GaussianSummary
 from .tables import SOURCE_COLUMNS, ObservationTable, PredictiveTable
@@ -187,6 +187,9 @@ def _load_inputs(cfg: PipelineConfig):
     monitors = pio.load_monitors(cfg.monitors)
     obs = pio.load_obs(cfg.obs)
     n_days = cfg.n_days if cfg.n_days is not None else int(obs[1].max())
+    for d in cfg.surface_days or ():
+        if not 1 <= d <= n_days:
+            raise OutOfDomainError(f"surface day {d} outside horizon 1..{n_days}")
     ctm = pio.load_grid(cfg.grid_ctm, cfg.ctm_grid, n_days)
     sat = pio.load_grid(cfg.grid_sat, cfg.sat_grid, n_days) if cfg.grid_sat else None
     cov = pio.load_covariates(cfg.covariates) if cfg.covariates else None
@@ -320,9 +323,6 @@ def _surface_stage(cfg: PipelineConfig, data, fits, weights, ctm, sat, seeds):
         if cfg.surface_days is not None
         else tuple(range(1, data.n_days + 1))
     )
-    for d in days:
-        if not 1 <= d <= data.n_days:
-            raise ValueError(f"surface day {d} outside horizon 1..{data.n_days}")
     centers = grid.all_centers()
     m = centers.shape[0]
     targets = [

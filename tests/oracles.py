@@ -3,7 +3,9 @@
 The brute-force ensemble oracles marginalize z analytically on a discrete
 weight grid and evaluate the mixture CDF directly, with scipy.stats
 densities. The scipy references are the public scipy.linalg calls that the
-kernels' direct LAPACK solves stand in for.
+kernels' direct LAPACK solves stand in for. The CAR full conditional is the
+definition of the temporal prior, and the point-by-point grid cell is the
+definition that GridSpec.cells_of vectorizes.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from scipy import linalg
 from scipy.stats import norm
 
 from pmfusion.ensemble import MixtureDistribution
-from pmfusion.errors import DomainError
+from pmfusion.errors import DomainError, OutOfDomainError
+from pmfusion.geo import GridSpec
 
 
 def default_weight_grid(n: int = 2000) -> np.ndarray:
@@ -85,3 +88,41 @@ def scipy_tridiag_mvn(prec_diag, prec_off, b, rng):
     mean = linalg.cho_solve_banded((u, False), b)
     z = rng.standard_normal(t)
     return mean + linalg.solve_banded((0, 1), u, z)
+
+
+# -- model and geometry definitions ----------------------------------------
+
+
+def car_full_conditional(t: int, series: np.ndarray, eta: float, sigma2: float) -> tuple[float, float]:
+    """Mean and variance of a_t given the rest of the series under the CAR model.
+
+    t is 1-based with 1 <= t <= T; series holds the full vector a_1..a_T
+    (the value at t itself is ignored). The mean is eta times the average of
+    the lag neighbors, the variance sigma2 over their count.
+    """
+    series = np.asarray(series, dtype=float)
+    horizon = series.shape[0]
+    if not 1 <= t <= horizon:
+        raise DomainError(f"t={t} outside 1..{horizon}")
+    neighbors = []
+    if t > 1:
+        neighbors.append(series[t - 2])
+    if t < horizon:
+        neighbors.append(series[t])
+    n_t = float(len(neighbors))
+    return eta * float(np.sum(neighbors)) / n_t, sigma2 / n_t
+
+
+def grid_contains(grid: GridSpec, x: float, y: float) -> bool:
+    xmin, ymin, xmax, ymax = grid.extent
+    return xmin <= x <= xmax and ymin <= y <= ymax
+
+
+def grid_cell_of(grid: GridSpec, x: float, y: float) -> tuple[int, int]:
+    """(row, col) of one point; boundary points go to the higher cell,
+    clipped so the far edge still belongs to the last cell."""
+    if not grid_contains(grid, x, y):
+        raise OutOfDomainError(f"point ({x}, {y}) outside grid extent {grid.extent}")
+    col = min(int((x - grid.origin_x) / grid.cell_km), grid.n_cols - 1)
+    row = min(int((y - grid.origin_y) / grid.cell_km), grid.n_rows - 1)
+    return row, col

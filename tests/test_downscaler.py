@@ -348,18 +348,20 @@ class TestFitDownscaler:
         day0 = data.day - 1
         s = data.site_idx
         for j in range(len(fit)):
-            st = fit.state(j)
+            a11, a21, a22 = fit.a_coreg[j]
+            alpha1 = a11 * fit.v1[j]
+            beta1 = a21 * fit.v1[j] + a22 * fit.v2[j]
             mean = (
-                st.alpha0[day0] + st.alpha1[s]
-                + (st.beta0[day0] + st.beta1[s]) * data.x_ctm
+                fit.alpha0[j][day0] + alpha1[s]
+                + (fit.beta0[j][day0] + beta1[s]) * data.x_ctm
             )
-            ll = -0.5 * np.sum((data.y - mean) ** 2) / st.sigma2_y \
-                - 0.5 * data.n_records * np.log(2 * np.pi * st.sigma2_y)
+            ll = -0.5 * np.sum((data.y - mean) ** 2) / fit.sigma2_y[j] \
+                - 0.5 * data.n_records * np.log(2 * np.pi * fit.sigma2_y[j])
             assert np.isfinite(ll)
-            assert st.sigma2_y > 0 and st.sigma2_alpha0 > 0 and st.sigma2_beta0 > 0
-            assert 0.0 < st.eta_alpha0 < 1.0 and 0.0 < st.eta_beta0 < 1.0
-            assert st.theta1 > 0 and st.theta2 > 0
-            assert st.a_coreg[0] >= 0 and st.a_coreg[2] >= 0
+            assert fit.sigma2_y[j] > 0 and fit.sigma2_alpha0[j] > 0 and fit.sigma2_beta0[j] > 0
+            assert 0.0 < fit.eta_alpha0[j] < 1.0 and 0.0 < fit.eta_beta0[j] < 1.0
+            assert fit.theta1[j] > 0 and fit.theta2[j] > 0
+            assert a11 >= 0 and a22 >= 0
 
     def test_adaptation_lands_in_working_band(self):
         rng = np.random.default_rng(35)
@@ -402,9 +404,7 @@ class TestLapackSolvesInTheSampler:
         blocks = _Blocks(build_table(rng, 12, 6), CTM, MCMCConfig(n_iter=10, burn_in=5, thin=1, seed=4))
         fix_state(blocks, rng)
         for _ in range(200):
-            before = blocks.theta_accept[which - 1]
-            blocks.draw_theta(which, adapt=False)
-            if blocks.theta_accept[which - 1] > before:
+            if blocks.draw_theta(which):
                 break
         else:
             pytest.fail("no range proposal accepted in 200 tries")

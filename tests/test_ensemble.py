@@ -20,6 +20,8 @@ from pmfusion.config import MCMCConfig
 from pmfusion.ensemble import (
     MixtureDistribution,
     WeightFieldSamples,
+    _EnsembleProblem,
+    _membership_prob,
     fit_joint,
     fit_site_weights,
     fit_two_stage,
@@ -30,9 +32,8 @@ from pmfusion.ensemble import (
     update_q,
     update_rho,
     update_tau2,
-    update_z,
 )
-from pmfusion.errors import DomainError, NoInputsError
+from pmfusion.errors import DomainError, NoInputsError, SchemaError
 from pmfusion.geo import Location, distance_matrix
 from pmfusion.kernels import inv_logit, jittered_cholesky, logit
 from pmfusion.tables import PredictiveTable
@@ -96,6 +97,8 @@ class TestMembershipProb:
 
 
 class TestUpdateZ:
+    """Step 1 as the fitters run it: _EnsembleProblem.draw_assignment_sums."""
+
     def make_problem(self):
         rng = np.random.default_rng(111)
         locs = [Location("a", 0.0, 0.0), Location("b", 30.0, 0.0)]
@@ -110,38 +113,47 @@ class TestUpdateZ:
 
     def test_only_rows_with_both_components(self):
         locs, inputs, y = self.make_problem()
-        out = update_z(y, inputs, np.zeros(2), np.random.default_rng(0), locs)
-        assert out.record_idx.tolist() == [0, 2, 3, 4]
-        assert set(np.unique(out.z)) <= {0, 1}
-        assert out.site_idx.tolist() == [0, 1, 1, 1]
+        prob = _EnsembleProblem(y, inputs, locs)
+        assert prob.rows.tolist() == [0, 2, 3, 4]
+        assert prob.row_site.tolist() == [0, 1, 1, 1]
+        assert prob.t_s.tolist() == [1.0, 3.0]
+        z_sum = prob.draw_assignment_sums(np.zeros(2), np.random.default_rng(0))
+        assert np.all(z_sum == np.round(z_sum)) and np.all((0 <= z_sum) & (z_sum <= prob.t_s))
 
     def test_probabilities_match_membership_oracle(self):
         locs, inputs, y = self.make_problem()
         q = np.array([0.7, -0.4])
-        out = update_z(y, inputs, q, np.random.default_rng(1), locs)
-        for k, i in enumerate(out.record_idx):
+        prob = _EnsembleProblem(y, inputs, locs)
+        p = _membership_prob(q[prob.row_site], prob.delta_ll)
+        for k, i in enumerate(prob.rows):
             want = scalar_membership(
                 y[i], inputs.mu[i, 0], inputs.var[i, 0],
-                inputs.mu[i, 1], inputs.var[i, 1], inv_logit(q[out.site_idx[k]]),
+                inputs.mu[i, 1], inputs.var[i, 1], inv_logit(q[prob.row_site[k]]),
             )
-            assert out.prob[k] == pytest.approx(want, abs=1e-12)
+            assert p[k] == pytest.approx(want, abs=1e-12)
 
     def test_draw_frequencies_follow_probabilities(self):
         locs, inputs, y = self.make_problem()
         q = np.array([0.3, -0.2])
+        prob = _EnsembleProblem(y, inputs, locs)
         rng = np.random.default_rng(2)
-        total = np.zeros(4)
+        total = np.zeros(2)
         m = 4_000
         for _ in range(m):
-            total += update_z(y, inputs, q, rng, locs).z
-        p = update_z(y, inputs, q, np.random.default_rng(3), locs).prob
-        se = np.sqrt(p * (1 - p) / m)
-        assert np.all(np.abs(total / m - p) < 4 * se + 1e-9)
+            total += prob.draw_assignment_sums(q, rng)
+        p = _membership_prob(q[prob.row_site], prob.delta_ll)
+        # each site's sum of z is a sum of independent Bernoulli(p) draws
+        mean = np.bincount(prob.row_site, weights=p, minlength=2)
+        var = np.bincount(prob.row_site, weights=p * (1 - p), minlength=2)
+        se = np.sqrt(var / m)
+        assert np.all(np.abs(total / m - mean) < 4 * se + 1e-9)
 
     def test_unknown_site_id_rejected(self):
         locs, inputs, y = self.make_problem()
-        with pytest.raises(ValueError, match="not among"):
-            update_z(y, inputs, np.zeros(1), np.random.default_rng(0), [locs[0]])
+        mcmc = MCMCConfig(n_iter=10, burn_in=5, thin=1)
+        for fitter in (fit_joint, fit_two_stage):
+            with pytest.raises(SchemaError, match="'b' not among"):
+                fitter(y, inputs, [locs[0]], mcmc)
 
 
 class TestUpdateQ:
@@ -505,9 +517,13 @@ class TestFitJoint:
         assert summ["w_hi"][i] - summ["w_lo"][i] > 0.3
 
     def test_acceptance_lands_in_working_band(self, fitted):
-        _, _, _, _, field = fitted
+        locs, inputs, y, _, field = fitted
         assert 0.15 < field.acceptance["q"] < 0.7
         assert 0.1 < field.acceptance["rho"] < 0.8
+        # the two-stage range step adapts and is counted the same way
+        two = fit_two_stage(y, inputs, locs, MCMCConfig(n_iter=4_000, burn_in=2_000, thin=2, seed=11))
+        assert set(two.acceptance) == {"rho"}
+        assert 0.1 < two.acceptance["rho"] < 0.8
 
     def test_hyperparameters_are_positive_and_mix(self, fitted):
         _, _, _, _, field = fitted
@@ -579,15 +595,13 @@ class TestKrigeWeights:
         assert out["w_lo"][0] < 0.2
         assert out["w_hi"][0] > 0.8
 
-    def test_deterministic_and_stride(self):
+    def test_deterministic_given_seed(self):
         rng = np.random.default_rng(163)
         field = self.synthetic_field(rng, n_samples=60)
         targets = [Location("t0", 30.0, 30.0), Location("t1", 90.0, 10.0)]
         one = krige_weights(field, targets, seed=9)
         two = krige_weights(field, targets, seed=9)
         assert_allclose(one["w_mean"], two["w_mean"], rtol=0, atol=0)
-        strided = krige_weights(field, targets, seed=9, sample_stride=2)
-        assert np.isfinite(strided["w_mean"]).all()
 
     def test_chunk_sizes_match_the_chunk_major_reference(self):
         rng = np.random.default_rng(164)

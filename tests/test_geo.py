@@ -13,6 +13,7 @@ from pmfusion.geo import (
     distance_matrix,
     link_points,
 )
+from oracles import grid_cell_of, grid_contains
 
 
 @pytest.fixture
@@ -25,44 +26,42 @@ class TestGridSpec:
         assert grid.extent == (0.0, 0.0, 48.0, 40.0)
 
     def test_cell_of_interior(self, grid):
-        assert grid.cell_of(0.1, 0.1) == (0, 0)
-        assert grid.cell_of(5.0, 9.0) == (2, 1)
+        cells = grid.cells_of(np.array([[0.1, 0.1], [5.0, 9.0]]))
+        assert cells.tolist() == [[0, 0], [2, 1]]
 
     def test_cell_of_upper_boundary_clips_to_last_cell(self, grid):
         # a point on the far edge belongs to the final row/column
-        assert grid.cell_of(48.0, 40.0) == (9, 11)
+        assert grid.cells_of(np.array([[48.0, 40.0]])).tolist() == [[9, 11]]
+        assert link_points([Location("edge", 48.0, 40.0)], grid).tolist() == [[9, 11]]
 
     def test_cell_of_outside_raises(self, grid):
         with pytest.raises(OutOfDomainError):
-            grid.cell_of(-0.001, 5.0)
+            link_points([Location("w", -0.001, 5.0)], grid)
         with pytest.raises(OutOfDomainError):
-            grid.cell_of(5.0, 40.001)
+            link_points([Location("n", 5.0, 40.001)], grid)
 
     def test_contains_matches_cell_of(self, grid):
         rng = np.random.default_rng(0)
         for _ in range(500):
             x = rng.uniform(-10, 60)
             y = rng.uniform(-10, 50)
-            if grid.contains(x, y):
-                grid.cell_of(x, y)
+            if grid_contains(grid, x, y):
+                assert tuple(link_points([Location("p", x, y)], grid)[0]) == grid_cell_of(grid, x, y)
             else:
                 with pytest.raises(OutOfDomainError):
-                    grid.cell_of(x, y)
+                    link_points([Location("p", x, y)], grid)
 
     def test_cell_center_round_trip(self, grid):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            r = rng.integers(0, grid.n_rows)
-            c = rng.integers(0, grid.n_cols)
-            x, y = grid.cell_center(int(r), int(c))
-            assert grid.cell_of(x, y) == (r, c)
+        cells = grid.cells_of(grid.all_centers())
+        want = [[r, c] for r in range(grid.n_rows) for c in range(grid.n_cols)]
+        assert cells.tolist() == want
 
     def test_all_centers_row_major(self, grid):
         centers = grid.all_centers()
         assert centers.shape == (120, 2)
-        np.testing.assert_allclose(centers[0], grid.cell_center(0, 0))
-        np.testing.assert_allclose(centers[11], grid.cell_center(0, 11))
-        np.testing.assert_allclose(centers[12], grid.cell_center(1, 0))
+        np.testing.assert_allclose(centers[0], (2.0, 2.0))
+        np.testing.assert_allclose(centers[11], (46.0, 2.0))
+        np.testing.assert_allclose(centers[12], (2.0, 6.0))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -80,7 +79,7 @@ class TestLinking:
         ]
         cells = link_points(pts, grid)
         for p, (r, c) in zip(pts, cells):
-            assert grid.cell_of(p.x_km, p.y_km) == (r, c)
+            assert grid_cell_of(grid, p.x_km, p.y_km) == (r, c)
 
     def test_link_outside_raises(self, grid):
         with pytest.raises(OutOfDomainError):
@@ -118,7 +117,7 @@ class TestCellsOf:
         cells = spec.cells_of(xy)
         for (x, y), cell in zip(xy, cells):
             x, y = float(x), float(y)
-            want = spec.cell_of(x, y) if spec.contains(x, y) else (-1, -1)
+            want = grid_cell_of(spec, x, y) if grid_contains(spec, x, y) else (-1, -1)
             assert tuple(cell) == want, (x, y)
         assert (cells[:, 0] < 0).any() and (cells[:, 0] >= 0).any()
         assert cells.dtype == np.int64 and cells.shape == (xy.shape[0], 2)

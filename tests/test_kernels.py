@@ -1,4 +1,4 @@
-"""Covariance kernels, Cholesky jitter policy, CAR machinery, kriging."""
+"""Cholesky jitter policy, LAPACK solves, CAR machinery, kriging kernel."""
 
 import numpy as np
 import pytest
@@ -6,59 +6,35 @@ from scipy import linalg
 
 from pmfusion.errors import DomainError, NotPositiveDefiniteError
 from pmfusion.geo import Location, distance_matrix
+from pmfusion.ensemble import _scalar_log1pexp
 from pmfusion.kernels import (
     ETA_GRID,
-    CarParams,
-    ExpCovParams,
     GaussianSummary,
-    car_full_conditional,
     car_logdet_table,
     car_neighbor_count,
     car_precision_tridiag,
     car_normalized_eigvals,
     chol_factor_solve,
-    chol_logdet,
-    chol_solve,
-    exp_cov_matrix,
-    gp_univariate_conditional,
+    exp_krige,
     inv_logit,
     jittered_cholesky,
-    krige,
-    log1pexp,
     logit,
     mvn_logpdf_zero_mean,
     norm_logpdf,
     sample_from_log_weights,
     sample_tridiag_mvn,
     tri_solve,
-    tridiag_conditional_moments,
 )
-from oracles import scipy_chol_factor_solve, scipy_tri_solve, scipy_tridiag_mvn
+from oracles import (
+    car_full_conditional,
+    scipy_chol_factor_solve,
+    scipy_tri_solve,
+    scipy_tridiag_mvn,
+)
 
 
 def _random_points(rng, n, scale=100.0):
     return [Location(f"s{i}", *rng.uniform(0, scale, 2)) for i in range(n)]
-
-
-class TestExpCov:
-    def test_matrix_values(self):
-        pts = [Location("a", 0, 0), Location("b", 30, 40)]
-        d = distance_matrix(pts)
-        c = exp_cov_matrix(d, ExpCovParams(marginal_variance=2.0, range_km=25.0))
-        np.testing.assert_allclose(c[0, 0], 2.0)
-        np.testing.assert_allclose(c[0, 1], 2.0 * np.exp(-50.0 / 25.0))
-
-    def test_positive_definite_for_distinct_points(self):
-        rng = np.random.default_rng(0)
-        d = distance_matrix(_random_points(rng, 30))
-        c = exp_cov_matrix(d, ExpCovParams(1.0, 40.0))
-        assert np.linalg.eigvalsh(c).min() > 0
-
-    def test_param_validation(self):
-        with pytest.raises(ValueError):
-            ExpCovParams(-1.0, 10.0)
-        with pytest.raises(ValueError):
-            ExpCovParams(1.0, 0.0)
 
 
 class TestJitteredCholesky:
@@ -88,8 +64,11 @@ class TestJitteredCholesky:
         a = rng.standard_normal((10, 10))
         c = a @ a.T + 10 * np.eye(10)
         b = rng.standard_normal(10)
-        np.testing.assert_allclose(chol_solve(c, b), np.linalg.solve(c, b), atol=1e-9)
-        np.testing.assert_allclose(chol_logdet(c), np.linalg.slogdet(c)[1], atol=1e-9)
+        chol, _ = jittered_cholesky(c)
+        np.testing.assert_allclose(chol_factor_solve(chol, b), np.linalg.solve(c, b), atol=1e-9)
+        # the samplers' log-determinant: twice the log diagonal of the factor
+        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        np.testing.assert_allclose(logdet, np.linalg.slogdet(c)[1], atol=1e-9)
 
 
 class TestMvnLogpdf:
@@ -243,8 +222,9 @@ class TestLogitFunctions:
         assert inv_logit(-1000.0) == 0.0
 
     def test_log1pexp_stable(self):
+        # the scalar log(1 + e^x) of the logit update
         x = np.array([-800.0, -30.0, 0.0, 30.0, 800.0])
-        out = log1pexp(x)
+        out = np.array([_scalar_log1pexp(v) for v in x])
         np.testing.assert_allclose(out[2], np.log(2.0))
         np.testing.assert_allclose(out[4], 800.0)
         assert np.isfinite(out).all()
@@ -269,33 +249,31 @@ class TestCar:
 
     def test_full_conditional_interior(self):
         # eta * mean of the two lag neighbors, variance sigma2 / 2
-        params = CarParams(dependence=0.8, conditional_variance=0.3, horizon=3)
-        mean, var = car_full_conditional(2, np.array([1.0, 2.0, 0.5]), params)
+        mean, var = car_full_conditional(2, np.array([1.0, 2.0, 0.5]), eta=0.8, sigma2=0.3)
         np.testing.assert_allclose(mean, 0.8 * (1.0 + 0.5) / 2.0)
         np.testing.assert_allclose(var, 0.3 / 2.0)
 
     def test_full_conditional_endpoints(self):
-        params = CarParams(dependence=0.6, conditional_variance=1.0, horizon=4)
         series = np.array([2.0, -1.0, 3.0, 0.5])
-        m1, v1 = car_full_conditional(1, series, params)
-        m4, v4 = car_full_conditional(4, series, params)
+        m1, v1 = car_full_conditional(1, series, eta=0.6, sigma2=1.0)
+        m4, v4 = car_full_conditional(4, series, eta=0.6, sigma2=1.0)
         np.testing.assert_allclose(m1, 0.6 * -1.0)
         np.testing.assert_allclose(v1, 1.0)
         np.testing.assert_allclose(m4, 0.6 * 3.0)
         np.testing.assert_allclose(v4, 1.0)
 
     def test_precision_matches_conditionals(self):
-        # the tridiagonal precision must reproduce every full conditional
+        # the prior precision the daily-series draws use must reproduce
+        # every full conditional of the CAR model
         t = 6
-        params = CarParams(dependence=0.7, conditional_variance=0.5, horizon=t)
-        diag, off = car_precision_tridiag(params)
+        diag, off = car_precision_tridiag(car_neighbor_count(t), 0.7, 0.5)
         q = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         rng = np.random.default_rng(6)
         series = rng.standard_normal(t)
         for i in range(t):
             cond_var = 1.0 / q[i, i]
             cond_mean = -cond_var * (q[i] @ series - q[i, i] * series[i])
-            m, v = car_full_conditional(i + 1, series, params)
+            m, v = car_full_conditional(i + 1, series, eta=0.7, sigma2=0.5)
             np.testing.assert_allclose(m, cond_mean, atol=1e-12)
             np.testing.assert_allclose(v, cond_var, atol=1e-12)
 
@@ -328,14 +306,32 @@ class TestCar:
         np.testing.assert_allclose(table[idx], 1.6591797186961905, atol=1e-9)
 
 
+class _FixedNormals:
+    """Generator stand-in whose standard_normal returns the given vector."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def standard_normal(self, n):
+        assert n == self.z.shape[0]
+        return self.z
+
+
 class TestTridiagSampling:
     def test_conditional_moments_match_dense_oracle(self):
-        # frozen dense-solve values for a 4-long chain with partial data
+        # frozen dense-solve values for a 4-long chain with partial data; the
+        # draw is mean + U^{-1} z with Q = U^T U, so z = 0 gives the mean and
+        # z = e_i the i-th column of U^{-1}, whose row sums of squares are
+        # the diagonal of Q^{-1}
         nt = np.array([1, 2, 2, 1.0])
         diag = nt / 1.0 + np.array([1, 0, 2, 1.0])
         off = np.full(3, -0.9)
         b = np.array([1, 0, 2, 1.0]) * np.array([1.0, 0, -0.5, 2.0])
-        mean, cov = tridiag_conditional_moments(diag, off, b)
+        mean = sample_tridiag_mvn(diag, off, b, _FixedNormals(np.zeros(4)))
+        u_inv = np.column_stack(
+            [sample_tridiag_mvn(diag, off, np.zeros(4), _FixedNormals(e)) for e in np.eye(4)]
+        )
+        cov = u_inv @ u_inv.T
         np.testing.assert_allclose(
             mean,
             [0.6396190108701723, 0.3102644686003828, 0.04985758601956732, 1.0224359137088053],
@@ -374,6 +370,7 @@ class TestTridiagSampling:
 
 class TestGpConditional:
     def test_univariate_conditional_matches_dense(self):
+        # one site kriged from the others is its GP full conditional
         rng = np.random.default_rng(8)
         pts = _random_points(rng, 10)
         d = distance_matrix(pts)
@@ -381,51 +378,50 @@ class TestGpConditional:
         vals = np.linalg.cholesky(c + 1e-10 * np.eye(10)) @ rng.standard_normal(10)
         for i in (0, 4, 9):
             others = np.delete(np.arange(10), i)
-            cond_mean, cond_var = gp_univariate_conditional(
-                i, vals[others], c
+            cond_mean, cond_var = exp_krige(
+                d[np.ix_(others, others)], d[others][:, [i]], vals[others], 35.0
             )
             coo = c[np.ix_(others, others)]
             cio = c[i, others]
             expect_mean = cio @ np.linalg.solve(coo, vals[others])
             expect_var = c[i, i] - cio @ np.linalg.solve(coo, cio)
-            np.testing.assert_allclose(cond_mean, expect_mean, atol=1e-9)
-            np.testing.assert_allclose(cond_var, expect_var, atol=1e-9)
+            np.testing.assert_allclose(cond_mean[0], expect_mean, atol=1e-9)
+            np.testing.assert_allclose(cond_var[0], expect_var, atol=1e-9)
 
 
 class TestKriging:
+    """exp_krige on a unit-variance field; a field with sill s has variance s * residual."""
+
     def test_exact_at_observed_locations(self):
         rng = np.random.default_rng(9)
         pts = _random_points(rng, 15)
         d = distance_matrix(pts)
-        params = ExpCovParams(1.5, 40.0)
-        c = exp_cov_matrix(d, params)
+        c = 1.5 * np.exp(-d / 40.0)
         vals = np.linalg.cholesky(c + 1e-12 * np.eye(15)) @ rng.standard_normal(15)
-        out = krige(pts, vals, pts, params)
-        np.testing.assert_allclose(out.mean, vals, atol=1e-6)
-        assert (out.variance < 1e-6).all()
+        mean, resid = exp_krige(d, d, vals, 40.0)
+        np.testing.assert_allclose(mean, vals, atol=1e-6)
+        assert (1.5 * resid < 1e-6).all()
 
     def test_reverts_to_prior_far_away(self):
         rng = np.random.default_rng(10)
         pts = _random_points(rng, 10)
         vals = rng.standard_normal(10)
-        params = ExpCovParams(2.0, 30.0)
         far = [Location("far", 1e6, 1e6)]
-        out = krige(pts, vals, far, params)
-        np.testing.assert_allclose(out.mean[0], 0.0, atol=1e-8)
-        np.testing.assert_allclose(out.variance[0], 2.0, atol=1e-8)
+        mean, resid = exp_krige(distance_matrix(pts), distance_matrix(pts, far), vals, 30.0)
+        np.testing.assert_allclose(mean[0], 0.0, atol=1e-8)
+        np.testing.assert_allclose(2.0 * resid[0], 2.0, atol=1e-8)
 
     def test_matches_dense_gls_formula(self):
         rng = np.random.default_rng(11)
         obs = _random_points(rng, 12)
         targets = _random_points(rng, 5, scale=120.0)
-        params = ExpCovParams(1.0, 50.0)
-        c = exp_cov_matrix(distance_matrix(obs), params)
-        k = exp_cov_matrix(distance_matrix(obs, targets), params)
+        d, d_cross = distance_matrix(obs), distance_matrix(obs, targets)
+        c = np.exp(-d / 50.0)
+        k = np.exp(-d_cross / 50.0)
         vals = rng.standard_normal(12)
-        out = krige(obs, vals, targets, params)
-        mu, var = out.mean, out.variance
+        mu, var = exp_krige(d, d_cross, vals, 50.0)
         expect_mu = k.T @ np.linalg.solve(c, vals)
-        expect_var = params.marginal_variance - np.sum(k * np.linalg.solve(c, k), axis=0)
+        expect_var = 1.0 - np.sum(k * np.linalg.solve(c, k), axis=0)
         np.testing.assert_allclose(mu, expect_mu, atol=1e-8)
         np.testing.assert_allclose(var, expect_var, atol=1e-8)
 
@@ -433,8 +429,8 @@ class TestKriging:
         rng = np.random.default_rng(12)
         obs = _random_points(rng, 20, scale=10.0)  # tight cluster stresses conditioning
         vals = rng.standard_normal(20)
-        params = ExpCovParams(1.0, 200.0)
-        var = krige(obs, vals, _random_points(rng, 50), params).variance
+        d_cross = distance_matrix(obs, _random_points(rng, 50))
+        _, var = exp_krige(distance_matrix(obs), d_cross, vals, 200.0)
         assert (var >= 0).all()
 
 

@@ -406,6 +406,64 @@ class TestCliInProcess:
         assert manifest["status"] == "failed"
         assert "stage1-cv-downscalers" not in manifest["timings_s"]
 
+    def test_run_all_rejects_a_surface_day_outside_the_horizon_at_load(self, scene, tmp_path, capsys):
+        truth, paths, _ = scene
+        cfg = make_config(truth, paths, tmp_path / "runs", surface_days=(999,))
+        cfg_path = save_pipeline_config(tmp_path / "config.json", cfg)
+        code, err = run_main(capsys, "run-all", "--config", cfg_path)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:") and "surface day 999" in err[0]
+        assert "stage 'load'" in err[0]
+        manifest = pio.load_json(tmp_path / "runs" / f"run_{cfg.digest()}" / "manifest.json")
+        assert manifest["status"] == "failed"
+        assert "stage1-cv-downscalers" not in manifest["timings_s"]
+
+    @pytest.mark.parametrize(
+        "command,bad",
+        [
+            ("fit-ensemble", "burn_in"),
+            ("fit-downscaler", "burn_in"),
+            ("cv", "burn_in"),
+            ("run-all", "burn_in"),
+            ("run-all", "n_iter"),
+            ("run-all", "thin"),
+        ],
+    )
+    def test_bad_chain_settings_are_a_typed_error(self, command, bad, scene, result, tmp_path, capsys):
+        truth, paths, _ = scene
+        chain = ("--iters", 100, "--burn-in", 100)
+        table = ("--monitors", paths["monitors"], "--obs", paths["obs"], "--grid-ctm", paths["grid_ctm"],
+                 "--scene", paths["scene"], "--out", tmp_path / "p.csv")
+        if command == "fit-ensemble":
+            args = ("--monitors", paths["monitors"], "--obs", paths["obs"],
+                    "--predictive", result.paths["cv_predictive"], "--out-weights", tmp_path / "w.csv",
+                    "--out-samples", tmp_path / "s.csv", *chain)
+        elif command == "fit-downscaler":
+            args = (*table, "--source", CTM, *chain)
+        elif command == "cv":
+            args = (*table, *chain)
+        else:
+            d = make_config(truth, paths, tmp_path / "runs").to_dict()
+            mcmc = d["downscaler_mcmc"]
+            mcmc[bad] = {"burn_in": mcmc["n_iter"], "n_iter": "240", "thin": True}[bad]
+            cfg_path = tmp_path / "config.json"
+            cfg_path.write_text(json.dumps(d))
+            args = ("--config", cfg_path)
+        code, err = run_main(capsys, command, *args)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:") and bad in err[0]
+
+    def test_fit_ensemble_prints_the_two_stage_range_acceptance(self, scene, result, tmp_path, capsys):
+        _, paths, _ = scene
+        code = cli.main([str(a) for a in (
+            "fit-ensemble", "--monitors", paths["monitors"], "--obs", paths["obs"],
+            "--predictive", result.paths["cv_predictive"], "--variant", TWO_STAGE,
+            "--iters", 200, "--out-weights", tmp_path / "w.csv", "--out-samples", tmp_path / "s.csv",
+        )])
+        assert code == 0
+        line = next(l for l in capsys.readouterr().out.splitlines() if "acceptance" in l)
+        assert "'rho':" in line
+
     @pytest.mark.parametrize("source", [CTM, SAT])
     def test_fit_downscaler_writes_one_source(self, source, scene, tmp_path, capsys):
         _, paths, _ = scene

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pmfusion.config import MCMCConfig
+from pmfusion.errors import DomainError
 from pmfusion.geo import CTM, SAT, Location
 from pmfusion.tables import COVARIATE_NAMES, ObservationTable, PredictiveTable, source_column
 
@@ -187,3 +188,20 @@ class TestMCMCConfig:
             MCMCConfig(n_iter=100, burn_in=10, thin=0)
         with pytest.raises(ValueError):
             MCMCConfig(n_iter=0, burn_in=0, thin=1)
+        # every rejection is a DomainError, which stays a ValueError
+        bad = [
+            dict(n_iter=100, burn_in=100, thin=1),
+            dict(n_iter=100, burn_in=10, thin=0),
+            dict(n_iter=0, burn_in=0, thin=1),
+            dict(n_iter=100, burn_in=-1, thin=1),
+            dict(n_iter=100, burn_in=10, thin=1, kappa_w=0.0),
+            dict(n_iter=100, burn_in=10, thin=1, ig_b=0.0),
+            dict(n_iter="100", burn_in=10, thin=1),
+            dict(n_iter=100.0, burn_in=10, thin=1),
+            dict(n_iter=100, burn_in=10.5, thin=1),
+            dict(n_iter=100, burn_in=10, thin=True),
+            dict(n_iter=True, burn_in=0, thin=1),
+        ]
+        for kw in bad:
+            with pytest.raises(DomainError):
+                MCMCConfig(**kw)
