@@ -27,6 +27,7 @@ from .pipeline import (
     TWO_STAGE,
     PipelineConfig,
     _reports,
+    _source_view,
     combine_predictions,
     cv_component_table,
     load_pipeline_config,
@@ -58,22 +59,15 @@ def _geometry(scene_path) -> tuple[GridSpec, GridSpec | None, int]:
 
 
 def _load_table(args, require_sat: bool):
-    monitors = pio.load_monitors(args.monitors)
-    obs = pio.load_obs(args.obs)
     ctm_spec, sat_spec, n_days = _geometry(args.scene)
-    ctm = pio.load_grid(args.grid_ctm, ctm_spec, n_days)
-    sat = None
-    if args.grid_sat:
-        if sat_spec is None:
-            raise SchemaError(f"{args.scene}: no satellite grid geometry")
-        sat = pio.load_grid(args.grid_sat, sat_spec, n_days)
-    elif require_sat:
+    if args.grid_sat and sat_spec is None:
+        raise SchemaError(f"{args.scene}: no satellite grid geometry")
+    if require_sat and not args.grid_sat:
         raise SchemaError("--grid-sat is required for the satellite source")
-    cov = pio.load_covariates(args.covariates) if args.covariates else None
-    data = pio.assemble_observations(
-        monitors, obs, ctm, ctm_spec, sat, sat_spec, cov, n_days
+    data, _, _ = pio.load_inputs(
+        args.monitors, args.obs, args.grid_ctm, ctm_spec, args.grid_sat, sat_spec, args.covariates, n_days
     )
-    return data, monitors, (ctm_spec, sat_spec, n_days)
+    return data
 
 
 def _observed(obs_path, predictive_path, inputs: PredictiveTable) -> np.ndarray:
@@ -146,8 +140,7 @@ def _parse_days(text: str | None) -> list[int] | None:
 
 def _cmd_fit_downscaler(args) -> int:
     source = args.source
-    data, monitors, _ = _load_table(args, require_sat=source == SAT)
-    view = data if data.usable_mask(source).all() else data.subset(data.usable_mask(source))
+    view, _ = _source_view(_load_table(args, require_sat=source == SAT), source)
     fit = fit_downscaler(view, source, _mcmc_from(args))
     pred = predict_at(
         fit,
@@ -200,20 +193,15 @@ def _cmd_predict(args) -> int:
     mix = predict_mixture(
         row_weights(inputs, _site_weights(args.weights)), inputs.mu, inputs.var, inputs.available
     )
-    columns = (mix.mean, mix.sd, mix.quantile(0.025), mix.quantile(0.975), mix.w)
-    header = ("site_id", "day", "mean", "sd", "q025", "q975", "w")
+    columns = (inputs.ids, inputs.day, mix.mean, mix.sd, mix.quantile(0.025), mix.quantile(0.975), mix.w)
     meta = {"seed": 0, "config": pio.config_hash({"cmd": "predict"})}
-    rows = (
-        [str(inputs.ids[i]), str(int(inputs.day[i])), *(pio._fmt(c[i]) for c in columns)]
-        for i in range(inputs.n_records)
-    )
-    pio._write_csv(args.out, header, rows, meta)
+    pio.write_csv(args.out, pio.PREDICTIONS, columns, meta)
     print(f"wrote {inputs.ids.shape[0]} mixture predictions to {args.out}")
     return 0
 
 
 def _cmd_cv(args) -> int:
-    data, monitors, _ = _load_table(args, require_sat=args.grid_sat is not None)
+    data = _load_table(args, require_sat=False)
     seeds = np.random.SeedSequence(args.seed).spawn(2)
     table = cv_component_table(
         data, args.derivation, args.folds, _mcmc_from(args), args.seed, seeds

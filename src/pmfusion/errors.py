@@ -51,4 +51,4 @@ class OverwriteError(PmFusionError, FileExistsError):
 
 
 class SchemaError(PmFusionError, ValueError):
-    """A CSV file is missing a required column or has a malformed header."""
+    """Input breaks the expected structure: a header, a key, a join or a field."""

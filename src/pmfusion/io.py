@@ -1,16 +1,18 @@
 """CSV and JSON input/output.
 
 Formats (exact headers):
-  monitors.csv    site_id,x_km,y_km
-  obs.csv         site_id,day,pm25
-  grid_*.csv      day,row,col,value          (value may be empty = missing)
-  covariates.csv  site_id,day,elev,forest,road,emis,wind,temp
-  predictive.csv  site_id,day,source,mu,var
-  weights.csv     site_id,w_mean,w_lo,w_hi,q_mean
-  surface.csv     day,row,col,mean,sd,q025,q975,w
+  monitors.csv        site_id,x_km,y_km
+  obs.csv             site_id,day,pm25          (pm25 may be empty = no measurement)
+  grid_*.csv          day,row,col,value         (value may be empty = missing)
+  covariates.csv      site_id,day,elev,forest,road,emis,wind,temp
+  predictive.csv      site_id,day,source,mu,var
+  weights.csv         site_id,w_mean,w_lo,w_hi,q_mean
+  surface.csv         day,row,col,mean,sd,q025,q975,w
   weight_samples.csv  sample,site_id,q,tau2,rho
-  evaluation.csv  method,estimation,input_derivation,n_pairs,rmse,coverage95,avg_posterior_sd,r2
+  evaluation.csv      method,estimation,input_derivation,n_pairs,rmse,coverage95,avg_posterior_sd,r2
+  predictions.csv     site_id,day,mean,sd,q025,q975,w   (written by `pmfusion predict`)
 
+Each format is one CsvFormat, read by read_csv and written by write_csv.
 Every emitted file ends with a "# key=value ..." comment line carrying at
 least the seed and config hash; loaders skip any line starting with '#'.
 Missing values are written as empty fields, and absent grid rows also mean
@@ -22,49 +24,53 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io as _io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError, SchemaError
 from .geo import GridSpec, Location
-from .tables import COVARIATE_NAMES, N_COVARIATES, ObservationTable, PredictiveTable
+from .tables import COVARIATE_NAMES, N_COVARIATES, SOURCE_COLUMNS, ObservationTable, PredictiveTable
 
-MONITOR_COLUMNS = ("site_id", "x_km", "y_km")
-OBS_COLUMNS = ("site_id", "day", "pm25")
-GRID_COLUMNS = ("day", "row", "col", "value")
-COVARIATE_COLUMNS = ("site_id", "day") + COVARIATE_NAMES
-PREDICTIVE_COLUMNS = ("site_id", "day", "source", "mu", "var")
-WEIGHT_COLUMNS = ("site_id", "w_mean", "w_lo", "w_hi", "q_mean")
-SURFACE_COLUMNS = ("day", "row", "col", "mean", "sd", "q025", "q975", "w")
-WEIGHT_SAMPLE_COLUMNS = ("sample", "site_id", "q", "tau2", "rho")
-EVAL_COLUMNS = (
-    "method",
-    "estimation",
-    "input_derivation",
-    "n_pairs",
-    "rmse",
-    "coverage95",
-    "avg_posterior_sd",
-    "r2",
+
+@dataclass(frozen=True)
+class CsvFormat:
+    """The exact header of one file format and the kind of each column.
+
+    Kinds: 's' non-empty text, 'i' integer, 'f' finite number, 'm' finite
+    number or empty (missing, read as NaN).
+    """
+
+    columns: tuple
+    kinds: str
+
+
+MONITORS = CsvFormat(("site_id", "x_km", "y_km"), "sff")
+OBS = CsvFormat(("site_id", "day", "pm25"), "sim")
+GRID = CsvFormat(("day", "row", "col", "value"), "iiim")
+COVARIATES = CsvFormat(("site_id", "day", *COVARIATE_NAMES), "si" + "f" * N_COVARIATES)
+PREDICTIVE = CsvFormat(("site_id", "day", "source", "mu", "var"), "sisff")
+WEIGHTS = CsvFormat(("site_id", "w_mean", "w_lo", "w_hi", "q_mean"), "sffff")
+SURFACE = CsvFormat(("day", "row", "col", "mean", "sd", "q025", "q975", "w"), "iiifffff")
+WEIGHT_SAMPLES = CsvFormat(("sample", "site_id", "q", "tau2", "rho"), "isfff")
+EVALUATION = CsvFormat(
+    ("method", "estimation", "input_derivation", "n_pairs", "rmse", "coverage95", "avg_posterior_sd", "r2"),
+    "sssifffm",
 )
+PREDICTIONS = CsvFormat(("site_id", "day", "mean", "sd", "q025", "q975", "w"), "sifffff")
+
+_DTYPE = {"s": object, "i": np.int64, "f": float, "m": float}
+# rows formatted per write; bounds the strings held at once
+_WRITE_CHUNK = 4096
 
 
 def config_hash(obj) -> str:
     """Stable 12-hex-digit digest of a JSON-serializable configuration."""
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
-def _meta_line(meta: dict | None) -> str:
-    if not meta:
-        return ""
-    parts = " ".join(f"{k}={v}" for k, v in meta.items())
-    return f"# {parts}\n"
 
 
 def read_meta(path) -> dict:
@@ -80,138 +86,111 @@ def read_meta(path) -> dict:
     return out
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    x = float(x)
-    if np.isnan(x):
-        return ""
-    return repr(x)
+def _cell(text: str, kind: str, path, line: int, column: str):
+    value = text.strip()
+    if kind == "s" or not value:
+        if value:
+            return value
+        if kind == "m":
+            return math.nan
+        raise ParseError(f"{path}:{line}: empty value in column '{column}'")
+    try:
+        number = float(value)
+    except ValueError:
+        raise ParseError(f"{path}:{line}: non-numeric value '{value}' in column '{column}'") from None
+    if not math.isfinite(number):
+        # an empty field is the one spelling of "missing"
+        raise ParseError(f"{path}:{line}: non-finite value '{value}' in column '{column}'")
+    if kind == "i":
+        # past 2**53 a float no longer holds every integer
+        if not number.is_integer() or abs(number) > 2**53:
+            raise ParseError(f"{path}:{line}: column '{column}' must be an integer, got '{text}'")
+        return int(number)
+    return number
 
 
-def _write_csv(path, header: tuple, rows, meta: dict | None):
+def read_csv(path, fmt: CsvFormat) -> tuple[list[int], list[np.ndarray]]:
+    """Rows of a file in the given format; comment ('#') and blank lines are skipped.
+
+    Returns the line number of each row and one array per column: object
+    (str) for 's', int64 for 'i', float for 'f' and 'm' (NaN where an 'm'
+    cell is empty). Raises SchemaError for a wrong header and ParseError at
+    file:line for a row with the wrong field count or a bad cell.
+    """
     path = Path(path)
+    expected = fmt.columns
+    lines: list[int] = []
+    cols: list[list] = [[] for _ in expected]
+    header = None
+    with open(path, encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        for rec in reader:
+            if not rec or rec[0].startswith("#"):
+                continue
+            line = reader.line_num
+            if header is None:
+                header = [c.strip() for c in rec]
+                for col in expected:
+                    if col not in header:
+                        raise SchemaError(f"{path}: missing column '{col}' in header (line {line})")
+                if tuple(header) != expected:
+                    raise SchemaError(
+                        f"{path}: header must be exactly '{','.join(expected)}', got '{','.join(header)}'"
+                    )
+                continue
+            if len(rec) != len(expected):
+                raise ParseError(f"{path}:{line}: expected {len(expected)} fields, got {len(rec)}")
+            for text, kind, column, out in zip(rec, fmt.kinds, expected, cols):
+                out.append(_cell(text, kind, path, line, column))
+            lines.append(line)
+    if header is None:
+        raise SchemaError(f"{path}: empty file, expected header {','.join(expected)}")
+    return lines, [np.asarray(c, dtype=_DTYPE[k]) for c, k in zip(cols, fmt.kinds)]
+
+
+def _format(kind: str, values) -> list[str]:
+    if kind == "s":
+        return [str(v) for v in values]
+    if kind == "i":
+        return [str(int(v)) for v in values]
+    # repr round-trips every float; NaN or None is an empty field
+    return ["" if v != v else repr(v) for v in np.asarray(values, dtype=float).tolist()]
+
+
+def write_csv(path, fmt: CsvFormat, columns, meta: dict | None = None) -> Path:
+    """Write one row per position of the columns (one sequence per header
+    column), then, for a non-empty meta, one '# key=value ...' line."""
+    path = Path(path)
+    n = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(row) + "\n")
-        f.write(_meta_line(meta))
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(fmt.columns)
+        for start in range(0, n, _WRITE_CHUNK):
+            stop = start + _WRITE_CHUNK
+            writer.writerows(zip(*(_format(k, c[start:stop]) for k, c in zip(fmt.kinds, columns))))
+        if meta:
+            f.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
     return path
 
 
-class _Reader:
-    """CSV rows with original line numbers; comments and blanks skipped."""
-
-    def __init__(self, path, expected: tuple):
-        self.path = Path(path)
-        self.expected = expected
-        with open(self.path, encoding="utf-8") as f:
-            raw = f.read()
-        self.rows: list[tuple[int, list[str]]] = []
-        header = None
-        header_line = 0
-        for lineno, rec in zip(
-            _line_numbers(raw), csv.reader(_io.StringIO(raw))
-        ):
-            if not rec or (rec[0].startswith("#")):
-                continue
-            if header is None:
-                header = [c.strip() for c in rec]
-                header_line = lineno
-                continue
-            self.rows.append((lineno, rec))
-        if header is None:
-            raise SchemaError(f"{self.path}: empty file, expected header {','.join(expected)}")
-        for col in expected:
-            if col not in header:
-                raise SchemaError(f"{self.path}: missing column '{col}' in header (line {header_line})")
-        if tuple(header) != tuple(expected):
-            raise SchemaError(
-                f"{self.path}: header must be exactly '{','.join(expected)}', got '{','.join(header)}'"
-            )
-
-    def floats(self, lineno: int, rec: list[str], col: int, allow_empty=False) -> float:
-        if len(rec) != len(self.expected):
-            raise ParseError(
-                f"{self.path}:{lineno}: expected {len(self.expected)} fields, got {len(rec)}"
-            )
-        text = rec[col].strip()
-        if text == "":
-            if allow_empty:
-                return np.nan
-            raise ParseError(
-                f"{self.path}:{lineno}: empty value in column '{self.expected[col]}'"
-            )
-        try:
-            value = float(text)
-        except ValueError:
-            raise ParseError(
-                f"{self.path}:{lineno}: non-numeric value '{text}' in column '{self.expected[col]}'"
-            ) from None
-        if not math.isfinite(value):
-            # an empty field is the one spelling of "missing"
-            raise ParseError(
-                f"{self.path}:{lineno}: non-finite value '{text}' in column '{self.expected[col]}'"
-            )
-        return value
-
-    def ints(self, lineno: int, rec: list[str], col: int) -> int:
-        val = self.floats(lineno, rec, col)
-        if not float(val).is_integer():
-            raise ParseError(
-                f"{self.path}:{lineno}: column '{self.expected[col]}' must be an integer, got '{rec[col]}'"
-            )
-        return int(val)
-
-    def text(self, lineno: int, rec: list[str], col: int) -> str:
-        if len(rec) != len(self.expected):
-            raise ParseError(
-                f"{self.path}:{lineno}: expected {len(self.expected)} fields, got {len(rec)}"
-            )
-        value = rec[col].strip()
-        if not value:
-            raise ParseError(
-                f"{self.path}:{lineno}: empty value in column '{self.expected[col]}'"
-            )
-        return value
-
-
-def _line_numbers(raw: str):
-    n = 1
-    for _ in raw.splitlines():
-        yield n
-        n += 1
-
-
-# ---------------------------------------------------------------- monitors
-
-
 def emit_monitors(path, locations: list[Location], meta: dict | None = None):
-    rows = ([l.site_id, _fmt(l.x_km), _fmt(l.y_km)] for l in locations)
-    return _write_csv(path, MONITOR_COLUMNS, rows, meta)
+    columns = ([l.site_id for l in locations], [l.x_km for l in locations], [l.y_km for l in locations])
+    return write_csv(path, MONITORS, columns, meta)
 
 
 def load_monitors(path) -> list[Location]:
-    r = _Reader(path, MONITOR_COLUMNS)
-    out = []
+    """Monitor locations in file order; a repeated site_id is a ParseError."""
+    lines, (ids, x, y) = read_csv(path, MONITORS)
     seen = set()
-    for lineno, rec in r.rows:
-        sid = r.text(lineno, rec, 0)
+    for line, sid in zip(lines, ids):
         if sid in seen:
-            raise ParseError(f"{r.path}:{lineno}: duplicate site_id '{sid}'")
+            raise ParseError(f"{path}:{line}: duplicate site_id '{sid}'")
         seen.add(sid)
-        out.append(Location(sid, r.floats(lineno, rec, 1), r.floats(lineno, rec, 2)))
-    return out
-
-
-# ---------------------------------------------------------------- obs
+    return [Location(*row) for row in zip(ids.tolist(), x.tolist(), y.tolist())]
 
 
 def emit_obs(path, ids, day, pm25, meta: dict | None = None):
-    rows = (
-        [str(i), str(int(d)), _fmt(v)] for i, d, v in zip(ids, day, pm25)
-    )
-    return _write_csv(path, OBS_COLUMNS, rows, meta)
+    return write_csv(path, OBS, (ids, day, pm25), meta)
 
 
 def load_obs(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -219,246 +198,162 @@ def load_obs(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Raises SchemaError at a kept row that repeats a (site_id, day).
     """
-    r = _Reader(path, OBS_COLUMNS)
-    ids, day, y = [], [], []
+    lines, (ids, day, y) = read_csv(path, OBS)
+    keep = ~np.isnan(y)
+    ids, day, y = ids[keep], day[keep], y[keep]
     line_of = {}
-    for lineno, rec in r.rows:
-        value = r.floats(lineno, rec, 2, allow_empty=True)
-        if np.isnan(value):
-            continue
-        key = (r.text(lineno, rec, 0), r.ints(lineno, rec, 1))
+    for line, key in zip(np.asarray(lines)[keep].tolist(), zip(ids, day.tolist())):
         if key in line_of:
-            raise SchemaError(
-                f"{r.path}:{lineno}: (site_id, day) {key} repeats line {line_of[key]}"
-            )
-        line_of[key] = lineno
-        ids.append(key[0])
-        day.append(key[1])
-        y.append(value)
-    return (
-        np.asarray(ids, dtype=object),
-        np.asarray(day, dtype=np.int64),
-        np.asarray(y, dtype=float),
-    )
-
-
-# ---------------------------------------------------------------- grids
+            raise SchemaError(f"{path}:{line}: (site_id, day) {key} repeats line {line_of[key]}")
+        line_of[key] = line
+    return ids, day, y
 
 
 def emit_grid(path, values: np.ndarray, present: np.ndarray | None = None, meta: dict | None = None):
     """values is (n_days, rows, cols); rows are written for present cells only."""
-    t, nr, nc = values.shape
     if present is None:
         present = np.isfinite(values)
-
-    def rows():
-        for d in range(t):
-            rr, cc = np.nonzero(present[d])
-            vals = values[d]
-            for i, j in zip(rr, cc):
-                yield [str(d + 1), str(i), str(j), _fmt(vals[i, j])]
-
-    return _write_csv(path, GRID_COLUMNS, rows(), meta)
+    d, i, j = np.nonzero(present)
+    return write_csv(path, GRID, (d + 1, i, j, values[d, i, j]), meta)
 
 
 def load_grid(path, spec: GridSpec, n_days: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Returns (values, present) with shape (n_days, rows, cols); absent rows
     and empty value fields both mean missing."""
-    r = _Reader(path, GRID_COLUMNS)
-    parsed = []
-    max_day = 0
-    for lineno, rec in r.rows:
-        d = r.ints(lineno, rec, 0)
-        i = r.ints(lineno, rec, 1)
-        j = r.ints(lineno, rec, 2)
-        v = r.floats(lineno, rec, 3, allow_empty=True)
-        if d < 1:
-            raise ParseError(f"{r.path}:{lineno}: day must be >= 1")
-        if not (0 <= i < spec.n_rows and 0 <= j < spec.n_cols):
-            raise ParseError(
-                f"{r.path}:{lineno}: cell ({i}, {j}) outside {spec.n_rows}x{spec.n_cols} grid"
-            )
-        max_day = max(max_day, d)
-        parsed.append((d, i, j, v))
+    lines, (day, row, col, value) = read_csv(path, GRID)
+    bad = (day < 1) | (row < 0) | (row >= spec.n_rows) | (col < 0) | (col >= spec.n_cols)
+    if bad.any():
+        k = int(bad.argmax())
+        if day[k] < 1:
+            raise ParseError(f"{path}:{lines[k]}: day must be >= 1")
+        raise ParseError(
+            f"{path}:{lines[k]}: cell ({row[k]}, {col[k]}) outside {spec.n_rows}x{spec.n_cols} grid"
+        )
+    max_day = int(day.max(initial=0))
     t = n_days if n_days is not None else max_day
     if max_day > t:
-        raise SchemaError(f"{r.path}: contains day {max_day} beyond horizon {t}")
+        raise SchemaError(f"{path}: contains day {max_day} beyond horizon {t}")
     values = np.full((t, spec.n_rows, spec.n_cols), np.nan)
-    for d, i, j, v in parsed:
-        values[d - 1, i, j] = v
+    values[day - 1, row, col] = value
     return values, np.isfinite(values)
 
 
-# ---------------------------------------------------------------- covariates
-
-
 def emit_covariates(path, ids, day, z: np.ndarray, meta: dict | None = None):
-    rows = (
-        [str(i), str(int(d))] + [_fmt(v) for v in zrow]
-        for i, d, zrow in zip(ids, day, z)
-    )
-    return _write_csv(path, COVARIATE_COLUMNS, rows, meta)
+    return write_csv(path, COVARIATES, (ids, day, *np.asarray(z).T), meta)
 
 
 def load_covariates(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    r = _Reader(path, COVARIATE_COLUMNS)
-    ids, day, z = [], [], []
-    for lineno, rec in r.rows:
-        ids.append(r.text(lineno, rec, 0))
-        day.append(r.ints(lineno, rec, 1))
-        z.append([r.floats(lineno, rec, 2 + k) for k in range(N_COVARIATES)])
-    return (
-        np.asarray(ids, dtype=object),
-        np.asarray(day, dtype=np.int64),
-        np.asarray(z, dtype=float).reshape(len(ids), N_COVARIATES),
-    )
-
-
-# ---------------------------------------------------------------- predictive
+    _, (ids, day, *z) = read_csv(path, COVARIATES)
+    return ids, day, np.column_stack(z)
 
 
 def emit_predictive(path, table: PredictiveTable, meta: dict | None = None):
-    from .tables import SOURCE_COLUMNS
-
-    def rows():
-        for k, source in enumerate(SOURCE_COLUMNS):
-            for n in range(table.ids.shape[0]):
-                if table.available[n, k]:
-                    yield [
-                        str(table.ids[n]),
-                        str(int(table.day[n])),
-                        source,
-                        _fmt(table.mu[n, k]),
-                        _fmt(table.var[n, k]),
-                    ]
-
-    return _write_csv(path, PREDICTIVE_COLUMNS, rows(), meta)
+    """One row per available (record, source), all CTM rows first."""
+    k, n = np.nonzero(table.available.T)
+    source = np.asarray(SOURCE_COLUMNS, dtype=object)[k]
+    columns = (table.ids[n], table.day[n], source, table.mu[n, k], table.var[n, k])
+    return write_csv(path, PREDICTIVE, columns, meta)
 
 
 def load_predictive(path, locations: dict[str, Location]) -> PredictiveTable:
-    from .tables import SOURCE_COLUMNS
+    """Rows joined into one record per (site_id, day), in first-seen order.
 
-    r = _Reader(path, PREDICTIVE_COLUMNS)
+    Raises SchemaError for a site not in locations, and ParseError for an
+    unknown source, a non-positive var or a repeated (site_id, day, source).
+    """
+    lines, (ids, day, source, mu, var) = read_csv(path, PREDICTIVE)
     col_of = {s: k for k, s in enumerate(SOURCE_COLUMNS)}
     order: dict[tuple[str, int], int] = {}
-    entries = []
-    for lineno, rec in r.rows:
-        sid = r.text(lineno, rec, 0)
+    seen = set()
+    rows, ks = [], []
+    for line, sid, d, src, v in zip(lines, ids, day.tolist(), source, var.tolist()):
         if sid not in locations:
-            raise SchemaError(f"{r.path}:{lineno}: unknown site_id '{sid}'")
-        d = r.ints(lineno, rec, 1)
-        source = r.text(lineno, rec, 2)
-        if source not in col_of:
-            raise ParseError(f"{r.path}:{lineno}: unknown source '{source}'")
-        mu = r.floats(lineno, rec, 3)
-        var = r.floats(lineno, rec, 4)
-        key = (sid, d)
-        if key not in order:
-            order[key] = len(order)
-        entries.append((order[key], col_of[source], mu, var, lineno))
+            raise SchemaError(f"{path}:{line}: unknown site_id '{sid}'")
+        if src not in col_of:
+            raise ParseError(f"{path}:{line}: unknown source '{src}'")
+        if v <= 0:
+            raise ParseError(f"{path}:{line}: non-positive value '{v!r}' in column 'var'")
+        if (sid, d, src) in seen:
+            raise ParseError(f"{path}:{line}: duplicate (site_id, day, source) row")
+        seen.add((sid, d, src))
+        rows.append(order.setdefault((sid, d), len(order)))
+        ks.append(col_of[src])
     n = len(order)
-    mu = np.zeros((n, 2))
-    var = np.ones((n, 2))
+    table_mu = np.zeros((n, 2))
+    table_var = np.ones((n, 2))
     avail = np.zeros((n, 2), dtype=bool)
-    for row_i, k, m, v, lineno in entries:
-        if avail[row_i, k]:
-            raise ParseError(f"{r.path}:{lineno}: duplicate (site_id, day, source) row")
-        mu[row_i, k] = m
-        var[row_i, k] = v
-        avail[row_i, k] = True
-    ids = np.empty(n, dtype=object)
-    day = np.zeros(n, dtype=np.int64)
-    for (sid, d), row_i in order.items():
-        ids[row_i] = sid
-        day[row_i] = d
+    table_mu[rows, ks] = mu
+    table_var[rows, ks] = var
+    avail[rows, ks] = True
     return PredictiveTable(
-        ids=ids, day=day, mu=mu, var=var, available=avail, locations=dict(locations)
+        ids=np.asarray([sid for sid, _ in order], dtype=object),
+        day=np.asarray([d for _, d in order], dtype=np.int64),
+        mu=table_mu,
+        var=table_var,
+        available=avail,
+        locations=dict(locations),
     )
-
-
-# ---------------------------------------------------------------- weights
 
 
 def emit_weights(path, site_ids, summary: dict[str, np.ndarray], meta: dict | None = None):
-    rows = (
-        [
-            str(sid),
-            _fmt(summary["w_mean"][i]),
-            _fmt(summary["w_lo"][i]),
-            _fmt(summary["w_hi"][i]),
-            _fmt(summary["q_mean"][i]),
-        ]
-        for i, sid in enumerate(site_ids)
-    )
-    return _write_csv(path, WEIGHT_COLUMNS, rows, meta)
+    return write_csv(path, WEIGHTS, (site_ids, *(summary[c] for c in WEIGHTS.columns[1:])), meta)
 
 
 def load_weights(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    r = _Reader(path, WEIGHT_COLUMNS)
-    ids, cols = [], {name: [] for name in WEIGHT_COLUMNS[1:]}
-    for lineno, rec in r.rows:
-        ids.append(r.text(lineno, rec, 0))
-        for c, name in enumerate(WEIGHT_COLUMNS[1:], start=1):
-            cols[name].append(r.floats(lineno, rec, c))
-    return np.asarray(ids, dtype=object), {k: np.asarray(v) for k, v in cols.items()}
+    _, (ids, *cols) = read_csv(path, WEIGHTS)
+    return ids, dict(zip(WEIGHTS.columns[1:], cols))
 
 
 def emit_weight_samples(path, field, meta: dict | None = None):
     """Full (q, tau2, rho) sample set, one row per (sample, site)."""
-    ids = field.site_ids
-
-    def rows():
-        for n in range(len(field)):
-            t2 = _fmt(field.tau2[n])
-            rh = _fmt(field.rho[n])
-            for s, sid in enumerate(ids):
-                yield [str(n), sid, _fmt(field.q[n, s]), t2, rh]
-
-    return _write_csv(path, WEIGHT_SAMPLE_COLUMNS, rows(), meta)
+    n, s = field.q.shape
+    columns = (
+        np.repeat(np.arange(n), s),
+        np.tile(np.asarray(field.site_ids, dtype=object), n),
+        field.q.ravel(),
+        np.repeat(field.tau2, s),
+        np.repeat(field.rho, s),
+    )
+    return write_csv(path, WEIGHT_SAMPLES, columns, meta)
 
 
 def load_weight_samples(path, locations: list[Location]):
+    """The sample grid, sites in first-seen order; every (sample, site) needs a row."""
     from .ensemble import WeightFieldSamples
 
-    r = _Reader(path, WEIGHT_SAMPLE_COLUMNS)
+    lines, (sample, ids, q_col, tau2_col, rho_col) = read_csv(path, WEIGHT_SAMPLES)
     by_id = {l.site_id: l for l in locations}
     site_order: dict[str, int] = {}
-    triples = []
-    for lineno, rec in r.rows:
-        n = r.ints(lineno, rec, 0)
-        sid = r.text(lineno, rec, 1)
+    for line, sid in zip(lines, ids):
         if sid not in by_id:
-            raise SchemaError(f"{r.path}:{lineno}: unknown site_id '{sid}'")
-        if sid not in site_order:
-            site_order[sid] = len(site_order)
-        triples.append(
-            (n, site_order[sid], r.floats(lineno, rec, 2), r.floats(lineno, rec, 3), r.floats(lineno, rec, 4))
-        )
-    if not triples:
-        raise SchemaError(f"{r.path}: no sample rows")
-    n_samples = max(t[0] for t in triples) + 1
+            raise SchemaError(f"{path}:{line}: unknown site_id '{sid}'")
+        site_order.setdefault(sid, len(site_order))
+    if not lines:
+        raise SchemaError(f"{path}: no sample rows")
+    if sample.min() < 0:
+        raise ParseError(f"{path}:{lines[int(sample.argmin())]}: sample must be >= 0")
+    n_samples = int(sample.max()) + 1
     n_sites = len(site_order)
+    # fewer rows than cells leaves a hole; this also bounds the allocation
+    if n_samples * n_sites > len(lines):
+        raise SchemaError(f"{path}: incomplete sample grid (missing site rows)")
+    s = np.asarray([site_order[sid] for sid in ids], dtype=np.int64)
     q = np.full((n_samples, n_sites), np.nan)
     tau2 = np.full(n_samples, np.nan)
     rho = np.full(n_samples, np.nan)
-    for n, s, qv, t2, rh in triples:
-        q[n, s] = qv
-        tau2[n] = t2
-        rho[n] = rh
-    if np.isnan(q).any() or np.isnan(tau2).any():
-        raise SchemaError(f"{r.path}: incomplete sample grid (missing site rows)")
-    ordered = sorted(site_order, key=site_order.get)
+    q[sample, s] = q_col
+    tau2[sample] = tau2_col
+    rho[sample] = rho_col
+    if np.isnan(q).any():
+        raise SchemaError(f"{path}: incomplete sample grid (missing site rows)")
     return WeightFieldSamples(
-        locations=[by_id[s] for s in ordered],
+        locations=[by_id[sid] for sid in site_order],
         q=q,
         tau2=tau2,
         rho=rho,
         t_s=np.zeros(n_sites, dtype=np.int64),
         acceptance={},
     )
-
-
-# ---------------------------------------------------------------- surface
 
 
 @dataclass
@@ -478,11 +373,11 @@ class SurfaceOutput:
         n = self.day.shape[0]
         for name in ("row", "col", "mean", "sd", "q025", "q975", "w"):
             if getattr(self, name).shape[0] != n:
-                raise ValueError("surface columns must share one length")
+                raise SchemaError("surface columns must share one length")
         if np.any(self.q025 > self.q975):
-            raise ValueError("quantiles out of order")
+            raise SchemaError("quantiles out of order")
         if np.any((self.w < 0) | (self.w > 1)):
-            raise ValueError("weights must lie in [0, 1]")
+            raise SchemaError("weights must lie in [0, 1]")
 
     @property
     def n_cells(self) -> int:
@@ -490,85 +385,23 @@ class SurfaceOutput:
 
 
 def emit_surface(path, surface: SurfaceOutput, meta: dict | None = None):
-    rows = (
-        [
-            str(int(surface.day[i])),
-            str(int(surface.row[i])),
-            str(int(surface.col[i])),
-            _fmt(surface.mean[i]),
-            _fmt(surface.sd[i]),
-            _fmt(surface.q025[i]),
-            _fmt(surface.q975[i]),
-            _fmt(surface.w[i]),
-        ]
-        for i in range(surface.n_cells)
-    )
-    return _write_csv(path, SURFACE_COLUMNS, rows, meta)
+    return write_csv(path, SURFACE, [getattr(surface, c) for c in SURFACE.columns], meta)
 
 
 def load_surface(path) -> SurfaceOutput:
-    r = _Reader(path, SURFACE_COLUMNS)
-    cols = [[] for _ in SURFACE_COLUMNS]
-    for lineno, rec in r.rows:
-        cols[0].append(r.ints(lineno, rec, 0))
-        cols[1].append(r.ints(lineno, rec, 1))
-        cols[2].append(r.ints(lineno, rec, 2))
-        for c in range(3, 8):
-            cols[c].append(r.floats(lineno, rec, c))
-    return SurfaceOutput(
-        day=np.asarray(cols[0], dtype=np.int64),
-        row=np.asarray(cols[1], dtype=np.int64),
-        col=np.asarray(cols[2], dtype=np.int64),
-        mean=np.asarray(cols[3]),
-        sd=np.asarray(cols[4]),
-        q025=np.asarray(cols[5]),
-        q975=np.asarray(cols[6]),
-        w=np.asarray(cols[7]),
-    )
-
-
-# ---------------------------------------------------------------- evaluation
+    _, cols = read_csv(path, SURFACE)
+    return SurfaceOutput(*cols)
 
 
 def emit_evaluation(path, reports: list, meta: dict | None = None):
-    rows = (
-        [
-            rep.method,
-            rep.estimation,
-            rep.input_derivation,
-            str(int(rep.n_pairs)),
-            _fmt(rep.rmse),
-            _fmt(rep.coverage95),
-            _fmt(rep.avg_posterior_sd),
-            _fmt(rep.r2),
-        ]
-        for rep in reports
-    )
-    return _write_csv(path, EVAL_COLUMNS, rows, meta)
+    return write_csv(path, EVALUATION, [[getattr(r, c) for r in reports] for c in EVALUATION.columns], meta)
 
 
 def load_evaluation(path) -> list:
     from .crossval import EvalReport
 
-    r = _Reader(path, EVAL_COLUMNS)
-    out = []
-    for lineno, rec in r.rows:
-        out.append(
-            EvalReport(
-                rmse=r.floats(lineno, rec, 4),
-                coverage95=r.floats(lineno, rec, 5),
-                avg_posterior_sd=r.floats(lineno, rec, 6),
-                r2=r.floats(lineno, rec, 7, allow_empty=True),
-                n_pairs=r.ints(lineno, rec, 3),
-                method=r.text(lineno, rec, 0),
-                estimation=r.text(lineno, rec, 1),
-                input_derivation=r.text(lineno, rec, 2),
-            )
-        )
-    return out
-
-
-# ---------------------------------------------------------------- config JSON
+    _, cols = read_csv(path, EVALUATION)
+    return [EvalReport(**dict(zip(EVALUATION.columns, row))) for row in zip(*(c.tolist() for c in cols))]
 
 
 def save_json(path, obj: dict):
@@ -587,7 +420,25 @@ def load_json(path) -> dict:
             raise ParseError(f"{path}:{e.lineno}: invalid JSON ({e.msg})") from None
 
 
-# ---------------------------------------------------------------- assembly
+def load_inputs(
+    monitors, obs, grid_ctm, ctm_spec: GridSpec, grid_sat=None, sat_spec: GridSpec | None = None,
+    covariates=None, n_days: int | None = None,
+) -> tuple[ObservationTable, tuple, tuple | None]:
+    """Load the input files of one run and join them into one record table.
+
+    The satellite grid and the covariates are optional paths. n_days
+    defaults to the last observed day. Returns (table, ctm, sat), the grids
+    as load_grid gives them and sat None without a satellite grid.
+    """
+    locations = load_monitors(monitors)
+    records = load_obs(obs)
+    if n_days is None and records[1].size:
+        n_days = int(records[1].max())
+    ctm = load_grid(grid_ctm, ctm_spec, n_days)
+    sat = load_grid(grid_sat, sat_spec, n_days) if grid_sat else None
+    cov = load_covariates(covariates) if covariates else None
+    table = assemble_observations(locations, records, ctm, ctm_spec, sat, sat_spec, cov, n_days)
+    return table, ctm, sat
 
 
 def assemble_observations(
@@ -636,21 +487,14 @@ def assemble_observations(
     else:
         x_sat = np.full(ids.shape[0], np.nan)
 
+    z = np.zeros((ids.shape[0], N_COVARIATES))
     if covariates is not None:
         cov_ids, cov_day, z_all = covariates
-        lookup = {}
-        for i in range(cov_ids.shape[0]):
-            lookup[(cov_ids[i], int(cov_day[i]))] = i
-        z = np.zeros((ids.shape[0], N_COVARIATES))
-        for i in range(ids.shape[0]):
-            key = (ids[i], int(day[i]))
-            if key not in lookup:
-                raise SchemaError(
-                    f"no covariate row for site '{ids[i]}' day {int(day[i])}"
-                )
-            z[i] = z_all[lookup[key]]
-    else:
-        z = np.zeros((ids.shape[0], N_COVARIATES))
+        row_of = {key: i for i, key in enumerate(zip(cov_ids, cov_day.tolist()))}
+        for i, key in enumerate(zip(ids, day.tolist())):
+            if key not in row_of:
+                raise SchemaError(f"no covariate row for site '{key[0]}' day {key[1]}")
+            z[i] = z_all[row_of[key]]
 
     return ObservationTable(
         sites=list(monitors),
@@ -664,29 +508,25 @@ def assemble_observations(
     )
 
 
-# ---------------------------------------------------------------- scene export
-
-
 def grid_spec_to_dict(spec: GridSpec) -> dict:
-    return {
-        "origin_x": spec.origin_x,
-        "origin_y": spec.origin_y,
-        "cell_km": spec.cell_km,
-        "n_rows": spec.n_rows,
-        "n_cols": spec.n_cols,
-        "source_tag": spec.source_tag,
-    }
+    return asdict(spec)
 
 
 def grid_spec_from_dict(d: dict) -> GridSpec:
-    return GridSpec(
-        origin_x=float(d["origin_x"]),
-        origin_y=float(d["origin_y"]),
-        cell_km=float(d["cell_km"]),
-        n_rows=int(d["n_rows"]),
-        n_cols=int(d["n_cols"]),
-        source_tag=str(d["source_tag"]),
-    )
+    """GridSpec from its JSON form; a missing or malformed field is a SchemaError."""
+    try:
+        return GridSpec(
+            origin_x=float(d["origin_x"]),
+            origin_y=float(d["origin_y"]),
+            cell_km=float(d["cell_km"]),
+            n_rows=int(d["n_rows"]),
+            n_cols=int(d["n_cols"]),
+            source_tag=str(d["source_tag"]),
+        )
+    except KeyError as e:
+        raise SchemaError(f"missing key {e}") from None
+    except (TypeError, ValueError) as e:
+        raise SchemaError(str(e)) from None
 
 
 def export_scene(truth, out_dir, grid_days: list[int] | None = None) -> dict[str, Path]:
@@ -737,12 +577,7 @@ def export_scene(truth, out_dir, grid_days: list[int] | None = None) -> dict[str
 
 
 def scene_hash(cfg) -> str:
-    from dataclasses import asdict
-
-    d = asdict(cfg)
-    d["ctm_grid"] = grid_spec_to_dict(cfg.ctm_grid)
-    d["sat_grid"] = grid_spec_to_dict(cfg.sat_grid)
-    return config_hash(d)
+    return config_hash(asdict(cfg))
 
 
 def _grid_export_mask(shape, site_cells: np.ndarray, full_days: set) -> np.ndarray:

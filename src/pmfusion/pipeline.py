@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from itertools import repeat
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -77,37 +78,47 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
+            raise SchemaError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.derivation not in (KFOLD, SPATIAL):
-            raise ValueError(f"derivation must be '{KFOLD}' or '{SPATIAL}'")
-        if self.n_folds < 2:
-            raise ValueError("n_folds must be at least 2")
+            raise SchemaError(f"derivation must be '{KFOLD}' or '{SPATIAL}', got {self.derivation!r}")
+        _check_integer("n_folds", self.n_folds, 2)
+        _check_integer("seed", self.seed, 0)
+        if self.n_days is not None:
+            _check_integer("n_days", self.n_days, 1)
+        if self.surface_days is not None:
+            if not isinstance(self.surface_days, (tuple, list)):
+                raise SchemaError(f"surface_days must be a list of days, got {self.surface_days!r}")
+            for day in self.surface_days:
+                _check_integer("surface_days", day, 1)
         if (self.grid_sat is None) != (self.sat_grid is None):
-            raise ValueError("grid_sat path and sat_grid geometry go together")
+            raise SchemaError("grid_sat path and sat_grid geometry go together")
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        d["ctm_grid"] = pio.grid_spec_to_dict(self.ctm_grid)
-        for name in ("sat_grid", "target_grid"):
-            g = getattr(self, name)
-            d[name] = pio.grid_spec_to_dict(g) if g is not None else None
         if self.surface_days is not None:
             d["surface_days"] = [int(x) for x in self.surface_days]
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        d = dict(d)
-        d["ctm_grid"] = pio.grid_spec_from_dict(d["ctm_grid"])
-        for name in ("sat_grid", "target_grid"):
+        """Config from its JSON form; raises SchemaError naming the key of a bad field."""
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(set(d).difference(names, ("config_hash",)))
+        if unknown:
+            raise SchemaError(f"unknown key '{unknown[0]}'")
+        required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+        missing = [name for name in required if name not in d]
+        if missing:
+            raise SchemaError(f"missing key '{missing[0]}'")
+        d = {k: v for k, v in d.items() if k != "config_hash"}
+        for name in ("ctm_grid", "sat_grid", "target_grid"):
             if d.get(name) is not None:
-                d[name] = pio.grid_spec_from_dict(d[name])
+                d[name] = _parse_field(name, pio.grid_spec_from_dict, d[name])
         for name in ("downscaler_mcmc", "ensemble_mcmc"):
             if isinstance(d.get(name), dict):
-                d[name] = MCMCConfig(**d[name])
-        if d.get("surface_days") is not None:
-            d["surface_days"] = tuple(int(x) for x in d["surface_days"])
-        d.pop("config_hash", None)
+                d[name] = _parse_field(name, lambda m: MCMCConfig(**m), d[name])
+        if isinstance(d.get("surface_days"), list):
+            d["surface_days"] = tuple(d["surface_days"])
         return cls(**d)
 
     def digest(self) -> str:
@@ -117,8 +128,29 @@ class PipelineConfig:
         return pio.config_hash(d)
 
 
+def _check_integer(key: str, value, low: int):
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise SchemaError(f"{key} must be an integer >= {low}, got {value!r}")
+
+
+def _parse_field(key: str, parse, value):
+    """parse(value), with a failure raised as a SchemaError naming the key."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as e:
+        raise SchemaError(f"{key}: {e}") from None
+
+
 def load_pipeline_config(path) -> PipelineConfig:
-    return PipelineConfig.from_dict(pio.load_json(path))
+    """Config from a JSON file; raises SchemaError naming the file and the
+    key of the first bad field."""
+    d = pio.load_json(path)
+    if not isinstance(d, dict):
+        raise SchemaError(f"{path}: a config must be a JSON object")
+    try:
+        return PipelineConfig.from_dict(d)
+    except SchemaError as e:
+        raise SchemaError(f"{path}: {e}") from None
 
 
 def save_pipeline_config(path, cfg: PipelineConfig):
@@ -184,26 +216,16 @@ def row_weights(inputs: PredictiveTable, w_of_site) -> np.ndarray:
 
 
 def _load_inputs(cfg: PipelineConfig):
-    monitors = pio.load_monitors(cfg.monitors)
-    obs = pio.load_obs(cfg.obs)
-    n_days = cfg.n_days if cfg.n_days is not None else int(obs[1].max())
+    """The record table and the (values, present) grids; a surface day
+    outside the horizon the grids were loaded for is an error here."""
+    data, ctm, sat = pio.load_inputs(
+        cfg.monitors, cfg.obs, cfg.grid_ctm, cfg.ctm_grid, cfg.grid_sat, cfg.sat_grid, cfg.covariates, cfg.n_days
+    )
+    n_days = ctm[0].shape[0]
     for d in cfg.surface_days or ():
         if not 1 <= d <= n_days:
             raise OutOfDomainError(f"surface day {d} outside horizon 1..{n_days}")
-    ctm = pio.load_grid(cfg.grid_ctm, cfg.ctm_grid, n_days)
-    sat = pio.load_grid(cfg.grid_sat, cfg.sat_grid, n_days) if cfg.grid_sat else None
-    cov = pio.load_covariates(cfg.covariates) if cfg.covariates else None
-    data = pio.assemble_observations(
-        monitors,
-        obs,
-        ctm,
-        cfg.ctm_grid,
-        sat,
-        cfg.sat_grid,
-        cov,
-        n_days,
-    )
-    return data, ctm, sat, cov
+    return data, ctm, sat
 
 
 def _source_view(data: ObservationTable, source: str):
@@ -297,7 +319,7 @@ def _full_predictive(data, fits, seeds) -> PredictiveTable:
             data.day,
             x,
             z,
-            seed=int(seeds[2 + k].generate_state(1)[0]),
+            seed=int(seeds[k].generate_state(1)[0]),
         )
     return combine_predictions(data, preds[CTM], preds[SAT])
 
@@ -329,7 +351,7 @@ def _surface_stage(cfg: PipelineConfig, data, fits, weights, ctm, sat, seeds):
         Location(f"r{i // grid.n_cols:03d}c{i % grid.n_cols:03d}", float(x), float(y))
         for i, (x, y) in enumerate(centers)
     ]
-    kriged = krige_weights(weights, targets, seed=int(seeds[4].generate_state(1)[0]))
+    kriged = krige_weights(weights, targets, seed=int(seeds[0].generate_state(1)[0]))
 
     # linked proxy values of the target cells on a day
     def linked(values_present, spec):
@@ -354,7 +376,7 @@ def _surface_stage(cfg: PipelineConfig, data, fits, weights, ctm, sat, seeds):
         fit = fits.get(source)
         if link is None or fit is None:
             continue
-        pseed = int(seeds[5 + k].generate_state(1)[0])
+        pseed = int(seeds[1 + k].generate_state(1)[0])
         zs = _nearest_site_rows(data, targets, days) if source == SAT else repeat(None)
         batches = ((np.full(m, d, dtype=np.int64), link(d), z, pseed + d) for d, z in zip(days, zs))
         preds[k] = predict_batches(fit, targets, np.arange(m), batches)
@@ -446,6 +468,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     }
     pio.save_json(run_dir / "manifest.json", manifest)
     save_pipeline_config(run_dir / "config.json", cfg)
+    # children by index: 0-1 stage-1 CTM/SAT, 2 stage 2, 3-4 full fits, 5-6
+    # unused, 7-8 full predictive, 9 kriging, 10-11 surface CTM/SAT; fixed,
+    # because renumbering would change every artifact
     seeds = np.random.SeedSequence(cfg.seed).spawn(12)
     paths = {}
     reports = []
@@ -470,7 +495,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         manifest["timings_s"][stage] = round(time.perf_counter() - t0, 3)
         return out
 
-    data, ctm, sat, _cov = run_stage("load", lambda: _load_inputs(cfg))
+    data, ctm, sat = run_stage("load", lambda: _load_inputs(cfg))
 
     cv_inputs = run_stage("stage1-cv-downscalers", lambda: _stage1(cfg, data, seeds[0:2]))
     paths["cv_predictive"] = pio.emit_predictive(run_dir / "cv_predictive.csv", cv_inputs, meta)
@@ -487,7 +512,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     fits = run_stage("stage3-full-fits", lambda: _stage3_fits(cfg, data, seeds[3:5]))
     full_inputs = run_stage(
-        "stage3-full-predictive", lambda: _full_predictive(data, fits, seeds[5:9])
+        "stage3-full-predictive", lambda: _full_predictive(data, fits, seeds[7:9])
     )
     paths["full_predictive"] = pio.emit_predictive(
         run_dir / "full_predictive.csv", full_inputs, meta
@@ -497,7 +522,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     if cfg.target_grid is not None:
         surface, target_ids, kriged = run_stage(
             "stage3-surface",
-            lambda: _surface_stage(cfg, data, fits, weights, ctm, sat, seeds[5:12]),
+            lambda: _surface_stage(cfg, data, fits, weights, ctm, sat, seeds[9:12]),
         )
         paths["weight_surface"] = pio.emit_weights(
             run_dir / "weight_surface.csv", target_ids, kriged, meta

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, SchemaError
 from .geo import CTM, SAT, Location
 
 COVARIATE_NAMES = ("elev", "forest", "road", "emis", "wind", "temp")
@@ -24,7 +24,7 @@ SOURCE_COLUMNS = (CTM, SAT)
 
 def source_column(source: str) -> int:
     if source not in SOURCE_COLUMNS:
-        raise ValueError(f"unknown source {source!r}; expected one of {SOURCE_COLUMNS}")
+        raise SchemaError(f"unknown source {source!r}; expected one of {SOURCE_COLUMNS}")
     return SOURCE_COLUMNS.index(source)
 
 
@@ -69,27 +69,27 @@ class ObservationTable:
             ("x_sat", self.x_sat),
         ]:
             if arr.shape[0] != n:
-                raise ValueError(f"{name} length {arr.shape[0]} != {n}")
+                raise SchemaError(f"{name} length {arr.shape[0]} != {n}")
         if self.z.shape != (n, N_COVARIATES):
-            raise ValueError(f"z must have shape ({n}, {N_COVARIATES})")
+            raise SchemaError(f"z must have shape ({n}, {N_COVARIATES})")
         ids = [s.site_id for s in self.sites]
         if len(set(ids)) != len(ids):
-            raise ValueError("duplicate site ids")
+            raise SchemaError("duplicate site ids")
         if self.site_idx.min() < 0 or self.site_idx.max() >= len(self.sites):
-            raise ValueError("site_idx out of range")
+            raise SchemaError("site_idx out of range")
         if self.day.min() < 1:
-            raise ValueError("day indices are 1-based")
+            raise SchemaError("day indices are 1-based")
         if self.n_days < int(self.day.max()):
-            raise ValueError("n_days smaller than the largest day present")
+            raise SchemaError("n_days smaller than the largest day present")
         if not np.all(np.isfinite(self.y)):
-            raise ValueError("y must be finite")
+            raise SchemaError("y must be finite")
         if not np.all(np.isfinite(self.x_ctm)):
-            raise ValueError("x_ctm must be finite (complete coverage)")
+            raise SchemaError("x_ctm must be finite (complete coverage)")
         if not np.all(np.isfinite(self.z)):
-            raise ValueError("covariates must be finite")
+            raise SchemaError("covariates must be finite")
         key = self.site_idx * (self.n_days + 1) + self.day
         if np.unique(key).size != n:
-            raise ValueError("duplicate (site, day) records")
+            raise SchemaError("duplicate (site, day) records")
 
     @property
     def n_records(self) -> int:
@@ -160,16 +160,16 @@ class PredictiveTable:
         self.available = np.asarray(self.available, dtype=bool)
         n = self.ids.shape[0]
         if self.mu.shape != (n, 2) or self.var.shape != (n, 2):
-            raise ValueError("mu/var must have shape (n, 2)")
+            raise SchemaError("mu/var must have shape (n, 2)")
         if self.available.shape != (n, 2):
-            raise ValueError("available must have shape (n, 2)")
+            raise SchemaError("available must have shape (n, 2)")
         avail_var = self.var[self.available]
         if avail_var.size and (
             not np.all(np.isfinite(self.mu[self.available]))
             or not np.all(np.isfinite(avail_var))
             or np.any(avail_var <= 0)
         ):
-            raise ValueError("available components need finite mu and positive var")
+            raise SchemaError("available components need finite mu and positive var")
 
     @property
     def n_records(self) -> int:

@@ -5,11 +5,14 @@ import time
 import numpy as np
 import pytest
 
+from pmfusion import io as pio
 from pmfusion.crossval import EvalReport
 from pmfusion.ensemble import WeightFieldSamples
 from pmfusion.errors import ParseError, SchemaError
 from pmfusion.geo import CTM, SAT, GridSpec, Location
 from pmfusion.io import (
+    PREDICTIONS,
+    CsvFormat,
     SurfaceOutput,
     assemble_observations,
     config_hash,
@@ -35,9 +38,11 @@ from pmfusion.io import (
     load_surface,
     load_weight_samples,
     load_weights,
+    read_csv,
     read_meta,
     save_json,
     scene_hash,
+    write_csv,
 )
 from pmfusion.synth import SceneConfig, generate_scene
 from pmfusion.tables import PredictiveTable
@@ -72,6 +77,12 @@ class TestMonitors:
         with pytest.raises(ParseError, match=r"monitors\.csv:3: non-numeric value 'oops'"):
             load_monitors(p)
 
+    def test_quoted_field_spanning_lines_keeps_later_line_numbers(self, tmp_path):
+        p = tmp_path / "ml.csv"
+        p.write_text('site_id,x_km,y_km\n"a\nb",1,2\nc,oops,3\n')
+        with pytest.raises(ParseError, match=r"ml\.csv:4: non-numeric value 'oops'"):
+            load_monitors(p)
+
 
 class TestObs:
     def test_round_trip_drops_empty_values(self, tmp_path):
@@ -83,6 +94,12 @@ class TestObs:
         assert list(rid) == ["a", "a"]
         assert list(rday) == [1, 3]
         np.testing.assert_array_equal(ry, [10.5, 12.25])
+
+    def test_row_without_pm25_is_still_parsed(self, tmp_path):
+        p = tmp_path / "obs.csv"
+        p.write_text("site_id,day,pm25\nm000,abc,\n")
+        with pytest.raises(ParseError, match=r"obs\.csv:2: non-numeric value 'abc' in column 'day'"):
+            load_obs(p)
 
     def test_fractional_day_rejected(self, tmp_path):
         p = tmp_path / "obs.csv"
@@ -222,6 +239,13 @@ class TestPredictive:
         with pytest.raises(ParseError, match="unknown source 'lidar'"):
             load_predictive(p, {s.site_id: s for s in sites})
 
+    @pytest.mark.parametrize("var", ["0.0", "-1.0"])
+    def test_non_positive_var_rejected(self, tmp_path, sites, var):
+        p = tmp_path / "predictive.csv"
+        p.write_text(f"site_id,day,source,mu,var\na01,1,ctm,1.0,1.0\na01,2,ctm,1.0,{var}\n")
+        with pytest.raises(ParseError, match=r"predictive\.csv:3: non-positive .* column 'var'"):
+            load_predictive(p, {s.site_id: s for s in sites})
+
     def test_duplicate_row_rejected(self, tmp_path, sites):
         p = tmp_path / "predictive.csv"
         p.write_text(
@@ -267,6 +291,12 @@ class TestWeightSamples:
         np.testing.assert_array_equal(back.tau2, field.tau2)
         np.testing.assert_array_equal(back.rho, field.rho)
         assert [l.site_id for l in back.locations] == [l.site_id for l in sites]
+
+    def test_negative_sample_rejected(self, tmp_path, sites):
+        p = tmp_path / "weight_samples.csv"
+        p.write_text("sample,site_id,q,tau2,rho\n0,a01,0.1,1.0,30.0\n-1,a01,0.2,1.0,30.0\n")
+        with pytest.raises(ParseError, match=r"weight_samples\.csv:3: sample must be >= 0"):
+            load_weight_samples(p, sites[:1])
 
     def test_missing_site_row_rejected(self, tmp_path, sites):
         p = tmp_path / "weight_samples.csv"
@@ -471,3 +501,151 @@ class TestExportScene:
         rc = scene.site_cell_ctm
         for d in range(6):
             assert present[d, rc[:, 0], rc[:, 1]].all()
+
+
+META = {"seed": 4, "config": "0123456789ab"}
+TAIL = "# seed=4 config=0123456789ab\n"
+
+
+def _predictive_table():
+    return PredictiveTable(
+        ids=np.array(["a01", "a01", "b02"], dtype=object),
+        day=np.array([1, 2, 1]),
+        mu=np.array([[1.0, 2.0], [3.0, 0.0], [5.0, 6.5]]),
+        var=np.array([[0.5, 0.7], [0.9, 1.0], [1.1, 1.3]]),
+        available=np.array([[True, True], [True, False], [True, True]]),
+    )
+
+
+GOLDEN = {
+    "monitors": (
+        lambda p: emit_monitors(p, [Location("a01", 1.5, 2.5), Location("b02", 1 / 3, -0.0)], META),
+        "site_id,x_km,y_km\na01,1.5,2.5\nb02,0.3333333333333333,-0.0\n",
+    ),
+    "obs": (
+        lambda p: emit_obs(
+            p, np.array(["a01", "b02"], dtype=object), np.array([1, 12]), np.array([10.25, np.nan]), META
+        ),
+        "site_id,day,pm25\na01,1,10.25\nb02,12,\n",
+    ),
+    "grid": (
+        lambda p: emit_grid(
+            p, np.array([[[1.5, np.nan]], [[np.nan, 1e-20]]]), np.array([[[True, True]], [[False, True]]]), META
+        ),
+        "day,row,col,value\n1,0,0,1.5\n1,0,1,\n2,0,1,1e-20\n",
+    ),
+    "covariates": (
+        lambda p: emit_covariates(
+            p, np.array(["a01"], dtype=object), np.array([3]),
+            np.array([[0.1, 0.2, 0.3, 1e6, -2.5, 12345678.9]]), META,
+        ),
+        "site_id,day,elev,forest,road,emis,wind,temp\na01,3,0.1,0.2,0.3,1000000.0,-2.5,12345678.9\n",
+    ),
+    "predictive": (
+        lambda p: emit_predictive(p, _predictive_table(), META),
+        "site_id,day,source,mu,var\na01,1,ctm,1.0,0.5\na01,2,ctm,3.0,0.9\nb02,1,ctm,5.0,1.1\n"
+        "a01,1,sat,2.0,0.7\nb02,1,sat,6.5,1.3\n",
+    ),
+    "weights": (
+        lambda p: emit_weights(
+            p, ["a01", "b02"],
+            {"w_mean": np.array([0.25, 0.5]), "w_lo": np.array([0.125, 0.1]),
+             "w_hi": np.array([0.75, 0.9]), "q_mean": np.array([-1.0986122886681098, 0.0])},
+            META,
+        ),
+        "site_id,w_mean,w_lo,w_hi,q_mean\na01,0.25,0.125,0.75,-1.0986122886681098\nb02,0.5,0.1,0.9,0.0\n",
+    ),
+    "weight_samples": (
+        lambda p: emit_weight_samples(
+            p,
+            WeightFieldSamples(
+                locations=[Location("a01", 1.5, 2.5), Location("b02", 0.0, 0.0)],
+                q=np.array([[0.5, -0.5], [1.0, 2.0]]), tau2=np.array([1.5, 2.0]),
+                rho=np.array([30.0, 31.5]), t_s=np.array([1, 1]), acceptance={},
+            ),
+            META,
+        ),
+        "sample,site_id,q,tau2,rho\n0,a01,0.5,1.5,30.0\n0,b02,-0.5,1.5,30.0\n"
+        "1,a01,1.0,2.0,31.5\n1,b02,2.0,2.0,31.5\n",
+    ),
+    "surface": (
+        lambda p: emit_surface(
+            p,
+            SurfaceOutput(
+                day=np.array([1, 2]), row=np.array([0, 3]), col=np.array([4, 0]),
+                mean=np.array([10.5, 1 / 3]), sd=np.array([0.5, 0.25]), q025=np.array([9.5, 0.0]),
+                q975=np.array([11.5, 0.75]), w=np.array([0.0, 1.0]),
+            ),
+            META,
+        ),
+        "day,row,col,mean,sd,q025,q975,w\n1,0,4,10.5,0.5,9.5,11.5,0.0\n"
+        "2,3,0,0.3333333333333333,0.25,0.0,0.75,1.0\n",
+    ),
+    "evaluation": (
+        lambda p: emit_evaluation(
+            p,
+            [
+                EvalReport(rmse=1.5, coverage95=94.0, avg_posterior_sd=1.2, r2=0.8, n_pairs=100,
+                           method="ensemble", estimation="joint", input_derivation="cv"),
+                EvalReport(rmse=2.0, coverage95=90.0, avg_posterior_sd=1.4, r2=float("nan"), n_pairs=50,
+                           method="ctm", estimation="downscaler", input_derivation="kfold"),
+            ],
+            META,
+        ),
+        "method,estimation,input_derivation,n_pairs,rmse,coverage95,avg_posterior_sd,r2\n"
+        "ensemble,joint,cv,100,1.5,94.0,1.2,0.8\nctm,downscaler,kfold,50,2.0,90.0,1.4,\n",
+    ),
+    "predictions": (
+        lambda p: write_csv(
+            p, PREDICTIONS,
+            (["a01", "b02"], [2, 12], [10.5, 1 / 3], [0.5, 0.25], [9.5, 0.0], [11.5, 0.75], [1.0, 0.25]),
+            META,
+        ),
+        "site_id,day,mean,sd,q025,q975,w\na01,2,10.5,0.5,9.5,11.5,1.0\n"
+        "b02,12,0.3333333333333333,0.25,0.0,0.75,0.25\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_writer_bytes_are_fixed(tmp_path, name):
+    """repr floats, an empty field for a missing number, the meta line last."""
+    write, body = GOLDEN[name]
+    p = write(tmp_path / f"{name}.csv")
+    assert p.read_bytes() == (body + TAIL).encode()
+
+
+FORMATS = {name: v for name, v in vars(pio).items() if isinstance(v, CsvFormat)}
+GOOD_CELL = {"s": "a", "i": "7", "f": "1.5", "m": ""}
+PARSED_CELL = {"s": "a", "i": 7, "f": 1.5, "m": None}
+BAD_CELL = {
+    "s": (" ", "empty value in column '{}'"),
+    "i": ("2.5", "column '{}' must be an integer, got '2.5'"),
+    "f": ("x1", "non-numeric value 'x1' in column '{}'"),
+    "m": ("inf", "non-finite value 'inf' in column '{}'"),
+}
+
+
+def test_every_format_is_covered():
+    assert len(FORMATS) == 10
+
+
+@pytest.mark.parametrize(
+    "name,kind",
+    [(name, kind) for name, fmt in sorted(FORMATS.items()) for kind in sorted(set(fmt.kinds))],
+)
+def test_bad_cell_names_file_line_and_column(tmp_path, name, kind):
+    fmt = FORMATS[name]
+    col = fmt.kinds.index(kind)
+    good = [GOOD_CELL[k] for k in fmt.kinds]
+    bad = list(good)
+    bad[col] = BAD_CELL[kind][0]
+    p = tmp_path / "t.csv"
+    p.write_text("\n".join([",".join(fmt.columns), "# note", ",".join(good), ",".join(bad)]) + "\n")
+    message = BAD_CELL[kind][1].format(fmt.columns[col])
+    with pytest.raises(ParseError, match=rf"t\.csv:4: {message}$"):
+        read_csv(p, fmt)
+    p.write_text("\n".join([",".join(fmt.columns), ",".join(good)]) + "\n")
+    lines, cols = read_csv(p, fmt)
+    got = [None if k == "m" and np.isnan(c[0]) else c.tolist()[0] for k, c in zip(fmt.kinds, cols)]
+    assert lines == [2] and got == [PARSED_CELL[k] for k in fmt.kinds]

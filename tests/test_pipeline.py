@@ -453,6 +453,43 @@ class TestCliInProcess:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:") and bad in err[0]
 
+    @pytest.mark.parametrize(
+        "edit,named",
+        [
+            (lambda d: d.update(bogus=1), "unknown key 'bogus'"),
+            (lambda d: d.pop("obs"), "missing key 'obs'"),
+            (lambda d: d["ctm_grid"].pop("origin_y"), "ctm_grid: missing key 'origin_y'"),
+            (lambda d: d.update(variant="mixed"), "variant"),
+            (lambda d: d.update(n_folds=1), "n_folds"),
+            (lambda d: d.update(seed=-1), "seed"),
+            (lambda d: d.update(surface_days="abc"), "surface_days"),
+        ],
+        ids=["unknown-key", "missing-obs", "grid-without-origin_y", "variant", "n_folds", "seed", "surface_days"],
+    )
+    def test_malformed_config_is_a_typed_error(self, edit, named, scene, tmp_path, capsys):
+        truth, paths, _ = scene
+        d = make_config(truth, paths, tmp_path / "runs").to_dict()
+        edit(d)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(d))
+        code, err = run_main(capsys, "run-all", "--config", cfg_path)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith(f"error: {cfg_path}: ") and named in err[0]
+        assert not (tmp_path / "runs").exists()
+
+    def test_evaluate_names_the_line_of_a_non_positive_var(self, scene, result, tmp_path, capsys):
+        _, paths, _ = scene
+        lines = result.paths["cv_predictive"].read_text().splitlines()
+        fields = lines[3].split(",")
+        predictive = tmp_path / "cv_predictive.csv"
+        predictive.write_text("\n".join(lines[:3] + [",".join(fields[:4] + ["-1.0"])] + lines[4:]) + "\n")
+        code, err = run_main(
+            capsys, "evaluate", "--monitors", paths["monitors"], "--obs", paths["obs"],
+            "--predictive", predictive, "--out", tmp_path / "scores.csv",
+        )
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith(f"error: {predictive}:4: ") and "'var'" in err[0]
+
     def test_fit_ensemble_prints_the_two_stage_range_acceptance(self, scene, result, tmp_path, capsys):
         _, paths, _ = scene
         code = cli.main([str(a) for a in (
