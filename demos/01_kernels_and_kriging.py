@@ -1,7 +1,7 @@
 """Exponential-covariance building blocks: field draws and simple kriging.
 
 Draws a Gaussian-process field at scattered sites, then kriges it onto a
-west-east transect with `exp_krige`, the kernel behind the surface stage.
+west-east transect with `ExpKriging`, the kernel behind the surface stage.
 Three things to notice in the output: the predictor reproduces the field
 exactly at the sites, the predictive SD grows with distance from data, and
 far from every site the field reverts to its prior mean with the full
@@ -11,7 +11,7 @@ marginal SD.
 import numpy as np
 
 from pmfusion import Location, distance_matrix
-from pmfusion.kernels import exp_krige, jittered_cholesky
+from pmfusion.kernels import ExpKriging, jittered_cholesky
 
 rng = np.random.default_rng(42)
 
@@ -30,13 +30,13 @@ print(f"field over {len(sites)} sites: sd {field.std():.2f} "
 
 # the kernel kriges on the correlation scale: the conditional mean does not
 # depend on the sill, and the predictive variance is sill * residual
-at_sites, _ = exp_krige(d_sites, d_sites, field, range_km)
+at_sites, _ = ExpKriging(d_sites, d_sites)(field, range_km)
 gap = np.max(np.abs(at_sites - field))
 print(f"max |kriged - field| at the sites: {gap:.2e}")
 
 # transect through the domain, then far beyond it
 targets = [Location(f"t{k}", float(x), 100.0) for k, x in enumerate(np.arange(0, 601, 50))]
-means, resid = exp_krige(d_sites, distance_matrix(sites, targets), field, range_km)
+means, resid = ExpKriging(d_sites, distance_matrix(sites, targets))(field, range_km)
 sds = np.sqrt(sill * resid)
 
 print("\n   x_km    mean     sd   nearest-site-km")

@@ -53,9 +53,14 @@ def _mcmc_from(args) -> MCMCConfig:
 
 def _geometry(scene_path) -> tuple[GridSpec, GridSpec | None, int]:
     d = pio.load_json(scene_path)
-    ctm = pio.grid_spec_from_dict(d["ctm_grid"])
-    sat = pio.grid_spec_from_dict(d["sat_grid"]) if d.get("sat_grid") else None
-    return ctm, sat, int(d["n_days"])
+    try:
+        ctm = pio.grid_spec_from_dict(d["ctm_grid"])
+        sat = pio.grid_spec_from_dict(d["sat_grid"]) if d.get("sat_grid") else None
+        return ctm, sat, int(d["n_days"])
+    except KeyError as e:
+        raise SchemaError(f"{scene_path}: missing key {e}") from None
+    except (SchemaError, TypeError, ValueError) as e:
+        raise SchemaError(f"{scene_path}: {e}") from None
 
 
 def _load_table(args, require_sat: bool):

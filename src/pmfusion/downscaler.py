@@ -33,11 +33,11 @@ from .errors import InsufficientDataError, OutOfDomainError
 from .geo import CTM, SAT, Location, distance_matrix
 from .kernels import (
     ETA_GRID,
+    ExpKriging,
     car_logdet_table,
     car_neighbor_count,
     car_precision_tridiag,
     chol_factor_solve,
-    exp_krige,
     jittered_cholesky,
     mvn_logpdf_zero_mean,
     sample_from_log_weights,
@@ -48,6 +48,9 @@ from .tables import N_COVARIATES, ObservationTable
 
 # N(0, A_PRIOR_VAR) prior on each free element of the coregionalization matrix
 A_PRIOR_VAR = 1.0e3
+
+# sweeps between rebuilds of the running residual, to cap its round-off
+_REFRESH_EVERY = 128
 
 
 @dataclass
@@ -117,14 +120,17 @@ class _Blocks:
         self.sites = data.sites
         self.S = data.n_sites
         self.T = data.n_days
-        self.site = data.site_idx[mask]
-        self.day0 = data.day[mask] - 1
-        self.y = data.y[mask]
-        self.x = data.x_for(source)[mask]
+        # usable records grouped by site, so that per-site sums and per-site
+        # terms work on contiguous runs
+        rows = np.flatnonzero(mask)[np.argsort(data.site_idx[mask], kind="stable")]
+        self.site = data.site_idx[rows]
+        self.day0 = data.day[rows] - 1
+        self.y = data.y[rows]
+        self.x = data.x_for(source)[rows]
         self.n = self.y.shape[0]
 
         if source == SAT:
-            z_raw = data.z[mask]
+            z_raw = data.z[rows]
             self.z_mean = z_raw.mean(axis=0)
             self.z_sd = z_raw.std(axis=0)
             flat = np.flatnonzero(self.z_sd <= 0)
@@ -134,17 +140,21 @@ class _Blocks:
                     "gamma is not identifiable under a flat prior"
                 )
             self.zmat = (z_raw - self.z_mean) / self.z_sd
-            self.ztz_chol, _ = jittered_cholesky(self.zmat.T @ self.zmat)
+            self.ztz = self.zmat.T @ self.zmat
+            self.ztz_chol, _ = jittered_cholesky(self.ztz)
             self.p_cov = N_COVARIATES
         else:
             self.z_mean = np.zeros(N_COVARIATES)
             self.z_sd = np.ones(N_COVARIATES)
-            self.zmat = None
-            self.ztz_chol = None
+            self.zmat = self.ztz = self.ztz_chol = None
             self.p_cov = 0
 
         self.counts_day = np.bincount(self.day0, minlength=self.T).astype(float)
         self.sum_x2_day = np.bincount(self.day0, weights=self.x**2, minlength=self.T)
+        # records per site, where each site's run starts, and per-site sums of 1, x and x^2
+        self.site_runs = np.bincount(self.site, minlength=self.S)
+        self.site_start = np.cumsum(self.site_runs) - self.site_runs
+        self.site_gram = [np.add.reduceat(w, self.site_start) for w in (np.ones(self.n), self.x, self.x**2)]
         self.n_t = car_neighbor_count(self.T)
         self.logdet_table = car_logdet_table(self.T)
         self.d_sites = distance_matrix(self.sites)
@@ -179,22 +189,55 @@ class _Blocks:
         self._set_range_cache(1, self._range_chol(self.theta1))
         self._set_range_cache(2, self._range_chol(self.theta2))
         self.chain = Chain(mcmc, theta1=0.5, theta2=0.5)
+        self.n_sweeps = 0
+        self.rebuild_residual()
 
     # -- residual helpers ------------------------------------------------
-
-    def _zg(self) -> np.ndarray:
-        if self.p_cov:
-            return self.zmat @ self.gamma
-        return np.zeros(self.n)
 
     def _site_effects(self) -> tuple[np.ndarray, np.ndarray]:
         alpha1 = self.a[0] * self.v1
         beta1 = self.a[1] * self.v1 + self.a[2] * self.v2
         return alpha1, beta1
 
-    def _resid_no_site(self) -> np.ndarray:
-        """y minus everything except the site-level terms and noise."""
-        return self.y - self.alpha0[self.day0] - self.beta0[self.day0] * self.x - self._zg()
+    @property
+    def resid(self) -> np.ndarray:
+        """y - alpha0 - beta0 x - alpha1 - beta1 x - z gamma, kept by increments."""
+        if self._site_shift is not None:
+            d_alpha1, d_beta1 = (np.repeat(d, self.site_runs) for d in self._site_shift)
+            self._resid -= d_alpha1 + d_beta1 * self.x
+            self._site_shift = None
+        return self._resid
+
+    @resid.setter
+    def resid(self, value: np.ndarray) -> None:
+        self._resid, self._site_shift = value, None
+
+    def rebuild_residual(self) -> None:
+        """Recompute resid from the state; call after setting state directly."""
+        alpha1, beta1 = self._site_effects()
+        d0, s = self.day0, self.site
+        self.resid = self.y - self.alpha0[d0] - alpha1[s] - (self.beta0[d0] + beta1[s]) * self.x
+        if self.p_cov:
+            self.resid -= self.zmat @ self.gamma
+        self._by_site = None
+
+    def _site_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-site sums of resid and x * resid, kept while only site terms change."""
+        if self._by_site is None:
+            sr = np.add.reduceat(self.resid, self.site_start)
+            self._by_site = sr, np.add.reduceat(self.x * self.resid, self.site_start)
+        return self._by_site
+
+    def _shift_site_terms(self, d_alpha1: np.ndarray, d_beta1: np.ndarray) -> None:
+        """Take a change of the site terms out of the per-site sums now and out
+        of resid when it is next read, so that consecutive site blocks pass
+        over the records once."""
+        sr, sxr = self._site_sums()
+        n, sx, sxx = self.site_gram
+        self._by_site = sr - d_alpha1 * n - d_beta1 * sx, sxr - d_alpha1 * sx - d_beta1 * sxx
+        if self._site_shift is not None:
+            d_alpha1, d_beta1 = d_alpha1 + self._site_shift[0], d_beta1 + self._site_shift[1]
+        self._site_shift = d_alpha1, d_beta1
 
     def _range_chol(self, theta: float) -> np.ndarray:
         """Cholesky factor of the unit-variance site correlation at range theta."""
@@ -213,16 +256,13 @@ class _Blocks:
     def draw_gamma(self) -> None:
         if not self.p_cov:
             return
-        alpha1, beta1 = self._site_effects()
-        r = (
-            self.y
-            - self.alpha0[self.day0]
-            - alpha1[self.site]
-            - (self.beta0[self.day0] + beta1[self.site]) * self.x
-        )
-        mean = chol_factor_solve(self.ztz_chol, self.zmat.T @ r)
+        # Z' r for r = resid + Z gamma, the residual without the covariate term
+        mean = chol_factor_solve(self.ztz_chol, self.zmat.T @ self.resid + self.ztz @ self.gamma)
         z = self.rng.standard_normal(self.p_cov)
-        self.gamma = mean + np.sqrt(self.sigma2_y) * tri_solve(self.ztz_chol, z, trans=1)
+        gamma = mean + np.sqrt(self.sigma2_y) * tri_solve(self.ztz_chol, z, trans=1)
+        self.resid -= self.zmat @ (gamma - self.gamma)
+        self.gamma = gamma
+        self._by_site = None
 
     def _daily_series_draw(
         self, weights_diag: np.ndarray, wr_day: np.ndarray,
@@ -234,56 +274,53 @@ class _Blocks:
         return sample_tridiag_mvn(post_diag, prior_off, b, self.rng)
 
     def draw_alpha0(self) -> None:
-        alpha1, beta1 = self._site_effects()
-        r = (
-            self.y
-            - alpha1[self.site]
-            - (self.beta0[self.day0] + beta1[self.site]) * self.x
-            - self._zg()
-        )
-        wr = np.bincount(self.day0, weights=r, minlength=self.T)
-        self.alpha0 = self._daily_series_draw(self.counts_day, wr, self.eta_a, self.sigma2_a)
+        wr = np.bincount(self.day0, weights=self.resid, minlength=self.T)
+        wr += self.counts_day * self.alpha0
+        alpha0 = self._daily_series_draw(self.counts_day, wr, self.eta_a, self.sigma2_a)
+        self.resid -= (alpha0 - self.alpha0)[self.day0]
+        self.alpha0 = alpha0
+        self._by_site = None
 
     def draw_beta0(self) -> None:
-        alpha1, beta1 = self._site_effects()
-        r = (
-            self.y
-            - self.alpha0[self.day0]
-            - alpha1[self.site]
-            - beta1[self.site] * self.x
-            - self._zg()
-        )
-        wr = np.bincount(self.day0, weights=self.x * r, minlength=self.T)
-        self.beta0 = self._daily_series_draw(self.sum_x2_day, wr, self.eta_b, self.sigma2_b)
+        wr = np.bincount(self.day0, weights=self.x * self.resid, minlength=self.T)
+        wr += self.sum_x2_day * self.beta0
+        beta0 = self._daily_series_draw(self.sum_x2_day, wr, self.eta_b, self.sigma2_b)
+        self.resid -= (beta0 - self.beta0)[self.day0] * self.x
+        self.beta0 = beta0
+        self._by_site = None
 
-    def _draw_site_field(self, coef: np.ndarray, resid: np.ndarray, rinv: np.ndarray) -> np.ndarray:
-        g = np.bincount(self.site, weights=coef * coef, minlength=self.S)
-        b = np.bincount(self.site, weights=coef * resid, minlength=self.S) / self.sigma2_y
-        prec = rinv + np.diag(g / self.sigma2_y)
+    def _draw_site_field(self, v: np.ndarray, k0: float, k1: float, rinv: np.ndarray) -> np.ndarray:
+        """Draw the site field v, which enters a record at site s as v[s] (k0 + k1 x)."""
+        sr, sxr = self._site_sums()
+        n, sx, sxx = self.site_gram
+        g = k0 * k0 * n + 2.0 * k0 * k1 * sx + k1 * k1 * sxx
+        prec = rinv.copy()
+        prec.flat[:: self.S + 1] += g / self.sigma2_y
         chol, _ = jittered_cholesky(prec)
-        mean = chol_factor_solve(chol, b)
+        mean = chol_factor_solve(chol, (k0 * sr + k1 * sxr + g * v) / self.sigma2_y)
         z = self.rng.standard_normal(self.S)
-        return mean + tri_solve(chol, z, trans=1)
+        new = mean + tri_solve(chol, z, trans=1)
+        self._shift_site_terms(k0 * (new - v), k1 * (new - v))
+        return new
 
     def draw_v1(self) -> None:
-        e = self._resid_no_site()
-        c = self.a[0] + self.a[1] * self.x
-        r = e - self.a[2] * self.v2[self.site] * self.x
-        self.v1 = self._draw_site_field(c, r, self.rinv1)
+        self.v1 = self._draw_site_field(self.v1, self.a[0], self.a[1], self.rinv1)
 
     def draw_v2(self) -> None:
-        e = self._resid_no_site()
-        c = self.a[0] + self.a[1] * self.x
-        d = self.a[2] * self.x
-        r = e - c * self.v1[self.site]
-        self.v2 = self._draw_site_field(d, r, self.rinv2)
+        self.v2 = self._draw_site_field(self.v2, 0.0, self.a[2], self.rinv2)
 
     def draw_a(self) -> None:
-        e = self._resid_no_site()
-        v1s, v2s = self.v1[self.site], self.v2[self.site]
-        f = np.column_stack([v1s, v1s * self.x, v2s * self.x])
-        prec = f.T @ f / self.sigma2_y + np.eye(3) / A_PRIOR_VAR
-        rhs = f.T @ e / self.sigma2_y
+        sr, sxr = self._site_sums()
+        alpha1, beta1 = self._site_effects()
+        n, sx, sxx = self.site_gram
+        # A's regressors in a record are f = (v1, v1 x, v2 x); f'f and f'e, with
+        # e = resid + alpha1 + beta1 x the residual without the site terms,
+        # are sums over sites
+        e, xe = sr + alpha1 * n + beta1 * sx, sxr + alpha1 * sx + beta1 * sxx
+        u = np.array([self.v1, self.v1, self.v2])
+        ftf = (u[:, None] * np.array([[n, sx, sx], [sx, sxx, sxx], [sx, sxx, sxx]]) * u).sum(axis=2)
+        prec = ftf / self.sigma2_y + np.eye(3) / A_PRIOR_VAR
+        rhs = (u * np.array([e, xe, xe])).sum(axis=1) / self.sigma2_y
         chol, _ = jittered_cholesky(prec)
         mean = chol_factor_solve(chol, rhs)
         z = self.rng.standard_normal(3)
@@ -297,20 +334,14 @@ class _Blocks:
             a[2] = -a[2]
             self.v2 = -self.v2
         self.a = a
+        new_alpha1, new_beta1 = self._site_effects()
+        self._shift_site_terms(new_alpha1 - alpha1, new_beta1 - beta1)
 
     def _inv_gamma(self, shape: float, rate: float) -> float:
         return float(rate / self.rng.gamma(shape, 1.0))
 
     def draw_sigma2_y(self) -> None:
-        alpha1, beta1 = self._site_effects()
-        resid = (
-            self.y
-            - self.alpha0[self.day0]
-            - alpha1[self.site]
-            - (self.beta0[self.day0] + beta1[self.site]) * self.x
-            - self._zg()
-        )
-        ssr = float(resid @ resid)
+        ssr = float(self.resid @ self.resid)
         self.sigma2_y = self._inv_gamma(self.mcmc.ig_a + 0.5 * self.n, self.mcmc.ig_b + 0.5 * ssr)
 
     @staticmethod
@@ -380,6 +411,9 @@ class _Blocks:
         self.draw_eta_beta0()
         self.draw_theta(1)
         self.draw_theta(2)
+        self.n_sweeps += 1
+        if self.n_sweeps % _REFRESH_EVERY == 0:
+            self.rebuild_residual()
 
 
 def fit_downscaler(data: ObservationTable, source: str, mcmc: MCMCConfig) -> DownscalerFit:
@@ -515,11 +549,13 @@ def predict_batches(
     d_sites = distance_matrix(fit.sites)
     d_cross = distance_matrix(fit.sites, locations)
     n_loc = len(locations)
+    # a rejected range proposal repeats theta, and with it the field operators
+    krige1, krige2 = ExpKriging(d_sites, d_cross), ExpKriging(d_sites, d_cross)
     count = 0
     s2y_acc = 0.0
     for j in range(len(fit)):
-        mean1, resid1 = exp_krige(d_sites, d_cross, fit.v1[j], float(fit.theta1[j]))
-        mean2, resid2 = exp_krige(d_sites, d_cross, fit.v2[j], float(fit.theta2[j]))
+        mean1, resid1 = krige1(fit.v1[j], float(fit.theta1[j]))
+        mean2, resid2 = krige2(fit.v2[j], float(fit.theta2[j]))
         sd1, sd2 = np.sqrt(resid1), np.sqrt(resid2)
         a11, a21, a22 = fit.a_coreg[j]
         count += 1

@@ -40,8 +40,8 @@ from .config import MCMCConfig
 from .errors import DomainError, NoInputsError, SchemaError
 from .geo import Location, distance_matrix
 from .kernels import (
+    ExpKriging,
     chol_factor_solve,
-    exp_krige,
     inv_logit,
     jittered_cholesky,
     logit,
@@ -240,19 +240,22 @@ def update_q(
     """
     s_count = q.shape[0]
     accepted = np.zeros(s_count, dtype=bool)
-    normals = rng.standard_normal(s_count)
-    uniforms = rng.random(s_count)
+    # per-site arithmetic on Python floats: numpy's IEEE doubles without the
+    # cost of a numpy scalar per operation
+    normals, uniforms = rng.standard_normal(s_count).tolist(), rng.random(s_count).tolist()
+    z_sum, t_s, steps, q_cur = z_sum.tolist(), t_s.tolist(), step_sd.tolist(), q.tolist()
+    prec_diag = prec.diagonal().tolist()
     for s in range(s_count):
-        var_s = 1.0 / prec[s, s]
-        mean_s = q[s] - r[s] * var_s
-        prop = q[s] + step_sd[s] * normals[s]
-        d_lik = z_sum[s] * (prop - q[s]) - t_s[s] * (
-            _scalar_log1pexp(prop) - _scalar_log1pexp(q[s])
+        q_s = q_cur[s]
+        var_s = 1.0 / prec_diag[s]
+        mean_s = q_s - r.item(s) * var_s
+        prop = q_s + steps[s] * normals[s]
+        d_lik = z_sum[s] * (prop - q_s) - t_s[s] * (
+            _scalar_log1pexp(prop) - _scalar_log1pexp(q_s)
         )
-        d_pri = ((q[s] - mean_s) ** 2 - (prop - mean_s) ** 2) / (2.0 * var_s)
+        d_pri = ((q_s - mean_s) ** 2 - (prop - mean_s) ** 2) / (2.0 * var_s)
         if math.log(uniforms[s]) < d_lik + d_pri:
-            dq = prop - q[s]
-            r += prec[:, s] * dq
+            r += prec[:, s] * (prop - q_s)
             q[s] = prop
             accepted[s] = True
     return accepted
@@ -533,10 +536,11 @@ def krige_weights(
     q_mean = np.zeros(n_t)
     for start in range(0, n_t, chunk):
         stop = min(start + chunk, n_t)
-        dc = d_cross[:, start:stop]
+        # a rejected range proposal repeats rho, and with it the operators
+        krige = ExpKriging(d_obs, d_cross[:, start:stop])
         draws = np.zeros((n_s, stop - start))
         for j in range(n_s):
-            mean, resid = exp_krige(d_obs, dc, field.q[j], float(field.rho[j]))
+            mean, resid = krige(field.q[j], float(field.rho[j]))
             var = float(field.tau2[j]) * resid
             draws[j] = mean + np.sqrt(var) * rng.standard_normal(stop - start)
         w_draws = inv_logit(draws)

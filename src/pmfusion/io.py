@@ -159,8 +159,12 @@ def _format(kind: str, values) -> list[str]:
 
 def write_csv(path, fmt: CsvFormat, columns, meta: dict | None = None) -> Path:
     """Write one row per position of the columns (one sequence per header
-    column), then, for a non-empty meta, one '# key=value ...' line."""
+    column), then, for a non-empty meta, one '# key=value ...' line. A text
+    value starting with '#', which reads back as a comment, is a SchemaError."""
     path = Path(path)
+    for kind, column, values in zip(fmt.kinds, fmt.columns, columns):
+        if kind == "s" and any(str(v).startswith("#") for v in values):
+            raise SchemaError(f"{path}: a value in column '{column}' starts with '#'")
     n = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")

@@ -150,22 +150,30 @@ def mvn_logpdf_zero_mean(x: np.ndarray, chol_lower: np.ndarray) -> float:
     )
 
 
-def exp_krige(
-    d_obs: np.ndarray, d_cross: np.ndarray, values: np.ndarray, range_km: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simple kriging of a zero-mean, unit-variance exponential-correlation field.
+class ExpKriging:
+    """Simple kriging of zero-mean, unit-variance exponential-correlation fields.
 
     d_obs holds the (n, n) distances between the observed sites, d_cross the
-    (n, m) distances from them to the targets, values the field at the
-    sites. Returns the conditional mean lk.T @ lv and the residual variance
-    max(1 - sum(lk**2), 0) at each target, where L is the jittered Cholesky
-    factor of the site correlation, lk = L^{-1} k and lv = L^{-1} values.
-    Scale the residual by the field's variance for a field of another sill.
+    (n, m) distances from them to the targets. A call with the field's values
+    at the sites and a range returns the conditional mean lk.T @ lv and the
+    residual variance max(1 - sum(lk**2), 0) at each target, where L is the
+    jittered Cholesky factor of the site correlation, lk = L^{-1} k and
+    lv = L^{-1} values. Scale the residual by the field's variance for a
+    field of another sill. L, lk and the residual (an array shared by the
+    calls) are kept while the range repeats, so such a call solves for lv only.
     """
-    chol, _ = jittered_cholesky(np.exp(-d_obs / range_km))
-    lk = tri_solve(chol, np.exp(-d_cross / range_km))
-    lv = tri_solve(chol, values)
-    return lk.T @ lv, np.maximum(1.0 - np.sum(lk * lk, axis=0), 0.0)
+
+    def __init__(self, d_obs: np.ndarray, d_cross: np.ndarray):
+        self.d_obs, self.d_cross = d_obs, d_cross
+        self.range_km = None
+
+    def __call__(self, values: np.ndarray, range_km: float) -> tuple[np.ndarray, np.ndarray]:
+        if range_km != self.range_km:
+            self.chol, _ = jittered_cholesky(np.exp(-self.d_obs / range_km))
+            self.lk = tri_solve(self.chol, np.exp(-self.d_cross / range_km))
+            self.resid = np.maximum(1.0 - np.sum(self.lk * self.lk, axis=0), 0.0)
+            self.range_km = range_km
+        return self.lk.T @ tri_solve(self.chol, values), self.resid
 
 
 def car_neighbor_count(horizon: int) -> np.ndarray:
@@ -260,11 +268,10 @@ def logit(w) -> np.ndarray | float:
 def inv_logit(q) -> np.ndarray | float:
     """1 / (1 + exp(-q)), evaluated without overflow on either tail."""
     arr = np.asarray(q, dtype=float)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    e = np.exp(arr[~pos])
-    out[~pos] = e / (1.0 + e)
+    # e = exp(-|q|) <= 1: 1 / (1 + e) for q >= 0 and e / (1 + e) below; a
+    # NaN q passes through minimum unchanged, sign and payload included
+    e = np.exp(np.minimum(arr, -arr))
+    out = np.where(arr >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return float(out) if np.isscalar(q) else out
 
 

@@ -111,6 +111,12 @@ class PipelineConfig:
         if missing:
             raise SchemaError(f"missing key '{missing[0]}'")
         d = {k: v for k, v in d.items() if k != "config_hash"}
+        for name in ("monitors", "obs", "grid_ctm", "out_dir", "grid_sat", "covariates"):
+            value = d.get(name)
+            if not isinstance(value, str) and not (value is None and name not in required):
+                raise SchemaError(f"{name} must be a path string, got {value!r}")
+        if not isinstance(d.get("overwrite", False), bool):
+            raise SchemaError(f"overwrite must be true or false, got {d['overwrite']!r}")
         for name in ("ctm_grid", "sat_grid", "target_grid"):
             if d.get(name) is not None:
                 d[name] = _parse_field(name, pio.grid_spec_from_dict, d[name])

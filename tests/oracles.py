@@ -5,10 +5,14 @@ weight grid and evaluate the mixture CDF directly, with scipy.stats
 densities. The scipy references are the public scipy.linalg calls that the
 kernels' direct LAPACK solves stand in for. The CAR full conditional is the
 definition of the temporal prior, and the point-by-point grid cell is the
-definition that GridSpec.cells_of vectorizes.
+definition that GridSpec.cells_of vectorizes. The numpy-scalar logit sweep
+and the masked inverse logit are the forms that update_q and inv_logit
+replaced, kept as their bit-for-bit references.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import linalg
@@ -88,6 +92,46 @@ def scipy_tridiag_mvn(prec_diag, prec_off, b, rng):
     mean = linalg.cho_solve_banded((u, False), b)
     z = rng.standard_normal(t)
     return mean + linalg.solve_banded((0, 1), u, z)
+
+
+# -- numpy-scalar references for the weight-field sampler loops ------------
+
+
+def masked_inv_logit(q):
+    """1 / (1 + exp(-q)) on q >= 0 and exp(q) / (1 + exp(q)) elsewhere, by
+    boolean-mask scatters."""
+    arr = np.asarray(q, dtype=float)
+    out = np.empty_like(arr)
+    pos = arr >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+    e = np.exp(arr[~pos])
+    out[~pos] = e / (1.0 + e)
+    return float(out) if np.isscalar(q) else out
+
+
+def _log1pexp(x):
+    return x if x > 30.0 else math.log1p(math.exp(x))
+
+
+def numpy_scalar_update_q(z_sum, t_s, q, prec, r, step_sd, rng):
+    """The sequential logit MH sweep with every per-site operand a numpy
+    scalar read from its array."""
+    s_count = q.shape[0]
+    accepted = np.zeros(s_count, dtype=bool)
+    normals = rng.standard_normal(s_count)
+    uniforms = rng.random(s_count)
+    for s in range(s_count):
+        var_s = 1.0 / prec[s, s]
+        mean_s = q[s] - r[s] * var_s
+        prop = q[s] + step_sd[s] * normals[s]
+        d_lik = z_sum[s] * (prop - q[s]) - t_s[s] * (_log1pexp(prop) - _log1pexp(q[s]))
+        d_pri = ((q[s] - mean_s) ** 2 - (prop - mean_s) ** 2) / (2.0 * var_s)
+        if math.log(uniforms[s]) < d_lik + d_pri:
+            dq = prop - q[s]
+            r += prec[:, s] * dq
+            q[s] = prop
+            accepted[s] = True
+    return accepted
 
 
 # -- model and geometry definitions ----------------------------------------

@@ -56,6 +56,13 @@ def fix_state(blocks, rng):
     blocks.sigma2_b = 0.05
     blocks.eta_a = 0.7
     blocks.eta_b = 0.4
+    blocks.rebuild_residual()
+
+
+def resid_no_site(blocks):
+    """y minus everything except the site-level terms and noise."""
+    zg = blocks.zmat @ blocks.gamma if blocks.p_cov else 0.0
+    return blocks.y - blocks.alpha0[blocks.day0] - blocks.beta0[blocks.day0] * blocks.x - zg
 
 
 def tridiag_dense(diag, off):
@@ -141,7 +148,7 @@ class TestConjugateBlocks:
 
     def test_v1_block_matches_dense_oracle(self):
         blocks = self.make_blocks(CTM, seed=4)
-        e = blocks._resid_no_site()
+        e = resid_no_site(blocks)
         coef = blocks.a[0] + blocks.a[1] * blocks.x
         r = e - blocks.a[2] * blocks.v2[blocks.site] * blocks.x
         g = np.bincount(blocks.site, weights=coef * coef, minlength=blocks.S)
@@ -171,7 +178,8 @@ class TestConjugateBlocks:
             + 0.3 * rng.standard_normal(blocks.n)
         )
         blocks.sigma2_y = 0.09
-        e = blocks._resid_no_site()
+        blocks.rebuild_residual()
+        e = resid_no_site(blocks)
         f = np.column_stack([v1s, v1s * blocks.x, v2s * blocks.x])
         prec = f.T @ f / blocks.sigma2_y + np.eye(3) / 1.0e3
         cov = np.linalg.inv(prec)
@@ -182,6 +190,7 @@ class TestConjugateBlocks:
         draws = np.empty((self.N_DRAWS, 3))
         for k in range(self.N_DRAWS):
             blocks.v1, blocks.v2 = v1_fix.copy(), v2_fix.copy()
+            blocks.rebuild_residual()
             blocks.draw_a()
             draws[k] = blocks.a
         check_moments(draws, mean, cov)
@@ -236,6 +245,58 @@ class TestConjugateBlocks:
         assert abs(draws.var(ddof=1) - var) < 4.0 * var * np.sqrt(2.0 / m)
 
 
+def fresh_residual(blocks):
+    """y minus every fitted term, rebuilt from the state."""
+    alpha1, beta1 = blocks._site_effects()
+    zg = blocks.zmat @ blocks.gamma if blocks.p_cov else 0.0
+    return (
+        blocks.y - blocks.alpha0[blocks.day0] - alpha1[blocks.site]
+        - (blocks.beta0[blocks.day0] + beta1[blocks.site]) * blocks.x - zg
+    )
+
+
+class TestRunningResidual:
+    """The sweep keeps the residual and its per-site sums by increments."""
+
+    N_SWEEPS = 520
+
+    def make_blocks(self, source, seed):
+        rng = np.random.default_rng(seed)
+        data = build_table(rng, 9, 20, alpha=3.0, beta=1.2,
+                           gamma=[0.5, -0.3, 0.0, 0.2, 0.1, -0.1], noise_sd=1.0)
+        return _Blocks(data, source, MCMCConfig(n_iter=10, burn_in=5, thin=1, seed=seed))
+
+    def assert_tracks(self, blocks):
+        fresh = fresh_residual(blocks)
+        assert np.max(np.abs(blocks.resid - fresh)) <= 1e-9
+        sr, sxr = blocks._site_sums()
+        assert_allclose(sr, np.bincount(blocks.site, weights=fresh, minlength=blocks.S), rtol=0, atol=1e-9)
+        assert_allclose(sxr, np.bincount(blocks.site, weights=blocks.x * fresh, minlength=blocks.S),
+                        rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("source", [CTM, SAT])
+    def test_running_residual_equals_a_fresh_rebuild(self, source):
+        blocks = self.make_blocks(source, seed=61)
+        assert self.N_SWEEPS > 4 * downscaler._REFRESH_EVERY
+        refreshed = 0
+        for _ in range(self.N_SWEEPS):
+            blocks.sweep()
+            self.assert_tracks(blocks)
+            if blocks.n_sweeps % downscaler._REFRESH_EVERY == 0:
+                # the refresh recomputes the residual, so it matches to the bit
+                assert np.array_equal(blocks.resid, fresh_residual(blocks))
+                refreshed += 1
+        assert refreshed == 4
+
+    @pytest.mark.parametrize("source", [CTM, SAT])
+    def test_increments_alone_drift_below_1e9(self, source, monkeypatch):
+        monkeypatch.setattr(downscaler, "_REFRESH_EVERY", 10**9)
+        blocks = self.make_blocks(source, seed=62)
+        for _ in range(self.N_SWEEPS):
+            blocks.sweep()
+        self.assert_tracks(blocks)
+
+
 class TestTemporalDependenceSampler:
     def test_flat_target_is_uniform_over_grid(self):
         """With a zero series and a flattened normalization table the sampled
@@ -271,6 +332,7 @@ class TestSignConstraints:
         v1_fix, v2_fix = blocks.v1.copy(), blocks.v2.copy()
         for _ in range(2_000):
             blocks.v1, blocks.v2 = v1_fix.copy(), v2_fix.copy()
+            blocks.rebuild_residual()
             blocks.draw_a()
             assert blocks.a[0] >= 0.0
             assert blocks.a[2] >= 0.0
@@ -298,6 +360,7 @@ class TestSignConstraints:
         signs = np.array([-1.0, -1.0, 1.0])
         two.v1 = -two.v1
         two.a = two.a * signs
+        two.rebuild_residual()
         one.rng = np.random.default_rng(777)
         two.rng = FlippedNormals(777, signs)
         one.draw_a()
@@ -596,6 +659,31 @@ class TestPredictBatches:
                 assert np.array_equal(pred.var, ref_var, equal_nan=True)
         assert not got[1].available.any() and np.isnan(got[1].mu).all()
         assert np.isfinite(got[2].mu[got[2].available]).all()
+
+    def test_repeated_ranges_reuse_the_operators_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        data = build_table(rng, 8, 12, noise_sd=1.0)
+        fit = fit_downscaler(data, SAT, MCMCConfig(n_iter=60, burn_in=30, thin=2, seed=47))
+        # runs of one range, as rejected proposals leave them, on offset patterns
+        fit.theta1 = np.repeat(fit.theta1[::3], 3)[: len(fit)]
+        fit.theta2[1::2] = fit.theta2[0::2][: len(fit) // 2]
+        distinct = 1 + np.count_nonzero(np.diff(fit.theta1)) + 1 + np.count_nonzero(np.diff(fit.theta2))
+        targets = list(data.sites) + [Location(f"new{i}", *rng.uniform(0, 100, 2)) for i in range(5)]
+        m = len(targets)
+        idx = np.arange(m)
+        batches = [
+            (np.full(m, d), rng.normal(8.0, 3.0, m), rng.normal(0.0, 1.0, (m, N_COVARIATES)), 200 + d)
+            for d in (3, 7)
+        ]
+        calls = []
+        factor = kernels.jittered_cholesky
+        monkeypatch.setattr(kernels, "jittered_cholesky", lambda c: calls.append(1) or factor(c))
+        got = predict_batches(fit, targets, idx, batches)
+        assert len(calls) == distinct < 2 * len(fit)
+        monkeypatch.undo()
+        for (days, x, z, seed), pred in zip(batches, got):
+            ref_mu, ref_var = per_call_reference(fit, targets, idx, days, x, z, seed)
+            assert np.array_equal(pred.mu, ref_mu) and np.array_equal(pred.var, ref_var)
 
     def test_each_batch_is_validated(self, noiseless_fit):
         data, fit = noiseless_fit

@@ -16,6 +16,7 @@ from scipy.linalg import solve_triangular
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
+from pmfusion import ensemble, kernels
 from pmfusion.config import MCMCConfig
 from pmfusion.ensemble import (
     MixtureDistribution,
@@ -38,7 +39,12 @@ from pmfusion.geo import Location, distance_matrix
 from pmfusion.kernels import inv_logit, jittered_cholesky, logit
 from pmfusion.tables import PredictiveTable
 
-from oracles import brute_force_weight_posterior, weight_posterior_mean
+from oracles import (
+    brute_force_weight_posterior,
+    masked_inv_logit,
+    numpy_scalar_update_q,
+    weight_posterior_mean,
+)
 
 # frozen oracle values for the reference mixture
 # w=0.3, mu1=-1, var1=0.5, mu2=2, var2=4
@@ -233,6 +239,65 @@ class TestUpdateQ:
         for _ in range(500):
             update_q(z_sum, t_s, q, prec, r, step, rng)
         assert_allclose(r, prec @ q, atol=1e-9)
+
+
+class TestScalarSamplerLoops:
+    """update_q on Python floats and the one-pass inv_logit change no bit of
+    any weight-field fit: each equals a run with the numpy-scalar references."""
+
+    @pytest.fixture
+    def references(self, monkeypatch):
+        def use():
+            monkeypatch.setattr(ensemble, "update_q", numpy_scalar_update_q)
+            monkeypatch.setattr(ensemble, "inv_logit", masked_inv_logit)
+
+        return use
+
+    def test_update_q_matches_the_numpy_scalar_sweep(self):
+        rng = np.random.default_rng(124)
+        locs = [Location(f"s{i}", *rng.uniform(0, 100, 2)) for i in range(12)]
+        prec = np.linalg.inv(0.8 * np.exp(-distance_matrix(locs) / 30.0) + 1e-8 * np.eye(12))
+        z_sum = rng.integers(0, 21, 12).astype(float)
+        t_s = np.full(12, 20.0)
+        t_s[3] = z_sum[3] = 0.0  # a site without usable days
+        step = rng.uniform(0.2, 1.5, 12)
+        q_a = rng.normal(0.0, 1.0, 12)
+        q_b = q_a.copy()
+        r_a, r_b = prec @ q_a, prec @ q_a
+        rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+        accepts = 0
+        for _ in range(300):
+            got = update_q(z_sum, t_s, q_a, prec, r_a, step, rng_a)
+            want = numpy_scalar_update_q(z_sum, t_s, q_b, prec, r_b, step, rng_b)
+            assert got.dtype == bool and np.array_equal(got, want)
+            assert np.array_equal(q_a, q_b) and np.array_equal(r_a, r_b)
+            accepts += int(got.sum())
+        assert 0 < accepts < 300 * 12
+
+    def test_fit_joint_is_bit_identical(self, references):
+        locs, inputs, y, _ = separation_problem(n_side=4, t_days=30)
+        mcmc = MCMCConfig(n_iter=600, burn_in=300, thin=3, seed=12)
+        got = fit_joint(y, inputs, locs, mcmc)
+        references()
+        want = fit_joint(y, inputs, locs, mcmc)
+        for name in ("q", "tau2", "rho", "t_s"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.acceptance == want.acceptance
+        assert 0 < got.acceptance["q"] < 1 and 0 < got.acceptance["rho"] < 1
+
+    def test_fit_site_weights_and_two_stage_are_bit_identical(self, references):
+        locs, inputs, y, _ = separation_problem(n_side=4, t_days=30)
+        mcmc = MCMCConfig(n_iter=600, burn_in=300, thin=3, seed=13)
+        w_got, t_got = fit_site_weights(y, inputs, locs, mcmc)
+        two_got = fit_two_stage(y, inputs, locs, mcmc)
+        references()
+        w_want, t_want = fit_site_weights(y, inputs, locs, mcmc)
+        two_want = fit_two_stage(y, inputs, locs, mcmc)
+        assert np.array_equal(w_got, w_want) and np.array_equal(t_got, t_want)
+        for name in ("q", "tau2", "rho", "t_s"):
+            assert np.array_equal(getattr(two_got, name), getattr(two_want, name)), name
+        assert two_got.acceptance == two_want.acceptance
+        assert np.array_equal(two_got.w_samples(), masked_inv_logit(two_want.q))
 
 
 class TestUpdateTau2:
@@ -618,6 +683,32 @@ class TestKrigeWeights:
         for chunk in (4, 5, 12, 2048):
             got = krige_weights(field, targets, seed=7, chunk=chunk)
             want = krige_per_chunk_reference(field, targets, seed=7, chunk=chunk)
+            for key in ("w_mean", "w_lo", "w_hi", "q_mean"):
+                assert np.array_equal(got[key], want[key]), (chunk, key)
+
+    def test_repeated_ranges_reuse_the_operators_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(165)
+        field = self.synthetic_field(rng, n_samples=30)
+        # runs of one range, as rejected proposals leave them
+        rho = np.repeat(rng.uniform(20.0, 80.0, 10), 3)
+        rho[[4, 5, 17]] = rho[[3, 3, 16]]
+        field = WeightFieldSamples(
+            locations=field.locations,
+            q=field.q,
+            tau2=rng.uniform(0.5, 2.0, 30),
+            rho=rho,
+            t_s=field.t_s,
+        )
+        distinct = 1 + np.count_nonzero(np.diff(rho))
+        targets = [Location(f"t{i}", *rng.uniform(0, 150, 2)) for i in range(12)]
+        for chunk in (5, 2048):
+            calls = []
+            factor = kernels.jittered_cholesky
+            monkeypatch.setattr(kernels, "jittered_cholesky", lambda c: calls.append(1) or factor(c))
+            got = krige_weights(field, targets, seed=8, chunk=chunk)
+            monkeypatch.undo()
+            assert len(calls) == distinct * -(-len(targets) // chunk)
+            want = krige_per_chunk_reference(field, targets, seed=8, chunk=chunk)
             for key in ("w_mean", "w_lo", "w_hi", "q_mean"):
                 assert np.array_equal(got[key], want[key]), (chunk, key)
 

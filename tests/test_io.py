@@ -60,6 +60,15 @@ class TestMonitors:
         assert back == sites
         assert read_meta(p)["seed"] == "5"
 
+    def test_id_starting_with_hash_is_refused_not_dropped(self, tmp_path):
+        # the reader takes a row whose first field starts with '#' for a comment
+        p = tmp_path / "monitors.csv"
+        with pytest.raises(SchemaError, match=r"monitors\.csv: a value in column 'site_id' starts with '#'"):
+            emit_monitors(p, [Location("#1", 0.0, 0.0), Location("b", 1.0, 1.0)])
+        assert not p.exists()
+        inner = [Location("a#1", 0.0, 0.0), Location("b", 1.0, 1.0)]
+        assert load_monitors(emit_monitors(p, inner)) == inner
+
     def test_duplicate_id_reports_line(self, tmp_path, sites):
         p = emit_monitors(tmp_path / "monitors.csv", sites + [Location("a01", 0.0, 0.0)])
         with pytest.raises(ParseError, match=r"monitors\.csv:5: duplicate"):

@@ -15,7 +15,7 @@ from pmfusion.kernels import (
     car_precision_tridiag,
     car_normalized_eigvals,
     chol_factor_solve,
-    exp_krige,
+    ExpKriging,
     inv_logit,
     jittered_cholesky,
     logit,
@@ -26,6 +26,7 @@ from pmfusion.kernels import (
     tri_solve,
 )
 from oracles import (
+    masked_inv_logit,
     car_full_conditional,
     scipy_chol_factor_solve,
     scipy_tri_solve,
@@ -221,6 +222,18 @@ class TestLogitFunctions:
         assert inv_logit(1000.0) == 1.0
         assert inv_logit(-1000.0) == 0.0
 
+    def test_inv_logit_equals_the_masked_form_bit_for_bit(self):
+        nans = np.array([0xFFF8000000000001, 0x7FF8000000000123], dtype=np.uint64).view(float)
+        special = np.concatenate([[0.0, -0.0, 700.0, -700.0, np.inf, -np.inf, np.nan, 36.0, -36.0], nans])
+        normals = np.random.default_rng(5).standard_normal(100_000)
+        for q in (special, normals, normals.reshape(400, 250), np.float64(-0.0)):
+            got, want = inv_logit(q), masked_inv_logit(q)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+        for q in (0.0, -0.0, 700.0, -700.0, -np.inf, np.nan):
+            got, want = inv_logit(q), masked_inv_logit(q)
+            assert type(got) is float and (got == want or (np.isnan(got) and np.isnan(want)))
+
     def test_log1pexp_stable(self):
         # the scalar log(1 + e^x) of the logit update
         x = np.array([-800.0, -30.0, 0.0, 30.0, 800.0])
@@ -378,9 +391,8 @@ class TestGpConditional:
         vals = np.linalg.cholesky(c + 1e-10 * np.eye(10)) @ rng.standard_normal(10)
         for i in (0, 4, 9):
             others = np.delete(np.arange(10), i)
-            cond_mean, cond_var = exp_krige(
-                d[np.ix_(others, others)], d[others][:, [i]], vals[others], 35.0
-            )
+            krige = ExpKriging(d[np.ix_(others, others)], d[others][:, [i]])
+            cond_mean, cond_var = krige(vals[others], 35.0)
             coo = c[np.ix_(others, others)]
             cio = c[i, others]
             expect_mean = cio @ np.linalg.solve(coo, vals[others])
@@ -390,7 +402,7 @@ class TestGpConditional:
 
 
 class TestKriging:
-    """exp_krige on a unit-variance field; a field with sill s has variance s * residual."""
+    """ExpKriging on a unit-variance field; a field with sill s has variance s * residual."""
 
     def test_exact_at_observed_locations(self):
         rng = np.random.default_rng(9)
@@ -398,7 +410,7 @@ class TestKriging:
         d = distance_matrix(pts)
         c = 1.5 * np.exp(-d / 40.0)
         vals = np.linalg.cholesky(c + 1e-12 * np.eye(15)) @ rng.standard_normal(15)
-        mean, resid = exp_krige(d, d, vals, 40.0)
+        mean, resid = ExpKriging(d, d)(vals, 40.0)
         np.testing.assert_allclose(mean, vals, atol=1e-6)
         assert (1.5 * resid < 1e-6).all()
 
@@ -407,7 +419,7 @@ class TestKriging:
         pts = _random_points(rng, 10)
         vals = rng.standard_normal(10)
         far = [Location("far", 1e6, 1e6)]
-        mean, resid = exp_krige(distance_matrix(pts), distance_matrix(pts, far), vals, 30.0)
+        mean, resid = ExpKriging(distance_matrix(pts), distance_matrix(pts, far))(vals, 30.0)
         np.testing.assert_allclose(mean[0], 0.0, atol=1e-8)
         np.testing.assert_allclose(2.0 * resid[0], 2.0, atol=1e-8)
 
@@ -419,7 +431,7 @@ class TestKriging:
         c = np.exp(-d / 50.0)
         k = np.exp(-d_cross / 50.0)
         vals = rng.standard_normal(12)
-        mu, var = exp_krige(d, d_cross, vals, 50.0)
+        mu, var = ExpKriging(d, d_cross)(vals, 50.0)
         expect_mu = k.T @ np.linalg.solve(c, vals)
         expect_var = 1.0 - np.sum(k * np.linalg.solve(c, k), axis=0)
         np.testing.assert_allclose(mu, expect_mu, atol=1e-8)
@@ -430,7 +442,7 @@ class TestKriging:
         obs = _random_points(rng, 20, scale=10.0)  # tight cluster stresses conditioning
         vals = rng.standard_normal(20)
         d_cross = distance_matrix(obs, _random_points(rng, 50))
-        _, var = exp_krige(distance_matrix(obs), d_cross, vals, 200.0)
+        _, var = ExpKriging(distance_matrix(obs), d_cross)(vals, 200.0)
         assert (var >= 0).all()
 
 

@@ -463,8 +463,11 @@ class TestCliInProcess:
             (lambda d: d.update(n_folds=1), "n_folds"),
             (lambda d: d.update(seed=-1), "seed"),
             (lambda d: d.update(surface_days="abc"), "surface_days"),
+            (lambda d: d.update(out_dir=5), "out_dir must be a path string"),
+            (lambda d: d.update(overwrite="yes"), "overwrite must be true or false"),
         ],
-        ids=["unknown-key", "missing-obs", "grid-without-origin_y", "variant", "n_folds", "seed", "surface_days"],
+        ids=["unknown-key", "missing-obs", "grid-without-origin_y", "variant", "n_folds", "seed", "surface_days",
+             "out_dir-number", "overwrite-string"],
     )
     def test_malformed_config_is_a_typed_error(self, edit, named, scene, tmp_path, capsys):
         truth, paths, _ = scene
@@ -500,6 +503,23 @@ class TestCliInProcess:
         assert code == 0
         line = next(l for l in capsys.readouterr().out.splitlines() if "acceptance" in l)
         assert "'rho':" in line
+
+    @pytest.mark.parametrize("command", ["fit-downscaler", "cv"])
+    @pytest.mark.parametrize("key", ["n_days", "ctm_grid"])
+    def test_scene_without_a_key_is_a_typed_error(self, command, key, scene, tmp_path, capsys):
+        _, paths, _ = scene
+        d = pio.load_json(paths["scene"])
+        del d[key]
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(d))
+        source = ("--source", CTM) if command == "fit-downscaler" else ()
+        code, err = run_main(
+            capsys, command, "--monitors", paths["monitors"], "--obs", paths["obs"],
+            "--grid-ctm", paths["grid_ctm"], "--scene", scene_path, "--out", tmp_path / "p.csv", *source,
+        )
+        assert code == 2
+        assert err == [f"error: {scene_path}: missing key '{key}'"]
+        assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("source", [CTM, SAT])
     def test_fit_downscaler_writes_one_source(self, source, scene, tmp_path, capsys):
