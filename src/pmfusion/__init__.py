@@ -45,6 +45,7 @@ from .ensemble import (
 from .errors import (
     DomainError,
     EmptyInputError,
+    InputFileError,
     InsufficientDataError,
     NoInputsError,
     NotPositiveDefiniteError,
@@ -140,6 +141,7 @@ __all__ = [
     "TooFewRecordsError",
     "NoInputsError",
     "EmptyInputError",
+    "InputFileError",
     "ParseError",
     "SchemaError",
     "StageError",

@@ -70,3 +70,7 @@ class Chain:
         """Acceptance rate of each step since burn-in, averaged over its elements."""
         post = self.mcmc.n_iter - self.mcmc.burn_in
         return {name: float(np.mean(a) / post) for name, a in self._accepted.items()}
+
+    def acceptance_of(self, name: str) -> np.ndarray:
+        """Acceptance rate of each element of step `name` since burn-in."""
+        return self._accepted[name] / (self.mcmc.n_iter - self.mcmc.burn_in)

@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: synth, fit-downscaler, fit-ensemble, krige-weights, predict,
-cv, evaluate, run-all. Exit code 0 on success; failures print a diagnostic
-(stage-tagged for pipeline runs) and exit nonzero. Set PMFUSION_THREADS to
-cap BLAS thread counts for reproducible single-threaded runs.
+cv, evaluate, run-all. Exit code 0 on success. A failure prints one
+`error:` line (stage-tagged for pipeline runs) and exits 2 for bad input,
+an input file that cannot be read included, or 3 when an output cannot be
+written. Set PMFUSION_THREADS to cap BLAS thread counts for reproducible
+single-threaded runs.
 """
 
 from __future__ import annotations

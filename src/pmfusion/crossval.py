@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInputError, TooFewRecordsError
+from .errors import DomainError, EmptyInputError, TooFewRecordsError
 from .tables import ObservationTable
 
 KFOLD = "kfold"
@@ -30,12 +30,15 @@ class FoldPlan:
 def make_folds(data: ObservationTable, kind: str, k: int = 10, seed: int = 0) -> FoldPlan:
     """Build a fold plan over the records of `data`.
 
-    kind="kfold"  : records shuffled (by content order, seeded) into k folds
+    kind="kfold"  : records shuffled (by content order, seeded) into k folds;
+                    DomainError unless k is an integer of at least 2
     kind="spatial": leave-one-monitor-out; one fold per site, k ignored
     """
     n = data.n_records
     ids = np.array([data.sites[i].site_id for i in data.site_idx], dtype=object)
     if kind == KFOLD:
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 2:
+            raise DomainError(f"kfold needs an integer fold count of at least 2, got {k!r}")
         if n < k:
             raise TooFewRecordsError(f"{n} records cannot fill {k} folds")
         # canonical content order makes the plan invariant to record order

@@ -23,7 +23,7 @@ update for each eta, and adaptive random-walk Metropolis on log theta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,17 +37,18 @@ from .kernels import (
     car_logdet_table,
     car_neighbor_count,
     car_precision_tridiag,
-    chol_factor_solve,
+    chol_factor_solve_stack,
+    cholesky_stack,
     jittered_cholesky,
-    mvn_logpdf_zero_mean,
     sample_from_log_weights,
     sample_tridiag_mvn,
-    tri_solve,
+    tri_solve_stack,
 )
 from .tables import N_COVARIATES, ObservationTable
 
 # N(0, A_PRIOR_VAR) prior on each free element of the coregionalization matrix
 A_PRIOR_VAR = 1.0e3
+_A_PRIOR_PREC = np.eye(3) / A_PRIOR_VAR
 
 # sweeps between rebuilds of the running residual, to cap its round-off
 _REFRESH_EVERY = 128
@@ -92,118 +93,169 @@ class SourcePredictions:
     available: np.ndarray
 
 
-class _Blocks:
-    """Full-conditional updates for one source's model.
+@dataclass
+class _Training:
+    """The records one chain is fitted to: the rows of the data table usable
+    for the source, grouped by site; its sites, as indices into data.sites;
+    its generator's seed; and its standardized covariate block (satellite)."""
 
-    Holds the data layout and the current state; each draw_* method is one
-    Gibbs/MH block so the blocks can be exercised and checked in isolation.
+    rows: np.ndarray
+    sites: np.ndarray
+    seed: int
+    z_mean: np.ndarray
+    z_sd: np.ndarray
+    zmat: np.ndarray | None = None
+    ztz: np.ndarray | None = None
+    ztz_chol: np.ndarray | None = None
+
+
+def _training_set(data: ObservationTable, source: str, train: np.ndarray | None, seed: int) -> _Training:
+    """One chain's records: those train masks (None: all records, every site
+    of data kept), checked as fitting data.subset(train) would check them."""
+    if source not in (CTM, SAT):
+        raise ValueError(f"unknown source {source!r}")
+    if train is None:
+        train, sites = np.ones(data.n_records, dtype=bool), np.arange(data.n_sites)
+    elif not train.any():
+        raise InsufficientDataError("subset would be empty")
+    else:
+        sites = np.unique(data.site_idx[train])
+    mask = train & data.usable_mask(source)
+    seen = np.bincount(data.site_idx[mask], minlength=data.n_sites) > 0
+    bad = [data.sites[s].site_id for s in sites if not seen[s]]
+    if bad:
+        raise InsufficientDataError(f"sites with no usable {source} records: {', '.join(bad)}")
+    if data.n_days < 2:
+        raise InsufficientDataError("need a horizon of at least 2 days")
+    rows = np.flatnonzero(mask)[np.argsort(data.site_idx[mask], kind="stable")]
+    if source == CTM:
+        return _Training(rows, sites, seed, np.zeros(N_COVARIATES), np.ones(N_COVARIATES))
+    z_raw = data.z[rows]
+    z_mean, z_sd = z_raw.mean(axis=0), z_raw.std(axis=0)
+    flat = np.flatnonzero(z_sd <= 0)
+    if flat.size:
+        raise InsufficientDataError(
+            f"constant covariate column(s) {flat.tolist()}; "
+            "gamma is not identifiable under a flat prior"
+        )
+    zmat = (z_raw - z_mean) / z_sd
+    ztz = zmat.T @ zmat
+    return _Training(rows, sites, seed, z_mean, z_sd, zmat, ztz, jittered_cholesky(ztz)[0])
+
+
+class _Blocks:
+    """Full-conditional updates for F chains of one source's model, in lockstep.
+
+    Chain f fits the records of chains[f] (by default one chain on every
+    record of data, seeded with mcmc.seed), and all chains have the same
+    site count S. State variables carry a leading chain axis. The records
+    are stored once, chain after chain, each chain's grouped by site, with
+    day index f*T + day - 1 and site index f*S + site, so that one bincount
+    or reduceat serves every chain. BLAS products, LAPACK solves, random
+    draws and accept decisions run chain by chain, and every chain draws
+    from its own generator in the order a lone chain would: each chain's
+    draws equal its fit on its own table bit for bit.
+
+    Each draw_* method is one Gibbs/MH block so the blocks can be exercised
+    and checked in isolation.
     """
 
-    def __init__(self, data: ObservationTable, source: str, mcmc: MCMCConfig):
-        if source not in (CTM, SAT):
-            raise ValueError(f"unknown source {source!r}")
+    def __init__(self, data: ObservationTable, source: str, mcmc: MCMCConfig, chains=None):
+        if chains is None:
+            chains = [_training_set(data, source, None, mcmc.seed)]
         self.source = source
         self.mcmc = mcmc
-        mask = data.usable_mask(source)
-        bad = [
-            data.sites[s].site_id
-            for s in range(data.n_sites)
-            if not mask[data.site_idx == s].any()
-        ]
-        if bad:
-            raise InsufficientDataError(
-                f"sites with no usable {source} records: {', '.join(bad)}"
-            )
-        if data.n_days < 2:
-            raise InsufficientDataError("need a horizon of at least 2 days")
-
-        self.sites = data.sites
-        self.S = data.n_sites
-        self.T = data.n_days
-        # usable records grouped by site, so that per-site sums and per-site
-        # terms work on contiguous runs
-        rows = np.flatnonzero(mask)[np.argsort(data.site_idx[mask], kind="stable")]
-        self.site = data.site_idx[rows]
-        self.day0 = data.day[rows] - 1
+        self.F = F = len(chains)
+        self.S = S = chains[0].sites.size
+        self.T = T = data.n_days
+        if any(c.sites.size != S for c in chains):
+            raise ValueError("the chains of a batch need equal site counts")
+        self.sites = [[data.sites[s] for s in c.sites] for c in chains]
+        self.n = np.array([c.rows.size for c in chains])
+        ends = np.cumsum(self.n)
+        self.spans = [slice(e - n, e) for e, n in zip(ends.tolist(), self.n.tolist())]
+        rows = np.concatenate([c.rows for c in chains])
+        chain_of = np.repeat(np.arange(F), self.n)
+        local_site = np.concatenate([np.searchsorted(c.sites, data.site_idx[c.rows]) for c in chains])
+        self.site = chain_of * S + local_site
+        self.day0 = chain_of * T + data.day[rows] - 1
         self.y = data.y[rows]
         self.x = data.x_for(source)[rows]
-        self.n = self.y.shape[0]
+        self.p_cov = N_COVARIATES if source == SAT else 0
+        self.z_mean = [c.z_mean for c in chains]
+        self.z_sd = [c.z_sd for c in chains]
+        self.zmat = [c.zmat for c in chains]
+        self.ztz = [c.ztz for c in chains]
+        self.ztz_chol = np.array([c.ztz_chol for c in chains]) if self.p_cov else None
 
-        if source == SAT:
-            z_raw = data.z[rows]
-            self.z_mean = z_raw.mean(axis=0)
-            self.z_sd = z_raw.std(axis=0)
-            flat = np.flatnonzero(self.z_sd <= 0)
-            if flat.size:
-                raise InsufficientDataError(
-                    f"constant covariate column(s) {flat.tolist()}; "
-                    "gamma is not identifiable under a flat prior"
-                )
-            self.zmat = (z_raw - self.z_mean) / self.z_sd
-            self.ztz = self.zmat.T @ self.zmat
-            self.ztz_chol, _ = jittered_cholesky(self.ztz)
-            self.p_cov = N_COVARIATES
-        else:
-            self.z_mean = np.zeros(N_COVARIATES)
-            self.z_sd = np.ones(N_COVARIATES)
-            self.zmat = self.ztz = self.ztz_chol = None
-            self.p_cov = 0
-
-        self.counts_day = np.bincount(self.day0, minlength=self.T).astype(float)
-        self.sum_x2_day = np.bincount(self.day0, weights=self.x**2, minlength=self.T)
+        self.counts_day = np.bincount(self.day0, minlength=F * T).reshape(F, T).astype(float)
+        self.sum_x2_day = np.bincount(self.day0, weights=self.x**2, minlength=F * T).reshape(F, T)
         # records per site, where each site's run starts, and per-site sums of 1, x and x^2
-        self.site_runs = np.bincount(self.site, minlength=self.S)
+        self.site_runs = np.bincount(self.site, minlength=F * S)
         self.site_start = np.cumsum(self.site_runs) - self.site_runs
-        self.site_gram = [np.add.reduceat(w, self.site_start) for w in (np.ones(self.n), self.x, self.x**2)]
-        self.n_t = car_neighbor_count(self.T)
-        self.logdet_table = car_logdet_table(self.T)
-        self.d_sites = distance_matrix(self.sites)
-        diam = float(self.d_sites.max())
-        self.theta_floor = max(diam * 1e-4, 1e-6)
+        self.site_gram = [
+            np.add.reduceat(w, self.site_start).reshape(F, S) for w in (np.ones(self.y.size), self.x, self.x**2)
+        ]
+        n, sx, sxx = self.site_gram
+        # per-site Gram terms of the coregionalization regressors (v1, v1 x, v2 x)
+        self.gram3 = np.moveaxis(np.array([[n, sx, sx], [sx, sxx, sxx], [sx, sxx, sxx]]), 2, 0)
+        self.n_t = car_neighbor_count(T)
+        self.logdet_table = car_logdet_table(T)
+        self.d_sites = np.array([distance_matrix(s) for s in self.sites])
+        diam = self.d_sites.max(axis=(1, 2))
+        self.theta_floor = np.maximum(diam * 1e-4, 1e-6)
+        self.rngs = [np.random.default_rng(c.seed) for c in chains]
 
-        rng = np.random.default_rng(mcmc.seed)
-        self.rng = rng
-
-        # starting values from a pooled least-squares line through (x, y)
-        xbar, ybar = self.x.mean(), self.y.mean()
-        vx = float(np.var(self.x))
-        b0 = float(np.cov(self.x, self.y)[0, 1] / vx) if vx > 0 and self.n > 1 else 0.0
-        day_sum = np.bincount(self.day0, weights=self.y - b0 * self.x, minlength=self.T)
-        day_mean = np.where(
-            self.counts_day > 0, day_sum / np.maximum(self.counts_day, 1.0), ybar - b0 * xbar
-        )
-        self.alpha0 = day_mean.copy()
-        self.beta0 = np.full(self.T, b0)
-        self.gamma = np.zeros(self.p_cov)
-        self.v1 = np.zeros(self.S)
-        self.v2 = np.zeros(self.S)
-        self.a = np.array([1.0, 0.0, 1.0])
-        resid = self.y - self.alpha0[self.day0] - b0 * self.x
-        self.sigma2_y = max(float(np.var(resid)), 1e-3)
-        self.sigma2_a = max(float(np.var(self.alpha0)), 0.1)
-        self.sigma2_b = 0.1
-        self.eta_a = 0.5
-        self.eta_b = 0.5
-        self.theta1 = max(diam / 4.0, self.theta_floor)
-        self.theta2 = max(diam / 4.0, self.theta_floor)
-        self._set_range_cache(1, self._range_chol(self.theta1))
-        self._set_range_cache(2, self._range_chol(self.theta2))
-        self.chain = Chain(mcmc, theta1=0.5, theta2=0.5)
+        # starting values from each chain's pooled least-squares line through (x, y)
+        self.alpha0 = np.empty((F, T))
+        self.beta0 = np.empty((F, T))
+        self.sigma2_y = np.empty(F)
+        self.sigma2_a = np.empty(F)
+        for f, sl in enumerate(self.spans):
+            x, y, day0, counts = self.x[sl], self.y[sl], self.day0[sl] - f * T, self.counts_day[f]
+            xbar, ybar = x.mean(), y.mean()
+            vx = float(np.var(x))
+            b0 = float(np.cov(x, y)[0, 1] / vx) if vx > 0 and x.size > 1 else 0.0
+            day_sum = np.bincount(day0, weights=y - b0 * x, minlength=T)
+            self.alpha0[f] = np.where(counts > 0, day_sum / np.maximum(counts, 1.0), ybar - b0 * xbar)
+            self.beta0[f] = b0
+            resid = y - self.alpha0[f][day0] - b0 * x
+            self.sigma2_y[f] = max(float(np.var(resid)), 1e-3)
+            self.sigma2_a[f] = max(float(np.var(self.alpha0[f])), 0.1)
+        self.gamma = np.zeros((F, self.p_cov))
+        self.v1 = np.zeros((F, S))
+        self.v2 = np.zeros((F, S))
+        self.a = np.tile([1.0, 0.0, 1.0], (F, 1))
+        self.sigma2_b = np.full(F, 0.1)
+        self.eta_a = np.full(F, 0.5)
+        self.eta_b = np.full(F, 0.5)
+        self.theta1 = np.maximum(diam / 4.0, self.theta_floor)
+        self.theta2 = self.theta1.copy()
+        self.chol_r1, self.rinv1, self.chol_r2, self.rinv2 = (np.empty((F, S, S)) for _ in range(4))
+        self.logdet_r1, self.logdet_r2 = np.empty(F), np.empty(F)
+        everyone = np.arange(F)
+        self._set_range_cache(1, everyone, *self._range_chol(self.theta1, everyone))
+        self._set_range_cache(2, everyone, *self._range_chol(self.theta2, everyone))
+        self.chain = Chain(mcmc, theta1=np.full(F, 0.5), theta2=np.full(F, 0.5))
         self.n_sweeps = 0
         self.rebuild_residual()
 
     # -- residual helpers ------------------------------------------------
 
+    def _normals(self, k: int) -> np.ndarray:
+        """k standard normals from each chain's generator, one row per chain."""
+        return np.array([rng.standard_normal(k) for rng in self.rngs])
+
     def _site_effects(self) -> tuple[np.ndarray, np.ndarray]:
-        alpha1 = self.a[0] * self.v1
-        beta1 = self.a[1] * self.v1 + self.a[2] * self.v2
+        alpha1 = self.a[:, 0:1] * self.v1
+        beta1 = self.a[:, 1:2] * self.v1 + self.a[:, 2:3] * self.v2
         return alpha1, beta1
 
     @property
     def resid(self) -> np.ndarray:
         """y - alpha0 - beta0 x - alpha1 - beta1 x - z gamma, kept by increments."""
         if self._site_shift is not None:
-            d_alpha1, d_beta1 = (np.repeat(d, self.site_runs) for d in self._site_shift)
+            d_alpha1, d_beta1 = (np.repeat(d.ravel(), self.site_runs) for d in self._site_shift)
             self._resid -= d_alpha1 + d_beta1 * self.x
             self._site_shift = None
         return self._resid
@@ -214,18 +266,20 @@ class _Blocks:
 
     def rebuild_residual(self) -> None:
         """Recompute resid from the state; call after setting state directly."""
-        alpha1, beta1 = self._site_effects()
+        alpha1, beta1 = (t.ravel() for t in self._site_effects())
         d0, s = self.day0, self.site
-        self.resid = self.y - self.alpha0[d0] - alpha1[s] - (self.beta0[d0] + beta1[s]) * self.x
-        if self.p_cov:
-            self.resid -= self.zmat @ self.gamma
+        alpha0, beta0 = self.alpha0.ravel(), self.beta0.ravel()
+        self.resid = self.y - alpha0[d0] - alpha1[s] - (beta0[d0] + beta1[s]) * self.x
+        for f, sl in enumerate(self.spans if self.p_cov else ()):
+            self._resid[sl] -= self.zmat[f] @ self.gamma[f]
         self._by_site = None
 
     def _site_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-site sums of resid and x * resid, kept while only site terms change."""
         if self._by_site is None:
-            sr = np.add.reduceat(self.resid, self.site_start)
-            self._by_site = sr, np.add.reduceat(self.x * self.resid, self.site_start)
+            sr = np.add.reduceat(self.resid, self.site_start).reshape(self.F, self.S)
+            sxr = np.add.reduceat(self.x * self.resid, self.site_start).reshape(self.F, self.S)
+            self._by_site = sr, sxr
         return self._by_site
 
     def _shift_site_terms(self, d_alpha1: np.ndarray, d_beta1: np.ndarray) -> None:
@@ -239,75 +293,84 @@ class _Blocks:
             d_alpha1, d_beta1 = d_alpha1 + self._site_shift[0], d_beta1 + self._site_shift[1]
         self._site_shift = d_alpha1, d_beta1
 
-    def _range_chol(self, theta: float) -> np.ndarray:
-        """Cholesky factor of the unit-variance site correlation at range theta."""
-        chol, _ = jittered_cholesky(np.exp(-self.d_sites / theta))
-        return chol
+    def _range_chol(self, theta: np.ndarray, chains) -> tuple[np.ndarray, np.ndarray]:
+        """Cholesky factors of the unit-variance site correlations of the given
+        chains (indices or a slice) at ranges theta, and their log-determinants."""
+        chol = cholesky_stack(np.exp(-self.d_sites[chains] / theta[:, None, None]))
+        return chol, 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
 
-    def _set_range_cache(self, which: int, chol: np.ndarray) -> None:
-        rinv = chol_factor_solve(chol, np.eye(self.S))
+    def _set_range_cache(self, which: int, chains: np.ndarray, chol: np.ndarray, logdet: np.ndarray) -> None:
+        rinv = chol_factor_solve_stack(chol, np.broadcast_to(np.eye(self.S), chol.shape))
         if which == 1:
-            self.chol_r1, self.rinv1 = chol, rinv
+            self.chol_r1[chains], self.rinv1[chains], self.logdet_r1[chains] = chol, rinv, logdet
         else:
-            self.chol_r2, self.rinv2 = chol, rinv
+            self.chol_r2[chains], self.rinv2[chains], self.logdet_r2[chains] = chol, rinv, logdet
 
     # -- Gibbs blocks ----------------------------------------------------
 
     def draw_gamma(self) -> None:
         if not self.p_cov:
             return
+        resid = self.resid
         # Z' r for r = resid + Z gamma, the residual without the covariate term
-        mean = chol_factor_solve(self.ztz_chol, self.zmat.T @ self.resid + self.ztz @ self.gamma)
-        z = self.rng.standard_normal(self.p_cov)
-        gamma = mean + np.sqrt(self.sigma2_y) * tri_solve(self.ztz_chol, z, trans=1)
-        self.resid -= self.zmat @ (gamma - self.gamma)
+        rhs = np.array([
+            self.zmat[f].T @ resid[sl] + self.ztz[f] @ self.gamma[f] for f, sl in enumerate(self.spans)
+        ])
+        mean = chol_factor_solve_stack(self.ztz_chol, rhs)
+        z = self._normals(self.p_cov)
+        gamma = mean + np.sqrt(self.sigma2_y)[:, None] * tri_solve_stack(self.ztz_chol, z, trans=1)
+        for f, sl in enumerate(self.spans):
+            resid[sl] -= self.zmat[f] @ (gamma[f] - self.gamma[f])
         self.gamma = gamma
         self._by_site = None
 
     def _daily_series_draw(
         self, weights_diag: np.ndarray, wr_day: np.ndarray,
-        eta: float, sigma2_car: float,
+        eta: np.ndarray, sigma2_car: np.ndarray,
     ) -> np.ndarray:
-        prior_diag, prior_off = car_precision_tridiag(self.n_t, eta, sigma2_car)
-        post_diag = prior_diag + weights_diag / self.sigma2_y
-        b = wr_day / self.sigma2_y
-        return sample_tridiag_mvn(post_diag, prior_off, b, self.rng)
+        prior_diag, prior_off = car_precision_tridiag(self.n_t, eta[:, None], sigma2_car[:, None])
+        s2y = self.sigma2_y[:, None]
+        return sample_tridiag_mvn(prior_diag + weights_diag / s2y, prior_off, wr_day / s2y, self.rngs)
+
+    def _by_day(self, weights: np.ndarray) -> np.ndarray:
+        return np.bincount(self.day0, weights=weights, minlength=self.F * self.T).reshape(self.F, self.T)
 
     def draw_alpha0(self) -> None:
-        wr = np.bincount(self.day0, weights=self.resid, minlength=self.T)
+        wr = self._by_day(self.resid)
         wr += self.counts_day * self.alpha0
         alpha0 = self._daily_series_draw(self.counts_day, wr, self.eta_a, self.sigma2_a)
-        self.resid -= (alpha0 - self.alpha0)[self.day0]
+        self.resid -= (alpha0 - self.alpha0).ravel()[self.day0]
         self.alpha0 = alpha0
         self._by_site = None
 
     def draw_beta0(self) -> None:
-        wr = np.bincount(self.day0, weights=self.x * self.resid, minlength=self.T)
+        wr = self._by_day(self.x * self.resid)
         wr += self.sum_x2_day * self.beta0
         beta0 = self._daily_series_draw(self.sum_x2_day, wr, self.eta_b, self.sigma2_b)
-        self.resid -= (beta0 - self.beta0)[self.day0] * self.x
+        self.resid -= (beta0 - self.beta0).ravel()[self.day0] * self.x
         self.beta0 = beta0
         self._by_site = None
 
-    def _draw_site_field(self, v: np.ndarray, k0: float, k1: float, rinv: np.ndarray) -> np.ndarray:
-        """Draw the site field v, which enters a record at site s as v[s] (k0 + k1 x)."""
+    def _draw_site_field(self, v: np.ndarray, k0, k1, rinv: np.ndarray) -> np.ndarray:
+        """Draw the site field v, which enters a record at site s as v[s] (k0 + k1 x);
+        k0 and k1 are per-chain columns or floats."""
         sr, sxr = self._site_sums()
         n, sx, sxx = self.site_gram
         g = k0 * k0 * n + 2.0 * k0 * k1 * sx + k1 * k1 * sxx
+        s2y = self.sigma2_y[:, None]
         prec = rinv.copy()
-        prec.flat[:: self.S + 1] += g / self.sigma2_y
-        chol, _ = jittered_cholesky(prec)
-        mean = chol_factor_solve(chol, (k0 * sr + k1 * sxr + g * v) / self.sigma2_y)
-        z = self.rng.standard_normal(self.S)
-        new = mean + tri_solve(chol, z, trans=1)
+        prec.reshape(self.F, -1)[:, :: self.S + 1] += g / s2y
+        chol = cholesky_stack(prec)
+        mean = chol_factor_solve_stack(chol, (k0 * sr + k1 * sxr + g * v) / s2y)
+        new = mean + tri_solve_stack(chol, self._normals(self.S), trans=1)
         self._shift_site_terms(k0 * (new - v), k1 * (new - v))
         return new
 
     def draw_v1(self) -> None:
-        self.v1 = self._draw_site_field(self.v1, self.a[0], self.a[1], self.rinv1)
+        self.v1 = self._draw_site_field(self.v1, self.a[:, 0:1], self.a[:, 1:2], self.rinv1)
 
     def draw_v2(self) -> None:
-        self.v2 = self._draw_site_field(self.v2, 0.0, self.a[2], self.rinv2)
+        self.v2 = self._draw_site_field(self.v2, 0.0, self.a[:, 2:3], self.rinv2)
 
     def draw_a(self) -> None:
         sr, sxr = self._site_sums()
@@ -317,48 +380,46 @@ class _Blocks:
         # e = resid + alpha1 + beta1 x the residual without the site terms,
         # are sums over sites
         e, xe = sr + alpha1 * n + beta1 * sx, sxr + alpha1 * sx + beta1 * sxx
-        u = np.array([self.v1, self.v1, self.v2])
-        ftf = (u[:, None] * np.array([[n, sx, sx], [sx, sxx, sxx], [sx, sxx, sxx]]) * u).sum(axis=2)
-        prec = ftf / self.sigma2_y + np.eye(3) / A_PRIOR_VAR
-        rhs = (u * np.array([e, xe, xe])).sum(axis=1) / self.sigma2_y
-        chol, _ = jittered_cholesky(prec)
-        mean = chol_factor_solve(chol, rhs)
-        z = self.rng.standard_normal(3)
-        a = mean + tri_solve(chol, z, trans=1)
+        u = np.stack([self.v1, self.v1, self.v2], axis=1)
+        s2y = self.sigma2_y[:, None]
+        ftf = (u[:, :, None] * self.gram3 * u[:, None]).sum(axis=-1)
+        prec = ftf / s2y[:, None] + _A_PRIOR_PREC
+        rhs = (u * np.stack([e, xe, xe], axis=1)).sum(axis=-1) / s2y
+        chol = cholesky_stack(prec)
+        mean = chol_factor_solve_stack(chol, rhs)
+        a = mean + tri_solve_stack(chol, self._normals(3), trans=1)
         # reflect into the identified half-space A11 >= 0, A22 >= 0; the joint
         # sign flips leave alpha1, beta1 and both GP priors invariant
-        if a[0] < 0:
-            a[0], a[1] = -a[0], -a[1]
-            self.v1 = -self.v1
-        if a[2] < 0:
-            a[2] = -a[2]
-            self.v2 = -self.v2
-        self.a = a
+        sign = np.where(a[:, [0, 0, 2]] < 0, -1.0, 1.0)
+        self.a = a * sign
+        self.v1 = self.v1 * sign[:, 0:1]
+        self.v2 = self.v2 * sign[:, 2:3]
         new_alpha1, new_beta1 = self._site_effects()
         self._shift_site_terms(new_alpha1 - alpha1, new_beta1 - beta1)
 
-    def _inv_gamma(self, shape: float, rate: float) -> float:
-        return float(rate / self.rng.gamma(shape, 1.0))
+    def _inv_gamma(self, shape: list[float], rate: np.ndarray) -> np.ndarray:
+        return rate / np.array([rng.gamma(k, 1.0) for rng, k in zip(self.rngs, shape)])
 
     def draw_sigma2_y(self) -> None:
-        ssr = float(self.resid @ self.resid)
-        self.sigma2_y = self._inv_gamma(self.mcmc.ig_a + 0.5 * self.n, self.mcmc.ig_b + 0.5 * ssr)
+        resid = self.resid
+        ssr = np.array([float(resid[sl] @ resid[sl]) for sl in self.spans])
+        shape = [self.mcmc.ig_a + 0.5 * n for n in self.n.tolist()]
+        self.sigma2_y = self._inv_gamma(shape, self.mcmc.ig_b + 0.5 * ssr)
 
     @staticmethod
-    def _car_quads(series: np.ndarray, n_t: np.ndarray) -> tuple[float, float]:
-        qd = float(np.dot(n_t * series, series))
-        qw = 2.0 * float(np.dot(series[:-1], series[1:]))
-        return qd, qw
+    def _car_neighbor_quad(series: np.ndarray) -> np.ndarray:
+        """2 sum_t a_t a_{t+1} of each chain's series."""
+        return np.array([2.0 * float(np.dot(s[:-1], s[1:])) for s in series])
 
-    def draw_car_variance(self, series: np.ndarray, eta: float) -> float:
-        qd, qw = self._car_quads(series, self.n_t)
-        quad = qd - eta * qw
-        return self._inv_gamma(self.mcmc.ig_a + 0.5 * self.T, self.mcmc.ig_b + 0.5 * quad)
+    def draw_car_variance(self, series: np.ndarray, eta) -> np.ndarray:
+        qd = np.array([float(np.dot(w, s)) for w, s in zip(self.n_t * series, series)])
+        quad = qd - eta * self._car_neighbor_quad(series)
+        return self._inv_gamma([self.mcmc.ig_a + 0.5 * self.T] * self.F, self.mcmc.ig_b + 0.5 * quad)
 
-    def draw_eta(self, series: np.ndarray, sigma2_car: float) -> float:
-        _, qw = self._car_quads(series, self.n_t)
-        logw = 0.5 * self.logdet_table + ETA_GRID * (qw / (2.0 * sigma2_car))
-        return float(ETA_GRID[sample_from_log_weights(logw, self.rng)])
+    def draw_eta(self, series: np.ndarray, sigma2_car) -> np.ndarray:
+        qw = self._car_neighbor_quad(series)
+        logw = 0.5 * self.logdet_table + ETA_GRID * (qw / (2.0 * sigma2_car))[:, None]
+        return ETA_GRID[sample_from_log_weights(logw, self.rngs)]
 
     def draw_sigma2_alpha0(self) -> None:
         self.sigma2_a = self.draw_car_variance(self.alpha0, self.eta_a)
@@ -372,28 +433,41 @@ class _Blocks:
     def draw_eta_beta0(self) -> None:
         self.eta_b = self.draw_eta(self.beta0, self.sigma2_b)
 
-    def _log_range_prior(self, theta: float) -> float:
-        return (self.mcmc.rho_prior_shape - 1.0) * np.log(theta) - self.mcmc.rho_prior_rate * theta
+    def _log_range_target(self, v, chol, logdet, theta) -> np.ndarray:
+        """log N(v; 0, R(theta)) + log prior(theta) + log theta, per chain,
+        with R(theta) = chol chol' and logdet = log |R(theta)|."""
+        w = tri_solve_stack(chol, v)
+        ww = np.array([float(r @ r) for r in w])
+        mvn = -0.5 * (self.S * np.log(2.0 * np.pi) + logdet + ww)
+        log_theta = np.log(theta)
+        prior = (self.mcmc.rho_prior_shape - 1.0) * log_theta - self.mcmc.rho_prior_rate * theta
+        return mvn + prior + log_theta
 
-    def draw_theta(self, which: int) -> bool:
-        """Random-walk MH on log theta_which; returns whether the move was accepted."""
+    def draw_theta(self, which: int) -> np.ndarray:
+        """Random-walk MH on log theta_which; returns which chains accepted the move.
+
+        A proposal below the chain's floor is rejected without a uniform draw."""
         theta = self.theta1 if which == 1 else self.theta2
         v = self.v1 if which == 1 else self.v2
-        chol = self.chol_r1 if which == 1 else self.chol_r2
+        chol, logdet = (self.chol_r1, self.logdet_r1) if which == 1 else (self.chol_r2, self.logdet_r2)
         name = f"theta{which}"
-        prop = float(theta * np.exp(self.chain.step(name) * self.rng.standard_normal()))
-        accepted = False
-        if prop >= self.theta_floor:
-            chol_prop = self._range_chol(prop)
-            cur = mvn_logpdf_zero_mean(v, chol) + self._log_range_prior(theta) + np.log(theta)
-            new = mvn_logpdf_zero_mean(v, chol_prop) + self._log_range_prior(prop) + np.log(prop)
-            if np.log(self.rng.random()) < new - cur:
-                accepted = True
-                self._set_range_cache(which, chol_prop)
-                if which == 1:
-                    self.theta1 = prop
-                else:
-                    self.theta2 = prop
+        z = np.array([rng.standard_normal() for rng in self.rngs])
+        prop = theta * np.exp(self.chain.step(name) * z)
+        accepted = np.zeros(self.F, dtype=bool)
+        live = np.flatnonzero(prop >= self.theta_floor)
+        if live.size:
+            # every chain is live in most calls: then take views, not copies
+            sel = live if live.size < self.F else slice(None)
+            chol_prop, logdet_prop = self._range_chol(prop[sel], sel)
+            cur = self._log_range_target(v[sel], chol[sel], logdet[sel], theta[sel])
+            new = self._log_range_target(v[sel], chol_prop, logdet_prop, prop[sel])
+            u = np.array([self.rngs[f].random() for f in live.tolist()])
+            ok = np.log(u) < new - cur
+            if ok.any():
+                moved = live[ok]
+                accepted[moved] = True
+                self._set_range_cache(which, moved, chol_prop[ok], logdet_prop[ok])
+                theta[moved] = prop[moved]
         self.chain.tried(name, accepted)
         return accepted
 
@@ -416,6 +490,47 @@ class _Blocks:
             self.rebuild_residual()
 
 
+# sampler state recorded at each kept iteration, by DownscalerFit field
+_RECORDED = {
+    "gamma": "gamma", "alpha0": "alpha0", "beta0": "beta0", "a_coreg": "a", "v1": "v1", "v2": "v2",
+    "sigma2_y": "sigma2_y", "sigma2_alpha0": "sigma2_a", "sigma2_beta0": "sigma2_b",
+    "eta_alpha0": "eta_a", "eta_beta0": "eta_b", "theta1": "theta1", "theta2": "theta2",
+}
+
+
+def _run_chains(blocks: _Blocks) -> list[DownscalerFit]:
+    """Run a batch of chains; the thinned post-burn-in sample set of each."""
+    n_kept = blocks.mcmc.n_kept
+    draws = {
+        field: np.zeros((blocks.F, n_kept) + getattr(blocks, name).shape[1:])
+        for field, name in _RECORDED.items()
+    }
+    chain = blocks.chain
+    for _, j in chain:
+        blocks.sweep()
+        if j is not None:
+            for field, name in _RECORDED.items():
+                draws[field][:, j] = getattr(blocks, name)
+    acc1, acc2 = chain.acceptance_of("theta1"), chain.acceptance_of("theta2")
+    step1, step2 = chain.step("theta1"), chain.step("theta2")
+    return [
+        DownscalerFit(
+            source=blocks.source,
+            sites=blocks.sites[f],
+            n_days=blocks.T,
+            **{field: d[f] for field, d in draws.items()},
+            z_mean=blocks.z_mean[f],
+            z_sd=blocks.z_sd[f],
+            acceptance={
+                "theta1": float(acc1[f]),
+                "theta2": float(acc2[f]),
+                "step_theta": (float(step1[f]), float(step2[f])),
+            },
+        )
+        for f in range(blocks.F)
+    ]
+
+
 def fit_downscaler(data: ObservationTable, source: str, mcmc: MCMCConfig) -> DownscalerFit:
     """Run the MCMC and return the thinned post-burn-in sample set.
 
@@ -429,51 +544,7 @@ def fit_downscaler(data: ObservationTable, source: str, mcmc: MCMCConfig) -> Dow
     Raises InsufficientDataError when any site has no usable record for the
     source, the horizon is shorter than 2 days, or a covariate is constant.
     """
-    blocks = _Blocks(data, source, mcmc)
-    n_kept = mcmc.n_kept
-    out = DownscalerFit(
-        source=source,
-        sites=blocks.sites,
-        n_days=blocks.T,
-        gamma=np.zeros((n_kept, blocks.p_cov)),
-        alpha0=np.zeros((n_kept, blocks.T)),
-        beta0=np.zeros((n_kept, blocks.T)),
-        a_coreg=np.zeros((n_kept, 3)),
-        v1=np.zeros((n_kept, blocks.S)),
-        v2=np.zeros((n_kept, blocks.S)),
-        sigma2_y=np.zeros(n_kept),
-        sigma2_alpha0=np.zeros(n_kept),
-        sigma2_beta0=np.zeros(n_kept),
-        eta_alpha0=np.zeros(n_kept),
-        eta_beta0=np.zeros(n_kept),
-        theta1=np.zeros(n_kept),
-        theta2=np.zeros(n_kept),
-        z_mean=blocks.z_mean,
-        z_sd=blocks.z_sd,
-        acceptance={},
-    )
-    chain = blocks.chain
-    for _, j in chain:
-        blocks.sweep()
-        if j is not None:
-            out.gamma[j] = blocks.gamma
-            out.alpha0[j] = blocks.alpha0
-            out.beta0[j] = blocks.beta0
-            out.a_coreg[j] = blocks.a
-            out.v1[j] = blocks.v1
-            out.v2[j] = blocks.v2
-            out.sigma2_y[j] = blocks.sigma2_y
-            out.sigma2_alpha0[j] = blocks.sigma2_a
-            out.sigma2_beta0[j] = blocks.sigma2_b
-            out.eta_alpha0[j] = blocks.eta_a
-            out.eta_beta0[j] = blocks.eta_b
-            out.theta1[j] = blocks.theta1
-            out.theta2[j] = blocks.theta2
-    out.acceptance = {
-        **chain.acceptance(),
-        "step_theta": (chain.step("theta1"), chain.step("theta2")),
-    }
-    return out
+    return _run_chains(_Blocks(data, source, mcmc))[0]
 
 
 def predict_at(
@@ -604,7 +675,9 @@ def cv_predict(
     fold_of_record assigns each record of `data` to a fold; for each fold
     the model is refit on the complement and the fold's records predicted.
     Fold fits use independent child seeds of mcmc.seed, so the result is
-    deterministic and independent of fold ordering.
+    deterministic and independent of fold ordering. The folds whose training
+    sets have the same site count (in practice all of them) run as one
+    lockstep batch of chains, each equal to the fold's own fit.
     """
     fold_of_record = np.asarray(fold_of_record, dtype=np.int64)
     if fold_of_record.shape[0] != data.n_records:
@@ -616,30 +689,29 @@ def cv_predict(
     ids = np.array([data.sites[i].site_id for i in data.site_idx], dtype=object)
 
     folds = np.unique(fold_of_record)
-    seed_seq = np.random.SeedSequence(mcmc.seed)
-    children = seed_seq.spawn(2 * folds.size)
-    for k, fold in enumerate(folds):
-        held = fold_of_record == fold
-        train = data.subset(~held)
-        fit_seed = int(children[2 * k].generate_state(1)[0])
-        pred_seed = int(children[2 * k + 1].generate_state(1)[0])
-        fit = fit_downscaler(train, source, replace(mcmc, seed=fit_seed))
-        held_idx = np.flatnonzero(held & avail)
-        if held_idx.size == 0:
-            continue
-        held_sites = np.unique(data.site_idx[held_idx])
-        remap = {int(s): i for i, s in enumerate(held_sites)}
-        loc_list = [data.sites[int(s)] for s in held_sites]
-        loc_idx = np.array([remap[int(s)] for s in data.site_idx[held_idx]])
-        pred = predict_at(
-            fit,
-            loc_list,
-            loc_idx,
-            data.day[held_idx],
-            data.x_for(source)[held_idx],
-            data.z[held_idx] if source == SAT else None,
-            seed=pred_seed,
-        )
-        mu[held_idx] = pred.mu
-        var[held_idx] = pred.var
+    seeds = [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(mcmc.seed).spawn(2 * folds.size)]
+    # every fold's training set is checked in fold order before any chain runs
+    chains = [_training_set(data, source, fold_of_record != fold, seeds[2 * k]) for k, fold in enumerate(folds)]
+    for n_sites in dict.fromkeys(c.sites.size for c in chains):
+        batch = [k for k, c in enumerate(chains) if c.sites.size == n_sites]
+        fits = _run_chains(_Blocks(data, source, mcmc, [chains[k] for k in batch]))
+        for k, fit in zip(batch, fits):
+            held_idx = np.flatnonzero((fold_of_record == folds[k]) & avail)
+            if held_idx.size == 0:
+                continue
+            held_sites = np.unique(data.site_idx[held_idx])
+            remap = {int(s): i for i, s in enumerate(held_sites)}
+            loc_list = [data.sites[int(s)] for s in held_sites]
+            loc_idx = np.array([remap[int(s)] for s in data.site_idx[held_idx]])
+            pred = predict_at(
+                fit,
+                loc_list,
+                loc_idx,
+                data.day[held_idx],
+                data.x_for(source)[held_idx],
+                data.z[held_idx] if source == SAT else None,
+                seed=seeds[2 * k + 1],
+            )
+            mu[held_idx] = pred.mu
+            var[held_idx] = pred.var
     return SourcePredictions(ids=ids, day=data.day.copy(), mu=mu, var=var, available=avail)

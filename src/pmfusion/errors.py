@@ -33,6 +33,10 @@ class EmptyInputError(PmFusionError, ValueError):
     """An evaluation was requested over an empty collection of pairs."""
 
 
+class InputFileError(PmFusionError, OSError):
+    """An input file could not be opened for reading; the message names it."""
+
+
 class ParseError(PmFusionError, ValueError):
     """A CSV cell could not be parsed; message carries file and line number."""
 

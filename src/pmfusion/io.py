@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, SchemaError
+from .errors import InputFileError, ParseError, SchemaError
 from .geo import GridSpec, Location
 from .tables import COVARIATE_NAMES, N_COVARIATES, SOURCE_COLUMNS, ObservationTable, PredictiveTable
 
@@ -73,10 +73,19 @@ def config_hash(obj) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+def _open_input(path, newline=None):
+    """An input file opened for reading; one that cannot be opened is an
+    InputFileError naming it."""
+    try:
+        return open(path, encoding="utf-8", newline=newline)
+    except OSError as e:
+        raise InputFileError(f"{path}: cannot read input file ({e.strerror})") from None
+
+
 def read_meta(path) -> dict:
     """Parse key=value pairs out of a file's comment lines."""
     out = {}
-    with open(path, encoding="utf-8") as f:
+    with _open_input(path) as f:
         for line in f:
             if line.startswith("#"):
                 for part in line[1:].split():
@@ -122,7 +131,7 @@ def read_csv(path, fmt: CsvFormat) -> tuple[list[int], list[np.ndarray]]:
     lines: list[int] = []
     cols: list[list] = [[] for _ in expected]
     header = None
-    with open(path, encoding="utf-8", newline="") as f:
+    with _open_input(path, newline="") as f:
         reader = csv.reader(f)
         for rec in reader:
             if not rec or rec[0].startswith("#"):
@@ -417,7 +426,7 @@ def save_json(path, obj: dict):
 
 
 def load_json(path) -> dict:
-    with open(path, encoding="utf-8") as f:
+    with _open_input(path) as f:
         try:
             return json.load(f)
         except json.JSONDecodeError as e:

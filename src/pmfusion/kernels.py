@@ -115,6 +115,10 @@ def tri_solve(l: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     l = np.asarray(l, dtype=float)
     b = np.asarray(b, dtype=float)
     _check_lower_system(l, b)
+    return _trtrs(l, b, trans)
+
+
+def _trtrs(l: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
     if l.flags.f_contiguous:
         x, info = _TRTRS(l, b, lower=1, trans=trans)
     else:
@@ -123,6 +127,13 @@ def tri_solve(l: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     return x
+
+
+def tri_solve_stack(l: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """tri_solve(l[f], b[f], trans) for every f of a (F, n, n) stack of
+    factors and (F, n) right-hand sides, equal to the lone calls bit for bit."""
+    _check_finite(l, b)
+    return np.array([_trtrs(lf, bf, trans) for lf, bf in zip(l, b)])
 
 
 def chol_factor_solve(l: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -138,16 +149,19 @@ def chol_factor_solve(l: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def mvn_logpdf_zero_mean(x: np.ndarray, chol_lower: np.ndarray) -> float:
-    """Log density of N(0, C) at x given the lower Cholesky factor of C."""
-    x = np.asarray(x, dtype=float)
-    w = tri_solve(chol_lower, x)
-    n = x.shape[0]
-    return -0.5 * (
-        n * np.log(2.0 * np.pi)
-        + 2.0 * float(np.sum(np.log(np.diag(chol_lower))))
-        + float(w @ w)
-    )
+def chol_factor_solve_stack(l: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """chol_factor_solve(l[f], b[f]) for every f of a stack, bit for bit."""
+    _check_finite(l, b)
+    return np.array([_POTRS(lf, bf, lower=1)[0] for lf, bf in zip(l, b)])
+
+
+def cholesky_stack(c: np.ndarray) -> np.ndarray:
+    """The factor jittered_cholesky gives each matrix of a (F, n, n) stack:
+    one stacked factorization, or matrix by matrix if any needs jitter."""
+    try:
+        return np.linalg.cholesky(c)
+    except np.linalg.LinAlgError:
+        return np.array([jittered_cholesky(m)[0] for m in c])
 
 
 class ExpKriging:
@@ -191,9 +205,10 @@ def car_precision_tridiag(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(diag, superdiag) of the joint CAR precision (D - eta W) / sigma2.
 
-    n_t is the neighbor count of each day (car_neighbor_count).
+    n_t is the neighbor count of each day (car_neighbor_count); eta and
+    sigma2 are floats, or (F, 1) columns for F series at once.
     """
-    return n_t / sigma2, np.full(n_t.shape[0] - 1, -eta / sigma2)
+    return n_t / sigma2, np.ones(n_t.shape[0] - 1) * (-eta / sigma2)
 
 
 def car_normalized_eigvals(horizon: int) -> np.ndarray:
@@ -221,7 +236,7 @@ def sample_tridiag_mvn(
     prec_diag: np.ndarray,
     prec_off: np.ndarray,
     b: np.ndarray,
-    rng: np.random.Generator,
+    rng,
 ) -> np.ndarray:
     """One draw from N(Q^{-1} b, Q^{-1}) for tridiagonal precision Q.
 
@@ -230,30 +245,46 @@ def sample_tridiag_mvn(
     U x = z, each with the arguments scipy.linalg's cholesky_banded,
     cho_solve_banded and solve_banded pass). Raises ValueError on
     non-finite input and NotPositiveDefiniteError when Q is not PD.
+
+    For F systems at once, prec_diag and b are (F, T), prec_off (F, T - 1)
+    or (F, 1), and rng holds F generators: row f is drawn from rng[f], as a
+    lone call with that row would draw it.
     """
-    t = prec_diag.shape[0]
-    ab = np.zeros((2, t))
-    ab[1] = prec_diag
-    ab[0, 1:] = prec_off
+    prec_diag = np.asarray(prec_diag, dtype=float)
     b = np.asarray(b, dtype=float)
-    if b.shape != (t,):
-        raise ValueError(f"b must have shape ({t},)")
+    if b.shape != prec_diag.shape:
+        raise ValueError(f"b must have shape {prec_diag.shape}")
+    single = prec_diag.ndim == 1
+    diag, off, b = (np.atleast_2d(a) for a in (prec_diag, prec_off, b))
+    f, t = diag.shape
+    ab = np.zeros((f, 2, t))
+    ab[:, 1] = diag
+    ab[:, 0, 1:] = off
     _check_finite(ab, b)
-    u, info = _PBTRF(ab, lower=0)
-    if info > 0:
-        raise NotPositiveDefiniteError(f"{info}-th leading minor not positive definite")
-    mean, _ = _PBTRS(u, b, lower=0)
-    z = rng.standard_normal(t)
-    _, _, x, _ = _GBSV(0, 1, u, z)
-    return mean + x
+    out = np.empty((f, t))
+    for k, gen in enumerate([rng] if single else rng):
+        u, info = _PBTRF(ab[k], lower=0)
+        if info > 0:
+            raise NotPositiveDefiniteError(f"{info}-th leading minor not positive definite")
+        mean, _ = _PBTRS(u, b[k], lower=0)
+        _, _, x, _ = _GBSV(0, 1, u, gen.standard_normal(t))
+        out[k] = mean + x
+    return out[0] if single else out
 
 
-def sample_from_log_weights(logw: np.ndarray, rng: np.random.Generator) -> int:
-    """Sample an index proportionally to exp(logw), stable under shifts."""
+def sample_from_log_weights(logw: np.ndarray, rng):
+    """Sample an index proportionally to exp(logw), stable under shifts.
+
+    For a (F, K) logw and F generators in rng, one index per row, row f
+    drawn from rng[f].
+    """
     logw = np.asarray(logw, dtype=float)
-    p = np.exp(logw - np.max(logw))
-    cdf = np.cumsum(p)
-    return int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+    rows = np.atleast_2d(logw)
+    cdf = np.cumsum(np.exp(rows - np.max(rows, axis=1, keepdims=True)), axis=1)
+    u = np.array([gen.random() for gen in ([rng] if logw.ndim == 1 else rng)])
+    # the count of cdf entries <= u * total, as searchsorted(side="right") gives it
+    idx = np.count_nonzero(cdf <= (u * cdf[:, -1])[:, None], axis=1)
+    return int(idx[0]) if logw.ndim == 1 else idx
 
 
 def logit(w) -> np.ndarray | float:

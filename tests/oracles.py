@@ -7,20 +7,39 @@ kernels' direct LAPACK solves stand in for. The CAR full conditional is the
 definition of the temporal prior, and the point-by-point grid cell is the
 definition that GridSpec.cells_of vectorizes. The numpy-scalar logit sweep
 and the masked inverse logit are the forms that update_q and inv_logit
-replaced, kept as their bit-for-bit references.
+replaced, kept as their bit-for-bit references. SingleChainBlocks and
+single_chain_fit are the one-chain downscaler sampler, fitted to one table
+at a time, that the lockstep batch of chains must equal fold by fold.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy import linalg
 from scipy.stats import norm
 
+from pmfusion import downscaler
+from pmfusion.chain import Chain
+from pmfusion.config import MCMCConfig
+from pmfusion.downscaler import A_PRIOR_VAR, DownscalerFit
 from pmfusion.ensemble import MixtureDistribution
-from pmfusion.errors import DomainError, OutOfDomainError
-from pmfusion.geo import GridSpec
+from pmfusion.errors import DomainError, InsufficientDataError, OutOfDomainError
+from pmfusion.geo import CTM, SAT, GridSpec, distance_matrix
+from pmfusion.kernels import (
+    ETA_GRID,
+    car_logdet_table,
+    car_neighbor_count,
+    car_precision_tridiag,
+    chol_factor_solve,
+    jittered_cholesky,
+    sample_from_log_weights,
+    sample_tridiag_mvn,
+    tri_solve,
+)
+from pmfusion.tables import N_COVARIATES, ObservationTable
 
 
 def default_weight_grid(n: int = 2000) -> np.ndarray:
@@ -170,3 +189,415 @@ def grid_cell_of(grid: GridSpec, x: float, y: float) -> tuple[int, int]:
     col = min(int((x - grid.origin_x) / grid.cell_km), grid.n_cols - 1)
     row = min(int((y - grid.origin_y) / grid.cell_km), grid.n_rows - 1)
     return row, col
+
+
+# -- the single-chain downscaler sampler -----------------------------------
+
+
+def mvn_logpdf_zero_mean(x: np.ndarray, chol_lower: np.ndarray) -> float:
+    """Log density of N(0, C) at x given the lower Cholesky factor of C."""
+    x = np.asarray(x, dtype=float)
+    w = tri_solve(chol_lower, x)
+    n = x.shape[0]
+    return -0.5 * (
+        n * np.log(2.0 * np.pi)
+        + 2.0 * float(np.sum(np.log(np.diag(chol_lower))))
+        + float(w @ w)
+    )
+
+
+class SingleChainBlocks:
+    """The downscaler's Gibbs/MH blocks for one chain on one table: the
+    sampler that pmfusion.downscaler._Blocks runs F of in lockstep."""
+
+    def __init__(self, data: ObservationTable, source: str, mcmc: MCMCConfig):
+        if source not in (CTM, SAT):
+            raise ValueError(f"unknown source {source!r}")
+        self.source = source
+        self.mcmc = mcmc
+        mask = data.usable_mask(source)
+        bad = [
+            data.sites[s].site_id
+            for s in range(data.n_sites)
+            if not mask[data.site_idx == s].any()
+        ]
+        if bad:
+            raise InsufficientDataError(
+                f"sites with no usable {source} records: {', '.join(bad)}"
+            )
+        if data.n_days < 2:
+            raise InsufficientDataError("need a horizon of at least 2 days")
+
+        self.sites = data.sites
+        self.S = data.n_sites
+        self.T = data.n_days
+        # usable records grouped by site, so that per-site sums and per-site
+        # terms work on contiguous runs
+        rows = np.flatnonzero(mask)[np.argsort(data.site_idx[mask], kind="stable")]
+        self.site = data.site_idx[rows]
+        self.day0 = data.day[rows] - 1
+        self.y = data.y[rows]
+        self.x = data.x_for(source)[rows]
+        self.n = self.y.shape[0]
+
+        if source == SAT:
+            z_raw = data.z[rows]
+            self.z_mean = z_raw.mean(axis=0)
+            self.z_sd = z_raw.std(axis=0)
+            flat = np.flatnonzero(self.z_sd <= 0)
+            if flat.size:
+                raise InsufficientDataError(
+                    f"constant covariate column(s) {flat.tolist()}; "
+                    "gamma is not identifiable under a flat prior"
+                )
+            self.zmat = (z_raw - self.z_mean) / self.z_sd
+            self.ztz = self.zmat.T @ self.zmat
+            self.ztz_chol, _ = jittered_cholesky(self.ztz)
+            self.p_cov = N_COVARIATES
+        else:
+            self.z_mean = np.zeros(N_COVARIATES)
+            self.z_sd = np.ones(N_COVARIATES)
+            self.zmat = self.ztz = self.ztz_chol = None
+            self.p_cov = 0
+
+        self.counts_day = np.bincount(self.day0, minlength=self.T).astype(float)
+        self.sum_x2_day = np.bincount(self.day0, weights=self.x**2, minlength=self.T)
+        # records per site, where each site's run starts, and per-site sums of 1, x and x^2
+        self.site_runs = np.bincount(self.site, minlength=self.S)
+        self.site_start = np.cumsum(self.site_runs) - self.site_runs
+        self.site_gram = [np.add.reduceat(w, self.site_start) for w in (np.ones(self.n), self.x, self.x**2)]
+        self.n_t = car_neighbor_count(self.T)
+        self.logdet_table = car_logdet_table(self.T)
+        self.d_sites = distance_matrix(self.sites)
+        diam = float(self.d_sites.max())
+        self.theta_floor = max(diam * 1e-4, 1e-6)
+
+        rng = np.random.default_rng(mcmc.seed)
+        self.rng = rng
+
+        # starting values from a pooled least-squares line through (x, y)
+        xbar, ybar = self.x.mean(), self.y.mean()
+        vx = float(np.var(self.x))
+        b0 = float(np.cov(self.x, self.y)[0, 1] / vx) if vx > 0 and self.n > 1 else 0.0
+        day_sum = np.bincount(self.day0, weights=self.y - b0 * self.x, minlength=self.T)
+        day_mean = np.where(
+            self.counts_day > 0, day_sum / np.maximum(self.counts_day, 1.0), ybar - b0 * xbar
+        )
+        self.alpha0 = day_mean.copy()
+        self.beta0 = np.full(self.T, b0)
+        self.gamma = np.zeros(self.p_cov)
+        self.v1 = np.zeros(self.S)
+        self.v2 = np.zeros(self.S)
+        self.a = np.array([1.0, 0.0, 1.0])
+        resid = self.y - self.alpha0[self.day0] - b0 * self.x
+        self.sigma2_y = max(float(np.var(resid)), 1e-3)
+        self.sigma2_a = max(float(np.var(self.alpha0)), 0.1)
+        self.sigma2_b = 0.1
+        self.eta_a = 0.5
+        self.eta_b = 0.5
+        self.theta1 = max(diam / 4.0, self.theta_floor)
+        self.theta2 = max(diam / 4.0, self.theta_floor)
+        self._set_range_cache(1, self._range_chol(self.theta1))
+        self._set_range_cache(2, self._range_chol(self.theta2))
+        self.chain = Chain(mcmc, theta1=0.5, theta2=0.5)
+        self.n_sweeps = 0
+        self.rebuild_residual()
+
+    # -- residual helpers ------------------------------------------------
+
+    def _site_effects(self) -> tuple[np.ndarray, np.ndarray]:
+        alpha1 = self.a[0] * self.v1
+        beta1 = self.a[1] * self.v1 + self.a[2] * self.v2
+        return alpha1, beta1
+
+    @property
+    def resid(self) -> np.ndarray:
+        """y - alpha0 - beta0 x - alpha1 - beta1 x - z gamma, kept by increments."""
+        if self._site_shift is not None:
+            d_alpha1, d_beta1 = (np.repeat(d, self.site_runs) for d in self._site_shift)
+            self._resid -= d_alpha1 + d_beta1 * self.x
+            self._site_shift = None
+        return self._resid
+
+    @resid.setter
+    def resid(self, value: np.ndarray) -> None:
+        self._resid, self._site_shift = value, None
+
+    def rebuild_residual(self) -> None:
+        """Recompute resid from the state; call after setting state directly."""
+        alpha1, beta1 = self._site_effects()
+        d0, s = self.day0, self.site
+        self.resid = self.y - self.alpha0[d0] - alpha1[s] - (self.beta0[d0] + beta1[s]) * self.x
+        if self.p_cov:
+            self.resid -= self.zmat @ self.gamma
+        self._by_site = None
+
+    def _site_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-site sums of resid and x * resid, kept while only site terms change."""
+        if self._by_site is None:
+            sr = np.add.reduceat(self.resid, self.site_start)
+            self._by_site = sr, np.add.reduceat(self.x * self.resid, self.site_start)
+        return self._by_site
+
+    def _shift_site_terms(self, d_alpha1: np.ndarray, d_beta1: np.ndarray) -> None:
+        """Take a change of the site terms out of the per-site sums now and out
+        of resid when it is next read, so that consecutive site blocks pass
+        over the records once."""
+        sr, sxr = self._site_sums()
+        n, sx, sxx = self.site_gram
+        self._by_site = sr - d_alpha1 * n - d_beta1 * sx, sxr - d_alpha1 * sx - d_beta1 * sxx
+        if self._site_shift is not None:
+            d_alpha1, d_beta1 = d_alpha1 + self._site_shift[0], d_beta1 + self._site_shift[1]
+        self._site_shift = d_alpha1, d_beta1
+
+    def _range_chol(self, theta: float) -> np.ndarray:
+        """Cholesky factor of the unit-variance site correlation at range theta."""
+        chol, _ = jittered_cholesky(np.exp(-self.d_sites / theta))
+        return chol
+
+    def _set_range_cache(self, which: int, chol: np.ndarray) -> None:
+        rinv = chol_factor_solve(chol, np.eye(self.S))
+        if which == 1:
+            self.chol_r1, self.rinv1 = chol, rinv
+        else:
+            self.chol_r2, self.rinv2 = chol, rinv
+
+    # -- Gibbs blocks ----------------------------------------------------
+
+    def draw_gamma(self) -> None:
+        if not self.p_cov:
+            return
+        # Z' r for r = resid + Z gamma, the residual without the covariate term
+        mean = chol_factor_solve(self.ztz_chol, self.zmat.T @ self.resid + self.ztz @ self.gamma)
+        z = self.rng.standard_normal(self.p_cov)
+        gamma = mean + np.sqrt(self.sigma2_y) * tri_solve(self.ztz_chol, z, trans=1)
+        self.resid -= self.zmat @ (gamma - self.gamma)
+        self.gamma = gamma
+        self._by_site = None
+
+    def _daily_series_draw(
+        self, weights_diag: np.ndarray, wr_day: np.ndarray,
+        eta: float, sigma2_car: float,
+    ) -> np.ndarray:
+        prior_diag, prior_off = car_precision_tridiag(self.n_t, eta, sigma2_car)
+        post_diag = prior_diag + weights_diag / self.sigma2_y
+        b = wr_day / self.sigma2_y
+        return sample_tridiag_mvn(post_diag, prior_off, b, self.rng)
+
+    def draw_alpha0(self) -> None:
+        wr = np.bincount(self.day0, weights=self.resid, minlength=self.T)
+        wr += self.counts_day * self.alpha0
+        alpha0 = self._daily_series_draw(self.counts_day, wr, self.eta_a, self.sigma2_a)
+        self.resid -= (alpha0 - self.alpha0)[self.day0]
+        self.alpha0 = alpha0
+        self._by_site = None
+
+    def draw_beta0(self) -> None:
+        wr = np.bincount(self.day0, weights=self.x * self.resid, minlength=self.T)
+        wr += self.sum_x2_day * self.beta0
+        beta0 = self._daily_series_draw(self.sum_x2_day, wr, self.eta_b, self.sigma2_b)
+        self.resid -= (beta0 - self.beta0)[self.day0] * self.x
+        self.beta0 = beta0
+        self._by_site = None
+
+    def _draw_site_field(self, v: np.ndarray, k0: float, k1: float, rinv: np.ndarray) -> np.ndarray:
+        """Draw the site field v, which enters a record at site s as v[s] (k0 + k1 x)."""
+        sr, sxr = self._site_sums()
+        n, sx, sxx = self.site_gram
+        g = k0 * k0 * n + 2.0 * k0 * k1 * sx + k1 * k1 * sxx
+        prec = rinv.copy()
+        prec.flat[:: self.S + 1] += g / self.sigma2_y
+        chol, _ = jittered_cholesky(prec)
+        mean = chol_factor_solve(chol, (k0 * sr + k1 * sxr + g * v) / self.sigma2_y)
+        z = self.rng.standard_normal(self.S)
+        new = mean + tri_solve(chol, z, trans=1)
+        self._shift_site_terms(k0 * (new - v), k1 * (new - v))
+        return new
+
+    def draw_v1(self) -> None:
+        self.v1 = self._draw_site_field(self.v1, self.a[0], self.a[1], self.rinv1)
+
+    def draw_v2(self) -> None:
+        self.v2 = self._draw_site_field(self.v2, 0.0, self.a[2], self.rinv2)
+
+    def draw_a(self) -> None:
+        sr, sxr = self._site_sums()
+        alpha1, beta1 = self._site_effects()
+        n, sx, sxx = self.site_gram
+        # A's regressors in a record are f = (v1, v1 x, v2 x); f'f and f'e, with
+        # e = resid + alpha1 + beta1 x the residual without the site terms,
+        # are sums over sites
+        e, xe = sr + alpha1 * n + beta1 * sx, sxr + alpha1 * sx + beta1 * sxx
+        u = np.array([self.v1, self.v1, self.v2])
+        ftf = (u[:, None] * np.array([[n, sx, sx], [sx, sxx, sxx], [sx, sxx, sxx]]) * u).sum(axis=2)
+        prec = ftf / self.sigma2_y + np.eye(3) / A_PRIOR_VAR
+        rhs = (u * np.array([e, xe, xe])).sum(axis=1) / self.sigma2_y
+        chol, _ = jittered_cholesky(prec)
+        mean = chol_factor_solve(chol, rhs)
+        z = self.rng.standard_normal(3)
+        a = mean + tri_solve(chol, z, trans=1)
+        # reflect into the identified half-space A11 >= 0, A22 >= 0; the joint
+        # sign flips leave alpha1, beta1 and both GP priors invariant
+        if a[0] < 0:
+            a[0], a[1] = -a[0], -a[1]
+            self.v1 = -self.v1
+        if a[2] < 0:
+            a[2] = -a[2]
+            self.v2 = -self.v2
+        self.a = a
+        new_alpha1, new_beta1 = self._site_effects()
+        self._shift_site_terms(new_alpha1 - alpha1, new_beta1 - beta1)
+
+    def _inv_gamma(self, shape: float, rate: float) -> float:
+        return float(rate / self.rng.gamma(shape, 1.0))
+
+    def draw_sigma2_y(self) -> None:
+        ssr = float(self.resid @ self.resid)
+        self.sigma2_y = self._inv_gamma(self.mcmc.ig_a + 0.5 * self.n, self.mcmc.ig_b + 0.5 * ssr)
+
+    @staticmethod
+    def _car_quads(series: np.ndarray, n_t: np.ndarray) -> tuple[float, float]:
+        qd = float(np.dot(n_t * series, series))
+        qw = 2.0 * float(np.dot(series[:-1], series[1:]))
+        return qd, qw
+
+    def draw_car_variance(self, series: np.ndarray, eta: float) -> float:
+        qd, qw = self._car_quads(series, self.n_t)
+        quad = qd - eta * qw
+        return self._inv_gamma(self.mcmc.ig_a + 0.5 * self.T, self.mcmc.ig_b + 0.5 * quad)
+
+    def draw_eta(self, series: np.ndarray, sigma2_car: float) -> float:
+        _, qw = self._car_quads(series, self.n_t)
+        logw = 0.5 * self.logdet_table + ETA_GRID * (qw / (2.0 * sigma2_car))
+        return float(ETA_GRID[sample_from_log_weights(logw, self.rng)])
+
+    def draw_sigma2_alpha0(self) -> None:
+        self.sigma2_a = self.draw_car_variance(self.alpha0, self.eta_a)
+
+    def draw_sigma2_beta0(self) -> None:
+        self.sigma2_b = self.draw_car_variance(self.beta0, self.eta_b)
+
+    def draw_eta_alpha0(self) -> None:
+        self.eta_a = self.draw_eta(self.alpha0, self.sigma2_a)
+
+    def draw_eta_beta0(self) -> None:
+        self.eta_b = self.draw_eta(self.beta0, self.sigma2_b)
+
+    def _log_range_prior(self, theta: float) -> float:
+        return (self.mcmc.rho_prior_shape - 1.0) * np.log(theta) - self.mcmc.rho_prior_rate * theta
+
+    def draw_theta(self, which: int) -> bool:
+        """Random-walk MH on log theta_which; returns whether the move was accepted."""
+        theta = self.theta1 if which == 1 else self.theta2
+        v = self.v1 if which == 1 else self.v2
+        chol = self.chol_r1 if which == 1 else self.chol_r2
+        name = f"theta{which}"
+        prop = float(theta * np.exp(self.chain.step(name) * self.rng.standard_normal()))
+        accepted = False
+        if prop >= self.theta_floor:
+            chol_prop = self._range_chol(prop)
+            cur = mvn_logpdf_zero_mean(v, chol) + self._log_range_prior(theta) + np.log(theta)
+            new = mvn_logpdf_zero_mean(v, chol_prop) + self._log_range_prior(prop) + np.log(prop)
+            if np.log(self.rng.random()) < new - cur:
+                accepted = True
+                self._set_range_cache(which, chol_prop)
+                if which == 1:
+                    self.theta1 = prop
+                else:
+                    self.theta2 = prop
+        self.chain.tried(name, accepted)
+        return accepted
+
+    def sweep(self) -> None:
+        self.draw_gamma()
+        self.draw_alpha0()
+        self.draw_beta0()
+        self.draw_v1()
+        self.draw_v2()
+        self.draw_a()
+        self.draw_sigma2_y()
+        self.draw_sigma2_alpha0()
+        self.draw_eta_alpha0()
+        self.draw_sigma2_beta0()
+        self.draw_eta_beta0()
+        self.draw_theta(1)
+        self.draw_theta(2)
+        self.n_sweeps += 1
+        if self.n_sweeps % downscaler._REFRESH_EVERY == 0:
+            self.rebuild_residual()
+
+
+def single_chain_fit(data: ObservationTable, source: str, mcmc: MCMCConfig) -> DownscalerFit:
+    """fit_downscaler as one chain, sweep by sweep, on its own table."""
+    blocks = SingleChainBlocks(data, source, mcmc)
+    n_kept = mcmc.n_kept
+    out = DownscalerFit(
+        source=source,
+        sites=blocks.sites,
+        n_days=blocks.T,
+        gamma=np.zeros((n_kept, blocks.p_cov)),
+        alpha0=np.zeros((n_kept, blocks.T)),
+        beta0=np.zeros((n_kept, blocks.T)),
+        a_coreg=np.zeros((n_kept, 3)),
+        v1=np.zeros((n_kept, blocks.S)),
+        v2=np.zeros((n_kept, blocks.S)),
+        sigma2_y=np.zeros(n_kept),
+        sigma2_alpha0=np.zeros(n_kept),
+        sigma2_beta0=np.zeros(n_kept),
+        eta_alpha0=np.zeros(n_kept),
+        eta_beta0=np.zeros(n_kept),
+        theta1=np.zeros(n_kept),
+        theta2=np.zeros(n_kept),
+        z_mean=blocks.z_mean,
+        z_sd=blocks.z_sd,
+        acceptance={},
+    )
+    chain = blocks.chain
+    for _, j in chain:
+        blocks.sweep()
+        if j is not None:
+            out.gamma[j] = blocks.gamma
+            out.alpha0[j] = blocks.alpha0
+            out.beta0[j] = blocks.beta0
+            out.a_coreg[j] = blocks.a
+            out.v1[j] = blocks.v1
+            out.v2[j] = blocks.v2
+            out.sigma2_y[j] = blocks.sigma2_y
+            out.sigma2_alpha0[j] = blocks.sigma2_a
+            out.sigma2_beta0[j] = blocks.sigma2_b
+            out.eta_alpha0[j] = blocks.eta_a
+            out.eta_beta0[j] = blocks.eta_b
+            out.theta1[j] = blocks.theta1
+            out.theta2[j] = blocks.theta2
+    out.acceptance = {
+        **chain.acceptance(),
+        "step_theta": (chain.step("theta1"), chain.step("theta2")),
+    }
+    return out
+
+
+def single_chain_cv_predict(data, fold_of_record, source, mcmc):
+    """cv_predict as a loop over folds: a single-chain fit on each fold's
+    training subset, then its prediction of the fold's usable records."""
+    mu = np.full(data.n_records, np.nan)
+    var = np.full(data.n_records, np.nan)
+    avail = data.usable_mask(source)
+    folds = np.unique(fold_of_record)
+    children = np.random.SeedSequence(mcmc.seed).spawn(2 * folds.size)
+    for k, fold in enumerate(folds):
+        held = fold_of_record == fold
+        fit_seed = int(children[2 * k].generate_state(1)[0])
+        pred_seed = int(children[2 * k + 1].generate_state(1)[0])
+        fit = single_chain_fit(data.subset(~held), source, replace(mcmc, seed=fit_seed))
+        held_idx = np.flatnonzero(held & avail)
+        if held_idx.size == 0:
+            continue
+        held_sites = np.unique(data.site_idx[held_idx])
+        loc_idx = np.searchsorted(held_sites, data.site_idx[held_idx])
+        pred = downscaler.predict_at(
+            fit, [data.sites[s] for s in held_sites], loc_idx, data.day[held_idx],
+            data.x_for(source)[held_idx], data.z[held_idx] if source == SAT else None, seed=pred_seed,
+        )
+        mu[held_idx] = pred.mu
+        var[held_idx] = pred.var
+    return mu, var

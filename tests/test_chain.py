@@ -100,6 +100,26 @@ class TestKeepAndCount:
         chain, _, _ = drive(mcmc, accept, s=np.ones(3))
         assert chain.acceptance() == {"s": 0.5}
 
+    def test_array_steps_behave_as_separate_scalar_chains(self):
+        # one array step of four elements against four scalar chains, each
+        # element with its own pattern of accepted tries
+        mcmc = MCMCConfig(n_iter=400, burn_in=200, thin=2)
+        patterns = [
+            window_pattern([25, 10, 19, 15]),
+            lambda it: it % 3 == 0,
+            lambda it: it % 5 != 0,
+            lambda it: it % 7 < 2,
+        ]
+        chain, seen, _ = drive(mcmc, lambda it: np.array([p(it) for p in patterns]), s=np.full(4, 0.5))
+        rates = []
+        for f, pattern in enumerate(patterns):
+            single, single_seen, _ = drive(mcmc, pattern, s=0.5)
+            assert [s[f] for s in seen] == single_seen
+            assert chain.acceptance_of("s")[f] == single.acceptance()["s"]
+            rates.append(single.acceptance()["s"])
+        assert len(set(rates)) == 4
+        assert chain.acceptance() == {"s": pytest.approx(np.mean(rates), rel=1e-12)}
+
     def test_no_steps_gives_the_keep_schedule_only(self):
         mcmc = MCMCConfig(n_iter=30, burn_in=10, thin=4)
         chain = Chain(mcmc)

@@ -5,7 +5,7 @@ import pytest
 
 from pmfusion.crossval import EvalReport, evaluate, make_folds
 from pmfusion.ensemble import MixtureDistribution
-from pmfusion.errors import EmptyInputError, TooFewRecordsError
+from pmfusion.errors import DomainError, EmptyInputError, TooFewRecordsError
 from pmfusion.geo import Location
 from pmfusion.kernels import GaussianSummary
 from pmfusion.tables import N_COVARIATES, ObservationTable
@@ -83,6 +83,16 @@ class TestMakeFolds:
         data = panel(rng, n_sites=2, n_days=3)
         with pytest.raises(TooFewRecordsError):
             make_folds(data, "kfold", k=10)
+
+    @pytest.mark.parametrize("k", [-3, 0, 1, 2.0, 3.5, True, "4"])
+    def test_kfold_count_below_two_or_not_an_integer_is_rejected(self, k):
+        data = panel(np.random.default_rng(8))
+        with pytest.raises(DomainError, match=f"got {k!r}"):
+            make_folds(data, "kfold", k=k)
+
+    def test_spatial_ignores_the_fold_count(self):
+        data = panel(np.random.default_rng(9), n_sites=3, n_days=4)
+        assert make_folds(data, "spatial", k=-3).n_folds == 3
 
     def test_spatial_needs_two_sites(self):
         rng = np.random.default_rng(6)

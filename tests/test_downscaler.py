@@ -5,6 +5,8 @@ repeatedly, and compare Monte Carlo moments with the analytic full
 conditional computed by an independent dense linear-algebra route.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,13 +14,15 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.stats import chi2
 
 from pmfusion import downscaler, kernels
+from pmfusion.chain import Chain
 from pmfusion.config import MCMCConfig
 from pmfusion.downscaler import _Blocks, cv_predict, fit_downscaler, predict_at, predict_batches
 from pmfusion.errors import InsufficientDataError, OutOfDomainError
 from pmfusion.geo import CTM, SAT, Location, distance_matrix
 from pmfusion.kernels import ETA_GRID, jittered_cholesky
 from pmfusion.tables import N_COVARIATES, ObservationTable
-from oracles import scipy_chol_factor_solve, scipy_tri_solve, scipy_tridiag_mvn
+import oracles
+from oracles import scipy_chol_factor_solve, scipy_tri_solve, scipy_tridiag_mvn, single_chain_fit
 
 
 def build_table(rng, n_sites, n_days, *, alpha=0.0, beta=1.0, gamma=None,
@@ -43,26 +47,33 @@ def build_table(rng, n_sites, n_days, *, alpha=0.0, beta=1.0, gamma=None,
 
 
 def fix_state(blocks, rng):
-    """Overwrite the chain state with a reproducible non-trivial value."""
-    blocks.alpha0 = rng.normal(2.0, 0.5, blocks.T)
-    blocks.beta0 = rng.normal(1.0, 0.2, blocks.T)
-    blocks.v1 = rng.normal(0.0, 1.0, blocks.S)
-    blocks.v2 = rng.normal(0.0, 1.0, blocks.S)
-    blocks.a = np.array([1.3, 0.4, 0.9])
+    """Overwrite the state of chain 0 (of a batch of one) with a reproducible
+    non-trivial value."""
+    blocks.alpha0[0] = rng.normal(2.0, 0.5, blocks.T)
+    blocks.beta0[0] = rng.normal(1.0, 0.2, blocks.T)
+    blocks.v1[0] = rng.normal(0.0, 1.0, blocks.S)
+    blocks.v2[0] = rng.normal(0.0, 1.0, blocks.S)
+    blocks.a[0] = [1.3, 0.4, 0.9]
     if blocks.p_cov:
-        blocks.gamma = rng.normal(0.0, 0.5, blocks.p_cov)
-    blocks.sigma2_y = 0.8
-    blocks.sigma2_a = 0.6
-    blocks.sigma2_b = 0.05
-    blocks.eta_a = 0.7
-    blocks.eta_b = 0.4
+        blocks.gamma[0] = rng.normal(0.0, 0.5, blocks.p_cov)
+    blocks.sigma2_y[0] = 0.8
+    blocks.sigma2_a[0] = 0.6
+    blocks.sigma2_b[0] = 0.05
+    blocks.eta_a[0] = 0.7
+    blocks.eta_b[0] = 0.4
     blocks.rebuild_residual()
 
 
+def site_effects(blocks):
+    """alpha1, beta1 of chain 0."""
+    alpha1, beta1 = blocks._site_effects()
+    return alpha1[0], beta1[0]
+
+
 def resid_no_site(blocks):
-    """y minus everything except the site-level terms and noise."""
-    zg = blocks.zmat @ blocks.gamma if blocks.p_cov else 0.0
-    return blocks.y - blocks.alpha0[blocks.day0] - blocks.beta0[blocks.day0] * blocks.x - zg
+    """y minus everything except the site-level terms and noise (chain 0)."""
+    zg = blocks.zmat[0] @ blocks.gamma[0] if blocks.p_cov else 0.0
+    return blocks.y - blocks.alpha0[0][blocks.day0] - blocks.beta0[0][blocks.day0] * blocks.x - zg
 
 
 def tridiag_dense(diag, off):
@@ -95,71 +106,73 @@ class TestConjugateBlocks:
 
     def test_gamma_block_matches_analytic_conditional(self):
         blocks = self.make_blocks(SAT, seed=1)
-        alpha1, beta1 = blocks._site_effects()
+        alpha1, beta1 = site_effects(blocks)
         r = (
             blocks.y
-            - blocks.alpha0[blocks.day0]
+            - blocks.alpha0[0][blocks.day0]
             - alpha1[blocks.site]
-            - (blocks.beta0[blocks.day0] + beta1[blocks.site]) * blocks.x
+            - (blocks.beta0[0][blocks.day0] + beta1[blocks.site]) * blocks.x
         )
-        ztz = blocks.zmat.T @ blocks.zmat
-        mean = np.linalg.solve(ztz, blocks.zmat.T @ r)
-        cov = blocks.sigma2_y * np.linalg.inv(ztz)
+        zmat = blocks.zmat[0]
+        ztz = zmat.T @ zmat
+        mean = np.linalg.solve(ztz, zmat.T @ r)
+        cov = blocks.sigma2_y[0] * np.linalg.inv(ztz)
         draws = np.empty((self.N_DRAWS, N_COVARIATES))
         for k in range(self.N_DRAWS):
             blocks.draw_gamma()
-            draws[k] = blocks.gamma
+            draws[k] = blocks.gamma[0]
         check_moments(draws, mean, cov)
 
     def daily_series_oracle(self, blocks, weights_diag, wr, eta, s2_car):
-        diag = blocks.n_t / s2_car + weights_diag / blocks.sigma2_y
+        diag = blocks.n_t / s2_car + weights_diag / blocks.sigma2_y[0]
         off = np.full(blocks.T - 1, -eta / s2_car)
         q = tridiag_dense(diag, off)
         cov = np.linalg.inv(q)
-        return cov @ (wr / blocks.sigma2_y), cov
+        return cov @ (wr / blocks.sigma2_y[0]), cov
 
     def test_alpha0_block_matches_dense_oracle(self):
         blocks = self.make_blocks(CTM, seed=2)
-        alpha1, beta1 = blocks._site_effects()
-        r = blocks.y - alpha1[blocks.site] - (blocks.beta0[blocks.day0] + beta1[blocks.site]) * blocks.x
+        alpha1, beta1 = site_effects(blocks)
+        r = blocks.y - alpha1[blocks.site] - (blocks.beta0[0][blocks.day0] + beta1[blocks.site]) * blocks.x
         wr = np.bincount(blocks.day0, weights=r, minlength=blocks.T)
         mean, cov = self.daily_series_oracle(
-            blocks, blocks.counts_day, wr, blocks.eta_a, blocks.sigma2_a
+            blocks, blocks.counts_day[0], wr, blocks.eta_a[0], blocks.sigma2_a[0]
         )
         draws = np.empty((self.N_DRAWS, blocks.T))
         for k in range(self.N_DRAWS):
             blocks.draw_alpha0()
-            draws[k] = blocks.alpha0
+            draws[k] = blocks.alpha0[0]
         check_moments(draws, mean, cov)
 
     def test_beta0_block_matches_dense_oracle(self):
         blocks = self.make_blocks(CTM, seed=3)
-        alpha1, beta1 = blocks._site_effects()
-        r = blocks.y - blocks.alpha0[blocks.day0] - alpha1[blocks.site] - beta1[blocks.site] * blocks.x
+        alpha1, beta1 = site_effects(blocks)
+        r = blocks.y - blocks.alpha0[0][blocks.day0] - alpha1[blocks.site] - beta1[blocks.site] * blocks.x
         wr = np.bincount(blocks.day0, weights=blocks.x * r, minlength=blocks.T)
         mean, cov = self.daily_series_oracle(
-            blocks, blocks.sum_x2_day, wr, blocks.eta_b, blocks.sigma2_b
+            blocks, blocks.sum_x2_day[0], wr, blocks.eta_b[0], blocks.sigma2_b[0]
         )
         draws = np.empty((self.N_DRAWS, blocks.T))
         for k in range(self.N_DRAWS):
             blocks.draw_beta0()
-            draws[k] = blocks.beta0
+            draws[k] = blocks.beta0[0]
         check_moments(draws, mean, cov)
 
     def test_v1_block_matches_dense_oracle(self):
         blocks = self.make_blocks(CTM, seed=4)
         e = resid_no_site(blocks)
-        coef = blocks.a[0] + blocks.a[1] * blocks.x
-        r = e - blocks.a[2] * blocks.v2[blocks.site] * blocks.x
+        a = blocks.a[0]
+        coef = a[0] + a[1] * blocks.x
+        r = e - a[2] * blocks.v2[0][blocks.site] * blocks.x
         g = np.bincount(blocks.site, weights=coef * coef, minlength=blocks.S)
-        b = np.bincount(blocks.site, weights=coef * r, minlength=blocks.S) / blocks.sigma2_y
-        prec = blocks.rinv1 + np.diag(g / blocks.sigma2_y)
+        b = np.bincount(blocks.site, weights=coef * r, minlength=blocks.S) / blocks.sigma2_y[0]
+        prec = blocks.rinv1[0] + np.diag(g / blocks.sigma2_y[0])
         cov = np.linalg.inv(prec)
         mean = cov @ b
         draws = np.empty((self.N_DRAWS, blocks.S))
         for k in range(self.N_DRAWS):
             blocks.draw_v1()
-            draws[k] = blocks.v1
+            draws[k] = blocks.v1[0]
         check_moments(draws, mean, cov)
 
     def test_coregionalization_block_matches_analytic_conditional(self):
@@ -169,21 +182,21 @@ class TestConjugateBlocks:
         blocks = self.make_blocks(CTM, seed=5)
         rng = np.random.default_rng(55)
         a_true = np.array([1.5, 0.6, 1.2])
-        v1s, v2s = blocks.v1[blocks.site], blocks.v2[blocks.site]
+        v1s, v2s = blocks.v1[0][blocks.site], blocks.v2[0][blocks.site]
         blocks.y = (
-            blocks.alpha0[blocks.day0]
-            + blocks.beta0[blocks.day0] * blocks.x
+            blocks.alpha0[0][blocks.day0]
+            + blocks.beta0[0][blocks.day0] * blocks.x
             + a_true[0] * v1s
             + (a_true[1] * v1s + a_true[2] * v2s) * blocks.x
-            + 0.3 * rng.standard_normal(blocks.n)
+            + 0.3 * rng.standard_normal(blocks.n[0])
         )
-        blocks.sigma2_y = 0.09
+        blocks.sigma2_y[0] = 0.09
         blocks.rebuild_residual()
         e = resid_no_site(blocks)
         f = np.column_stack([v1s, v1s * blocks.x, v2s * blocks.x])
-        prec = f.T @ f / blocks.sigma2_y + np.eye(3) / 1.0e3
+        prec = f.T @ f / blocks.sigma2_y[0] + np.eye(3) / 1.0e3
         cov = np.linalg.inv(prec)
-        mean = cov @ (f.T @ e / blocks.sigma2_y)
+        mean = cov @ (f.T @ e / blocks.sigma2_y[0])
         assert mean[0] > 5 * np.sqrt(cov[0, 0])
         assert mean[2] > 5 * np.sqrt(cov[2, 2])
         v1_fix, v2_fix = blocks.v1.copy(), blocks.v2.copy()
@@ -192,31 +205,31 @@ class TestConjugateBlocks:
             blocks.v1, blocks.v2 = v1_fix.copy(), v2_fix.copy()
             blocks.rebuild_residual()
             blocks.draw_a()
-            draws[k] = blocks.a
+            draws[k] = blocks.a[0]
         check_moments(draws, mean, cov)
 
     def test_noise_variance_block_matches_inverse_gamma(self):
         blocks = self.make_blocks(CTM, seed=6)
-        alpha1, beta1 = blocks._site_effects()
+        alpha1, beta1 = site_effects(blocks)
         resid = (
             blocks.y
-            - blocks.alpha0[blocks.day0]
+            - blocks.alpha0[0][blocks.day0]
             - alpha1[blocks.site]
-            - (blocks.beta0[blocks.day0] + beta1[blocks.site]) * blocks.x
+            - (blocks.beta0[0][blocks.day0] + beta1[blocks.site]) * blocks.x
         )
-        shape = blocks.mcmc.ig_a + 0.5 * blocks.n
+        shape = blocks.mcmc.ig_a + 0.5 * blocks.n[0]
         rate = blocks.mcmc.ig_b + 0.5 * float(resid @ resid)
         mean = rate / (shape - 1.0)
         sd = mean / np.sqrt(shape - 2.0)
         draws = np.array([
-            (blocks.draw_sigma2_y(), blocks.sigma2_y)[1] for _ in range(self.N_DRAWS)
+            (blocks.draw_sigma2_y(), blocks.sigma2_y[0])[1] for _ in range(self.N_DRAWS)
         ])
         assert abs(draws.mean() - mean) < 3.0 * sd / np.sqrt(self.N_DRAWS)
         assert abs(draws.var(ddof=1) - sd**2) < 4.0 * sd**2 * np.sqrt(2.0 / self.N_DRAWS)
 
     def test_car_variance_block_matches_inverse_gamma(self):
         blocks = self.make_blocks(CTM, seed=7)
-        series = blocks.alpha0
+        series = blocks.alpha0[0]
         eta = 0.65
         qd = float(np.dot(blocks.n_t * series, series))
         qw = 2.0 * float(np.dot(series[:-1], series[1:]))
@@ -225,13 +238,13 @@ class TestConjugateBlocks:
         mean = rate / (shape - 1.0)
         sd = mean / np.sqrt(shape - 2.0)
         draws = np.array([
-            blocks.draw_car_variance(series, eta) for _ in range(self.N_DRAWS)
+            blocks.draw_car_variance(series[None], eta)[0] for _ in range(self.N_DRAWS)
         ])
         assert abs(draws.mean() - mean) < 3.0 * sd / np.sqrt(self.N_DRAWS)
 
     def test_temporal_dependence_block_matches_grid_posterior(self):
         blocks = self.make_blocks(CTM, seed=8)
-        series = blocks.alpha0
+        series = blocks.alpha0[0]
         s2 = 0.7
         qw = 2.0 * float(np.dot(series[:-1], series[1:]))
         logw = 0.5 * blocks.logdet_table + ETA_GRID * (qw / (2.0 * s2))
@@ -240,18 +253,18 @@ class TestConjugateBlocks:
         mean = float(p @ ETA_GRID)
         var = float(p @ (ETA_GRID - mean) ** 2)
         m = 20_000
-        draws = np.array([blocks.draw_eta(series, s2) for _ in range(m)])
+        draws = np.array([blocks.draw_eta(series[None], s2)[0] for _ in range(m)])
         assert abs(draws.mean() - mean) < 3.0 * np.sqrt(var / m)
         assert abs(draws.var(ddof=1) - var) < 4.0 * var * np.sqrt(2.0 / m)
 
 
 def fresh_residual(blocks):
-    """y minus every fitted term, rebuilt from the state."""
-    alpha1, beta1 = blocks._site_effects()
-    zg = blocks.zmat @ blocks.gamma if blocks.p_cov else 0.0
+    """y minus every fitted term, rebuilt from the state (chain 0)."""
+    alpha1, beta1 = site_effects(blocks)
+    zg = blocks.zmat[0] @ blocks.gamma[0] if blocks.p_cov else 0.0
     return (
-        blocks.y - blocks.alpha0[blocks.day0] - alpha1[blocks.site]
-        - (blocks.beta0[blocks.day0] + beta1[blocks.site]) * blocks.x - zg
+        blocks.y - blocks.alpha0[0][blocks.day0] - alpha1[blocks.site]
+        - (blocks.beta0[0][blocks.day0] + beta1[blocks.site]) * blocks.x - zg
     )
 
 
@@ -269,7 +282,7 @@ class TestRunningResidual:
     def assert_tracks(self, blocks):
         fresh = fresh_residual(blocks)
         assert np.max(np.abs(blocks.resid - fresh)) <= 1e-9
-        sr, sxr = blocks._site_sums()
+        sr, sxr = (t[0] for t in blocks._site_sums())
         assert_allclose(sr, np.bincount(blocks.site, weights=fresh, minlength=blocks.S), rtol=0, atol=1e-9)
         assert_allclose(sxr, np.bincount(blocks.site, weights=blocks.x * fresh, minlength=blocks.S),
                         rtol=0, atol=1e-8)
@@ -306,7 +319,7 @@ class TestTemporalDependenceSampler:
         blocks = _Blocks(data, CTM, MCMCConfig(n_iter=10, burn_in=5, thin=1, seed=11))
         blocks.logdet_table = np.zeros_like(blocks.logdet_table)
         m = 50_000
-        draws = np.array([blocks.draw_eta(np.zeros(blocks.T), 1.0) for _ in range(m)])
+        draws = np.array([blocks.draw_eta(np.zeros((1, blocks.T)), 1.0)[0] for _ in range(m)])
         idx = np.rint(draws * ETA_GRID.size - 0.5).astype(int)
         counts = np.bincount(idx, minlength=ETA_GRID.size)
         expected = m / ETA_GRID.size
@@ -318,7 +331,7 @@ class TestTemporalDependenceSampler:
         data = build_table(rng, 4, 6)
         blocks = _Blocks(data, CTM, MCMCConfig(n_iter=10, burn_in=5, thin=1, seed=12))
         for _ in range(50):
-            eta = blocks.draw_eta(blocks.alpha0, 0.5)
+            eta = blocks.draw_eta(blocks.alpha0, 0.5)[0]
             assert eta in ETA_GRID
 
 
@@ -328,14 +341,15 @@ class TestSignConstraints:
         data = build_table(rng, 5, 6, noise_sd=1.0)
         blocks = _Blocks(data, CTM, MCMCConfig(n_iter=10, burn_in=5, thin=1, seed=21))
         fix_state(blocks, rng)
-        blocks.sigma2_y = 1.0e6  # posterior ~ prior, reflections fire often
+        blocks.sigma2_y[0] = 1.0e6  # posterior ~ prior, reflections fire often
         v1_fix, v2_fix = blocks.v1.copy(), blocks.v2.copy()
         for _ in range(2_000):
             blocks.v1, blocks.v2 = v1_fix.copy(), v2_fix.copy()
             blocks.rebuild_residual()
             blocks.draw_a()
-            assert blocks.a[0] >= 0.0
-            assert blocks.a[2] >= 0.0
+            a = blocks.a[0]
+            assert a[0] >= 0.0
+            assert a[2] >= 0.0
 
     def test_sign_convention_does_not_split_chains(self):
         """(a11, a21, v1) -> (-a11, -a21, -v1) is the same model state; one
@@ -361,8 +375,8 @@ class TestSignConstraints:
         two.v1 = -two.v1
         two.a = two.a * signs
         two.rebuild_residual()
-        one.rng = np.random.default_rng(777)
-        two.rng = FlippedNormals(777, signs)
+        one.rngs[0] = np.random.default_rng(777)
+        two.rngs[0] = FlippedNormals(777, signs)
         one.draw_a()
         two.draw_a()
         assert_allclose(one.a, two.a, rtol=1e-9, atol=1e-12)
@@ -471,10 +485,10 @@ class TestLapackSolvesInTheSampler:
                 break
         else:
             pytest.fail("no range proposal accepted in 200 tries")
-        theta = blocks.theta1 if which == 1 else blocks.theta2
-        chol = blocks.chol_r1 if which == 1 else blocks.chol_r2
-        rinv = blocks.rinv1 if which == 1 else blocks.rinv2
-        want, _ = jittered_cholesky(np.exp(-blocks.d_sites / theta))
+        theta = (blocks.theta1 if which == 1 else blocks.theta2)[0]
+        chol = (blocks.chol_r1 if which == 1 else blocks.chol_r2)[0]
+        rinv = (blocks.rinv1 if which == 1 else blocks.rinv2)[0]
+        want, _ = jittered_cholesky(np.exp(-blocks.d_sites[0] / theta))
         assert np.array_equal(chol, want)
         assert np.array_equal(rinv, cho_solve((want, True), np.eye(blocks.S)))
 
@@ -485,11 +499,11 @@ class TestLapackSolvesInTheSampler:
         mcmc = MCMCConfig(n_iter=80, burn_in=40, thin=2, seed=11)
         fit = fit_downscaler(data, source, mcmc)
         assert fit.acceptance["theta1"] > 0 and fit.acceptance["theta2"] > 0
-        monkeypatch.setattr(downscaler, "tri_solve", scipy_tri_solve)
-        monkeypatch.setattr(downscaler, "chol_factor_solve", scipy_chol_factor_solve)
-        monkeypatch.setattr(downscaler, "sample_tridiag_mvn", scipy_tridiag_mvn)
-        monkeypatch.setattr(kernels, "tri_solve", scipy_tri_solve)
-        ref = fit_downscaler(data, source, mcmc)
+        # the single-chain sampler, every solve made through scipy.linalg
+        monkeypatch.setattr(oracles, "tri_solve", scipy_tri_solve)
+        monkeypatch.setattr(oracles, "chol_factor_solve", scipy_chol_factor_solve)
+        monkeypatch.setattr(oracles, "sample_tridiag_mvn", scipy_tridiag_mvn)
+        ref = single_chain_fit(data, source, mcmc)
         for name in ("gamma", "alpha0", "beta0", "a_coreg", "v1", "v2", "sigma2_y",
                      "sigma2_alpha0", "sigma2_beta0", "eta_alpha0", "eta_beta0",
                      "theta1", "theta2"):
@@ -727,3 +741,131 @@ class TestCvPredict:
         data = build_table(rng, 4, 6)
         with pytest.raises(ValueError, match="length"):
             cv_predict(data, np.zeros(3, dtype=int), CTM, MCMCConfig(10, 5, 1))
+
+
+FIT_ARRAYS = ("gamma", "alpha0", "beta0", "a_coreg", "v1", "v2", "sigma2_y", "sigma2_alpha0",
+              "sigma2_beta0", "eta_alpha0", "eta_beta0", "theta1", "theta2", "z_mean", "z_sd")
+
+
+def with_missing_sat(data, rng, rate=0.3):
+    """data with a share of satellite values missing, every site keeping some."""
+    x_sat = data.x_sat.copy()
+    drop = rng.random(data.n_records) < rate
+    first = np.unique(data.site_idx, return_index=True)[1]
+    drop[first] = False
+    x_sat[drop] = np.nan
+    return ObservationTable(
+        sites=data.sites, site_idx=data.site_idx, day=data.day, y=data.y,
+        x_ctm=data.x_ctm, x_sat=x_sat, z=data.z, n_days=data.n_days,
+    )
+
+
+def fold_seeds(n_folds, seed=0):
+    return [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(seed).spawn(n_folds)]
+
+
+class TestFoldBatch:
+    """F folds advanced as one lockstep batch equal their single-chain fits bit for bit."""
+
+    MCMC = MCMCConfig(n_iter=120, burn_in=60, thin=2, seed=0)
+
+    @pytest.mark.parametrize("kind", ["kfold", "spatial"])
+    @pytest.mark.parametrize("source", [CTM, SAT])
+    def test_every_fold_equals_its_single_chain_fit(self, kind, source):
+        from pmfusion.crossval import make_folds
+
+        rng = np.random.default_rng(71)
+        data = with_missing_sat(build_table(rng, 7, 12, gamma=[0.5, -0.3, 0.0, 0.2, 0.1, -0.1]), rng)
+        plan = make_folds(data, kind, k=4, seed=2).fold_of_record
+        folds = np.unique(plan)
+        seeds = fold_seeds(folds.size, seed=kind == "kfold")
+        chains = [downscaler._training_set(data, source, plan != f, s) for f, s in zip(folds, seeds)]
+        fits = downscaler._run_chains(_Blocks(data, source, self.MCMC, chains))
+        assert len(fits) == folds.size > 1
+        for fold, seed, fit in zip(folds, seeds, fits):
+            want = single_chain_fit(data.subset(plan != fold), source, replace(self.MCMC, seed=seed))
+            assert [l.site_id for l in fit.sites] == [l.site_id for l in want.sites]
+            for name in FIT_ARRAYS:
+                assert np.array_equal(getattr(fit, name), getattr(want, name)), name
+            assert fit.acceptance == want.acceptance
+
+    def test_range_proposals_below_the_floor_draw_no_uniform(self):
+        rng = np.random.default_rng(72)
+        data = build_table(rng, 6, 10)
+        plan = np.arange(data.n_records) % 3
+        mcmc = MCMCConfig(n_iter=60, burn_in=30, thin=1, seed=0)
+        seeds = fold_seeds(3, seed=5)
+        chains = [downscaler._training_set(data, CTM, plan != f, s) for f, s in enumerate(seeds)]
+        blocks = _Blocks(data, CTM, mcmc, chains)
+        singles = [oracles.SingleChainBlocks(data.subset(plan != f), CTM, replace(mcmc, seed=s))
+                   for f, s in enumerate(seeds)]
+        # steps of 40 on log theta put about 4 proposals in 10 below the floor
+        blocks.chain = Chain(mcmc, theta1=np.full(3, 40.0), theta2=np.full(3, 40.0))
+        for one in singles:
+            one.chain = Chain(mcmc, theta1=40.0, theta2=40.0)
+        live = []
+        factor = blocks._range_chol
+        blocks._range_chol = lambda theta, chains: live.append(theta.size) or factor(theta, chains)
+        for _ in range(30):
+            blocks.sweep()
+            for f, one in enumerate(singles):
+                one.sweep()
+                assert blocks.rngs[f].bit_generator.state == one.rng.bit_generator.state
+                assert (blocks.theta1[f], blocks.theta2[f]) == (one.theta1, one.theta2)
+                assert np.array_equal(blocks.v1[f], one.v1) and np.array_equal(blocks.v2[f], one.v2)
+        assert sum(live) < 2 * 30 * 3
+        for f, one in enumerate(singles):
+            assert blocks.chain.step("theta1")[f] == one.chain.step("theta1")
+
+    def test_a_stack_with_one_jittered_factor(self, monkeypatch):
+        from pmfusion.crossval import make_folds
+
+        rng = np.random.default_rng(73)
+        data = build_table(rng, 5, 10)
+        # s00 and s01 share a location: their correlation matrix is singular
+        # unless one of them is held out
+        sites = list(data.sites)
+        sites[1] = Location("s01", sites[0].x_km, sites[0].y_km)
+        data = ObservationTable(
+            sites=sites, site_idx=data.site_idx, day=data.day, y=data.y,
+            x_ctm=data.x_ctm, x_sat=data.x_sat, z=data.z, n_days=data.n_days,
+        )
+        jitter = []
+        factor = kernels.jittered_cholesky
+
+        def counted(c):
+            out = factor(c)
+            jitter.append(out[1] > 0)
+            return out
+
+        plan = make_folds(data, "spatial").fold_of_record
+        mcmc = MCMCConfig(n_iter=40, burn_in=20, thin=2, seed=3)
+        chains = [downscaler._training_set(data, CTM, plan != f, 0) for f in range(5)]
+        monkeypatch.setattr(kernels, "jittered_cholesky", counted)
+        _Blocks(data, CTM, mcmc, chains).sweep()
+        # the range stacks fell back to matrix by matrix, jittering some matrices only
+        assert any(jitter) and not all(jitter)
+        monkeypatch.undo()
+        got = cv_predict(data, plan, CTM, mcmc)
+        want_mu, want_var = oracles.single_chain_cv_predict(data, plan, CTM, mcmc)
+        assert np.array_equal(got.mu, want_mu) and np.array_equal(got.var, want_var)
+
+    @pytest.mark.parametrize("source", [CTM, SAT])
+    def test_a_fold_short_of_one_site_forms_its_own_batch(self, source, monkeypatch):
+        from pmfusion.crossval import make_folds
+
+        rng = np.random.default_rng(74)
+        full = build_table(rng, 6, 10, gamma=[0.4, 0.0, -0.2, 0.1, 0.0, 0.3])
+        # s03 keeps one record, so the fold holding it trains on five sites
+        data = with_missing_sat(full.subset((full.site_idx != 3) | (full.day == 4)), rng)
+        plan = make_folds(data, "kfold", k=4, seed=1).fold_of_record
+        batches = []
+        blocks_cls = downscaler._Blocks
+        monkeypatch.setattr(downscaler, "_Blocks", lambda *a: batches.append(a[3]) or blocks_cls(*a))
+        mcmc = MCMCConfig(n_iter=60, burn_in=30, thin=2, seed=9)
+        got = cv_predict(data, plan, source, mcmc)
+        assert sorted(len(b) for b in batches) == [1, 3]
+        assert {b[0].sites.size for b in batches} == {5, 6}
+        want_mu, want_var = oracles.single_chain_cv_predict(data, plan, source, mcmc)
+        assert np.array_equal(got.mu, want_mu, equal_nan=True)
+        assert np.array_equal(got.var, want_var, equal_nan=True)

@@ -19,7 +19,6 @@ from pmfusion.kernels import (
     inv_logit,
     jittered_cholesky,
     logit,
-    mvn_logpdf_zero_mean,
     norm_logpdf,
     sample_from_log_weights,
     sample_tridiag_mvn,
@@ -28,6 +27,7 @@ from pmfusion.kernels import (
 from oracles import (
     masked_inv_logit,
     car_full_conditional,
+    mvn_logpdf_zero_mean,
     scipy_chol_factor_solve,
     scipy_tri_solve,
     scipy_tridiag_mvn,

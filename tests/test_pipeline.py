@@ -372,6 +372,50 @@ class TestCliInProcess:
         assert len(err) == 1 and err[0].startswith("error:")
         assert f"{obs}:{len(lines) + 1}:" in err[0] and "('m000', 1)" in err[0]
 
+    @pytest.mark.parametrize("case", ["missing", "header", "non-finite"])
+    @pytest.mark.parametrize("command", ["evaluate", "fit-ensemble", "fit-downscaler", "cv", "run-all"])
+    def test_unreadable_observation_file_is_a_typed_error(self, command, case, scene, result, tmp_path, capsys):
+        truth, paths, _ = scene
+        lines = paths["obs"].read_text().splitlines()
+        assert lines[1].startswith("m000,1,")
+        obs = tmp_path / "obs.csv"
+        if case == "header":
+            obs.write_text("\n".join(["site_id,day,pm"] + lines[1:]) + "\n")
+        elif case == "non-finite":
+            obs.write_text("\n".join(lines[:1] + ["m000,1,inf"] + lines[2:]) + "\n")
+        table = ("--monitors", paths["monitors"], "--obs", obs, "--grid-ctm", paths["grid_ctm"],
+                 "--scene", paths["scene"], "--iters", 40, "--out", tmp_path / "p.csv")
+        common = ("--monitors", paths["monitors"], "--obs", obs, "--predictive", result.paths["cv_predictive"])
+        if command == "evaluate":
+            args = (*common, "--out", tmp_path / "scores.csv")
+        elif command == "fit-ensemble":
+            args = (*common, "--out-weights", tmp_path / "w.csv", "--out-samples", tmp_path / "s.csv")
+        elif command == "fit-downscaler":
+            args = (*table, "--source", CTM)
+        elif command == "cv":
+            args = table
+        else:
+            cfg = make_config(truth, paths, tmp_path / "runs", obs=str(obs))
+            args = ("--config", save_pipeline_config(tmp_path / "config.json", cfg))
+        code, err = run_main(capsys, command, *args)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:") and str(obs) in err[0]
+        if case == "non-finite":
+            assert f"{obs}:2:" in err[0]
+
+    @pytest.mark.parametrize("folds", [-3, 0, 1])
+    def test_cv_rejects_a_fold_count_below_two(self, folds, scene, tmp_path, capsys):
+        _, paths, _ = scene
+        out = tmp_path / "p.csv"
+        code, err = run_main(
+            capsys, "cv", "--monitors", paths["monitors"], "--obs", paths["obs"],
+            "--grid-ctm", paths["grid_ctm"], "--scene", paths["scene"], "--iters", 40,
+            "--folds", folds, "--out", out,
+        )
+        assert code == 2
+        assert err == [f"error: kfold needs an integer fold count of at least 2, got {folds}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
     def test_weights_without_a_needed_site_are_a_typed_error(self, command, scene, result, tmp_path, capsys):
         _, paths, _ = scene
