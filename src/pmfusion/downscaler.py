@@ -41,7 +41,7 @@ from .kernels import (
     cholesky_stack,
     jittered_cholesky,
     sample_from_log_weights,
-    sample_tridiag_mvn,
+    sample_tridiag_mvn_stack,
     tri_solve_stack,
 )
 from .tables import N_COVARIATES, ObservationTable
@@ -198,13 +198,15 @@ class _Blocks:
         ]
         n, sx, sxx = self.site_gram
         # per-site Gram terms of the coregionalization regressors (v1, v1 x, v2 x)
-        self.gram3 = np.moveaxis(np.array([[n, sx, sx], [sx, sxx, sxx], [sx, sxx, sxx]]), 2, 0)
+        self.gram3 = np.array([[n, sx, sx], [sx, sxx, sxx], [sx, sxx, sxx]])
         self.n_t = car_neighbor_count(T)
         self.logdet_table = car_logdet_table(T)
         self.d_sites = np.array([distance_matrix(s) for s in self.sites])
         diam = self.d_sites.max(axis=(1, 2))
         self.theta_floor = np.maximum(diam * 1e-4, 1e-6)
         self.rngs = [np.random.default_rng(c.seed) for c in chains]
+        self.shape_y = [mcmc.ig_a + 0.5 * n for n in self.n.tolist()]
+        self.mvn_const = float(S * np.log(2.0 * np.pi))
 
         # starting values from each chain's pooled least-squares line through (x, y)
         self.alpha0 = np.empty((F, T))
@@ -232,6 +234,7 @@ class _Blocks:
         self.theta1 = np.maximum(diam / 4.0, self.theta_floor)
         self.theta2 = self.theta1.copy()
         self.chol_r1, self.rinv1, self.chol_r2, self.rinv2 = (np.empty((F, S, S)) for _ in range(4))
+        self.eyes = np.broadcast_to(np.eye(S), (F, S, S))
         self.logdet_r1, self.logdet_r2 = np.empty(F), np.empty(F)
         everyone = np.arange(F)
         self._set_range_cache(1, everyone, *self._range_chol(self.theta1, everyone))
@@ -297,10 +300,11 @@ class _Blocks:
         """Cholesky factors of the unit-variance site correlations of the given
         chains (indices or a slice) at ranges theta, and their log-determinants."""
         chol = cholesky_stack(np.exp(-self.d_sites[chains] / theta[:, None, None]))
-        return chol, 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+        diag = chol.reshape(chol.shape[0], -1)[:, :: self.S + 1]
+        return chol, 2.0 * np.log(diag).sum(axis=1)
 
     def _set_range_cache(self, which: int, chains: np.ndarray, chol: np.ndarray, logdet: np.ndarray) -> None:
-        rinv = chol_factor_solve_stack(chol, np.broadcast_to(np.eye(self.S), chol.shape))
+        rinv = chol_factor_solve_stack(chol, self.eyes[: chol.shape[0]])
         if which == 1:
             self.chol_r1[chains], self.rinv1[chains], self.logdet_r1[chains] = chol, rinv, logdet
         else:
@@ -330,7 +334,7 @@ class _Blocks:
     ) -> np.ndarray:
         prior_diag, prior_off = car_precision_tridiag(self.n_t, eta[:, None], sigma2_car[:, None])
         s2y = self.sigma2_y[:, None]
-        return sample_tridiag_mvn(prior_diag + weights_diag / s2y, prior_off, wr_day / s2y, self.rngs)
+        return sample_tridiag_mvn_stack(prior_diag + weights_diag / s2y, prior_off, wr_day / s2y, self.rngs)
 
     def _by_day(self, weights: np.ndarray) -> np.ndarray:
         return np.bincount(self.day0, weights=weights, minlength=self.F * self.T).reshape(self.F, self.T)
@@ -380,44 +384,49 @@ class _Blocks:
         # e = resid + alpha1 + beta1 x the residual without the site terms,
         # are sums over sites
         e, xe = sr + alpha1 * n + beta1 * sx, sxr + alpha1 * sx + beta1 * sxx
-        u = np.stack([self.v1, self.v1, self.v2], axis=1)
+        u = np.array([self.v1, self.v1, self.v2])
         s2y = self.sigma2_y[:, None]
-        ftf = (u[:, :, None] * self.gram3 * u[:, None]).sum(axis=-1)
-        prec = ftf / s2y[:, None] + _A_PRIOR_PREC
-        rhs = (u * np.stack([e, xe, xe], axis=1)).sum(axis=-1) / s2y
+        ftf = (u[:, None] * self.gram3 * u).sum(axis=-1)
+        prec = ftf.transpose(2, 0, 1) / s2y[:, None] + _A_PRIOR_PREC
+        rhs = (u * np.array([e, xe, xe])).sum(axis=-1).T / s2y
         chol = cholesky_stack(prec)
         mean = chol_factor_solve_stack(chol, rhs)
         a = mean + tri_solve_stack(chol, self._normals(3), trans=1)
         # reflect into the identified half-space A11 >= 0, A22 >= 0; the joint
         # sign flips leave alpha1, beta1 and both GP priors invariant
-        sign = np.where(a[:, [0, 0, 2]] < 0, -1.0, 1.0)
-        self.a = a * sign
-        self.v1 = self.v1 * sign[:, 0:1]
-        self.v2 = self.v2 * sign[:, 2:3]
+        flip = a[:, 0::2] < 0
+        if flip.any():
+            sign = np.where(flip, -1.0, 1.0)
+            a *= sign[:, [0, 0, 1]]
+            self.v1 = self.v1 * sign[:, 0:1]
+            self.v2 = self.v2 * sign[:, 1:2]
+        self.a = a
         new_alpha1, new_beta1 = self._site_effects()
         self._shift_site_terms(new_alpha1 - alpha1, new_beta1 - beta1)
 
-    def _inv_gamma(self, shape: list[float], rate: np.ndarray) -> np.ndarray:
-        return rate / np.array([rng.gamma(k, 1.0) for rng, k in zip(self.rngs, shape)])
+    def _inv_gamma(self, shape: list[float], rate: list[float]) -> np.ndarray:
+        return np.array([r / rng.gamma(k, 1.0) for rng, k, r in zip(self.rngs, shape, rate)])
 
     def draw_sigma2_y(self) -> None:
-        resid = self.resid
-        ssr = np.array([float(resid[sl] @ resid[sl]) for sl in self.spans])
-        shape = [self.mcmc.ig_a + 0.5 * n for n in self.n.tolist()]
-        self.sigma2_y = self._inv_gamma(shape, self.mcmc.ig_b + 0.5 * ssr)
+        resid, ig_b = self.resid, self.mcmc.ig_b
+        rate = [ig_b + 0.5 * float(r @ r) for r in (resid[sl] for sl in self.spans)]
+        self.sigma2_y = self._inv_gamma(self.shape_y, rate)
 
-    @staticmethod
-    def _car_neighbor_quad(series: np.ndarray) -> np.ndarray:
+    def _car_neighbor_quad(self, series: np.ndarray) -> list[float]:
         """2 sum_t a_t a_{t+1} of each chain's series."""
-        return np.array([2.0 * float(np.dot(s[:-1], s[1:])) for s in series])
+        lag0, lag1 = series[:, :-1], series[:, 1:]
+        return [2.0 * float(np.dot(lag0[f], lag1[f])) for f in range(self.F)]
 
-    def draw_car_variance(self, series: np.ndarray, eta) -> np.ndarray:
-        qd = np.array([float(np.dot(w, s)) for w, s in zip(self.n_t * series, series)])
-        quad = qd - eta * self._car_neighbor_quad(series)
-        return self._inv_gamma([self.mcmc.ig_a + 0.5 * self.T] * self.F, self.mcmc.ig_b + 0.5 * quad)
+    def draw_car_variance(self, series: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        ig_b, weighted = self.mcmc.ig_b, self.n_t * series
+        rate = [
+            ig_b + 0.5 * (float(np.dot(weighted[f], series[f])) - e * q)
+            for f, (e, q) in enumerate(zip(eta.tolist(), self._car_neighbor_quad(series)))
+        ]
+        return self._inv_gamma([self.mcmc.ig_a + 0.5 * self.T] * self.F, rate)
 
     def draw_eta(self, series: np.ndarray, sigma2_car) -> np.ndarray:
-        qw = self._car_neighbor_quad(series)
+        qw = np.array(self._car_neighbor_quad(series))
         logw = 0.5 * self.logdet_table + ETA_GRID * (qw / (2.0 * sigma2_car))[:, None]
         return ETA_GRID[sample_from_log_weights(logw, self.rngs)]
 
@@ -437,11 +446,11 @@ class _Blocks:
         """log N(v; 0, R(theta)) + log prior(theta) + log theta, per chain,
         with R(theta) = chol chol' and logdet = log |R(theta)|."""
         w = tri_solve_stack(chol, v)
-        ww = np.array([float(r @ r) for r in w])
-        mvn = -0.5 * (self.S * np.log(2.0 * np.pi) + logdet + ww)
-        log_theta = np.log(theta)
-        prior = (self.mcmc.rho_prior_shape - 1.0) * log_theta - self.mcmc.rho_prior_rate * theta
-        return mvn + prior + log_theta
+        shape1, rate = self.mcmc.rho_prior_shape - 1.0, self.mcmc.rho_prior_rate
+        return np.array([
+            -0.5 * (self.mvn_const + ld + float(r @ r)) + (shape1 * lt - rate * t) + lt
+            for r, ld, lt, t in zip(w, logdet.tolist(), np.log(theta).tolist(), theta.tolist())
+        ])
 
     def draw_theta(self, which: int) -> np.ndarray:
         """Random-walk MH on log theta_which; returns which chains accepted the move.
@@ -451,20 +460,18 @@ class _Blocks:
         v = self.v1 if which == 1 else self.v2
         chol, logdet = (self.chol_r1, self.logdet_r1) if which == 1 else (self.chol_r2, self.logdet_r2)
         name = f"theta{which}"
-        z = np.array([rng.standard_normal() for rng in self.rngs])
-        prop = theta * np.exp(self.chain.step(name) * z)
+        prop = theta * np.exp(self.chain.step(name) * [rng.standard_normal() for rng in self.rngs])
         accepted = np.zeros(self.F, dtype=bool)
-        live = np.flatnonzero(prop >= self.theta_floor)
+        live = np.nonzero(prop >= self.theta_floor)[0]
         if live.size:
             # every chain is live in most calls: then take views, not copies
             sel = live if live.size < self.F else slice(None)
             chol_prop, logdet_prop = self._range_chol(prop[sel], sel)
             cur = self._log_range_target(v[sel], chol[sel], logdet[sel], theta[sel])
             new = self._log_range_target(v[sel], chol_prop, logdet_prop, prop[sel])
-            u = np.array([self.rngs[f].random() for f in live.tolist()])
-            ok = np.log(u) < new - cur
-            if ok.any():
-                moved = live[ok]
+            ok = np.log([self.rngs[f].random() for f in live.tolist()]) < new - cur
+            moved = live[ok]
+            if moved.size:
                 accepted[moved] = True
                 self._set_range_cache(which, moved, chol_prop[ok], logdet_prop[ok])
                 theta[moved] = prop[moved]

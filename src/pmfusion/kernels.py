@@ -133,7 +133,7 @@ def tri_solve_stack(l: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     """tri_solve(l[f], b[f], trans) for every f of a (F, n, n) stack of
     factors and (F, n) right-hand sides, equal to the lone calls bit for bit."""
     _check_finite(l, b)
-    return np.array([_trtrs(lf, bf, trans) for lf, bf in zip(l, b)])
+    return np.array([_trtrs(l[f], b[f], trans) for f in range(l.shape[0])])
 
 
 def chol_factor_solve(l: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -152,7 +152,7 @@ def chol_factor_solve(l: np.ndarray, b: np.ndarray) -> np.ndarray:
 def chol_factor_solve_stack(l: np.ndarray, b: np.ndarray) -> np.ndarray:
     """chol_factor_solve(l[f], b[f]) for every f of a stack, bit for bit."""
     _check_finite(l, b)
-    return np.array([_POTRS(lf, bf, lower=1)[0] for lf, bf in zip(l, b)])
+    return np.array([_POTRS(l[f], b[f], lower=1)[0] for f in range(l.shape[0])])
 
 
 def cholesky_stack(c: np.ndarray) -> np.ndarray:
@@ -236,7 +236,7 @@ def sample_tridiag_mvn(
     prec_diag: np.ndarray,
     prec_off: np.ndarray,
     b: np.ndarray,
-    rng,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """One draw from N(Q^{-1} b, Q^{-1}) for tridiagonal precision Q.
 
@@ -245,46 +245,48 @@ def sample_tridiag_mvn(
     U x = z, each with the arguments scipy.linalg's cholesky_banded,
     cho_solve_banded and solve_banded pass). Raises ValueError on
     non-finite input and NotPositiveDefiniteError when Q is not PD.
-
-    For F systems at once, prec_diag and b are (F, T), prec_off (F, T - 1)
-    or (F, 1), and rng holds F generators: row f is drawn from rng[f], as a
-    lone call with that row would draw it.
     """
-    prec_diag = np.asarray(prec_diag, dtype=float)
+    t = prec_diag.shape[0]
+    ab = np.zeros((2, t))
+    ab[1] = prec_diag
+    ab[0, 1:] = prec_off
     b = np.asarray(b, dtype=float)
-    if b.shape != prec_diag.shape:
-        raise ValueError(f"b must have shape {prec_diag.shape}")
-    single = prec_diag.ndim == 1
-    diag, off, b = (np.atleast_2d(a) for a in (prec_diag, prec_off, b))
-    f, t = diag.shape
-    ab = np.zeros((f, 2, t))
-    ab[:, 1] = diag
-    ab[:, 0, 1:] = off
+    if b.shape != (t,):
+        raise ValueError(f"b must have shape ({t},)")
     _check_finite(ab, b)
-    out = np.empty((f, t))
-    for k, gen in enumerate([rng] if single else rng):
-        u, info = _PBTRF(ab[k], lower=0)
-        if info > 0:
-            raise NotPositiveDefiniteError(f"{info}-th leading minor not positive definite")
-        mean, _ = _PBTRS(u, b[k], lower=0)
-        _, _, x, _ = _GBSV(0, 1, u, gen.standard_normal(t))
-        out[k] = mean + x
-    return out[0] if single else out
+    return _tridiag_draw(ab, b, rng)
 
 
-def sample_from_log_weights(logw: np.ndarray, rng):
-    """Sample an index proportionally to exp(logw), stable under shifts.
+def sample_tridiag_mvn_stack(
+    prec_diag: np.ndarray, prec_off: np.ndarray, b: np.ndarray, rngs
+) -> np.ndarray:
+    """sample_tridiag_mvn(prec_diag[f], prec_off[f], b[f], rngs[f]) for every
+    row f of (F, T) prec_diag and b and (F, T - 1) prec_off, equal to the lone
+    calls bit for bit."""
+    f, t = prec_diag.shape
+    ab = np.zeros((f, 2, t))
+    ab[:, 1] = prec_diag
+    ab[:, 0, 1:] = prec_off
+    _check_finite(ab, b)
+    return np.array([_tridiag_draw(ab[k], b[k], rng) for k, rng in enumerate(rngs)])
 
-    For a (F, K) logw and F generators in rng, one index per row, row f
-    drawn from rng[f].
-    """
+
+def _tridiag_draw(ab: np.ndarray, b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    u, info = _PBTRF(ab, lower=0)
+    if info > 0:
+        raise NotPositiveDefiniteError(f"{info}-th leading minor not positive definite")
+    mean, _ = _PBTRS(u, b, lower=0)
+    z = rng.standard_normal(b.shape[0])
+    _, _, x, _ = _GBSV(0, 1, u, z)
+    return mean + x
+
+
+def sample_from_log_weights(logw: np.ndarray, rngs) -> np.ndarray:
+    """One index per row of a (F, K) logw, drawn proportionally to exp(logw[f])
+    with the generator rngs[f]; stable under shifts of a row."""
     logw = np.asarray(logw, dtype=float)
-    rows = np.atleast_2d(logw)
-    cdf = np.cumsum(np.exp(rows - np.max(rows, axis=1, keepdims=True)), axis=1)
-    u = np.array([gen.random() for gen in ([rng] if logw.ndim == 1 else rng)])
-    # the count of cdf entries <= u * total, as searchsorted(side="right") gives it
-    idx = np.count_nonzero(cdf <= (u * cdf[:, -1])[:, None], axis=1)
-    return int(idx[0]) if logw.ndim == 1 else idx
+    cdf = np.cumsum(np.exp(logw - logw.max(axis=1, keepdims=True)), axis=1)
+    return np.array([np.searchsorted(c, rng.random() * c[-1], side="right") for c, rng in zip(cdf, rngs)])
 
 
 def logit(w) -> np.ndarray | float:

@@ -469,7 +469,7 @@ class SingleChainBlocks:
     def draw_eta(self, series: np.ndarray, sigma2_car: float) -> float:
         _, qw = self._car_quads(series, self.n_t)
         logw = 0.5 * self.logdet_table + ETA_GRID * (qw / (2.0 * sigma2_car))
-        return float(ETA_GRID[sample_from_log_weights(logw, self.rng)])
+        return float(ETA_GRID[sample_from_log_weights(logw[None], [self.rng])[0]])
 
     def draw_sigma2_alpha0(self) -> None:
         self.sigma2_a = self.draw_car_variance(self.alpha0, self.eta_a)

@@ -238,7 +238,7 @@ class TestConjugateBlocks:
         mean = rate / (shape - 1.0)
         sd = mean / np.sqrt(shape - 2.0)
         draws = np.array([
-            blocks.draw_car_variance(series[None], eta)[0] for _ in range(self.N_DRAWS)
+            blocks.draw_car_variance(series[None], np.array([eta]))[0] for _ in range(self.N_DRAWS)
         ])
         assert abs(draws.mean() - mean) < 3.0 * sd / np.sqrt(self.N_DRAWS)
 

@@ -15,6 +15,8 @@ from pmfusion.kernels import (
     car_precision_tridiag,
     car_normalized_eigvals,
     chol_factor_solve,
+    chol_factor_solve_stack,
+    cholesky_stack,
     ExpKriging,
     inv_logit,
     jittered_cholesky,
@@ -22,7 +24,9 @@ from pmfusion.kernels import (
     norm_logpdf,
     sample_from_log_weights,
     sample_tridiag_mvn,
+    sample_tridiag_mvn_stack,
     tri_solve,
+    tri_solve_stack,
 )
 from oracles import (
     masked_inv_logit,
@@ -149,6 +153,23 @@ class TestLapackSolves:
         got = sample_tridiag_mvn(diag, off, b, np.random.default_rng(3))
         want = scipy_tridiag_mvn(diag, off, b, np.random.default_rng(3))
         assert np.array_equal(got, want)
+
+    def test_stack_kernels_equal_the_lone_calls_row_by_row(self):
+        rng = np.random.default_rng(9)
+        l = np.array([_spd_factor(rng, 7) for _ in range(4)])
+        b = rng.standard_normal((4, 7))
+        assert np.array_equal(cholesky_stack(l @ l.transpose(0, 2, 1)), [jittered_cholesky(m @ m.T)[0] for m in l])
+        for trans in (0, 1):
+            assert np.array_equal(tri_solve_stack(l, b, trans), [tri_solve(*fb, trans=trans) for fb in zip(l, b)])
+        assert np.array_equal(chol_factor_solve_stack(l, b), [chol_factor_solve(*fb) for fb in zip(l, b)])
+        diag, off = map(np.array, zip(*(_spd_tridiag(rng, 9) for _ in range(4))))
+        rhs = rng.standard_normal((4, 9))
+        got = sample_tridiag_mvn_stack(diag, off, rhs, [np.random.default_rng(k) for k in range(4)])
+        want = [sample_tridiag_mvn(*row, np.random.default_rng(k)) for k, row in enumerate(zip(diag, off, rhs))]
+        assert np.array_equal(got, want)
+        b[2, 3] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            tri_solve_stack(l, b)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_raises_value_error(self, bad):
@@ -453,7 +474,7 @@ class TestDiscreteSampling:
         k = 50
         logw = np.zeros(k)
         counts = np.bincount(
-            [sample_from_log_weights(logw, rng) for _ in range(50000)], minlength=k
+            [sample_from_log_weights(logw[None], [rng])[0] for _ in range(50000)], minlength=k
         )
         expected = 50000 / k
         chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -464,7 +485,7 @@ class TestDiscreteSampling:
         rng = np.random.default_rng(14)
         logw = np.log(np.array([0.7, 0.2, 0.1]))
         draws = np.bincount(
-            [sample_from_log_weights(logw, rng) for _ in range(30000)], minlength=3
+            [sample_from_log_weights(logw[None], [rng])[0] for _ in range(30000)], minlength=3
         )
         np.testing.assert_allclose(draws / 30000, [0.7, 0.2, 0.1], atol=0.02)
 
@@ -472,6 +493,6 @@ class TestDiscreteSampling:
         rng1 = np.random.default_rng(15)
         rng2 = np.random.default_rng(15)
         logw = np.array([-3.0, -1.0, -2.0])
-        a = [sample_from_log_weights(logw, rng1) for _ in range(100)]
-        b = [sample_from_log_weights(logw + 500.0, rng2) for _ in range(100)]
+        a = [sample_from_log_weights(logw[None], [rng1])[0] for _ in range(100)]
+        b = [sample_from_log_weights(logw[None] + 500.0, [rng2])[0] for _ in range(100)]
         assert a == b
