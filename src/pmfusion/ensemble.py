@@ -42,9 +42,9 @@ from .geo import Location, distance_matrix
 from .kernels import (
     ExpKriging,
     chol_factor_solve,
+    clipped_logit,
     inv_logit,
     jittered_cholesky,
-    logit,
     norm_logpdf,
     tri_solve,
 )
@@ -199,7 +199,7 @@ def membership_prob(
 ) -> np.ndarray:
     """Posterior probability that y came from component 1."""
     delta = norm_logpdf(y, mu1, var1) - norm_logpdf(y, mu2, var2)
-    return _membership_prob(logit(np.clip(w, 1e-12, 1 - 1e-12)), delta)
+    return _membership_prob(clipped_logit(w), delta)
 
 
 def _membership_prob(q, delta_ll):
@@ -261,69 +261,40 @@ def update_q(
     return accepted
 
 
-def update_tau2(
-    q: np.ndarray,
-    rho: float,
-    locations,
-    rng: np.random.Generator,
-    ig_a: float = 0.001,
-    ig_b: float = 0.001,
-) -> float:
-    """Step 3: conjugate IG draw given the correlation matrix at rho."""
-    q = np.asarray(q, dtype=float)
-    d = distance_matrix(locations)
-    chol, _ = jittered_cholesky(np.exp(-d / rho))
-    half = tri_solve(chol, q)
-    return _draw_tau2(float(half @ half), q.shape[0], ig_a, ig_b, rng)
-
-
-def _draw_tau2(quad: float, s_count: int, ig_a: float, ig_b: float, rng) -> float:
-    """IG(a + S/2, b + quad / 2) draw of tau2, given quad = q' C(rho)^{-1} q."""
-    return float((ig_b + 0.5 * quad) / rng.gamma(ig_a + 0.5 * s_count, 1.0))
-
-
-def _q_loglik(q: np.ndarray, tau2: float, corr_chol: np.ndarray) -> float:
-    """MVN(0, tau2 * C) log density of q given the Cholesky factor of C."""
-    s = q.shape[0]
-    half = tri_solve(corr_chol, q)
-    return -0.5 * (
-        s * math.log(2.0 * math.pi * tau2)
-        + 2.0 * float(np.sum(np.log(np.diag(corr_chol))))
-        + float(half @ half) / tau2
-    )
+def update_tau2(quad: float, s_count: int, mcmc: MCMCConfig, rng: np.random.Generator) -> float:
+    """Step 3: the conjugate IG(ig_a + S/2, ig_b + quad / 2) draw of tau2,
+    given quad = q' C(rho)^{-1} q over the S sites."""
+    return float((mcmc.ig_b + 0.5 * quad) / rng.gamma(mcmc.ig_a + 0.5 * s_count, 1.0))
 
 
 def update_rho(
     q: np.ndarray,
     tau2: float,
     rho: float,
-    locations,
-    kappa_rho: float,
+    d: np.ndarray,
+    corr_chol: np.ndarray,
+    step: float,
     rng: np.random.Generator,
-    prior_shape: float = 0.5,
-    prior_rate: float = 0.005,
-    d: np.ndarray | None = None,
-    corr_chol: np.ndarray | None = None,
+    mcmc: MCMCConfig,
 ) -> tuple[float, bool, np.ndarray]:
-    """Step 4: log-normal proposal MH on the weight-field range.
+    """Step 4: log-normal random-walk MH on the weight-field range.
 
-    Returns (rho, accepted, corr_chol at the returned rho). The acceptance
-    ratio includes the proposal Jacobian factor rho_prop / rho_cur.
+    d is the site distance matrix, corr_chol the Cholesky factor of
+    C(rho) = exp(-d / rho) and step the SD of log(rho_prop / rho). The
+    target is the MVN(0, tau2 * C) density of q times the Gamma prior of
+    mcmc. Returns (rho, accepted, the factor at the returned rho).
     """
-    q = np.asarray(q, dtype=float)
-    if d is None:
-        d = distance_matrix(locations)
-    if corr_chol is None:
-        corr_chol, _ = jittered_cholesky(np.exp(-d / rho))
-    prop = float(rho * math.exp(math.sqrt(kappa_rho) * rng.standard_normal()))
+    prop = float(rho * math.exp(step * rng.standard_normal()))
     chol_prop, _ = jittered_cholesky(np.exp(-d / prop))
 
     def log_target(r: float, chol: np.ndarray) -> float:
-        return (
-            _q_loglik(q, tau2, chol)
-            + (prior_shape - 1.0) * math.log(r)
-            - prior_rate * r
+        half = tri_solve(chol, q)
+        log_lik = -0.5 * (
+            q.shape[0] * math.log(2.0 * math.pi * tau2)
+            + 2.0 * float(np.sum(np.log(np.diag(chol))))
+            + float(half @ half) / tau2
         )
+        return log_lik + (mcmc.rho_prior_shape - 1.0) * math.log(r) - mcmc.rho_prior_rate * r
 
     # + log(prop) - log(rho) is the Jacobian of the log-normal proposal
     delta = log_target(prop, chol_prop) - log_target(rho, corr_chol) + math.log(prop) - math.log(rho)
@@ -345,24 +316,35 @@ class _EnsembleProblem:
         if self.y.shape[0] != inputs.n_records:
             raise ValueError("y length must match the predictive table")
         self.site_idx = _site_index(inputs.ids, self.locations)
-        both = inputs.both_available()
-        self.rows = np.flatnonzero(both)
+        self.rows = np.flatnonzero(inputs.both_available())
         self.row_site = self.site_idx[self.rows]
-        self.delta_ll = norm_logpdf(
-            self.y[self.rows], inputs.mu[self.rows, 0], inputs.var[self.rows, 0]
-        ) - norm_logpdf(
-            self.y[self.rows], inputs.mu[self.rows, 1], inputs.var[self.rows, 1]
-        )
+        y_b, mu, var = self.y[self.rows], inputs.mu[self.rows], inputs.var[self.rows]
+        self.delta_ll = norm_logpdf(y_b, mu[:, 0], var[:, 0]) - norm_logpdf(y_b, mu[:, 1], var[:, 1])
         self.t_s = np.bincount(self.row_site, minlength=self.s_count).astype(float)
-        self.d = distance_matrix(self.locations)
-        diam = float(self.d.max())
-        self.rho_init = max(diam / 4.0, 1e-3)
 
     def draw_assignment_sums(self, q: np.ndarray, rng) -> np.ndarray:
         """Step 1: draw every membership; returns the per-site sums of z."""
         p = _membership_prob(q[self.row_site], self.delta_ll)
         z = rng.random(self.rows.size) < p
         return np.bincount(self.row_site, weights=z.astype(float), minlength=self.s_count)
+
+
+class _Range:
+    """The range state both fitters share: site distances, rho (started at a
+    quarter of the site diameter) and the Cholesky factor of C(rho)."""
+
+    def __init__(self, locations):
+        self.d = distance_matrix(locations)
+        self.rho = max(float(self.d.max()) / 4.0, 1e-3)
+        self.chol, _ = jittered_cholesky(np.exp(-self.d / self.rho))
+
+    def move(self, q: np.ndarray, tau2: float, chain: Chain, rng) -> bool:
+        """Step 4 with the chain's rho step, counted as one rho try."""
+        self.rho, accepted, self.chol = update_rho(
+            q, tau2, self.rho, self.d, self.chol, chain.step("rho"), rng, chain.mcmc
+        )
+        chain.tried("rho", accepted)
+        return accepted
 
 
 def fit_joint(y, inputs, locations, mcmc: MCMCConfig) -> WeightFieldSamples:
@@ -375,13 +357,11 @@ def fit_joint(y, inputs, locations, mcmc: MCMCConfig) -> WeightFieldSamples:
     prob = _EnsembleProblem(y, inputs, locations)
     rng = np.random.default_rng(mcmc.seed)
     s_count = prob.s_count
+    field = _Range(prob.locations)
 
     q = np.zeros(s_count)
     tau2 = 1.0
-    rho = prob.rho_init
-    corr_chol, _ = jittered_cholesky(np.exp(-prob.d / rho))
-    corr_inv = chol_factor_solve(corr_chol, np.eye(s_count))
-    prec = corr_inv / tau2
+    prec = chol_factor_solve(field.chol, np.eye(s_count)) / tau2
     r = prec @ q
 
     chain = Chain(mcmc, q=np.full(s_count, math.sqrt(mcmc.kappa_w)), rho=math.sqrt(mcmc.kappa_rho))
@@ -395,27 +375,13 @@ def fit_joint(y, inputs, locations, mcmc: MCMCConfig) -> WeightFieldSamples:
         chain.tried("q", update_q(z_sum, prob.t_s, q, prec, r, chain.step("q"), rng))
 
         # q' C^{-1} q with the current precision
-        tau2_new = _draw_tau2(tau2 * float(q @ r), s_count, mcmc.ig_a, mcmc.ig_b, rng)
+        tau2_new = update_tau2(tau2 * float(q @ r), s_count, mcmc, rng)
         prec *= tau2 / tau2_new
         r *= tau2 / tau2_new
         tau2 = tau2_new
 
-        rho, rho_accepted, corr_chol = update_rho(
-            q,
-            tau2,
-            rho,
-            prob.locations,
-            chain.step("rho") ** 2,
-            rng,
-            mcmc.rho_prior_shape,
-            mcmc.rho_prior_rate,
-            d=prob.d,
-            corr_chol=corr_chol,
-        )
-        chain.tried("rho", rho_accepted)
-        if rho_accepted:
-            corr_inv = chol_factor_solve(corr_chol, np.eye(s_count))
-            prec = corr_inv / tau2
+        if field.move(q, tau2, chain, rng):
+            prec = chol_factor_solve(field.chol, np.eye(s_count)) / tau2
             r = prec @ q
         elif it % _REFRESH_EVERY == 0:
             r = prec @ q
@@ -423,7 +389,7 @@ def fit_joint(y, inputs, locations, mcmc: MCMCConfig) -> WeightFieldSamples:
         if j is not None:
             out_q[j] = q
             out_tau2[j] = tau2
-            out_rho[j] = rho
+            out_rho[j] = field.rho
 
     return WeightFieldSamples(
         locations=prob.locations,
@@ -444,12 +410,10 @@ def fit_site_weights(y, inputs, locations, mcmc: MCMCConfig) -> tuple[np.ndarray
     """
     prob = _EnsembleProblem(y, inputs, locations)
     rng = np.random.default_rng(mcmc.seed)
-    s_count = prob.s_count
-    w = np.full(s_count, 0.5)
-    out_w = np.zeros((mcmc.n_kept, s_count))
+    w = np.full(prob.s_count, 0.5)
+    out_w = np.zeros((mcmc.n_kept, prob.s_count))
     for _, j in Chain(mcmc):
-        q = logit(np.clip(w, 1e-12, 1 - 1e-12))
-        z_sum = prob.draw_assignment_sums(q, rng)
+        z_sum = prob.draw_assignment_sums(clipped_logit(w), rng)
         w = rng.beta(1.0 + z_sum, 1.0 + prob.t_s - z_sum)
         if j is not None:
             out_w[j] = w
@@ -469,38 +433,22 @@ def fit_two_stage(y, inputs, locations, mcmc: MCMCConfig) -> WeightFieldSamples:
     if not keep.any():
         raise NoInputsError("no site with both components available")
     kept_locs = [l for l, k in zip(locations, keep) if k]
-    q_med = logit(np.clip(np.median(w_samples[:, keep], axis=0), 1e-12, 1 - 1e-12))
+    q_med = clipped_logit(np.median(w_samples[:, keep], axis=0))
 
     rng = np.random.default_rng(np.random.SeedSequence(mcmc.seed).spawn(1)[0].generate_state(1)[0])
-    d = distance_matrix(kept_locs)
-    diam = float(d.max())
-    rho = max(diam / 4.0, 1e-3)
-    tau2 = max(float(np.var(q_med)), 1e-3)
-    corr_chol, _ = jittered_cholesky(np.exp(-d / rho))
+    field = _Range(kept_locs)
     chain = Chain(mcmc, rho=math.sqrt(mcmc.kappa_rho))
     n_kept = mcmc.n_kept
     out_q = np.tile(q_med, (n_kept, 1))
     out_tau2 = np.zeros(n_kept)
     out_rho = np.zeros(n_kept)
     for _, j in chain:
-        half = tri_solve(corr_chol, q_med)
-        tau2 = _draw_tau2(float(half @ half), q_med.shape[0], mcmc.ig_a, mcmc.ig_b, rng)
-        rho, accepted, corr_chol = update_rho(
-            q_med,
-            tau2,
-            rho,
-            kept_locs,
-            chain.step("rho") ** 2,
-            rng,
-            mcmc.rho_prior_shape,
-            mcmc.rho_prior_rate,
-            d=d,
-            corr_chol=corr_chol,
-        )
-        chain.tried("rho", accepted)
+        half = tri_solve(field.chol, q_med)
+        tau2 = update_tau2(float(half @ half), q_med.shape[0], mcmc, rng)
+        field.move(q_med, tau2, chain, rng)
         if j is not None:
             out_tau2[j] = tau2
-            out_rho[j] = rho
+            out_rho[j] = field.rho
     return WeightFieldSamples(
         locations=kept_locs,
         q=out_q,

@@ -157,6 +157,16 @@ def read_csv(path, fmt: CsvFormat) -> tuple[list[int], list[np.ndarray]]:
     return lines, [np.asarray(c, dtype=_DTYPE[k]) for c, k in zip(cols, fmt.kinds)]
 
 
+def _refuse_repeats(path, lines, keys, name: str) -> None:
+    """ParseError at the first row whose key repeats an earlier row's; a
+    later row silently replacing an earlier one would hide the defect."""
+    first: dict = {}
+    for line, key in zip(lines, keys):
+        if key in first:
+            raise ParseError(f"{path}:{line}: duplicate {name} {key!r}, first at line {first[key]}")
+        first[key] = line
+
+
 def _format(kind: str, values) -> list[str]:
     if kind == "s":
         return [str(v) for v in values]
@@ -194,11 +204,7 @@ def emit_monitors(path, locations: list[Location], meta: dict | None = None):
 def load_monitors(path) -> list[Location]:
     """Monitor locations in file order; a repeated site_id is a ParseError."""
     lines, (ids, x, y) = read_csv(path, MONITORS)
-    seen = set()
-    for line, sid in zip(lines, ids):
-        if sid in seen:
-            raise ParseError(f"{path}:{line}: duplicate site_id '{sid}'")
-        seen.add(sid)
+    _refuse_repeats(path, lines, ids, "site_id")
     return [Location(*row) for row in zip(ids.tolist(), x.tolist(), y.tolist())]
 
 
@@ -209,16 +215,12 @@ def emit_obs(path, ids, day, pm25, meta: dict | None = None):
 def load_obs(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Observation rows; records with an empty pm25 field are dropped.
 
-    Raises SchemaError at a kept row that repeats a (site_id, day).
+    Raises ParseError at a kept row that repeats a (site_id, day).
     """
     lines, (ids, day, y) = read_csv(path, OBS)
     keep = ~np.isnan(y)
     ids, day, y = ids[keep], day[keep], y[keep]
-    line_of = {}
-    for line, key in zip(np.asarray(lines)[keep].tolist(), zip(ids, day.tolist())):
-        if key in line_of:
-            raise SchemaError(f"{path}:{line}: (site_id, day) {key} repeats line {line_of[key]}")
-        line_of[key] = line
+    _refuse_repeats(path, np.asarray(lines)[keep].tolist(), zip(ids, day.tolist()), "(site_id, day)")
     return ids, day, y
 
 
@@ -232,8 +234,10 @@ def emit_grid(path, values: np.ndarray, present: np.ndarray | None = None, meta:
 
 def load_grid(path, spec: GridSpec, n_days: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Returns (values, present) with shape (n_days, rows, cols); absent rows
-    and empty value fields both mean missing."""
+    and empty value fields both mean missing. A repeated (day, row, col) is
+    a ParseError."""
     lines, (day, row, col, value) = read_csv(path, GRID)
+    _refuse_repeats(path, lines, zip(day.tolist(), row.tolist(), col.tolist()), "(day, row, col)")
     bad = (day < 1) | (row < 0) | (row >= spec.n_rows) | (col < 0) | (col >= spec.n_cols)
     if bad.any():
         k = int(bad.argmax())
@@ -256,7 +260,9 @@ def emit_covariates(path, ids, day, z: np.ndarray, meta: dict | None = None):
 
 
 def load_covariates(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    _, (ids, day, *z) = read_csv(path, COVARIATES)
+    """Covariate rows; a repeated (site_id, day) is a ParseError."""
+    lines, (ids, day, *z) = read_csv(path, COVARIATES)
+    _refuse_repeats(path, lines, zip(ids, day.tolist()), "(site_id, day)")
     return ids, day, np.column_stack(z)
 
 
@@ -275,9 +281,9 @@ def load_predictive(path, locations: dict[str, Location]) -> PredictiveTable:
     unknown source, a non-positive var or a repeated (site_id, day, source).
     """
     lines, (ids, day, source, mu, var) = read_csv(path, PREDICTIVE)
+    _refuse_repeats(path, lines, zip(ids, day.tolist(), source), "(site_id, day, source)")
     col_of = {s: k for k, s in enumerate(SOURCE_COLUMNS)}
     order: dict[tuple[str, int], int] = {}
-    seen = set()
     rows, ks = [], []
     for line, sid, d, src, v in zip(lines, ids, day.tolist(), source, var.tolist()):
         if sid not in locations:
@@ -286,9 +292,6 @@ def load_predictive(path, locations: dict[str, Location]) -> PredictiveTable:
             raise ParseError(f"{path}:{line}: unknown source '{src}'")
         if v <= 0:
             raise ParseError(f"{path}:{line}: non-positive value '{v!r}' in column 'var'")
-        if (sid, d, src) in seen:
-            raise ParseError(f"{path}:{line}: duplicate (site_id, day, source) row")
-        seen.add((sid, d, src))
         rows.append(order.setdefault((sid, d), len(order)))
         ks.append(col_of[src])
     n = len(order)
@@ -313,7 +316,9 @@ def emit_weights(path, site_ids, summary: dict[str, np.ndarray], meta: dict | No
 
 
 def load_weights(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    _, (ids, *cols) = read_csv(path, WEIGHTS)
+    """Site weight summaries; a repeated site_id is a ParseError."""
+    lines, (ids, *cols) = read_csv(path, WEIGHTS)
+    _refuse_repeats(path, lines, ids, "site_id")
     return ids, dict(zip(WEIGHTS.columns[1:], cols))
 
 
@@ -331,10 +336,12 @@ def emit_weight_samples(path, field, meta: dict | None = None):
 
 
 def load_weight_samples(path, locations: list[Location]):
-    """The sample grid, sites in first-seen order; every (sample, site) needs a row."""
+    """The sample grid, sites in first-seen order; every (sample, site) needs
+    exactly one row."""
     from .ensemble import WeightFieldSamples
 
     lines, (sample, ids, q_col, tau2_col, rho_col) = read_csv(path, WEIGHT_SAMPLES)
+    _refuse_repeats(path, lines, zip(sample.tolist(), ids), "(sample, site_id)")
     by_id = {l.site_id: l for l in locations}
     site_order: dict[str, int] = {}
     for line, sid in zip(lines, ids):
@@ -504,6 +511,8 @@ def assemble_observations(
     if covariates is not None:
         cov_ids, cov_day, z_all = covariates
         row_of = {key: i for i, key in enumerate(zip(cov_ids, cov_day.tolist()))}
+        if len(row_of) < len(cov_ids):
+            raise SchemaError("covariates repeat a (site_id, day) row")
         for i, key in enumerate(zip(ids, day.tolist())):
             if key not in row_of:
                 raise SchemaError(f"no covariate row for site '{key[0]}' day {key[1]}")

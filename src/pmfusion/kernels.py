@@ -22,7 +22,7 @@ from scipy.special import ndtri
 
 from .errors import DomainError, NotPositiveDefiniteError
 
-# logit outputs are clamped so round trips through inv_logit stay finite
+# clipped_logit clamps weights this far inside (0, 1), so its logits stay finite
 _W_CLIP = 1e-12
 
 # jitter ladder relative to the mean marginal variance
@@ -296,6 +296,11 @@ def logit(w) -> np.ndarray | float:
         raise DomainError("logit requires values in (0, 1)")
     out = np.log(arr / (1.0 - arr))
     return float(out) if np.isscalar(w) else out
+
+
+def clipped_logit(w) -> np.ndarray | float:
+    """logit of w clamped into [_W_CLIP, 1 - _W_CLIP]: finite at 0 and 1."""
+    return logit(np.clip(w, _W_CLIP, 1.0 - _W_CLIP))
 
 
 def inv_logit(q) -> np.ndarray | float:

@@ -43,15 +43,6 @@ JOINT = "joint"
 TWO_STAGE = "two_stage"
 VARIANTS = (JOINT, TWO_STAGE)
 
-ARTIFACT_NAMES = (
-    "cv_predictive",
-    "site_weights",
-    "full_predictive",
-    "weight_surface",
-    "surface",
-    "evaluation",
-)
-
 
 @dataclass(frozen=True)
 class PipelineConfig:

@@ -97,8 +97,9 @@ def test_01_conditional_draws_match_density_oracles():
     draw_rng = np.random.default_rng(99)
     m = 100_000
     total = 0.0
+    mcmc = MCMCConfig(ig_a=a, ig_b=b)
     for _ in range(m):
-        total += update_tau2(q, rho, locs, draw_rng, ig_a=a, ig_b=b)
+        total += update_tau2(quad, s_count, mcmc, draw_rng)
     rel_err = abs(total / m - analytic_mean) / analytic_mean
     elapsed = time.perf_counter() - t0
     report(
@@ -143,8 +144,11 @@ def test_02_disabled_likelihood_recovers_priors():
     q1 = np.array([0.3])  # C = [1] makes the field term constant in the range
     rho = 100.0
     total = 0.0
+    d1 = distance_matrix(single)
+    chol1, _ = jittered_cholesky(np.exp(-d1 / rho))
+    mcmc = MCMCConfig()
     for it in range(n_iter):
-        rho, _, _ = update_rho(q1, 1.0, rho, single, 2.0, rng)
+        rho, _, chol1 = update_rho(q1, 1.0, rho, d1, chol1, math.sqrt(2.0), rng, mcmc)
         if it >= burn:
             total += rho
     rho_mean = total / kept

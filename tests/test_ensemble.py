@@ -304,8 +304,6 @@ class TestUpdateTau2:
     def test_matches_inverse_gamma_moments(self):
         rng = np.random.default_rng(131)
         locs = [Location(f"s{i}", *rng.uniform(0, 150, 2)) for i in range(12)]
-        from pmfusion.geo import distance_matrix
-
         q = rng.normal(0, 1.4, 12)
         rho = 60.0
         corr = np.exp(-distance_matrix(locs) / rho)
@@ -316,15 +314,14 @@ class TestUpdateTau2:
         sd = mean / math.sqrt(shape - 2.0)
         m = 20_000
         draw_rng = np.random.default_rng(132)
-        draws = np.array([update_tau2(q, rho, locs, draw_rng) for _ in range(m)])
+        mcmc = MCMCConfig()
+        draws = np.array([update_tau2(quad, 12, mcmc, draw_rng) for _ in range(m)])
         assert abs(draws.mean() - mean) < 3 * sd / math.sqrt(m)
         assert abs(draws.var(ddof=1) - sd * sd) < 4 * sd * sd * math.sqrt(2.0 / m)
 
     def test_deterministic_given_rng(self):
-        locs = [Location("a", 0, 0), Location("b", 25, 10)]
-        q = np.array([0.5, -0.3])
-        one = update_tau2(q, 30.0, locs, np.random.default_rng(9))
-        two = update_tau2(q, 30.0, locs, np.random.default_rng(9))
+        one = update_tau2(0.7, 2, MCMCConfig(), np.random.default_rng(9))
+        two = update_tau2(0.7, 2, MCMCConfig(), np.random.default_rng(9))
         assert one == two
 
 
@@ -332,18 +329,17 @@ class TestUpdateRho:
     def test_single_site_recovers_prior(self):
         """With one site the field likelihood is constant in the range, so
         the chain must sample its Gamma(0.5, 0.005) prior (mean 100)."""
-        locs = [Location("only", 0.0, 0.0)]
+        d = distance_matrix([Location("only", 0.0, 0.0)])
         q = np.array([0.4])
         rho = 100.0
+        chol, _ = jittered_cholesky(np.exp(-d / rho))
         rng = np.random.default_rng(141)
+        mcmc = MCMCConfig()
         n_iter = 30_000
         draws = np.empty(n_iter)
         accepts = 0
-        chol = None
         for it in range(n_iter):
-            rho, acc, chol = update_rho(
-                q, 1.0, rho, locs, 2.0, rng, corr_chol=chol
-            )
+            rho, acc, chol = update_rho(q, 1.0, rho, d, chol, math.sqrt(2.0), rng, mcmc)
             draws[it] = rho
             accepts += acc
         draws = draws[5_000:]
@@ -355,16 +351,44 @@ class TestUpdateRho:
     def test_returned_factor_matches_accepted_range(self):
         rng = np.random.default_rng(142)
         locs = [Location(f"s{i}", *rng.uniform(0, 80, 2)) for i in range(5)]
-        from pmfusion.geo import distance_matrix
-        from pmfusion.kernels import jittered_cholesky
-
         d = distance_matrix(locs)
         q = rng.normal(0, 1, 5)
         rho = 40.0
+        chol, _ = jittered_cholesky(np.exp(-d / rho))
         for _ in range(50):
-            rho, _, chol = update_rho(q, 1.0, rho, locs, 0.3, rng)
+            rho, _, chol = update_rho(q, 1.0, rho, d, chol, math.sqrt(0.3), rng, MCMCConfig())
             want, _ = jittered_cholesky(np.exp(-d / rho))
             assert_allclose(chol, want, rtol=1e-12)
+
+
+class TestQuadraticForm:
+    """The quadratic form each fitter hands to update_tau2 is q' C(rho)^{-1} q
+    at the q and rho of that iteration: fit_joint keeps it as a running
+    tau2 * q' r, fit_two_stage solves with the range factor."""
+
+    @pytest.mark.parametrize("fitter", [fit_joint, fit_two_stage])
+    def test_matches_a_dense_solve_at_every_iteration(self, fitter, monkeypatch):
+        locs, inputs, y, _ = separation_problem(n_side=4, t_days=30)
+        mcmc = MCMCConfig(n_iter=300, burn_in=150, thin=3, seed=17)
+        quads, states = [], []
+
+        def tau2_step(quad, s_count, mcmc, rng):
+            quads.append(quad)
+            return update_tau2(quad, s_count, mcmc, rng)
+
+        def rho_step(q, tau2, rho, d, corr_chol, step, rng, mcmc):
+            # called right after the tau2 draw, with the same q and rho
+            states.append((q.copy(), rho, d))
+            return update_rho(q, tau2, rho, d, corr_chol, step, rng, mcmc)
+
+        monkeypatch.setattr(ensemble, "update_tau2", tau2_step)
+        monkeypatch.setattr(ensemble, "update_rho", rho_step)
+        fitter(y, inputs, locs, mcmc)
+        assert len(quads) == len(states) == mcmc.n_iter
+        assert len({rho for _, rho, _ in states}) > 1  # the range moves
+        for quad, (q, rho, d) in zip(quads, states):
+            want = float(q @ np.linalg.solve(np.exp(-d / rho), q))
+            assert quad == pytest.approx(want, rel=1e-9)
 
 
 class TestMixtureDistribution:

@@ -483,6 +483,16 @@ class TestAssembleObservations:
                 monitors, obs, ctm, scene.config.ctm_grid, covariates=short, n_days=8
             )
 
+    def test_repeated_covariate_row_rejected(self, tmp_path):
+        # a later copy of a (site_id, day) with other values used to win
+        scene, monitors, obs, cov, ctm, sat = self.pieces(tmp_path)
+        cov_ids, cov_day, z = cov
+        repeated = (np.append(cov_ids, cov_ids[0]), np.append(cov_day, cov_day[0]), np.vstack([z, z[:1] + 9.0]))
+        with pytest.raises(SchemaError, match=r"covariates repeat a \(site_id, day\) row"):
+            assemble_observations(
+                monitors, obs, ctm, scene.config.ctm_grid, covariates=repeated, n_days=8
+            )
+
 
 class TestExportScene:
     def test_exports_complete_and_hashed(self, tmp_path):
@@ -658,3 +668,35 @@ def test_bad_cell_names_file_line_and_column(tmp_path, name, kind):
     lines, cols = read_csv(p, fmt)
     got = [None if k == "m" and np.isnan(c[0]) else c.tolist()[0] for k, c in zip(fmt.kinds, cols)]
     assert lines == [2] and got == [PARSED_CELL[k] for k in fmt.kinds]
+
+
+# per format: a loader call and three rows whose third repeats the first's key
+# with another value, which used to replace it without an error
+REPEATED_KEY = {
+    "monitors": (lambda p, sites: load_monitors(p), "site_id,x_km,y_km",
+                 ["a01,1.0,2.0", "b02,3.0,4.0", "a01,5.0,6.0"]),
+    "obs": (lambda p, sites: load_obs(p), "site_id,day,pm25",
+            ["a01,1,5.0", "a01,2,6.0", "a01,1,50.0"]),
+    "grid": (lambda p, sites: load_grid(p, GridSpec(0.0, 0.0, 1.0, 2, 2)), "day,row,col,value",
+             ["1,0,0,5.0", "1,0,1,6.0", "1,0,0,50.0"]),
+    "covariates": (lambda p, sites: load_covariates(p), "site_id,day,elev,forest,road,emis,wind,temp",
+                   ["a01,1,0,0,0,0,0,0", "a01,2,0,0,0,0,0,0", "a01,1,9,9,9,9,9,9"]),
+    "predictive": (lambda p, sites: load_predictive(p, {s.site_id: s for s in sites}),
+                   "site_id,day,source,mu,var",
+                   ["a01,1,ctm,1.0,1.0", "a01,1,sat,1.0,1.0", "a01,1,ctm,2.0,1.0"]),
+    "weights": (lambda p, sites: load_weights(p), "site_id,w_mean,w_lo,w_hi,q_mean",
+                ["a01,0.5,0.4,0.6,0.0", "b02,0.5,0.4,0.6,0.0", "a01,0.9,0.8,1.0,2.2"]),
+    "weight_samples": (lambda p, sites: load_weight_samples(p, sites), "sample,site_id,q,tau2,rho",
+                       ["0,a01,0.1,1.0,30.0", "0,b02,0.2,1.0,30.0", "0,a01,5.0,1.0,30.0"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_KEY))
+def test_repeated_key_names_file_and_both_lines(tmp_path, sites, name):
+    load, header, rows = REPEATED_KEY[name]
+    p = tmp_path / f"{name}.csv"
+    p.write_text("\n".join([header, *rows]) + "\n")
+    with pytest.raises(ParseError, match=rf"{name}\.csv:4: duplicate .*, first at line 2$"):
+        load(p, sites)
+    p.write_text("\n".join([header, *rows[:2]]) + "\n")
+    load(p, sites)

@@ -325,6 +325,20 @@ class TestCli:
         assert "nope.csv" in out.stderr
 
 
+# (subcommand, input file) pairs for the unreadable-file contract; TABLE_COMMANDS
+# load the monitor, observation, grid and covariate files into one table. The
+# observation file keeps the subcommand alone as its id
+TABLE_COMMANDS = ("fit-downscaler", "cv", "run-all")
+UNREADABLE = (
+    [(c, "obs") for c in ("evaluate", "fit-ensemble", *TABLE_COMMANDS)]
+    + [(c, "monitors") for c in ("evaluate", "fit-ensemble", *TABLE_COMMANDS, "predict", "krige-weights")]
+    + [(c, n) for n in ("grid_ctm", "grid_sat", "covariates") for c in TABLE_COMMANDS]
+    + [(c, "predictive") for c in ("evaluate", "fit-ensemble", "predict")]
+    + [(c, "weights") for c in ("evaluate", "predict")]
+    + [("krige-weights", "samples"), ("krige-weights", "targets")]
+)
+
+
 def run_main(capsys, *args):
     """cli.main in this process: (exit code, stderr lines)."""
     code = cli.main([str(a) for a in args])
@@ -373,35 +387,46 @@ class TestCliInProcess:
         assert f"{obs}:{len(lines) + 1}:" in err[0] and "('m000', 1)" in err[0]
 
     @pytest.mark.parametrize("case", ["missing", "header", "non-finite"])
-    @pytest.mark.parametrize("command", ["evaluate", "fit-ensemble", "fit-downscaler", "cv", "run-all"])
-    def test_unreadable_observation_file_is_a_typed_error(self, command, case, scene, result, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command,name", UNREADABLE, ids=[c if n == "obs" else f"{c}-{n}" for c, n in UNREADABLE]
+    )
+    def test_unreadable_observation_file_is_a_typed_error(self, command, name, case, scene, result, tmp_path, capsys):
         truth, paths, _ = scene
-        lines = paths["obs"].read_text().splitlines()
-        assert lines[1].startswith("m000,1,")
-        obs = tmp_path / "obs.csv"
+        files = {key: paths[key] for key in ("monitors", "obs", "grid_ctm", "grid_sat", "covariates")}
+        files.update(predictive=result.paths["cv_predictive"], weights=result.paths["site_weights"],
+                     samples=result.paths["weight_samples"], targets=paths["monitors"])
+        lines = Path(files[name]).read_text().splitlines()
+        bad = files[name] = tmp_path / f"{name}.csv"
         if case == "header":
-            obs.write_text("\n".join(["site_id,day,pm"] + lines[1:]) + "\n")
+            bad.write_text("\n".join([lines[0].rsplit(",", 1)[0] + ",bogus"] + lines[1:]) + "\n")
         elif case == "non-finite":
-            obs.write_text("\n".join(lines[:1] + ["m000,1,inf"] + lines[2:]) + "\n")
-        table = ("--monitors", paths["monitors"], "--obs", obs, "--grid-ctm", paths["grid_ctm"],
+            bad.write_text("\n".join(lines[:1] + [lines[1].rsplit(",", 1)[0] + ",inf"] + lines[2:]) + "\n")
+        table = ("--monitors", files["monitors"], "--obs", files["obs"], "--grid-ctm", files["grid_ctm"],
+                 "--grid-sat", files["grid_sat"], "--covariates", files["covariates"],
                  "--scene", paths["scene"], "--iters", 40, "--out", tmp_path / "p.csv")
-        common = ("--monitors", paths["monitors"], "--obs", obs, "--predictive", result.paths["cv_predictive"])
+        common = ("--monitors", files["monitors"], "--obs", files["obs"], "--predictive", files["predictive"])
         if command == "evaluate":
-            args = (*common, "--out", tmp_path / "scores.csv")
+            args = (*common, "--weights", files["weights"], "--out", tmp_path / "scores.csv")
         elif command == "fit-ensemble":
             args = (*common, "--out-weights", tmp_path / "w.csv", "--out-samples", tmp_path / "s.csv")
         elif command == "fit-downscaler":
             args = (*table, "--source", CTM)
         elif command == "cv":
             args = table
+        elif command == "predict":
+            args = ("--monitors", files["monitors"], "--predictive", files["predictive"],
+                    "--weights", files["weights"], "--out", tmp_path / "out.csv")
+        elif command == "krige-weights":
+            args = ("--monitors", files["monitors"], "--samples", files["samples"],
+                    "--targets", files["targets"], "--out", tmp_path / "out.csv")
         else:
-            cfg = make_config(truth, paths, tmp_path / "runs", obs=str(obs))
+            cfg = make_config(truth, paths, tmp_path / "runs", **{name: str(bad)})
             args = ("--config", save_pipeline_config(tmp_path / "config.json", cfg))
         code, err = run_main(capsys, command, *args)
         assert code == 2
-        assert len(err) == 1 and err[0].startswith("error:") and str(obs) in err[0]
+        assert len(err) == 1 and err[0].startswith("error:") and str(bad) in err[0]
         if case == "non-finite":
-            assert f"{obs}:2:" in err[0]
+            assert f"{bad}:2:" in err[0]
 
     @pytest.mark.parametrize("folds", [-3, 0, 1])
     def test_cv_rejects_a_fold_count_below_two(self, folds, scene, tmp_path, capsys):
