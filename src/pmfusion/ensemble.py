@@ -493,7 +493,6 @@ def krige_weights(
             draws[j] = mean + np.sqrt(var) * rng.standard_normal(stop - start)
         w_draws = inv_logit(draws)
         w_mean[start:stop] = w_draws.mean(axis=0)
-        w_lo[start:stop] = np.quantile(w_draws, 0.025, axis=0)
-        w_hi[start:stop] = np.quantile(w_draws, 0.975, axis=0)
+        w_lo[start:stop], w_hi[start:stop] = np.quantile(w_draws, [0.025, 0.975], axis=0)
         q_mean[start:stop] = draws.mean(axis=0)
     return {"w_mean": w_mean, "w_lo": w_lo, "w_hi": w_hi, "q_mean": q_mean}

@@ -180,11 +180,14 @@ class ExpKriging:
     def __init__(self, d_obs: np.ndarray, d_cross: np.ndarray):
         self.d_obs, self.d_cross = d_obs, d_cross
         self.range_km = None
+        self._k = np.empty(d_cross.shape)
 
     def __call__(self, values: np.ndarray, range_km: float) -> tuple[np.ndarray, np.ndarray]:
         if range_km != self.range_km:
             self.chol, _ = jittered_cholesky(np.exp(-self.d_obs / range_km))
-            self.lk = tri_solve(self.chol, np.exp(-self.d_cross / range_km))
+            # d / -range is -d / range to the bit: IEEE division is sign-symmetric
+            k = np.exp(np.divide(self.d_cross, -range_km, out=self._k), out=self._k)
+            self.lk = tri_solve(self.chol, k)
             self.resid = np.maximum(1.0 - np.sum(self.lk * self.lk, axis=0), 0.0)
             self.range_km = range_km
         return self.lk.T @ tri_solve(self.chol, values), self.resid
