@@ -35,8 +35,8 @@ ETA_GRID = (np.arange(1000, dtype=float) + 0.5) / 1000.0
 
 # the float64 LAPACK routines behind scipy.linalg's triangular, Cholesky and
 # banded solvers; called directly to skip scipy's per-call input handling
-_TRTRS, _POTRS, _PBTRF, _PBTRS, _GBSV = get_lapack_funcs(
-    ("trtrs", "potrs", "pbtrf", "pbtrs", "gbsv"), (np.empty(0),)
+_TRTRS, _TRTRI, _POTRS, _PBTRF, _PBTRS, _GBSV = get_lapack_funcs(
+    ("trtrs", "trtri", "potrs", "pbtrf", "pbtrs", "gbsv"), (np.empty(0),)
 )
 
 
@@ -169,28 +169,37 @@ class ExpKriging:
 
     d_obs holds the (n, n) distances between the observed sites, d_cross the
     (n, m) distances from them to the targets. A call with the field's values
-    at the sites and a range returns the conditional mean lk.T @ lv and the
-    residual variance max(1 - sum(lk**2), 0) at each target, where L is the
-    jittered Cholesky factor of the site correlation, lk = L^{-1} k and
-    lv = L^{-1} values. Scale the residual by the field's variance for a
-    field of another sill. L, lk and the residual (an array shared by the
-    calls) are kept while the range repeats, so such a call solves for lv only.
+    at the sites and a range returns the conditional mean lk.T @ (L^{-1} values)
+    and the residual variance max(1 - sum(lk**2), 0) at each target, where L
+    is the jittered Cholesky factor of the site correlation and lk = L^{-1} k.
+    Scale the residual by the field's variance for a field of another sill.
+    Each new range factors the site correlation and inverts L once (LAPACK
+    trtri), so the cross-solve and every call's solve are matrix products.
+    L^{-1} and lk are kept while the range repeats. The returned residual is
+    a buffer of this object: the next call with a new range overwrites it.
     """
 
     def __init__(self, d_obs: np.ndarray, d_cross: np.ndarray):
         self.d_obs, self.d_cross = d_obs, d_cross
         self.range_km = None
-        self._k = np.empty(d_cross.shape)
+        self._k, self.lk = np.empty(d_cross.shape), np.empty(d_cross.shape)
+        self.resid = np.empty(d_cross.shape[1])
 
     def __call__(self, values: np.ndarray, range_km: float) -> tuple[np.ndarray, np.ndarray]:
         if range_km != self.range_km:
-            self.chol, _ = jittered_cholesky(np.exp(-self.d_obs / range_km))
-            # d / -range is -d / range to the bit: IEEE division is sign-symmetric
+            chol, _ = jittered_cholesky(np.exp(-self.d_obs / range_km))
+            # trtri reads Fortran order: invert the upper factor L^T in place,
+            # whose inverse transposed is L^{-1}
+            inv_t, info = _TRTRI(chol.T, lower=0, overwrite_c=1)
+            if info > 0:
+                raise np.linalg.LinAlgError(f"singular factor: zero diagonal at {info - 1}")
+            self.linv = inv_t.T
             k = np.exp(np.divide(self.d_cross, -range_km, out=self._k), out=self._k)
-            self.lk = tri_solve(self.chol, k)
-            self.resid = np.maximum(1.0 - np.sum(self.lk * self.lk, axis=0), 0.0)
+            np.matmul(self.linv, k, out=self.lk)
+            np.sum(np.multiply(self.lk, self.lk, out=k), axis=0, out=self.resid)
+            np.maximum(np.subtract(1.0, self.resid, out=self.resid), 0.0, out=self.resid)
             self.range_km = range_km
-        return self.lk.T @ tri_solve(self.chol, values), self.resid
+        return self.lk.T @ (self.linv @ values), self.resid
 
 
 def car_neighbor_count(horizon: int) -> np.ndarray:

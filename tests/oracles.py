@@ -3,7 +3,8 @@
 The brute-force ensemble oracles marginalize z analytically on a discrete
 weight grid and evaluate the mixture CDF directly, with scipy.stats
 densities. The scipy references are the public scipy.linalg calls that the
-kernels' direct LAPACK solves stand in for. The CAR full conditional is the
+kernels' direct LAPACK solves stand in for, and scipy_kriging is
+ExpKriging's arithmetic rebuilt on every call. The CAR full conditional is the
 definition of the temporal prior, and the point-by-point grid cell is the
 definition that GridSpec.cells_of vectorizes. The numpy-scalar logit sweep
 and the masked inverse logit are the forms that update_q and inv_logit
@@ -91,6 +92,15 @@ def weight_posterior_mean(grid: np.ndarray, post: np.ndarray) -> float:
 
 
 # -- scipy references for pmfusion.kernels' LAPACK solves -----------------
+
+
+def scipy_kriging(d_obs, d_cross, values, range_km):
+    """ExpKriging's (mean, residual) with the factor and its trtri inverse
+    rebuilt for this call: the reference for the operators it keeps."""
+    chol, _ = jittered_cholesky(np.exp(-d_obs / range_km))
+    linv = linalg.lapack.dtrtri(chol.T, lower=0)[0].T
+    lk = linv @ np.exp(-d_cross / range_km)
+    return lk.T @ (linv @ values), np.maximum(1.0 - np.sum(lk * lk, axis=0), 0.0)
 
 
 def scipy_tri_solve(l, b, trans=0):

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 from scipy.stats import chi2
 
 from pmfusion import downscaler, kernels
@@ -22,7 +22,7 @@ from pmfusion.geo import CTM, SAT, Location, distance_matrix
 from pmfusion.kernels import ETA_GRID, jittered_cholesky
 from pmfusion.tables import N_COVARIATES, ObservationTable
 import oracles
-from oracles import scipy_chol_factor_solve, scipy_tri_solve, scipy_tridiag_mvn, single_chain_fit
+from oracles import scipy_chol_factor_solve, scipy_kriging, scipy_tri_solve, scipy_tridiag_mvn, single_chain_fit
 
 
 def build_table(rng, n_sites, n_days, *, alpha=0.0, beta=1.0, gamma=None,
@@ -623,11 +623,8 @@ def per_call_reference(fit, locations, loc_idx, days, x, z, seed):
     for j in range(len(fit)):
         fields = []
         for v, theta in ((fit.v1[j], float(fit.theta1[j])), (fit.v2[j], float(fit.theta2[j]))):
-            chol, _ = jittered_cholesky(np.exp(-d_sites / theta))
-            lk = solve_triangular(chol, np.exp(-d_cross / theta), lower=True)
-            cond_mean = lk.T @ solve_triangular(chol, v, lower=True)
-            cond_sd = np.sqrt(np.maximum(1.0 - np.sum(lk * lk, axis=0), 0.0))
-            fields.append(cond_mean + cond_sd * rng.standard_normal(len(locations)))
+            cond_mean, resid = scipy_kriging(d_sites, d_cross, v, theta)
+            fields.append(cond_mean + np.sqrt(resid) * rng.standard_normal(len(locations)))
         a11, a21, a22 = fit.a_coreg[j]
         alpha1 = a11 * fields[0]
         beta1 = a21 * fields[0] + a22 * fields[1]

@@ -12,7 +12,6 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import solve_triangular
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
@@ -43,6 +42,7 @@ from oracles import (
     brute_force_weight_posterior,
     masked_inv_logit,
     numpy_scalar_update_q,
+    scipy_kriging,
     weight_posterior_mean,
 )
 
@@ -750,11 +750,8 @@ def krige_per_chunk_reference(field, targets, seed, chunk):
         stop = min(start + chunk, n_t)
         draws = np.zeros((len(field), stop - start))
         for j in range(len(field)):
-            rho = float(field.rho[j])
-            chol, _ = jittered_cholesky(np.exp(-d_obs / rho))
-            lk = solve_triangular(chol, np.exp(-d_cross[:, start:stop] / rho), lower=True)
-            mean = lk.T @ solve_triangular(chol, field.q[j], lower=True)
-            var = float(field.tau2[j]) * np.maximum(1.0 - np.sum(lk * lk, axis=0), 0.0)
+            mean, resid = scipy_kriging(d_obs, d_cross[:, start:stop], field.q[j], float(field.rho[j]))
+            var = float(field.tau2[j]) * resid
             draws[j] = mean + np.sqrt(var) * rng.standard_normal(stop - start)
         w = inv_logit(draws)
         out["w_mean"][start:stop] = w.mean(axis=0)
