@@ -22,7 +22,7 @@ from .config import MCMCConfig
 from .crossval import KFOLD, SPATIAL
 from .downscaler import fit_downscaler, predict_at
 from .ensemble import fit_joint, fit_two_stage, krige_weights, predict_mixture
-from .errors import PmFusionError, SchemaError
+from .errors import DomainError, OutOfDomainError, PmFusionError, SchemaError
 from .geo import CTM, SAT, GridSpec
 from .pipeline import (
     JOINT,
@@ -99,23 +99,25 @@ def _site_weights(path) -> dict:
 
 
 def _cmd_synth(args) -> int:
-    sat_n = args.sat_cells
-    sat_cell = args.sat_cell_km
+    # every argument is checked before a file is written
+    sat_grid = GridSpec(0.0, 0.0, args.sat_cell_km, args.sat_cells, args.sat_cells, SAT)
     ctm_cell = args.ctm_cell_km
+    if not 0 < ctm_cell < np.inf:
+        raise DomainError("--ctm-cell-km must be a positive number")
     margin = ctm_cell
-    ctm_n = int(np.ceil((sat_n * sat_cell + 2 * margin) / ctm_cell))
+    ctm_n = int(np.ceil((sat_grid.n_cols * sat_grid.cell_km + 2 * margin) / ctm_cell))
     cfg = SceneConfig(
         n_sites=args.sites,
         n_days=args.days,
         ctm_grid=GridSpec(-margin, -margin, ctm_cell, ctm_n, ctm_n, CTM),
-        sat_grid=GridSpec(0.0, 0.0, sat_cell, sat_n, sat_n, SAT),
+        sat_grid=sat_grid,
         sat_missing_rate=args.missing_rate,
         tau2=args.tau2,
         rho=args.rho,
         seed=args.seed,
     )
+    grid_days = _parse_days(args.grid_days, cfg.n_days)
     truth = generate_scene(cfg)
-    grid_days = _parse_days(args.grid_days)
     paths = pio.export_scene(truth, args.out, grid_days)
     if args.write_config:
         out = Path(args.out)
@@ -139,10 +141,18 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _parse_days(text: str | None) -> list[int] | None:
+def _parse_days(text: str | None, n_days: int) -> list[int] | None:
+    """The days of a comma list such as --grid-days, each in 1..n_days."""
     if not text:
         return None
-    return [int(x) for x in text.split(",") if x.strip()]
+    try:
+        days = [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise DomainError(f"--grid-days must be a comma list of days, got {text!r}") from None
+    for day in days:
+        if not 1 <= day <= n_days:
+            raise OutOfDomainError(f"--grid-days: day {day} outside 1..{n_days}")
+    return days
 
 
 def _cmd_fit_downscaler(args) -> int:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptyInputError, TooFewRecordsError
+from .errors import DomainError, EmptyInputError, SchemaError, TooFewRecordsError
 from .tables import ObservationTable
 
 KFOLD = "kfold"
@@ -55,7 +55,7 @@ def make_folds(data: ObservationTable, kind: str, k: int = 10, seed: int = 0) ->
         rank = {sid: i for i, sid in enumerate(unique_ids)}
         fold = np.array([rank[sid] for sid in ids], dtype=np.int64)
         return FoldPlan(kind=kind, n_folds=len(unique_ids), fold_of_record=fold, seed=seed)
-    raise ValueError(f"unknown fold kind {kind!r}")
+    raise SchemaError(f"unknown fold kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def evaluate(y, pred) -> EvalReport:
     y = np.asarray(y, dtype=float)
     mean = np.asarray(pred.mean, dtype=float)
     if mean.shape != y.shape:
-        raise ValueError("y and predictions must align")
+        raise SchemaError("y and predictions must align")
     if y.shape[0] == 0:
         raise EmptyInputError("nothing to evaluate")
     sd = pred.sd

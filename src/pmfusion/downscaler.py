@@ -29,7 +29,7 @@ import numpy as np
 
 from .chain import Chain
 from .config import MCMCConfig
-from .errors import InsufficientDataError, OutOfDomainError
+from .errors import InsufficientDataError, OutOfDomainError, SchemaError
 from .geo import CTM, SAT, Location, distance_matrix
 from .kernels import (
     ETA_GRID,
@@ -603,15 +603,15 @@ def predict_batches(
         days = np.asarray(days, dtype=np.int64)
         linked_x = np.asarray(linked_x, dtype=float)
         if days.shape[0] != n or linked_x.shape[0] != n:
-            raise ValueError("loc_idx, days, linked_x must have equal length")
+            raise SchemaError("loc_idx, days, linked_x must have equal length")
         if days.min(initial=1) < 1 or days.max(initial=1) > fit.n_days:
             raise OutOfDomainError(f"target days must lie in 1..{fit.n_days}")
         if fit.source == SAT:
             if z is None:
-                raise ValueError("satellite predictions need the covariate block z")
+                raise SchemaError("satellite predictions need the covariate block z")
             z = np.asarray(z, dtype=float)
             if z.shape != (n, N_COVARIATES):
-                raise ValueError(f"z must have shape ({n}, {N_COVARIATES})")
+                raise SchemaError(f"z must have shape ({n}, {N_COVARIATES})")
         avail = np.isfinite(linked_x)
         pred = SourcePredictions(
             ids=ids, day=days, mu=np.full(n, np.nan), var=np.full(n, np.nan), available=avail
@@ -688,7 +688,7 @@ def cv_predict(
     """
     fold_of_record = np.asarray(fold_of_record, dtype=np.int64)
     if fold_of_record.shape[0] != data.n_records:
-        raise ValueError("fold assignment length must match the record count")
+        raise SchemaError("fold assignment length must match the record count")
     n = data.n_records
     mu = np.full(n, np.nan)
     var = np.full(n, np.nan)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfDomainError
+from .errors import DomainError, OutOfDomainError
 
 CTM = "ctm"
 SAT = "sat"
@@ -28,7 +28,7 @@ class Location:
 
     def __post_init__(self):
         if not (np.isfinite(self.x_km) and np.isfinite(self.y_km)):
-            raise ValueError(f"non-finite coordinates for site {self.site_id!r}")
+            raise DomainError(f"non-finite coordinates for site {self.site_id!r}")
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,10 @@ class GridSpec:
     source_tag: str = "target"
 
     def __post_init__(self):
-        if self.cell_km <= 0:
-            raise ValueError("cell_km must be > 0")
+        if not 0 < self.cell_km < np.inf:
+            raise DomainError("cell_km must be a positive number")
         if self.n_rows < 1 or self.n_cols < 1:
-            raise ValueError("grid must have at least one row and column")
+            raise DomainError("grid must have at least one row and column")
 
     @property
     def extent(self) -> tuple[float, float, float, float]:

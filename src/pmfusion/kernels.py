@@ -52,9 +52,9 @@ class GaussianSummary:
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.mean)) or not np.all(np.isfinite(self.variance)):
-            raise ValueError("summary moments must be finite")
+            raise DomainError("summary moments must be finite")
         if np.any(self.variance < 0):
-            raise ValueError("variance must be nonnegative")
+            raise DomainError("variance must be nonnegative")
 
     @property
     def sd(self):

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DomainError
 from .geo import CTM, SAT, GridSpec, Location, coords_array, distance_matrix, link_points
 from .kernels import inv_logit, jittered_cholesky, sample_tridiag_mvn, car_neighbor_count
 from .tables import COVARIATE_NAMES, N_COVARIATES, ObservationTable, PredictiveTable
@@ -104,22 +105,24 @@ class SceneConfig:
 
     def __post_init__(self):
         if self.n_sites < 1 or self.n_days < 2:
-            raise ValueError("need at least 1 site and 2 days")
+            raise DomainError("need at least 1 site and 2 days")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
         if not 0.0 <= self.sat_missing_rate <= 1.0:
-            raise ValueError("sat_missing_rate must lie in [0, 1]")
+            raise DomainError("sat_missing_rate must lie in [0, 1]")
         if not 0.0 < self.obs_rate <= 1.0:
-            raise ValueError("obs_rate must lie in (0, 1]")
+            raise DomainError("obs_rate must lie in (0, 1]")
         if len(self.gamma) != N_COVARIATES or len(self.a_coreg) != 3:
-            raise ValueError("gamma needs 6 entries, a_coreg needs 3")
+            raise DomainError("gamma needs 6 entries, a_coreg needs 3")
         if self.a_coreg[0] < 0 or self.a_coreg[2] < 0:
-            raise ValueError("coregionalization diagonal must be nonnegative")
+            raise DomainError("coregionalization diagonal must be nonnegative")
         if not (0.0 <= self.eta_alpha0 <= 1.0 and 0.0 <= self.eta_beta0 <= 1.0):
-            raise ValueError("CAR dependence must lie in [0, 1]")
+            raise DomainError("CAR dependence must lie in [0, 1]")
         for name in ("sigma2_alpha0", "sigma2_beta0", "sigma2_y", "tau2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.theta1 <= 0 or self.theta2 <= 0 or self.rho <= 0:
-            raise ValueError("GP ranges must be positive")
+            if not getattr(self, name) >= 0:
+                raise DomainError(f"{name} must be >= 0")
+        if not (self.theta1 > 0 and self.theta2 > 0 and self.rho > 0):
+            raise DomainError("GP ranges must be positive")
         ext_sat = self.sat_grid.extent
         ext_ctm = self.ctm_grid.extent
         if not (
@@ -128,7 +131,7 @@ class SceneConfig:
             and ext_ctm[2] >= ext_sat[2]
             and ext_ctm[3] >= ext_sat[3]
         ):
-            raise ValueError("satellite grid must sit inside the CTM grid")
+            raise DomainError("satellite grid must sit inside the CTM grid")
 
 
 @dataclass

@@ -5,7 +5,7 @@ import pytest
 
 from pmfusion.crossval import EvalReport, evaluate, make_folds
 from pmfusion.ensemble import MixtureDistribution
-from pmfusion.errors import DomainError, EmptyInputError, TooFewRecordsError
+from pmfusion.errors import DomainError, EmptyInputError, SchemaError, TooFewRecordsError
 from pmfusion.geo import Location
 from pmfusion.kernels import GaussianSummary
 from pmfusion.tables import N_COVARIATES, ObservationTable
@@ -103,7 +103,7 @@ class TestMakeFolds:
     def test_unknown_kind_rejected(self):
         rng = np.random.default_rng(7)
         data = panel(rng)
-        with pytest.raises(ValueError, match="kind"):
+        with pytest.raises(SchemaError, match="kind"):
             make_folds(data, "bootstrap")
 
 
@@ -144,7 +144,7 @@ class TestEvaluate:
             evaluate(np.array([]), GaussianSummary(np.array([]), np.array([])))
 
     def test_misaligned_lengths_rejected(self):
-        with pytest.raises(ValueError, match="align"):
+        with pytest.raises(SchemaError, match="align"):
             evaluate(np.array([1.0, 2.0]), GaussianSummary(np.ones(1), np.ones(1)))
 
     def test_report_label_fields_default_empty(self):

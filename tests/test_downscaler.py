@@ -17,7 +17,7 @@ from pmfusion import downscaler, kernels
 from pmfusion.chain import Chain
 from pmfusion.config import MCMCConfig
 from pmfusion.downscaler import _Blocks, cv_predict, fit_downscaler, predict_at, predict_batches
-from pmfusion.errors import InsufficientDataError, OutOfDomainError
+from pmfusion.errors import InsufficientDataError, OutOfDomainError, SchemaError
 from pmfusion.geo import CTM, SAT, Location, distance_matrix
 from pmfusion.kernels import ETA_GRID, jittered_cholesky
 from pmfusion.tables import N_COVARIATES, ObservationTable
@@ -582,8 +582,18 @@ class TestPredictAt:
         rng = np.random.default_rng(44)
         data = build_table(rng, 6, 10)
         fit = fit_downscaler(data, SAT, MCMCConfig(n_iter=40, burn_in=20, thin=1, seed=44))
-        with pytest.raises(ValueError, match="covariate"):
+        with pytest.raises(SchemaError, match="covariate"):
             predict_at(fit, data.sites, data.site_idx[:4], data.day[:4], data.x_sat[:4])
+
+    def test_misshapen_targets_are_schema_errors(self):
+        rng = np.random.default_rng(44)
+        data = build_table(rng, 6, 10)
+        fit = fit_downscaler(data, SAT, MCMCConfig(n_iter=40, burn_in=20, thin=1, seed=44))
+        idx, day, x, z = data.site_idx[:4], data.day[:4], data.x_sat[:4], data.z[:4]
+        with pytest.raises(SchemaError, match="equal length"):
+            predict_at(fit, data.sites, idx, day[:3], x, z)
+        with pytest.raises(SchemaError, match="shape"):
+            predict_at(fit, data.sites, idx, day, x, z[:, :3])
 
     def test_day_outside_horizon_rejected(self, noiseless_fit):
         data, fit = noiseless_fit
@@ -736,7 +746,7 @@ class TestCvPredict:
     def test_fold_vector_length_checked(self):
         rng = np.random.default_rng(53)
         data = build_table(rng, 4, 6)
-        with pytest.raises(ValueError, match="length"):
+        with pytest.raises(SchemaError, match="length"):
             cv_predict(data, np.zeros(3, dtype=int), CTM, MCMCConfig(10, 5, 1))
 
 

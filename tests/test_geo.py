@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pmfusion.errors import OutOfDomainError
+from pmfusion.errors import DomainError, OutOfDomainError
 from pmfusion.geo import (
     CTM,
     SAT,
@@ -64,9 +64,10 @@ class TestGridSpec:
         np.testing.assert_allclose(centers[12], (2.0, 6.0))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            GridSpec(0, 0, -1.0, 5, 5, CTM)
-        with pytest.raises(ValueError):
+        for cell_km in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(DomainError, match="cell_km"):
+                GridSpec(0, 0, cell_km, 5, 5, CTM)
+        with pytest.raises(DomainError, match="row"):
             GridSpec(0, 0, 4.0, 0, 5, CTM)
 
 
@@ -121,6 +122,13 @@ class TestCellsOf:
             assert tuple(cell) == want, (x, y)
         assert (cells[:, 0] < 0).any() and (cells[:, 0] >= 0).any()
         assert cells.dtype == np.int64 and cells.shape == (xy.shape[0], 2)
+
+
+class TestLocation:
+    @pytest.mark.parametrize("x", [np.nan, np.inf])
+    def test_non_finite_coordinates_are_a_domain_error(self, x):
+        with pytest.raises(DomainError, match="'s1'"):
+            Location("s1", x, 0.0)
 
 
 class TestDistanceMatrix:

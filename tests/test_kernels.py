@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import linalg
 
+from pmfusion import kernels
 from pmfusion.errors import DomainError, NotPositiveDefiniteError
-from pmfusion.geo import Location, distance_matrix
+from pmfusion.geo import CTM, SAT, GridSpec, Location, distance_matrix
 from pmfusion.ensemble import _scalar_log1pexp
 from pmfusion.kernels import (
     ETA_GRID,
@@ -28,6 +29,7 @@ from pmfusion.kernels import (
     tri_solve,
     tri_solve_stack,
 )
+from pmfusion.synth import SceneConfig, generate_scene
 from oracles import (
     masked_inv_logit,
     car_full_conditional,
@@ -221,8 +223,10 @@ class TestGaussianSummary:
         np.testing.assert_allclose(g.quantile(0.975), 2.0 + 2.0 * 1.959963984540054, atol=1e-9)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="nonnegative"):
             GaussianSummary(0.0, -1.0)
+        with pytest.raises(DomainError, match="finite"):
+            GaussianSummary(np.array([0.0, np.nan]), np.ones(2))
         with pytest.raises(DomainError):
             GaussianSummary(0.0, 1.0).quantile(0.0)
 
@@ -465,6 +469,78 @@ class TestKriging:
         d_cross = distance_matrix(obs, _random_points(rng, 50))
         _, var = ExpKriging(distance_matrix(obs), d_cross)(vals, 200.0)
         assert (var >= 0).all()
+
+
+class TestKrigingAccuracy:
+    """ExpKriging against a dense solve, over ranges from 5 km to 3,000 km."""
+
+    RANGES = (5.0, 50.0, 300.0, 3000.0)
+
+    @staticmethod
+    def gate10_sites():
+        # the 63 monitors of the gate-10 scene: their positions are drawn first
+        scene = SceneConfig(
+            n_sites=63, n_days=2, seed=77,
+            ctm_grid=GridSpec(-12.0, -12.0, 12.0, 11, 11, CTM),
+            sat_grid=GridSpec(0.0, 0.0, 4.0, 25, 25, SAT),
+        )
+        return generate_scene(scene).sites
+
+    @staticmethod
+    def cluster_sites():
+        return _random_points(np.random.default_rng(14), 20, scale=10.0)
+
+    @pytest.mark.parametrize("layout", ["gate10", "cluster"])
+    @pytest.mark.parametrize("range_km", RANGES)
+    def test_matches_a_dense_solve(self, layout, range_km):
+        rng = np.random.default_rng(15)
+        obs = self.gate10_sites() if layout == "gate10" else self.cluster_sites()
+        targets = [Location(f"t{i}", *rng.uniform(-20.0, 120.0, 2)) for i in range(300)]
+        d, d_cross = distance_matrix(obs), distance_matrix(obs, targets)
+        c, k = np.exp(-d / range_km), np.exp(-d_cross / range_km)
+        vals = np.linalg.cholesky(c) @ rng.standard_normal(len(obs))
+        mean, resid = ExpKriging(d, d_cross)(vals, range_km)
+        # condition numbers reach about 2e5 at 3,000 km; the errors stay near 1e-13
+        np.testing.assert_allclose(mean, k.T @ np.linalg.solve(c, vals), rtol=0, atol=1e-10)
+        want = np.maximum(1.0 - np.sum(k * np.linalg.solve(c, k), axis=0), 0.0)
+        np.testing.assert_allclose(resid, want, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("layout", ["gate10", "cluster"])
+    @pytest.mark.parametrize("range_km", RANGES)
+    def test_exact_at_the_observed_sites(self, layout, range_km):
+        obs = self.gate10_sites() if layout == "gate10" else self.cluster_sites()
+        d = distance_matrix(obs)
+        vals = np.linalg.cholesky(np.exp(-d / range_km)) @ np.random.default_rng(16).standard_normal(len(obs))
+        mean, resid = ExpKriging(d, d)(vals, range_km)
+        np.testing.assert_allclose(mean, vals, rtol=0, atol=1e-9)
+        assert resid.max() <= 1e-12
+
+    def test_a_repeated_range_neither_factors_nor_inverts(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        obs = self.cluster_sites()
+        d, d_cross = distance_matrix(obs), distance_matrix(obs, _random_points(rng, 40))
+        calls = {"factor": 0, "invert": 0}
+        factor, invert = kernels.jittered_cholesky, kernels._TRTRI
+
+        def counted_factor(c):
+            calls["factor"] += 1
+            return factor(c)
+
+        def counted_invert(*args, **kwargs):
+            calls["invert"] += 1
+            return invert(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "jittered_cholesky", counted_factor)
+        monkeypatch.setattr(kernels, "_TRTRI", counted_invert)
+        krige = ExpKriging(d, d_cross)
+        values = rng.standard_normal((4, len(obs)))
+        # the residual is a buffer that the next new range overwrites
+        got = [(mean, resid.copy()) for mean, resid in map(krige, values, (30.0, 30.0, 45.0, 45.0))]
+        assert calls == {"factor": 2, "invert": 2}
+        monkeypatch.undo()
+        for (mean, resid), v, r in zip(got[1::2], values[1::2], (30.0, 45.0)):
+            want_mean, want_resid = ExpKriging(d, d_cross)(v, r)
+            assert np.array_equal(mean, want_mean) and np.array_equal(resid, want_resid)
 
 
 class TestDiscreteSampling:

@@ -346,6 +346,31 @@ def run_main(capsys, *args):
 
 
 class TestCliInProcess:
+    @pytest.mark.parametrize(
+        "arg, value",
+        [
+            ("--sites", 0),
+            ("--days", 1),
+            ("--seed", -1),
+            ("--missing-rate", 2),
+            ("--rho", -1),
+            ("--tau2", -1),
+            ("--sat-cells", 0),
+            ("--sat-cell-km", 0),
+            ("--sat-cell-km", "nan"),
+            ("--ctm-cell-km", 0),
+            ("--grid-days", "abc"),
+            ("--grid-days", 0),
+            ("--grid-days", 999),
+        ],
+    )
+    def test_synth_refuses_a_bad_argument_before_writing(self, arg, value, tmp_path, capsys):
+        out = tmp_path / "scene"
+        code, err = run_main(capsys, "synth", "--out", out, "--sites", 5, "--days", 8, arg, value)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "fit-ensemble"])
     def test_unmatched_observation_is_a_typed_error(self, command, scene, result, tmp_path, capsys):
         _, paths, _ = scene

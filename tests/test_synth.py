@@ -128,6 +128,28 @@ class TestGenerateScene:
         with pytest.raises(ValueError, match="inside"):
             SceneConfig(sat_grid=GridSpec(-50.0, 0.0, 4.0, 25, 25, SAT))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_sites", 0),
+            ("n_days", 1),
+            ("seed", -1),
+            ("sat_missing_rate", 2.0),
+            ("obs_rate", 0.0),
+            ("gamma", (0.5,)),
+            ("a_coreg", (-0.1, 0.2, 0.5)),
+            ("eta_alpha0", 1.5),
+            ("tau2", -1.0),
+            ("sigma2_y", np.nan),
+            ("rho", -1.0),
+            ("theta1", np.nan),
+            ("sat_grid", GridSpec(-50.0, 0.0, 4.0, 25, 25, SAT)),
+        ],
+    )
+    def test_every_config_check_is_a_domain_error(self, field, value):
+        with pytest.raises(DomainError):
+            SceneConfig(**{field: value})
+
 
 class TestSplitScene:
     def test_split_scene_calibration(self):
