@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
+from scipy.linalg import eigh_tridiagonal, get_blas_funcs, get_lapack_funcs
 from scipy.special import ndtri
 
 from .errors import DomainError, NotPositiveDefiniteError
@@ -38,6 +38,8 @@ ETA_GRID = (np.arange(1000, dtype=float) + 0.5) / 1000.0
 _TRTRS, _TRTRI, _POTRS, _PBTRF, _PBTRS, _GBSV = get_lapack_funcs(
     ("trtrs", "trtri", "potrs", "pbtrf", "pbtrs", "gbsv"), (np.empty(0),)
 )
+# the BLAS-3 triangular product behind kriging's cross term
+_TRMM = get_blas_funcs("trmm", (np.empty(0),))
 
 
 @dataclass(frozen=True)
@@ -174,30 +176,34 @@ class ExpKriging:
     is the jittered Cholesky factor of the site correlation and lk = L^{-1} k.
     Scale the residual by the field's variance for a field of another sill.
     Each new range factors the site correlation and inverts L once (LAPACK
-    trtri), so the cross-solve and every call's solve are matrix products.
-    L^{-1} and lk are kept while the range repeats. The returned residual is
-    a buffer of this object: the next call with a new range overwrites it.
+    trtri); lk is then one triangular matrix product (BLAS trmm) in an (n, m)
+    buffer the object keeps, and every call's solve is a product with the
+    kept L^{-1}. L^{-1}, lk and the residual are kept while the range
+    repeats. The residual is a new array for each new range, never
+    overwritten, so a caller may hold it.
     """
 
     def __init__(self, d_obs: np.ndarray, d_cross: np.ndarray):
         self.d_obs, self.d_cross = d_obs, d_cross
         self.range_km = None
-        self._k, self.lk = np.empty(d_cross.shape), np.empty(d_cross.shape)
-        self.resid = np.empty(d_cross.shape[1])
+        self.lk = np.empty(d_cross.shape)
 
     def __call__(self, values: np.ndarray, range_km: float) -> tuple[np.ndarray, np.ndarray]:
         if range_km != self.range_km:
             chol, _ = jittered_cholesky(np.exp(-self.d_obs / range_km))
-            # trtri reads Fortran order: invert the upper factor L^T in place,
-            # whose inverse transposed is L^{-1}
+            # LAPACK and BLAS read Fortran order: invert the upper factor L^T
+            # in place, which gives L^{-T}, the transpose of L^{-1}
             inv_t, info = _TRTRI(chol.T, lower=0, overwrite_c=1)
             if info > 0:
                 raise np.linalg.LinAlgError(f"singular factor: zero diagonal at {info - 1}")
             self.linv = inv_t.T
-            k = np.exp(np.divide(self.d_cross, -range_km, out=self._k), out=self._k)
-            np.matmul(self.linv, k, out=self.lk)
-            np.sum(np.multiply(self.lk, self.lk, out=k), axis=0, out=self.resid)
-            np.maximum(np.subtract(1.0, self.resid, out=self.resid), 0.0, out=self.resid)
+            # d / -range is -d / range to the bit: IEEE division is sign-symmetric
+            k = np.exp(np.divide(self.d_cross, -range_km, out=self.lk), out=self.lk)
+            # lk = L^{-1} k as its transpose k^T L^{-T}, in place on k.T, the
+            # Fortran-order view of the buffer
+            self.lk = _TRMM(1.0, inv_t, k.T, side=1, lower=0, overwrite_b=1).T
+            resid = np.einsum("ij,ij->j", self.lk, self.lk)
+            self.resid = np.maximum(np.subtract(1.0, resid, out=resid), 0.0, out=resid)
             self.range_km = range_km
         return self.lk.T @ (self.linv @ values), self.resid
 

@@ -95,12 +95,13 @@ def weight_posterior_mean(grid: np.ndarray, post: np.ndarray) -> float:
 
 
 def scipy_kriging(d_obs, d_cross, values, range_km):
-    """ExpKriging's (mean, residual) with the factor and its trtri inverse
-    rebuilt for this call: the reference for the operators it keeps."""
+    """ExpKriging's (mean, residual) with the factor, its trtri inverse and
+    the trmm product rebuilt for this call: the reference for the operators
+    it keeps."""
     chol, _ = jittered_cholesky(np.exp(-d_obs / range_km))
-    linv = linalg.lapack.dtrtri(chol.T, lower=0)[0].T
-    lk = linv @ np.exp(-d_cross / range_km)
-    return lk.T @ (linv @ values), np.maximum(1.0 - np.sum(lk * lk, axis=0), 0.0)
+    inv_t = linalg.lapack.dtrtri(chol.T, lower=0)[0]
+    lk = linalg.blas.dtrmm(1.0, inv_t, np.exp(-d_cross / range_km).T, side=1, lower=0).T
+    return lk.T @ (inv_t.T @ values), np.maximum(1.0 - np.sum(lk * lk, axis=0), 0.0)
 
 
 def scipy_tri_solve(l, b, trans=0):
