@@ -29,7 +29,7 @@ import numpy as np
 
 from .chain import Chain
 from .config import MCMCConfig
-from .errors import InsufficientDataError, OutOfDomainError, SchemaError
+from .errors import DomainError, InsufficientDataError, OutOfDomainError, SchemaError
 from .geo import CTM, SAT, Location, distance_matrix
 from .kernels import (
     ETA_GRID,
@@ -113,7 +113,7 @@ def _training_set(data: ObservationTable, source: str, train: np.ndarray | None,
     """One chain's records: those train masks (None: all records, every site
     of data kept), checked as fitting data.subset(train) would check them."""
     if source not in (CTM, SAT):
-        raise ValueError(f"unknown source {source!r}")
+        raise DomainError(f"unknown source {source!r}, expected {CTM!r} or {SAT!r}")
     if train is None:
         train, sites = np.ones(data.n_records, dtype=bool), np.arange(data.n_sites)
     elif not train.any():
@@ -578,26 +578,32 @@ def predict_at(
     from the fit); required when the fit used the satellite source.
     """
     batch = (days, linked_x, z, seed)
-    return predict_batches(fit, locations, loc_idx, [batch])[0]
+    ids = np.array([locations[i].site_id for i in loc_idx], dtype=object)
+    return predict_batches(fit, locations, loc_idx, ids, [batch])[0]
 
 
 def predict_batches(
     fit: DownscalerFit,
-    locations: list[Location],
+    targets,
     loc_idx: np.ndarray,
+    ids: np.ndarray,
     batches,
 ) -> list[SourcePredictions]:
     """predict_at for several record batches on the same targets.
 
+    targets is a list of Location or an (m, 2) array of km coordinates;
+    record i sits at targets[loc_idx[i]] and carries the site id ids[i].
     batches is an iterable, read once, of (days, linked_x, z, seed) as in
     predict_at; each gives the same result as its own predict_at call, and
     only its available rows are kept. Each posterior sample's GP conditional
-    at the locations is built once and shared by all batches; every batch
+    at the targets is built once and shared by all batches; every batch
     draws its fields from its own generator, in sample order.
     """
     loc_idx = np.asarray(loc_idx, dtype=np.int64)
     n = loc_idx.shape[0]
-    ids = np.array([locations[i].site_id for i in loc_idx], dtype=object)
+    ids = np.asarray(ids, dtype=object)
+    if ids.shape != (n,):
+        raise SchemaError("loc_idx and ids must have equal length")
     out, live = [], []
     for days, linked_x, z, seed in batches:
         days = np.asarray(days, dtype=np.int64)
@@ -625,8 +631,8 @@ def predict_batches(
         return out
 
     d_sites = distance_matrix(fit.sites)
-    d_cross = distance_matrix(fit.sites, locations)
-    n_loc = len(locations)
+    d_cross = distance_matrix(fit.sites, targets)
+    n_loc = d_cross.shape[1]
     # a rejected range proposal repeats theta, and with it the field operators
     krige1, krige2 = ExpKriging(d_sites, d_cross), ExpKriging(d_sites, d_cross)
     count = 0

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from .chain import Chain
 from .config import MCMCConfig
@@ -51,6 +51,7 @@ from .kernels import (
 
 # refresh r = P q from scratch periodically to cap round-off accumulation
 _REFRESH_EVERY = 128
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass
@@ -127,11 +128,7 @@ class MixtureDistribution:
         return float(c) if c.ndim == 0 else c
 
     def quantile(self, p: float):
-        """Inverse CDF at level p, by bisection on the exact CDF.
-
-        The bisection brackets each mixture by its components' +-10 SD, so
-        levels below Phi(-10) (about 7.6e-24) are refused.
-        """
+        """Inverse CDF at level p in [Phi(-10) (about 7.6e-24), 1)."""
         if not ndtr(-10.0) <= p < 1.0:
             raise DomainError("quantile level must lie in [Phi(-10), 1)")
         return mixture_quantiles_arrays(self.w, self.mu1, self.var1, self.mu2, self.var2, p)
@@ -167,23 +164,50 @@ def mixture_quantiles_arrays(
     p: float,
     tol: float = 1e-10,
 ) -> np.ndarray:
-    """Vectorized mixture quantiles by bisection, to tol in units of the wider SD."""
-    sd1, sd2 = np.sqrt(var1), np.sqrt(var2)
-    lo = np.minimum(mu1 - 10 * sd1, mu2 - 10 * sd2)
-    hi = np.maximum(mu1 + 10 * sd1, mu2 + 10 * sd2)
-    scale = np.maximum(sd1, sd2)
+    """Vectorized mixture quantiles, to tol in units of the wider SD.
 
-    def cdf(x):
-        return w * ndtr((x - mu1) / sd1) + (1.0 - w) * ndtr((x - mu2) / sd2)
-
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        below = cdf(mid) < p
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.max((hi - lo) / np.maximum(scale, 1e-300)) < tol:
-            break
-    return 0.5 * (lo + hi)
+    The components' own p-quantiles bracket each root. Newton steps on the
+    exact CDF start from their w-weighted mean; a step that leaves the
+    bracket or fails to halve the last one is a bisection instead (rtsafe).
+    Only unconverged rows are iterated, for at most 100 passes. A level
+    above 1/2 is solved as 1 - p on the mirrored mixture, so the CDF keeps
+    its relative precision in either tail.
+    """
+    w, mu1, var1, mu2, var2 = np.broadcast_arrays(w, mu1, var1, mu2, var2)
+    shape = w.shape
+    sign = -1.0 if p > 0.5 else 1.0
+    p = min(p, 1.0 - p)  # exact for p >= 1/2
+    w, mu1, mu2 = w.ravel(), sign * mu1.ravel(), sign * mu2.ravel()
+    sd1, sd2 = np.sqrt(var1).ravel(), np.sqrt(var2).ravel()
+    a, b = mu1 + sd1 * ndtri(p), mu2 + sd2 * ndtri(p)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    x = np.clip(w * a + (1.0 - w) * b, lo, hi)
+    stop = tol * np.maximum(sd1, sd2)
+    last = hi - lo
+    out, rows = np.empty_like(x), np.arange(x.size)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(100):
+            u1, u2 = (x - mu1) / sd1, (x - mu2) / sd2
+            f = w * ndtr(u1) + (1.0 - w) * ndtr(u2) - p
+            pdf = (w / sd1 * np.exp(-0.5 * u1 * u1) + (1.0 - w) / sd2 * np.exp(-0.5 * u2 * u2)) / _SQRT_2PI
+            below = f < 0
+            lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+            step = f / pdf
+            newton = x - step
+            bisect = ~((lo <= newton) & (newton <= hi)) | (np.abs(step) > 0.5 * last)
+            newton = np.where(bisect, 0.5 * (lo + hi), newton)
+            last, x = np.abs(newton - x), newton
+            done = last <= stop
+            if done.all():
+                break
+            if done.any():
+                out[rows[done]] = x[done]
+                keep = ~done
+                rows, x, lo, hi, last, stop, w, mu1, mu2, sd1, sd2 = (
+                    v[keep] for v in (rows, x, lo, hi, last, stop, w, mu1, mu2, sd1, sd2)
+                )
+    out[rows] = x
+    return (sign * out).reshape(shape)[()]
 
 
 # -- MCMC steps ----------------------------------------------------------
@@ -314,7 +338,7 @@ class _EnsembleProblem:
         self.s_count = len(self.locations)
         self.y = np.asarray(y, dtype=float)
         if self.y.shape[0] != inputs.n_records:
-            raise ValueError("y length must match the predictive table")
+            raise SchemaError(f"y length {self.y.shape[0]} must match the {inputs.n_records} predictive records")
         self.site_idx = _site_index(inputs.ids, self.locations)
         self.rows = np.flatnonzero(inputs.both_available())
         self.row_site = self.site_idx[self.rows]

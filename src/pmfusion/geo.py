@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OutOfDomainError
+from .errors import DomainError, OutOfDomainError, SchemaError
 
 CTM = "ctm"
 SAT = "sat"
@@ -49,6 +49,8 @@ class GridSpec:
     source_tag: str = "target"
 
     def __post_init__(self):
+        if not (np.isfinite(self.origin_x) and np.isfinite(self.origin_y)):
+            raise DomainError(f"grid origin must be finite, got ({self.origin_x}, {self.origin_y})")
         if not 0 < self.cell_km < np.inf:
             raise DomainError("cell_km must be a positive number")
         if self.n_rows < 1 or self.n_cols < 1:
@@ -84,13 +86,18 @@ class GridSpec:
         return cells
 
     def all_centers(self) -> np.ndarray:
-        """(n_rows*n_cols, 2) array of centres, row-major order."""
+        """(n_rows*n_cols, 2) array of centres, row-major order; a centre
+        that overflows to infinity is a DomainError."""
         rows, cols = np.meshgrid(
             np.arange(self.n_rows), np.arange(self.n_cols), indexing="ij"
         )
-        x = self.origin_x + (cols.ravel() + 0.5) * self.cell_km
-        y = self.origin_y + (rows.ravel() + 0.5) * self.cell_km
-        return np.column_stack([x, y])
+        with np.errstate(over="ignore"):  # refused below
+            x = self.origin_x + (cols.ravel() + 0.5) * self.cell_km
+            y = self.origin_y + (rows.ravel() + 0.5) * self.cell_km
+        centers = np.column_stack([x, y])
+        if not np.isfinite(centers).all():
+            raise DomainError(f"grid centres overflow: {self.n_rows}x{self.n_cols} cells of {self.cell_km} km")
+        return centers
 
 
 def link_points(points: list[Location] | np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -123,7 +130,7 @@ def coords_array(points) -> np.ndarray:
     if isinstance(points, np.ndarray):
         xy = np.asarray(points, dtype=float)
         if xy.ndim != 2 or xy.shape[1] != 2:
-            raise ValueError("coordinate array must have shape (n, 2)")
+            raise SchemaError(f"coordinate array must have shape (n, 2), got {xy.shape}")
         return xy
     return np.array([[p.x_km, p.y_km] for p in points], dtype=float)
 
@@ -136,10 +143,11 @@ def distance_matrix(a, b=None) -> np.ndarray:
     """
     xa = coords_array(a)
     xb = xa if b is None else coords_array(b)
-    diff = xa[:, None, :] - xb[None, :, :]
-    d = np.sqrt(np.sum(diff * diff, axis=-1))
-    if b is None:
-        # exact zeros on the diagonal, exact symmetry
-        np.fill_diagonal(d, 0.0)
-        d = 0.5 * (d + d.T)
-    return d
+    # dx*dx + dy*dy axis by axis, in place; (a - b)**2 == (b - a)**2, so the
+    # square matrix is exactly symmetric with an exactly zero diagonal
+    d = np.subtract.outer(xa[:, 0], xb[:, 0])
+    d *= d
+    dy = np.subtract.outer(xa[:, 1], xb[:, 1])
+    dy *= dy
+    d += dy
+    return np.sqrt(d, out=d)

@@ -167,9 +167,16 @@ def _refuse_repeats(path, lines, keys, name: str) -> None:
         first[key] = line
 
 
+def _quote(text: str) -> str:
+    """A text cell, quoted (its quotes doubled) if it holds , " or a line break."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _format(kind: str, values) -> list[str]:
     if kind == "s":
-        return [str(v) for v in values]
+        return [_quote(str(v)) for v in values]
     if kind == "i":
         return [str(int(v)) for v in values]
     # repr round-trips every float; NaN or None is an empty field
@@ -179,18 +186,19 @@ def _format(kind: str, values) -> list[str]:
 def write_csv(path, fmt: CsvFormat, columns, meta: dict | None = None) -> Path:
     """Write one row per position of the columns (one sequence per header
     column), then, for a non-empty meta, one '# key=value ...' line. A text
-    value starting with '#', which reads back as a comment, is a SchemaError."""
+    value starting with '#', which reads back as a comment, is a SchemaError.
+    Only text cells can need quotes, as with csv's QUOTE_MINIMAL."""
     path = Path(path)
     for kind, column, values in zip(fmt.kinds, fmt.columns, columns):
         if kind == "s" and any(str(v).startswith("#") for v in values):
             raise SchemaError(f"{path}: a value in column '{column}' starts with '#'")
     n = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(fmt.columns)
+        f.write(",".join(fmt.columns) + "\n")
         for start in range(0, n, _WRITE_CHUNK):
             stop = start + _WRITE_CHUNK
-            writer.writerows(zip(*(_format(k, c[start:stop]) for k, c in zip(fmt.kinds, columns))))
+            cells = zip(*(_format(k, c[start:stop]) for k, c in zip(fmt.kinds, columns)))
+            f.write("\n".join(map(",".join, cells)) + "\n")
         if meta:
             f.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
     return path

@@ -35,7 +35,7 @@ from .ensemble import (
     predict_mixture,
 )
 from .errors import OutOfDomainError, OverwriteError, SchemaError, StageError
-from .geo import CTM, SAT, GridSpec, Location, distance_matrix
+from .geo import CTM, SAT, GridSpec, distance_matrix
 from .kernels import GaussianSummary
 from .tables import SOURCE_COLUMNS, ObservationTable, PredictiveTable
 
@@ -321,11 +321,10 @@ def _full_predictive(data, fits, seeds) -> PredictiveTable:
     return combine_predictions(data, preds[CTM], preds[SAT])
 
 
-def _nearest_site_rows(
-    data: ObservationTable, targets: list[Location], days
-) -> Iterator[np.ndarray]:
-    """Raw covariate rows for targets, one block per day: the same-day row of
-    the nearest monitor with records, else that monitor's first row."""
+def _nearest_site_rows(data: ObservationTable, targets, days) -> Iterator[np.ndarray]:
+    """Raw covariate rows for targets (Locations or an (m, 2) km array), one
+    block per day: the same-day row of the nearest monitor with records, else
+    that monitor's first row."""
     sites, first = np.unique(data.site_idx, return_index=True)
     nearest = distance_matrix([data.sites[s] for s in sites], targets).argmin(axis=0)
     for day in days:
@@ -344,11 +343,9 @@ def _surface_stage(cfg: PipelineConfig, data, fits, weights, ctm, sat, seeds):
     )
     centers = grid.all_centers()
     m = centers.shape[0]
-    targets = [
-        Location(f"r{i // grid.n_cols:03d}c{i % grid.n_cols:03d}", float(x), float(y))
-        for i, (x, y) in enumerate(centers)
-    ]
-    kriged = krige_weights(weights, targets, seed=int(seeds[0].generate_state(1)[0]))
+    rr, cc = np.divmod(np.arange(m), grid.n_cols)
+    target_ids = np.array([f"r{r:03d}c{c:03d}" for r, c in zip(rr.tolist(), cc.tolist())], dtype=object)
+    kriged = krige_weights(weights, centers, seed=int(seeds[0].generate_state(1)[0]))
 
     # linked proxy values of the target cells on a day
     def linked(values_present, spec):
@@ -374,13 +371,11 @@ def _surface_stage(cfg: PipelineConfig, data, fits, weights, ctm, sat, seeds):
         if link is None or fit is None:
             continue
         pseed = int(seeds[1 + k].generate_state(1)[0])
-        zs = _nearest_site_rows(data, targets, days) if source == SAT else repeat(None)
+        zs = _nearest_site_rows(data, centers, days) if source == SAT else repeat(None)
         batches = ((np.full(m, d, dtype=np.int64), link(d), z, pseed + d) for d, z in zip(days, zs))
-        preds[k] = predict_batches(fit, targets, np.arange(m), batches)
+        preds[k] = predict_batches(fit, centers, np.arange(m), target_ids, batches)
 
     rows = []
-    rr = np.arange(m) // grid.n_cols
-    cc = np.arange(m) % grid.n_cols
     for i, d in enumerate(days):
         mu = np.zeros((m, 2))
         var = np.ones((m, 2))
@@ -404,7 +399,6 @@ def _surface_stage(cfg: PipelineConfig, data, fits, weights, ctm, sat, seeds):
         )
 
     surface = pio.SurfaceOutput(*(np.concatenate(col) for col in zip(*rows)))
-    target_ids = [t.site_id for t in targets]
     return surface, target_ids, kriged
 
 

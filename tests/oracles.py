@@ -4,22 +4,28 @@ The brute-force ensemble oracles marginalize z analytically on a discrete
 weight grid and evaluate the mixture CDF directly, with scipy.stats
 densities. The scipy references are the public scipy.linalg calls that the
 kernels' direct LAPACK solves stand in for, and scipy_kriging is
-ExpKriging's arithmetic rebuilt on every call. The CAR full conditional is the
-definition of the temporal prior, and the point-by-point grid cell is the
-definition that GridSpec.cells_of vectorizes. The numpy-scalar logit sweep
-and the masked inverse logit are the forms that update_q and inv_logit
-replaced, kept as their bit-for-bit references. SingleChainBlocks and
-single_chain_fit are the one-chain downscaler sampler, fitted to one table
-at a time, that the lockstep batch of chains must equal fold by fold.
+ExpKriging's arithmetic rebuilt on every call. The bisection, the
+broadcast distance matrix and the csv.writer bytes are the forms that
+mixture_quantiles_arrays, distance_matrix and write_csv replaced. The CAR
+full conditional is the definition of the temporal prior, and the
+point-by-point grid cell is the definition that GridSpec.cells_of
+vectorizes. The numpy-scalar logit sweep and the masked inverse logit are
+the forms that update_q and inv_logit replaced, kept as their bit-for-bit
+references. SingleChainBlocks and single_chain_fit are the one-chain
+downscaler sampler, fitted to one table at a time, that the lockstep batch
+of chains must equal fold by fold.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import replace
 
 import numpy as np
 from scipy import linalg
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from pmfusion import downscaler
@@ -89,6 +95,64 @@ def brute_force_mixture_cdf(m: MixtureDistribution, x) -> float | np.ndarray:
 
 def weight_posterior_mean(grid: np.ndarray, post: np.ndarray) -> float:
     return float(np.dot(grid, post))
+
+
+def bisection_mixture_quantiles(w, mu1, var1, mu2, var2, p, tol=1e-10):
+    """Mixture quantiles by bisection on the exact CDF, every row until the
+    widest bracket is below tol in units of its wider SD: the solver that
+    bracketed Newton replaced."""
+    sd1, sd2 = np.sqrt(var1), np.sqrt(var2)
+    lo = np.minimum(mu1 - 10 * sd1, mu2 - 10 * sd2)
+    hi = np.maximum(mu1 + 10 * sd1, mu2 + 10 * sd2)
+    scale = np.maximum(sd1, sd2)
+
+    def cdf(x):
+        return w * ndtr((x - mu1) / sd1) + (1.0 - w) * ndtr((x - mu2) / sd2)
+
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        below = cdf(mid) < p
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        if np.max((hi - lo) / np.maximum(scale, 1e-300)) < tol:
+            break
+    return 0.5 * (lo + hi)
+
+
+# -- broadcast and csv-module references for geo and io ---------------------
+
+
+def broadcast_distance_matrix(xa, xb=None):
+    """Distances through an (n, m, 2) difference array, with the diagonal
+    zeroed and the square matrix symmetrized: the form distance_matrix
+    computes without 3-D temporaries."""
+    square = xb is None
+    xb = xa if square else xb
+    diff = xa[:, None, :] - xb[None, :, :]
+    d = np.sqrt(np.sum(diff * diff, axis=-1))
+    if square:
+        np.fill_diagonal(d, 0.0)
+        d = 0.5 * (d + d.T)
+    return d
+
+
+def csv_writer_bytes(fmt, columns, meta) -> bytes:
+    """A file of this format as csv.writer (QUOTE_MINIMAL) writes the cells:
+    str for text and integers, repr for numbers, empty for NaN."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(fmt.columns)
+    cells = []
+    for kind, values in zip(fmt.kinds, columns):
+        if kind == "s":
+            cells.append([str(v) for v in values])
+        elif kind == "i":
+            cells.append([str(int(v)) for v in values])
+        else:
+            cells.append(["" if v != v else repr(v) for v in np.asarray(values, dtype=float).tolist()])
+    writer.writerows(zip(*cells))
+    out.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
+    return out.getvalue().encode()
 
 
 # -- scipy references for pmfusion.kernels' LAPACK solves -----------------

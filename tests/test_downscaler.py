@@ -17,7 +17,7 @@ from pmfusion import downscaler, kernels
 from pmfusion.chain import Chain
 from pmfusion.config import MCMCConfig
 from pmfusion.downscaler import _Blocks, cv_predict, fit_downscaler, predict_at, predict_batches
-from pmfusion.errors import InsufficientDataError, OutOfDomainError, SchemaError
+from pmfusion.errors import DomainError, InsufficientDataError, OutOfDomainError, SchemaError
 from pmfusion.geo import CTM, SAT, Location, distance_matrix
 from pmfusion.kernels import ETA_GRID, jittered_cholesky
 from pmfusion.tables import N_COVARIATES, ObservationTable
@@ -471,6 +471,11 @@ class TestFitDownscaler:
         with pytest.raises(InsufficientDataError, match="3"):
             fit_downscaler(broken, SAT, MCMCConfig(n_iter=10, burn_in=5, thin=1))
 
+    def test_unknown_source_is_a_domain_error(self):
+        data = build_table(np.random.default_rng(38), 4, 6)
+        with pytest.raises(DomainError, match="'modis'"):
+            fit_downscaler(data, "modis", MCMCConfig(n_iter=10, burn_in=5, thin=1))
+
 
 class TestLapackSolvesInTheSampler:
     """The sweep's direct LAPACK solves and reused range factor change no bit."""
@@ -669,11 +674,14 @@ class TestPredictBatches:
                 x[:] = np.nan  # a day with no available target draws nothing
             z = rng.normal(0.0, 1.0, (m, N_COVARIATES)) if source == SAT else None
             batches.append((np.full(m, d), x, z, 100 + d))
-        got = predict_batches(fit, targets, idx, batches)
+        # the coordinate-array form of the targets, as the surface passes them
+        xy = np.array([[t.x_km, t.y_km] for t in targets])
+        got = predict_batches(fit, xy, idx, np.array([t.site_id for t in targets], dtype=object), batches)
         assert len(got) == len(batches)
         for (days, x, z, seed), batch in zip(batches, got):
             single = predict_at(fit, targets, idx, days, x, z, seed=seed)
             ref_mu, ref_var = per_call_reference(fit, targets, idx, days, x, z, seed)
+            assert list(batch.ids) == list(single.ids) == [t.site_id for t in targets]
             for pred in (batch, single):
                 assert np.array_equal(pred.available, np.isfinite(x))
                 assert np.array_equal(pred.mu, ref_mu, equal_nan=True)
@@ -699,7 +707,7 @@ class TestPredictBatches:
         calls = []
         factor = kernels.jittered_cholesky
         monkeypatch.setattr(kernels, "jittered_cholesky", lambda c: calls.append(1) or factor(c))
-        got = predict_batches(fit, targets, idx, batches)
+        got = predict_batches(fit, targets, idx, [t.site_id for t in targets], batches)
         assert len(calls) == distinct < 2 * len(fit)
         monkeypatch.undo()
         for (days, x, z, seed), pred in zip(batches, got):
@@ -711,7 +719,11 @@ class TestPredictBatches:
         good = (data.day[:3], data.x_ctm[:3], None, 0)
         bad = (np.array([1, 2, data.n_days + 1]), data.x_ctm[:3], None, 0)
         with pytest.raises(OutOfDomainError):
-            predict_batches(fit, data.sites, data.site_idx[:3], [good, bad])
+            predict_batches(fit, data.sites, data.site_idx[:3], ["a", "b", "c"], [good, bad])
+        with pytest.raises(SchemaError, match="ids"):
+            predict_batches(fit, data.sites, data.site_idx[:3], ["a", "b"], [good])
+        with pytest.raises(SchemaError, match=r"\(n, 2\)"):
+            predict_batches(fit, np.zeros((4, 3)), data.site_idx[:3], ["a", "b", "c"], [good])
 
 
 class TestCvPredict:

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import ndtr
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
@@ -39,6 +40,7 @@ from pmfusion.kernels import inv_logit, jittered_cholesky, logit
 from pmfusion.tables import PredictiveTable
 
 from oracles import (
+    bisection_mixture_quantiles,
     brute_force_weight_posterior,
     masked_inv_logit,
     numpy_scalar_update_q,
@@ -483,6 +485,93 @@ class TestMixtureDistribution:
         assert got[0] == pytest.approx(REF_Q025, abs=1e-8)
 
 
+TOL = 1e-10
+EDGE_MIXTURES = {
+    # w, mu1, var1, mu2, var2
+    "w-zero": (0.0, -3.0, 2.0, 4.0, 0.5),
+    "w-one": (1.0, -3.0, 2.0, 4.0, 0.5),
+    "identical": (0.4, 1.5, 2.25, 1.5, 2.25),
+    "bimodal": (0.3, 0.0, 1.0, 1000.0, 1.0),
+    "variance-ratio-1e4": (0.6, 2.0, 1.0, 2.0, 1e4),
+    "variance-ratio-1e4-apart": (0.2, 0.0, 1e-2, 5.0, 1e2),
+}
+LEVELS = (float(ndtr(-10.0)), 0.025, 0.2, 0.5, 0.975, 1.0 - 1e-12)
+
+
+def bisection_reference(w, mu1, var1, mu2, var2, p):
+    """The bisection oracle; above 1/2 on the mirrored mixture at 1 - p.
+
+    Near 1 the computed CDF is flat over whole ranges of x (at 1 - 1e-12 one
+    ulp of p spans about 1e-5 SD), so the bisection at p itself cannot
+    resolve the root to tol; at 1 - p in the lower tail it can.
+    """
+    if p > 0.5:
+        return -bisection_mixture_quantiles(w, -np.asarray(mu1), var1, -np.asarray(mu2), var2, 1.0 - p, TOL)
+    return bisection_mixture_quantiles(w, mu1, var1, mu2, var2, p, TOL)
+
+
+def counted_quantiles(monkeypatch, *args):
+    """(quantiles, passes): each pass evaluates ndtr once per component."""
+    calls = []
+    monkeypatch.setattr(ensemble, "ndtr", lambda u: calls.append(1) or ndtr(u))
+    got = mixture_quantiles_arrays(*args, tol=TOL)
+    monkeypatch.undo()
+    return got, len(calls) // 2
+
+
+class TestBracketedNewtonQuantiles:
+    @pytest.mark.parametrize("p", LEVELS)
+    @pytest.mark.parametrize("name", sorted(EDGE_MIXTURES))
+    def test_edge_cases_match_the_bisection(self, name, p, monkeypatch):
+        w, mu1, var1, mu2, var2 = (np.array([v]) for v in EDGE_MIXTURES[name])
+        got, passes = counted_quantiles(monkeypatch, w, mu1, var1, mu2, var2, p)
+        want = bisection_reference(w, mu1, var1, mu2, var2, p)
+        scale = max(math.sqrt(var1[0]), math.sqrt(var2[0]))
+        assert abs(got[0] - want[0]) <= TOL * scale
+        assert passes <= 25
+
+    @pytest.mark.parametrize("p", LEVELS)
+    def test_random_mixtures_match_the_bisection(self, p, monkeypatch):
+        rng = np.random.default_rng(153)
+        n = 2000
+        w = rng.uniform(0, 1, n)
+        w[:50], w[50:100] = 0.0, 1.0
+        mu1, mu2 = rng.normal(0, 20, n), rng.normal(0, 20, n)
+        var1, var2 = np.exp(rng.uniform(-4, 4, n)), np.exp(rng.uniform(-4, 4, n))
+        got, passes = counted_quantiles(monkeypatch, w, mu1, var1, mu2, var2, p)
+        want = bisection_reference(w, mu1, var1, mu2, var2, p)
+        assert np.all(np.abs(got - want) <= TOL * np.maximum(np.sqrt(var1), np.sqrt(var2)))
+        assert passes <= 25
+
+    @pytest.mark.parametrize("p", (0.025, 0.975))
+    def test_surface_like_mixtures_converge_in_few_passes(self, p, monkeypatch):
+        rng = np.random.default_rng(154)
+        n = 6400
+        w = rng.uniform(0, 1, n)
+        mu1, mu2 = rng.normal(10, 3, n), rng.normal(10, 3, n)
+        var1, var2 = rng.uniform(1, 9, n), rng.uniform(1, 9, n)
+        got, passes = counted_quantiles(monkeypatch, w, mu1, var1, mu2, var2, p)
+        want = bisection_mixture_quantiles(w, mu1, var1, mu2, var2, p, TOL)
+        assert np.all(np.abs(got - want) <= TOL * np.maximum(np.sqrt(var1), np.sqrt(var2)))
+        # the bisection takes about 38 passes over every row here
+        assert passes <= 12
+
+    @pytest.mark.parametrize("p", LEVELS)
+    def test_scalar_fields(self, p):
+        m = MixtureDistribution(0.3, -1.0, 0.5, 2.0, 4.0)
+        got = m.quantile(p)
+        assert np.ndim(got) == 0
+        assert abs(got - bisection_reference(0.3, -1.0, 0.5, 2.0, 4.0, p)) <= TOL * 2.0
+
+    def test_array_shape_is_kept(self):
+        rng = np.random.default_rng(155)
+        w, mu1, mu2 = rng.uniform(0, 1, (3, 4)), rng.normal(0, 1, (3, 4)), rng.normal(0, 1, (3, 4))
+        got = mixture_quantiles_arrays(w, mu1, 1.0, mu2, 2.0, 0.975)
+        assert got.shape == (3, 4)
+        want = bisection_mixture_quantiles(w, mu1, 1.0, mu2, 2.0, 0.975)
+        assert np.all(np.abs(got - want) <= TOL * math.sqrt(2.0))
+
+
 def single_site_problem():
     """One monitor, 15 days, inputs mildly favoring component 1."""
     rng = np.random.default_rng(123)
@@ -633,6 +722,11 @@ class TestFitJoint:
         locs, inputs, y, _ = separation_problem(n_side=2, t_days=10)
         with pytest.raises(ValueError, match="length"):
             fit_joint(y[:-1], inputs, locs, MCMCConfig(n_iter=10, burn_in=5, thin=1))
+
+    def test_y_length_is_a_schema_error(self):
+        locs, inputs, y, _ = separation_problem(n_side=2, t_days=10)
+        with pytest.raises(SchemaError, match=f"y length {y.size + 1} "):
+            fit_two_stage(np.append(y, 1.0), inputs, locs, MCMCConfig(n_iter=10, burn_in=5, thin=1))
 
 
 class TestFitTwoStage:

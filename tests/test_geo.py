@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pmfusion.errors import DomainError, OutOfDomainError
+from pmfusion.errors import DomainError, OutOfDomainError, SchemaError
 from pmfusion.geo import (
     CTM,
     SAT,
@@ -13,7 +13,7 @@ from pmfusion.geo import (
     distance_matrix,
     link_points,
 )
-from oracles import grid_cell_of, grid_contains
+from oracles import broadcast_distance_matrix, grid_cell_of, grid_contains
 
 
 @pytest.fixture
@@ -69,6 +69,16 @@ class TestGridSpec:
                 GridSpec(0, 0, cell_km, 5, 5, CTM)
         with pytest.raises(DomainError, match="row"):
             GridSpec(0, 0, 4.0, 0, 5, CTM)
+
+    @pytest.mark.parametrize("origin", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, np.nan)])
+    def test_non_finite_origin_is_a_domain_error(self, origin):
+        with pytest.raises(DomainError, match="origin"):
+            GridSpec(*origin, 4.0, 5, 5)
+
+    def test_centres_that_overflow_are_a_domain_error(self):
+        spec = GridSpec(1e308, 0.0, 1e308, 2, 3)
+        with pytest.raises(DomainError, match="overflow"):
+            spec.all_centers()
 
 
 class TestLinking:
@@ -159,3 +169,22 @@ class TestDistanceMatrix:
     def test_coords_array(self):
         pts = [Location("a", 1.0, 2.0), Location("b", 3.0, 4.0)]
         np.testing.assert_array_equal(coords_array(pts), [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4,), (2, 2, 2)])
+    def test_misshapen_coordinate_array_is_a_schema_error(self, shape):
+        with pytest.raises(SchemaError, match=r"\(n, 2\)"):
+            coords_array(np.zeros(shape))
+        with pytest.raises(SchemaError):
+            distance_matrix(np.zeros((2, 2)), np.zeros(shape))
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (7, 30), (63, 6400)])
+    def test_equals_the_broadcast_formula_bit_for_bit(self, n, m):
+        rng = np.random.default_rng(n + m)
+        a = rng.uniform(-500.0, 500.0, (n, 2)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+        b = rng.uniform(0.0, 100.0, (m, 2))
+        locs_a = [Location(f"a{i}", x, y) for i, (x, y) in enumerate(a.tolist())]
+        locs_b = [Location(f"b{i}", x, y) for i, (x, y) in enumerate(b.tolist())]
+        for square in (distance_matrix(a), distance_matrix(locs_a)):
+            assert np.array_equal(square, broadcast_distance_matrix(a))
+        for cross in (distance_matrix(a, b), distance_matrix(locs_a, locs_b), distance_matrix(locs_a, b)):
+            assert np.array_equal(cross, broadcast_distance_matrix(a, b))

@@ -47,6 +47,8 @@ from pmfusion.io import (
 from pmfusion.synth import SceneConfig, generate_scene
 from pmfusion.tables import PredictiveTable
 
+from oracles import csv_writer_bytes
+
 
 @pytest.fixture
 def sites():
@@ -632,6 +634,38 @@ def test_writer_bytes_are_fixed(tmp_path, name):
     write, body = GOLDEN[name]
     p = write(tmp_path / f"{name}.csv")
     assert p.read_bytes() == (body + TAIL).encode()
+
+
+class TestWriterMatchesCsvModule:
+    """write_csv's bytes against csv.writer's for the same cells."""
+
+    IDS = ["plain", "a,b", 'say "hi"', "two\nlines", '",\n"', " spaced ", "ünï"]
+
+    def test_rows_over_several_chunks(self, tmp_path):
+        rng = np.random.default_rng(12)
+        n = 2 * pio._WRITE_CHUNK + 37
+        floats = [rng.normal(0.0, 10.0 ** rng.integers(-5, 6), n) for _ in range(5)]
+        floats[0][::97] = -0.0
+        floats[1][::89] = 0.0
+        floats[2][::83] = np.nan  # an empty cell, as for a missing number
+        columns = (rng.choice(np.array(self.IDS, dtype=object), n), rng.integers(-5, 400, n), *floats)
+        path = write_csv(tmp_path / "p.csv", PREDICTIONS, columns, META)
+        assert path.read_bytes() == csv_writer_bytes(PREDICTIONS, columns, META)
+        assert b"-0.0," in path.read_bytes() and b",," in path.read_bytes()
+
+    @pytest.mark.parametrize("fmt", [pio.OBS, pio.EVALUATION], ids=["obs", "evaluation"])
+    def test_missing_cells_and_text(self, fmt, tmp_path):
+        values = {"s": self.IDS, "i": list(range(7)), "f": [1.5, -0.0, 2e-300, 1e300, 0.1, 3.0, 7.25],
+                  "m": [np.nan, -0.0, 1.0, np.nan, 2.5, np.nan, 1 / 3]}
+        columns = [values[k] for k in fmt.kinds]
+        path = write_csv(tmp_path / "f.csv", fmt, columns, META)
+        assert path.read_bytes() == csv_writer_bytes(fmt, columns, META)
+
+    def test_quoted_ids_read_back(self, tmp_path):
+        ids = [*self.IDS, "cr\rid"]
+        locs = [Location(sid, float(i), 2.0) for i, sid in enumerate(ids)]
+        back = load_monitors(emit_monitors(tmp_path / "m.csv", locs, META))
+        assert [l.site_id for l in back] == [sid.strip() for sid in ids]
 
 
 FORMATS = {name: v for name, v in vars(pio).items() if isinstance(v, CsvFormat)}
