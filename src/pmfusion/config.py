@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -45,6 +46,10 @@ class MCMCConfig:
             )
         if self.thin < 1:
             raise DomainError("thin must be >= 1")
+        for name in ("kappa_w", "kappa_rho", "ig_a", "ig_b", "rho_prior_shape", "rho_prior_rate"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
         if self.kappa_w <= 0 or self.kappa_rho <= 0:
             raise DomainError("proposal variances must be positive")
         if min(self.ig_a, self.ig_b, self.rho_prior_shape, self.rho_prior_rate) <= 0:

@@ -20,6 +20,11 @@ with daily memberships z_st and cycles four updates:
      multiplies the MVN likelihood of q, the Gamma(shape, rate) prior and
      the proposal Jacobian rho_new / rho_old.
 
+An accept test's last bits reach no state unless its comparison flips, so
+the tests are formed on arrays (steps 1 and 2) or from the quadratic form
+the tau2 draw already holds (step 4); the state updates keep their own
+arithmetic.
+
 The two-stage alternative replaces 2-4 with per-site conjugate
 Beta(1 + sum z, 1 + T_s - sum z) weights and kriges the logits of the
 posterior medians afterwards. Component summaries are treated as fixed
@@ -52,6 +57,11 @@ from .kernels import (
 # refresh r = P q from scratch periodically to cap round-off accumulation
 _REFRESH_EVERY = 128
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# a membership probability inv_logit(q + delta_ll) is formed as
+# 1 / (1 + exp(-q) exp(-delta_ll)) with q clipped to +-_SPLIT_Q, except on
+# rows with |delta_ll| > _SPLIT_LL: no factor or product then leaves the
+# normal range, and a clipped q keeps |q + delta_ll| > 100 and its sign
+_SPLIT_Q, _SPLIT_LL = 400.0, 300.0
 
 
 @dataclass
@@ -99,10 +109,12 @@ class MixtureDistribution:
     var2: float | np.ndarray
 
     def __post_init__(self):
-        if np.any(self.w < 0.0) or np.any(self.w > 1.0):
+        if not np.all((self.w >= 0.0) & (self.w <= 1.0)):
             raise DomainError("mixture weight must lie in [0, 1]")
-        if np.any(self.var1 <= 0) or np.any(self.var2 <= 0):
-            raise DomainError("component variances must be positive")
+        if not np.all((self.var1 > 0) & (self.var2 > 0) & np.isfinite(self.var1) & np.isfinite(self.var2)):
+            raise DomainError("component variances must be finite and positive")
+        if not np.all(np.isfinite(self.mu1) & np.isfinite(self.mu2)):
+            raise DomainError("component means must be finite")
 
     @property
     def mean(self):
@@ -223,14 +235,7 @@ def membership_prob(
 ) -> np.ndarray:
     """Posterior probability that y came from component 1."""
     delta = norm_logpdf(y, mu1, var1) - norm_logpdf(y, mu2, var2)
-    return _membership_prob(clipped_logit(w), delta)
-
-
-def _membership_prob(q, delta_ll):
-    """P(z = 1) given the weight logit q and the log density ratio
-    delta_ll = log N(y | mu1, var1) - log N(y | mu2, var2); the fitters
-    call it with their precomputed delta_ll."""
-    return inv_logit(q + delta_ll)
+    return inv_logit(clipped_logit(w) + delta)
 
 
 def _site_index(ids: np.ndarray, locations: list[Location]) -> np.ndarray:
@@ -239,12 +244,6 @@ def _site_index(ids: np.ndarray, locations: list[Location]) -> np.ndarray:
         return np.array([order[sid] for sid in ids], dtype=np.int64)
     except KeyError as exc:
         raise SchemaError(f"record id {exc.args[0]!r} not among the weight-field sites") from None
-
-
-def _scalar_log1pexp(x: float) -> float:
-    if x > 30.0:
-        return x
-    return math.log1p(math.exp(x))
 
 
 def update_q(
@@ -261,28 +260,31 @@ def update_q(
     prec is the precision of the GP prior (tau2 * C(rho))^{-1}; r must
     equal prec @ q on entry and is kept in sync in place. Returns the
     per-site acceptance indicator array.
+
+    Site s moves by delta_s when log u_s is below its Bernoulli
+    log-likelihood ratio plus -delta_s**2 prec_ss / 2 - delta_s r_s, the
+    log ratio of its GP conditional. Only r_s depends on the sites visited
+    before s, so the rest of every test is formed on arrays first.
     """
     s_count = q.shape[0]
+    prop = q + step_sd * rng.standard_normal(s_count)
+    with np.errstate(divide="ignore"):
+        log_u = np.log(rng.random(s_count))  # a uniform of 0 accepts
+    delta = prop - q
+    lik = z_sum * delta - t_s * (_log1pexp(prop) - _log1pexp(q))
+    a = log_u - lik + 0.5 * delta * delta * prec.diagonal()
     accepted = np.zeros(s_count, dtype=bool)
-    # per-site arithmetic on Python floats: numpy's IEEE doubles without the
-    # cost of a numpy scalar per operation
-    normals, uniforms = rng.standard_normal(s_count).tolist(), rng.random(s_count).tolist()
-    z_sum, t_s, steps, q_cur = z_sum.tolist(), t_s.tolist(), step_sd.tolist(), q.tolist()
-    prec_diag = prec.diagonal().tolist()
-    for s in range(s_count):
-        q_s = q_cur[s]
-        var_s = 1.0 / prec_diag[s]
-        mean_s = q_s - r.item(s) * var_s
-        prop = q_s + steps[s] * normals[s]
-        d_lik = z_sum[s] * (prop - q_s) - t_s[s] * (
-            _scalar_log1pexp(prop) - _scalar_log1pexp(q_s)
-        )
-        d_pri = ((q_s - mean_s) ** 2 - (prop - mean_s) ** 2) / (2.0 * var_s)
-        if math.log(uniforms[s]) < d_lik + d_pri:
-            r += prec[:, s] * (prop - q_s)
-            q[s] = prop
+    cols = prec.T  # cols[s] is prec[:, s], indexed faster
+    for s, (a_s, d_s) in enumerate(zip(a.tolist(), delta.tolist())):
+        if a_s + d_s * r.item(s) < 0.0:
+            r += cols[s] * d_s
             accepted[s] = True
+    q[accepted] = prop[accepted]
     return accepted
+
+
+def _log1pexp(x: np.ndarray) -> np.ndarray:
+    return np.logaddexp(0.0, x)
 
 
 def update_tau2(quad: float, s_count: int, mcmc: MCMCConfig, rng: np.random.Generator) -> float:
@@ -300,29 +302,31 @@ def update_rho(
     step: float,
     rng: np.random.Generator,
     mcmc: MCMCConfig,
+    quad: float | None = None,
 ) -> tuple[float, bool, np.ndarray]:
     """Step 4: log-normal random-walk MH on the weight-field range.
 
     d is the site distance matrix, corr_chol the Cholesky factor of
     C(rho) = exp(-d / rho) and step the SD of log(rho_prop / rho). The
     target is the MVN(0, tau2 * C) density of q times the Gamma prior of
-    mcmc. Returns (rho, accepted, the factor at the returned rho).
+    mcmc. quad is q' C(rho)^{-1} q at the current range, solved here when
+    the caller does not hold it. Returns (rho, accepted, the factor at the
+    returned rho).
     """
     prop = float(rho * math.exp(step * rng.standard_normal()))
     chol_prop, _ = jittered_cholesky(np.exp(-d / prop))
 
-    def log_target(r: float, chol: np.ndarray) -> float:
-        half = tri_solve(chol, q)
-        log_lik = -0.5 * (
-            q.shape[0] * math.log(2.0 * math.pi * tau2)
-            + 2.0 * float(np.sum(np.log(np.diag(chol))))
-            + float(half @ half) / tau2
-        )
+    def log_target(r: float, chol: np.ndarray, quad: float | None) -> float:
+        if quad is None:
+            half = tri_solve(chol, q)
+            quad = float(half @ half)
+        log_lik = -float(np.log(chol.diagonal()).sum()) - 0.5 * quad / tau2
         return log_lik + (mcmc.rho_prior_shape - 1.0) * math.log(r) - mcmc.rho_prior_rate * r
 
     # + log(prop) - log(rho) is the Jacobian of the log-normal proposal
-    delta = log_target(prop, chol_prop) - log_target(rho, corr_chol) + math.log(prop) - math.log(rho)
-    if math.log(rng.random()) < delta:
+    delta = log_target(prop, chol_prop, None) - log_target(rho, corr_chol, quad) + math.log(prop) - math.log(rho)
+    u = rng.random()
+    if u == 0.0 or math.log(u) < delta:
         return prop, True, chol_prop
     return rho, False, corr_chol
 
@@ -345,11 +349,19 @@ class _EnsembleProblem:
         y_b, mu, var = self.y[self.rows], inputs.mu[self.rows], inputs.var[self.rows]
         self.delta_ll = norm_logpdf(y_b, mu[:, 0], var[:, 0]) - norm_logpdf(y_b, mu[:, 1], var[:, 1])
         self.t_s = np.bincount(self.row_site, minlength=self.s_count).astype(float)
+        self.odds_ll = np.exp(-np.clip(self.delta_ll, -_SPLIT_LL, _SPLIT_LL))
+        self.unsplit = np.flatnonzero(np.abs(self.delta_ll) > _SPLIT_LL)
+
+    def assignment_probs(self, q: np.ndarray) -> np.ndarray:
+        """Each row's P(z = 1) = inv_logit(q_s + delta_ll) given the site logits."""
+        p = 1.0 / (1.0 + np.exp(-q.clip(-_SPLIT_Q, _SPLIT_Q))[self.row_site] * self.odds_ll)
+        if self.unsplit.size:
+            p[self.unsplit] = inv_logit(q[self.row_site[self.unsplit]] + self.delta_ll[self.unsplit])
+        return p
 
     def draw_assignment_sums(self, q: np.ndarray, rng) -> np.ndarray:
         """Step 1: draw every membership; returns the per-site sums of z."""
-        p = _membership_prob(q[self.row_site], self.delta_ll)
-        z = rng.random(self.rows.size) < p
+        z = rng.random(self.rows.size) < self.assignment_probs(q)
         return np.bincount(self.row_site, weights=z.astype(float), minlength=self.s_count)
 
 
@@ -362,10 +374,11 @@ class _Range:
         self.rho = max(float(self.d.max()) / 4.0, 1e-3)
         self.chol, _ = jittered_cholesky(np.exp(-self.d / self.rho))
 
-    def move(self, q: np.ndarray, tau2: float, chain: Chain, rng) -> bool:
-        """Step 4 with the chain's rho step, counted as one rho try."""
+    def move(self, q: np.ndarray, quad: float, tau2: float, chain: Chain, rng) -> bool:
+        """Step 4 with the chain's rho step, counted as one rho try; quad is
+        q' C(rho)^{-1} q at the current range."""
         self.rho, accepted, self.chol = update_rho(
-            q, tau2, self.rho, self.d, self.chol, chain.step("rho"), rng, chain.mcmc
+            q, tau2, self.rho, self.d, self.chol, chain.step("rho"), rng, chain.mcmc, quad
         )
         chain.tried("rho", accepted)
         return accepted
@@ -389,40 +402,28 @@ def fit_joint(y, inputs, locations, mcmc: MCMCConfig) -> WeightFieldSamples:
     r = prec @ q
 
     chain = Chain(mcmc, q=np.full(s_count, math.sqrt(mcmc.kappa_w)), rho=math.sqrt(mcmc.kappa_rho))
-    n_kept = mcmc.n_kept
-    out_q = np.zeros((n_kept, s_count))
-    out_tau2 = np.zeros(n_kept)
-    out_rho = np.zeros(n_kept)
+    out_q, out_tau2, out_rho = np.zeros((mcmc.n_kept, s_count)), np.zeros(mcmc.n_kept), np.zeros(mcmc.n_kept)
 
     for it, j in chain:
         z_sum = prob.draw_assignment_sums(q, rng)
         chain.tried("q", update_q(z_sum, prob.t_s, q, prec, r, chain.step("q"), rng))
 
         # q' C^{-1} q with the current precision
-        tau2_new = update_tau2(tau2 * float(q @ r), s_count, mcmc, rng)
+        quad = tau2 * float(q @ r)
+        tau2_new = update_tau2(quad, s_count, mcmc, rng)
         prec *= tau2 / tau2_new
         r *= tau2 / tau2_new
         tau2 = tau2_new
 
-        if field.move(q, tau2, chain, rng):
+        if field.move(q, quad, tau2, chain, rng):
             prec = chol_factor_solve(field.chol, np.eye(s_count)) / tau2
             r = prec @ q
         elif it % _REFRESH_EVERY == 0:
             r = prec @ q
 
         if j is not None:
-            out_q[j] = q
-            out_tau2[j] = tau2
-            out_rho[j] = field.rho
-
-    return WeightFieldSamples(
-        locations=prob.locations,
-        q=out_q,
-        tau2=out_tau2,
-        rho=out_rho,
-        t_s=prob.t_s,
-        acceptance=chain.acceptance(),
-    )
+            out_q[j], out_tau2[j], out_rho[j] = q, tau2, field.rho
+    return WeightFieldSamples(prob.locations, out_q, out_tau2, out_rho, prob.t_s, chain.acceptance())
 
 
 def fit_site_weights(y, inputs, locations, mcmc: MCMCConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -462,25 +463,17 @@ def fit_two_stage(y, inputs, locations, mcmc: MCMCConfig) -> WeightFieldSamples:
     rng = np.random.default_rng(np.random.SeedSequence(mcmc.seed).spawn(1)[0].generate_state(1)[0])
     field = _Range(kept_locs)
     chain = Chain(mcmc, rho=math.sqrt(mcmc.kappa_rho))
-    n_kept = mcmc.n_kept
-    out_q = np.tile(q_med, (n_kept, 1))
-    out_tau2 = np.zeros(n_kept)
-    out_rho = np.zeros(n_kept)
+    out_tau2, out_rho = np.zeros(mcmc.n_kept), np.zeros(mcmc.n_kept)
+    half = tri_solve(field.chol, q_med)
     for _, j in chain:
-        half = tri_solve(field.chol, q_med)
-        tau2 = update_tau2(float(half @ half), q_med.shape[0], mcmc, rng)
-        field.move(q_med, tau2, chain, rng)
+        quad = float(half @ half)
+        tau2 = update_tau2(quad, q_med.shape[0], mcmc, rng)
+        if field.move(q_med, quad, tau2, chain, rng):
+            half = tri_solve(field.chol, q_med)
         if j is not None:
-            out_tau2[j] = tau2
-            out_rho[j] = field.rho
-    return WeightFieldSamples(
-        locations=kept_locs,
-        q=out_q,
-        tau2=out_tau2,
-        rho=out_rho,
-        t_s=t_s[keep],
-        acceptance=chain.acceptance(),
-    )
+            out_tau2[j], out_rho[j] = tau2, field.rho
+    out_q = np.tile(q_med, (mcmc.n_kept, 1))
+    return WeightFieldSamples(kept_locs, out_q, out_tau2, out_rho, t_s[keep], chain.acceptance())
 
 
 def krige_weights(

@@ -11,9 +11,11 @@ full conditional is the definition of the temporal prior, and the
 point-by-point grid cell is the definition that GridSpec.cells_of
 vectorizes. The numpy-scalar logit sweep and the masked inverse logit are
 the forms that update_q and inv_logit replaced, kept as their bit-for-bit
-references. SingleChainBlocks and single_chain_fit are the one-chain
-downscaler sampler, fitted to one table at a time, that the lockstep batch
-of chains must equal fold by fold.
+references. The numpy-scalar sweep, the range move that solves both
+quadratic forms and the per-row inv_logit membership draw are also the
+forms that the array accept tests replaced. SingleChainBlocks and
+single_chain_fit are the one-chain downscaler sampler, fitted to one table
+at a time, that the lockstep batch of chains must equal fold by fold.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from pmfusion.kernels import (
     car_neighbor_count,
     car_precision_tridiag,
     chol_factor_solve,
+    inv_logit,
     jittered_cholesky,
     sample_from_log_weights,
     sample_tridiag_mvn,
@@ -226,6 +229,37 @@ def numpy_scalar_update_q(z_sum, t_s, q, prec, r, step_sd, rng):
             q[s] = prop
             accepted[s] = True
     return accepted
+
+
+# -- the weight-field steps before their accept tests moved to arrays ------
+
+
+def solving_update_rho(q, tau2, rho, d, corr_chol, step, rng, mcmc, quad=None):
+    """The range move that solves both states' quadratic forms and sums the
+    full MVN log density; quad is accepted and ignored."""
+    prop = float(rho * math.exp(step * rng.standard_normal()))
+    chol_prop, _ = jittered_cholesky(np.exp(-d / prop))
+
+    def log_target(r, chol):
+        half = tri_solve(chol, q)
+        log_lik = -0.5 * (
+            q.shape[0] * math.log(2.0 * math.pi * tau2)
+            + 2.0 * float(np.sum(np.log(np.diag(chol))))
+            + float(half @ half) / tau2
+        )
+        return log_lik + (mcmc.rho_prior_shape - 1.0) * math.log(r) - mcmc.rho_prior_rate * r
+
+    delta = log_target(prop, chol_prop) - log_target(rho, corr_chol) + math.log(prop) - math.log(rho)
+    if math.log(rng.random()) < delta:
+        return prop, True, chol_prop
+    return rho, False, corr_chol
+
+
+def inv_logit_assignment_sums(prob, q, rng):
+    """Step 1 with a per-row inv_logit(q_s + delta_ll) membership probability."""
+    p = inv_logit(q[prob.row_site] + prob.delta_ll)
+    z = rng.random(prob.rows.size) < p
+    return np.bincount(prob.row_site, weights=z.astype(float), minlength=prob.s_count)
 
 
 # -- model and geometry definitions ----------------------------------------

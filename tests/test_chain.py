@@ -1,6 +1,7 @@
 """The chain driver's bookkeeping, and the samplers' contract with the tracer."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 from pmfusion.chain import ADAPT_HIGH, ADAPT_LOW, ADAPT_WINDOW, Chain
 from pmfusion.config import MCMCConfig
+from pmfusion.errors import DomainError
 
 
 def drive(mcmc, accept, **steps):
@@ -125,6 +127,19 @@ class TestKeepAndCount:
         chain = Chain(mcmc)
         assert [j for _, j in chain if j is not None] == list(range(mcmc.n_kept))
         assert chain.acceptance() == {}
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("name", ["kappa_w", "kappa_rho", "ig_a", "ig_b", "rho_prior_shape", "rho_prior_rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_is_a_domain_error(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            MCMCConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["kappa_w", "kappa_rho", "ig_a", "ig_b", "rho_prior_shape", "rho_prior_rate"])
+    def test_non_positive_float_is_a_domain_error(self, name):
+        with pytest.raises(DomainError):
+            MCMCConfig(**{name: 0.0})
 
 
 TRACED_CHAINS = """

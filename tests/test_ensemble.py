@@ -7,6 +7,7 @@ and prior recovery for the range. The fitters are then checked end to end
 on separable synthetic problems.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -22,7 +23,6 @@ from pmfusion.ensemble import (
     MixtureDistribution,
     WeightFieldSamples,
     _EnsembleProblem,
-    _membership_prob,
     fit_joint,
     fit_site_weights,
     fit_two_stage,
@@ -43,8 +43,10 @@ from oracles import (
     bisection_mixture_quantiles,
     brute_force_weight_posterior,
     masked_inv_logit,
+    inv_logit_assignment_sums,
     numpy_scalar_update_q,
     scipy_kriging,
+    solving_update_rho,
     weight_posterior_mean,
 )
 
@@ -132,7 +134,7 @@ class TestUpdateZ:
         locs, inputs, y = self.make_problem()
         q = np.array([0.7, -0.4])
         prob = _EnsembleProblem(y, inputs, locs)
-        p = _membership_prob(q[prob.row_site], prob.delta_ll)
+        p = prob.assignment_probs(q)
         for k, i in enumerate(prob.rows):
             want = scalar_membership(
                 y[i], inputs.mu[i, 0], inputs.var[i, 0],
@@ -149,7 +151,7 @@ class TestUpdateZ:
         m = 4_000
         for _ in range(m):
             total += prob.draw_assignment_sums(q, rng)
-        p = _membership_prob(q[prob.row_site], prob.delta_ll)
+        p = prob.assignment_probs(q)
         # each site's sum of z is a sum of independent Bernoulli(p) draws
         mean = np.bincount(prob.row_site, weights=p, minlength=2)
         var = np.bincount(prob.row_site, weights=p * (1 - p), minlength=2)
@@ -372,25 +374,163 @@ class TestQuadraticForm:
     def test_matches_a_dense_solve_at_every_iteration(self, fitter, monkeypatch):
         locs, inputs, y, _ = separation_problem(n_side=4, t_days=30)
         mcmc = MCMCConfig(n_iter=300, burn_in=150, thin=3, seed=17)
-        quads, states = [], []
+        quads, states, rho_quads = [], [], []
 
         def tau2_step(quad, s_count, mcmc, rng):
             quads.append(quad)
             return update_tau2(quad, s_count, mcmc, rng)
 
-        def rho_step(q, tau2, rho, d, corr_chol, step, rng, mcmc):
+        def rho_step(q, tau2, rho, d, corr_chol, step, rng, mcmc, quad):
             # called right after the tau2 draw, with the same q and rho
             states.append((q.copy(), rho, d))
-            return update_rho(q, tau2, rho, d, corr_chol, step, rng, mcmc)
+            rho_quads.append(quad)
+            return update_rho(q, tau2, rho, d, corr_chol, step, rng, mcmc, quad)
 
         monkeypatch.setattr(ensemble, "update_tau2", tau2_step)
         monkeypatch.setattr(ensemble, "update_rho", rho_step)
         fitter(y, inputs, locs, mcmc)
         assert len(quads) == len(states) == mcmc.n_iter
+        assert rho_quads == quads  # the range move reuses the tau2 draw's form
         assert len({rho for _, rho, _ in states}) > 1  # the range moves
         for quad, (q, rho, d) in zip(quads, states):
             want = float(q @ np.linalg.solve(np.exp(-d / rho), q))
             assert quad == pytest.approx(want, rel=1e-9)
+
+
+def overflow_problem(n_side, t_days, seed):
+    """separation_problem with every seventh row's other component 60 units
+    off at unit variance, so that |delta_ll| > 745 and exp(-delta_ll)
+    overflows or underflows on those rows; the "empty" site keeps no
+    usable day."""
+    locs, inputs, y, _ = separation_problem(n_side=n_side, t_days=t_days, seed=seed)
+    mu, var = inputs.mu.copy(), inputs.var.copy()
+    rows = np.arange(0, y.size, 7)
+    for col, picked in ((1, rows[0::2]), (0, rows[1::2])):
+        mu[picked, col] = y[picked] + 60.0
+        var[picked, col] = 1.0
+    inputs = make_inputs(inputs.ids, inputs.day, mu[:, 0], var[:, 0], mu[:, 1], var[:, 1],
+                         avail2=inputs.available[:, 1])
+    return locs, inputs, y
+
+
+class ZeroUniforms:
+    """A generator whose uniforms are all exactly 0.0; normals come from a
+    seeded generator."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def standard_normal(self, size=None):
+        return self._rng.standard_normal(size)
+
+    def random(self, size=None):
+        return 0.0 if size is None else np.zeros(size)
+
+
+class TestAcceptTestsOnArrays:
+    """The accept tests formed on arrays and from the state the samplers
+    keep make every decision that the per-site, re-solving and per-row
+    forms in tests/oracles.py make: the fits are equal bit for bit."""
+
+    @pytest.mark.parametrize("n_side, t_days, seed", [(2, 20, 3), (4, 30, 4), (6, 25, 5)])
+    def test_fits_equal_the_old_steps(self, n_side, t_days, seed, monkeypatch):
+        locs, inputs, y = overflow_problem(n_side, t_days, seed)
+        prob = _EnsembleProblem(y, inputs, locs)
+        assert (prob.delta_ll > 745).any() and (prob.delta_ll < -745).any()
+        assert prob.t_s[[l.site_id for l in locs].index("empty")] == 0.0
+        mcmc = MCMCConfig(n_iter=500, burn_in=250, thin=2, seed=seed)
+        got = [fitter(y, inputs, locs, mcmc) for fitter in (fit_joint, fit_site_weights, fit_two_stage)]
+        monkeypatch.setattr(ensemble, "update_q", numpy_scalar_update_q)
+        monkeypatch.setattr(ensemble, "update_rho", solving_update_rho)
+        monkeypatch.setattr(_EnsembleProblem, "draw_assignment_sums", inv_logit_assignment_sums)
+        want = [fitter(y, inputs, locs, mcmc) for fitter in (fit_joint, fit_site_weights, fit_two_stage)]
+        for g, w in (got[0], want[0]), (got[2], want[2]):
+            for name in ("q", "tau2", "rho", "t_s"):
+                assert np.array_equal(getattr(g, name), getattr(w, name)), name
+            assert g.acceptance == w.acceptance
+            assert all(0 < a < 1 for a in g.acceptance.values())
+        assert all(np.array_equal(g, w) for g, w in zip(got[1], want[1]))
+
+    def test_probabilities_at_extreme_logits_and_log_ratios(self):
+        locs = [Location(f"s{i}", 10.0 * i, 0.0) for i in range(7)]
+        ll = np.array([-1000.0, -800.0, -700.0, -650.0, -301.0, -299.0, -30.0, 0.0, 30.0, 299.0, 301.0, 650.0, 700.0, 800.0])
+        # one row per (site, log ratio) pair; var1 = var2 = 1 and mu1 = y
+        # make delta_ll = (y - mu2)**2 / 2 >= 0, so mu1 carries the sign
+        ids = [f"s{i}" for i in range(7) for _ in ll]
+        gap = np.sqrt(2.0 * np.abs(np.tile(ll, 7)))
+        sign = np.sign(np.tile(ll, 7))
+        ones = np.ones(gap.size)
+        inputs = make_inputs(ids, np.arange(gap.size), np.where(sign < 0, gap, 0.0), ones,
+                             np.where(sign < 0, 0.0, gap), ones)
+        prob = _EnsembleProblem(np.zeros(gap.size), inputs, locs)
+        assert_allclose(prob.delta_ll, np.tile(ll, 7), rtol=1e-12)
+        q = np.array([-800.0, -720.0, -400.5, 0.0, 400.5, 720.0, 800.0])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = prob.assignment_probs(q)
+        want = inv_logit(q[prob.row_site] + prob.delta_ll)
+        # below the smallest positive uniform, 2**-53, only u = 0 tells values apart
+        small = want < 2.0**-53
+        assert small.any() and (~small).any()
+        assert np.all(got[small] < 2.0**-53)
+        assert_allclose(got[~small], want[~small], rtol=1e-12)
+
+    def test_update_rho_with_the_callers_form_equals_the_solving_move(self):
+        rng = np.random.default_rng(143)
+        locs = [Location(f"s{i}", *rng.uniform(0, 80, 2)) for i in range(9)]
+        d = distance_matrix(locs)
+        q = rng.normal(0, 1, 9)
+        rho = 40.0
+        chol, _ = jittered_cholesky(np.exp(-d / rho))
+        rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
+        accepts = 0
+        for _ in range(300):
+            half = kernels.tri_solve(chol, q)
+            got = update_rho(q, 0.7, rho, d, chol, 0.5, rng_a, MCMCConfig(), float(half @ half))
+            want = solving_update_rho(q, 0.7, rho, d, chol, 0.5, rng_b, MCMCConfig())
+            assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
+            rho, accepted, chol = got
+            accepts += accepted
+        assert 0 < accepts < 300
+
+    def test_a_zero_uniform_accepts_the_logit_moves(self):
+        # log(0) = -inf is below any finite log ratio, so every move is taken
+        prec = np.linalg.inv(np.array([[1.0, 0.3], [0.3, 1.0]]))
+        z_sum, t_s = np.array([20.0, 0.0]), np.array([20.0, 20.0])
+        q = np.array([3.0, -3.0])
+        r = prec @ q
+        step = np.array([8.0, 8.0])
+        rng = ZeroUniforms(5)
+        accepted = update_q(z_sum, t_s, q, prec, r, step, rng)
+        assert accepted.dtype == bool and accepted.all()
+        assert_allclose(r, prec @ q, atol=1e-12)
+
+    def test_a_zero_uniform_accepts_the_range_move(self):
+        d = distance_matrix([Location("a", 0.0, 0.0), Location("b", 5.0, 0.0)])
+        chol, _ = jittered_cholesky(np.exp(-d / 40.0))
+        rho, accepted, _ = update_rho(np.array([0.2, 0.1]), 1.0, 40.0, d, chol, 6.0, ZeroUniforms(1), MCMCConfig())
+        assert accepted and rho != 40.0
+
+
+class TestTracerContract:
+    """The shapes the benchmark's tracer reads from the weight-field steps."""
+
+    def test_update_q_returns_a_bool_per_site(self):
+        prec = np.eye(3)
+        q = np.zeros(3)
+        out = update_q(np.ones(3), np.full(3, 2.0), q, prec, prec @ q, np.full(3, 0.5), np.random.default_rng(1))
+        assert isinstance(out, np.ndarray) and out.dtype == bool and out.shape == (3,)
+
+    def test_update_rho_puts_the_accepted_flag_at_index_1(self):
+        d = distance_matrix([Location("a", 0.0, 0.0), Location("b", 5.0, 0.0)])
+        chol, _ = jittered_cholesky(np.exp(-d / 40.0))
+        out = update_rho(np.array([0.2, 0.1]), 1.0, 40.0, d, chol, 0.3, np.random.default_rng(2), MCMCConfig())
+        assert isinstance(out[1], bool) and out[1] == (out[0] != 40.0)
+
+    @pytest.mark.parametrize("fitter", [fit_joint, fit_two_stage])
+    def test_mcmc_is_the_fourth_positional_argument(self, fitter):
+        params = list(inspect.signature(fitter).parameters.values())
+        assert params[3].name == "mcmc"
+        assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params[:4])
 
 
 class TestMixtureDistribution:
@@ -447,6 +587,22 @@ class TestMixtureDistribution:
             self.ref().quantile(1.0)
         with pytest.raises(DomainError):
             self.ref().quantile(1e-30)
+
+    @pytest.mark.parametrize("field, value", [
+        ("w", math.nan),
+        ("mu1", math.nan), ("mu1", math.inf), ("mu2", math.nan), ("mu2", -math.inf),
+        ("var1", math.nan), ("var1", math.inf), ("var1", 0.0), ("var1", -1.0),
+        ("var2", math.nan), ("var2", math.inf), ("var2", 0.0), ("var2", -1.0),
+    ])
+    def test_each_field_refuses_a_bad_value(self, field, value):
+        good = {"w": 0.3, "mu1": -1.0, "var1": 0.5, "mu2": 2.0, "var2": 4.0}
+        named = {"w": "weight", "mu1": "means", "mu2": "means", "var1": "variances", "var2": "variances"}
+        with pytest.raises(DomainError, match=named[field]):
+            MixtureDistribution(**{**good, field: value})
+        arrays = {k: np.full(3, v) for k, v in good.items()}
+        arrays[field][1] = value
+        with pytest.raises(DomainError):
+            MixtureDistribution(**arrays)
 
     def test_predict_mixture_degenerate_components(self):
         mu = np.array([[3.0, 7.0], [3.0, 7.0], [3.0, 7.0]])

@@ -586,6 +586,18 @@ class TestCliInProcess:
         assert len(err) == 1 and err[0].startswith(f"error: {cfg_path}: target_grid: ") and "origin" in err[0]
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("key, value", [("kappa_rho", float("nan")), ("rho_prior_rate", float("inf"))])
+    def test_run_all_refuses_a_non_finite_ensemble_setting_at_load(self, key, value, scene, tmp_path, capsys):
+        truth, paths, _ = scene
+        d = make_config(truth, paths, tmp_path / "runs").to_dict()
+        d["ensemble_mcmc"][key] = value
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(d))
+        code, err = run_main(capsys, "run-all", "--config", cfg_path)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith(f"error: {cfg_path}: ensemble_mcmc: {key} must be finite")
+        assert not (tmp_path / "runs").exists()
+
     def test_evaluate_names_the_line_of_a_non_positive_var(self, scene, result, tmp_path, capsys):
         _, paths, _ = scene
         lines = result.paths["cv_predictive"].read_text().splitlines()
