@@ -84,18 +84,12 @@ def _observed(obs_path, predictive_path, inputs: PredictiveTable) -> np.ndarray:
     day) row that has no observation.
     """
     ids, day, y = pio.load_obs(obs_path)
-    y_of = dict(zip(zip(ids, day.tolist()), y))
-    out = np.empty(inputs.n_records)
-    for i, key in enumerate(zip(inputs.ids, inputs.day.tolist())):
-        if key not in y_of:
-            raise SchemaError(f"{predictive_path}: no observation for (site_id, day) {key}")
-        out[i] = y_of[key]
-    return out
-
-
-def _site_weights(path) -> dict:
-    w_ids, w_cols = pio.load_weights(path)
-    return dict(zip(w_ids, w_cols["w_mean"]))
+    row = pio.key_rows((ids, day), (inputs.ids, inputs.day))
+    if (row < 0).any():
+        i = int(np.argmax(row < 0))
+        key = (inputs.ids[i], inputs.day.item(i))
+        raise SchemaError(f"{predictive_path}: no observation for (site_id, day) {key}")
+    return y[row]
 
 
 def _cmd_synth(args) -> int:
@@ -208,7 +202,7 @@ def _cmd_predict(args) -> int:
     monitors = pio.load_monitors(args.monitors)
     inputs = pio.load_predictive(args.predictive, {l.site_id: l for l in monitors})
     mix = predict_mixture(
-        row_weights(inputs, _site_weights(args.weights)), inputs.mu, inputs.var, inputs.available
+        row_weights(inputs, pio.load_weights(args.weights)), inputs.mu, inputs.var, inputs.available
     )
     columns = (inputs.ids, inputs.day, mix.mean, mix.sd, mix.quantile(0.025), mix.quantile(0.975), mix.w)
     meta = {"seed": 0, "config": pio.config_hash({"cmd": "predict"})}
@@ -233,8 +227,8 @@ def _cmd_evaluate(args) -> int:
     monitors = pio.load_monitors(args.monitors)
     inputs = pio.load_predictive(args.predictive, {l.site_id: l for l in monitors})
     y = _observed(args.obs, args.predictive, inputs)
-    w_of_site = _site_weights(args.weights) if args.weights else None
-    reports = _reports(y, inputs, w_of_site, "given", "file")
+    site_weights = pio.load_weights(args.weights) if args.weights else None
+    reports = _reports(y, inputs, site_weights, "given", "file")
     meta = {"seed": 0, "config": pio.config_hash({"cmd": "evaluate"})}
     pio.emit_evaluation(args.out, reports, meta)
     for r in reports:

@@ -35,26 +35,24 @@ def make_folds(data: ObservationTable, kind: str, k: int = 10, seed: int = 0) ->
     kind="spatial": leave-one-monitor-out; one fold per site, k ignored
     """
     n = data.n_records
-    ids = np.array([data.sites[i].site_id for i in data.site_idx], dtype=object)
     if kind == KFOLD:
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 2:
             raise DomainError(f"kfold needs an integer fold count of at least 2, got {k!r}")
         if n < k:
             raise TooFewRecordsError(f"{n} records cannot fill {k} folds")
         # canonical content order makes the plan invariant to record order
-        canon = np.lexsort((data.day, ids))
+        canon = np.lexsort((data.day, data.record_ids))
         rng = np.random.default_rng(seed)
         perm = rng.permutation(n)
         fold = np.empty(n, dtype=np.int64)
         fold[canon] = perm % k
         return FoldPlan(kind=kind, n_folds=k, fold_of_record=fold, seed=seed)
     if kind == SPATIAL:
-        unique_ids = sorted({s.site_id for s in data.sites})
-        if len(unique_ids) < 2:
+        # one fold per site, numbered in site-id order
+        unique_ids, rank = np.unique(np.asarray(data.site_ids, dtype=object), return_inverse=True)
+        if unique_ids.size < 2:
             raise TooFewRecordsError("spatial folds need at least 2 sites")
-        rank = {sid: i for i, sid in enumerate(unique_ids)}
-        fold = np.array([rank[sid] for sid in ids], dtype=np.int64)
-        return FoldPlan(kind=kind, n_folds=len(unique_ids), fold_of_record=fold, seed=seed)
+        return FoldPlan(kind=kind, n_folds=unique_ids.size, fold_of_record=rank[data.site_idx], seed=seed)
     raise SchemaError(f"unknown fold kind {kind!r}")
 
 

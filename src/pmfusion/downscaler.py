@@ -568,17 +568,17 @@ def predict_at(
 
     Targets are records (locations[loc_idx[i]], days[i]) with linked grid
     value linked_x[i] (NaN marks a missing satellite retrieval, yielding
-    available=False). Latent site fields at new locations are drawn from
-    their GP conditionals given the fitted monitors, per posterior sample;
-    at a fitted monitor the conditional collapses onto the sampled value.
-    The returned variance is the spread of per-sample predictions plus the
+    available=False). Latent site fields at the targets are drawn from their
+    GP conditionals given the fitted monitors, per posterior sample. At a
+    fitted monitor the conditional variance is roundoff (up to about 3e-15),
+    so the draw lies near the sampled value, not on it. The returned variance is the spread of per-sample predictions plus the
     mean residual variance, i.e. a full posterior predictive.
 
     z holds raw-scale covariates (standardized internally with the scaler
     from the fit); required when the fit used the satellite source.
     """
     batch = (days, linked_x, z, seed)
-    ids = np.array([locations[i].site_id for i in loc_idx], dtype=object)
+    ids = np.asarray([l.site_id for l in locations], dtype=object)[loc_idx]
     return predict_batches(fit, locations, loc_idx, ids, [batch])[0]
 
 
@@ -699,7 +699,7 @@ def cv_predict(
     mu = np.full(n, np.nan)
     var = np.full(n, np.nan)
     avail = data.usable_mask(source)
-    ids = np.array([data.sites[i].site_id for i in data.site_idx], dtype=object)
+    ids = data.record_ids
 
     folds = np.unique(fold_of_record)
     seeds = [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(mcmc.seed).spawn(2 * folds.size)]
@@ -712,13 +712,10 @@ def cv_predict(
             held_idx = np.flatnonzero((fold_of_record == folds[k]) & avail)
             if held_idx.size == 0:
                 continue
-            held_sites = np.unique(data.site_idx[held_idx])
-            remap = {int(s): i for i, s in enumerate(held_sites)}
-            loc_list = [data.sites[int(s)] for s in held_sites]
-            loc_idx = np.array([remap[int(s)] for s in data.site_idx[held_idx]])
+            held_sites, loc_idx = np.unique(data.site_idx[held_idx], return_inverse=True)
             pred = predict_at(
                 fit,
-                loc_list,
+                [data.sites[s] for s in held_sites],
                 loc_idx,
                 data.day[held_idx],
                 data.x_for(source)[held_idx],

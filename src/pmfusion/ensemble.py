@@ -44,6 +44,7 @@ from .chain import Chain
 from .config import MCMCConfig
 from .errors import DomainError, NoInputsError, SchemaError
 from .geo import Location, distance_matrix
+from .io import key_rows
 from .kernels import (
     ExpKriging,
     chol_factor_solve,
@@ -238,14 +239,6 @@ def membership_prob(
     return inv_logit(clipped_logit(w) + delta)
 
 
-def _site_index(ids: np.ndarray, locations: list[Location]) -> np.ndarray:
-    order = {l.site_id: i for i, l in enumerate(locations)}
-    try:
-        return np.array([order[sid] for sid in ids], dtype=np.int64)
-    except KeyError as exc:
-        raise SchemaError(f"record id {exc.args[0]!r} not among the weight-field sites") from None
-
-
 def update_q(
     z_sum: np.ndarray,
     t_s: np.ndarray,
@@ -343,7 +336,11 @@ class _EnsembleProblem:
         self.y = np.asarray(y, dtype=float)
         if self.y.shape[0] != inputs.n_records:
             raise SchemaError(f"y length {self.y.shape[0]} must match the {inputs.n_records} predictive records")
-        self.site_idx = _site_index(inputs.ids, self.locations)
+        site_ids = np.asarray([l.site_id for l in self.locations], dtype=object)
+        self.site_idx = key_rows((site_ids,), (inputs.ids,))
+        if (self.site_idx < 0).any():
+            sid = inputs.ids[np.argmax(self.site_idx < 0)]
+            raise SchemaError(f"record id {sid!r} not among the weight-field sites")
         self.rows = np.flatnonzero(inputs.both_available())
         self.row_site = self.site_idx[self.rows]
         y_b, mu, var = self.y[self.rows], inputs.mu[self.rows], inputs.var[self.rows]

@@ -65,6 +65,8 @@ PREDICTIONS = CsvFormat(("site_id", "day", "mean", "sd", "q025", "q975", "w"), "
 _DTYPE = {"s": object, "i": np.int64, "f": float, "m": float}
 # rows formatted per write; bounds the strings held at once
 _WRITE_CHUNK = 4096
+# cells of the largest dense (day, row, col) grid loaded; bounds the allocation
+_MAX_GRID_CELLS = 2**27
 
 
 def config_hash(obj) -> str:
@@ -74,10 +76,10 @@ def config_hash(obj) -> str:
 
 
 def _open_input(path, newline=None):
-    """An input file opened for reading; one that cannot be opened is an
-    InputFileError naming it."""
+    """An input file opened for reading, a leading byte-order mark dropped;
+    one that cannot be opened is an InputFileError naming it."""
     try:
-        return open(path, encoding="utf-8", newline=newline)
+        return open(path, encoding="utf-8-sig", newline=newline)
     except OSError as e:
         raise InputFileError(f"{path}: cannot read input file ({e.strerror})") from None
 
@@ -133,38 +135,78 @@ def read_csv(path, fmt: CsvFormat) -> tuple[list[int], list[np.ndarray]]:
     header = None
     with _open_input(path, newline="") as f:
         reader = csv.reader(f)
-        for rec in reader:
-            if not rec or rec[0].startswith("#"):
-                continue
-            line = reader.line_num
-            if header is None:
-                header = [c.strip() for c in rec]
-                for col in expected:
-                    if col not in header:
-                        raise SchemaError(f"{path}: missing column '{col}' in header (line {line})")
-                if tuple(header) != expected:
-                    raise SchemaError(
-                        f"{path}: header must be exactly '{','.join(expected)}', got '{','.join(header)}'"
-                    )
-                continue
-            if len(rec) != len(expected):
-                raise ParseError(f"{path}:{line}: expected {len(expected)} fields, got {len(rec)}")
-            for text, kind, column, out in zip(rec, fmt.kinds, expected, cols):
-                out.append(_cell(text, kind, path, line, column))
-            lines.append(line)
+        try:
+            for rec in reader:
+                if not rec or rec[0].startswith("#"):
+                    continue
+                line = reader.line_num
+                if header is None:
+                    header = [c.strip() for c in rec]
+                    for col in expected:
+                        if col not in header:
+                            raise SchemaError(f"{path}: missing column '{col}' in header (line {line})")
+                    if tuple(header) != expected:
+                        raise SchemaError(
+                            f"{path}: header must be exactly '{','.join(expected)}', got '{','.join(header)}'"
+                        )
+                    continue
+                if len(rec) != len(expected):
+                    raise ParseError(f"{path}:{line}: expected {len(expected)} fields, got {len(rec)}")
+                for text, kind, column, out in zip(rec, fmt.kinds, expected, cols):
+                    out.append(_cell(text, kind, path, line, column))
+                lines.append(line)
+        except csv.Error as e:
+            raise ParseError(f"{path}:{reader.line_num}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
     if header is None:
         raise SchemaError(f"{path}: empty file, expected header {','.join(expected)}")
     return lines, [np.asarray(c, dtype=_DTYPE[k]) for c, k in zip(cols, fmt.kinds)]
 
 
-def _refuse_repeats(path, lines, keys, name: str) -> None:
-    """ParseError at the first row whose key repeats an earlier row's; a
-    later row silently replacing an earlier one would hide the defect."""
-    first: dict = {}
-    for line, key in zip(lines, keys):
-        if key in first:
-            raise ParseError(f"{path}:{line}: duplicate {name} {key!r}, first at line {first[key]}")
-        first[key] = line
+def key_index(*columns) -> tuple[np.ndarray, np.ndarray]:
+    """The record-key index of rows keyed by one or more array columns (text or integer).
+
+    Returns (code, first): code numbers each row's key densely in first-seen
+    order (int64; the first row's key is 0, the next new key 1, and so on),
+    and first[c] is the row where key c first appears. The keys are unique
+    exactly when first has one entry per row.
+    """
+    n = len(columns[0])
+    code = np.zeros(n, dtype=np.int64)
+    for col in columns:
+        values = col.tolist()
+        # hashed, not sorted: numpy sorts text several times slower than this
+        number = dict(zip(dict.fromkeys(values), range(n)))
+        # both factors stay below n, so the product cannot overflow
+        code = code * n + np.fromiter(map(number.__getitem__, values), np.int64, n)
+        _, first, code = np.unique(code, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    # the inverse permutation ranks each sorted key by its first row
+    return np.argsort(order)[code], first[order]
+
+
+def key_rows(table, query) -> np.ndarray:
+    """The row of table holding each query key (its first such row), -1 where
+    absent; table and query are tuples of key columns of the same kinds."""
+    n = len(table[0])
+    code, first = key_index(*(np.concatenate((t, q)) for t, q in zip(table, query)))
+    # the table's rows come first, so a key first seen past them is absent
+    return np.where(first < n, first, -1)[code[n:]]
+
+
+def _refuse_repeats(path, lines, columns, name: str) -> None:
+    """ParseError at the first row whose key (one value per column) repeats
+    an earlier row's; a later row silently replacing an earlier one would
+    hide the defect."""
+    code, first = key_index(*columns)
+    if first.size == code.size:
+        return
+    # every row before the first repeat brings a new key, numbered by its row
+    k = int(np.argmax(code != np.arange(code.size)))
+    key = tuple(c.item(k) for c in columns)
+    key = key if len(key) > 1 else key[0]
+    raise ParseError(f"{path}:{lines[k]}: duplicate {name} {key!r}, first at line {lines[first[code[k]]]}")
 
 
 def _quote(text: str) -> str:
@@ -212,7 +254,7 @@ def emit_monitors(path, locations: list[Location], meta: dict | None = None):
 def load_monitors(path) -> list[Location]:
     """Monitor locations in file order; a repeated site_id is a ParseError."""
     lines, (ids, x, y) = read_csv(path, MONITORS)
-    _refuse_repeats(path, lines, ids, "site_id")
+    _refuse_repeats(path, lines, (ids,), "site_id")
     return [Location(*row) for row in zip(ids.tolist(), x.tolist(), y.tolist())]
 
 
@@ -228,7 +270,7 @@ def load_obs(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lines, (ids, day, y) = read_csv(path, OBS)
     keep = ~np.isnan(y)
     ids, day, y = ids[keep], day[keep], y[keep]
-    _refuse_repeats(path, np.asarray(lines)[keep].tolist(), zip(ids, day.tolist()), "(site_id, day)")
+    _refuse_repeats(path, np.asarray(lines)[keep].tolist(), (ids, day), "(site_id, day)")
     return ids, day, y
 
 
@@ -245,7 +287,7 @@ def load_grid(path, spec: GridSpec, n_days: int | None = None) -> tuple[np.ndarr
     and empty value fields both mean missing. A repeated (day, row, col) is
     a ParseError."""
     lines, (day, row, col, value) = read_csv(path, GRID)
-    _refuse_repeats(path, lines, zip(day.tolist(), row.tolist(), col.tolist()), "(day, row, col)")
+    _refuse_repeats(path, lines, (day, row, col), "(day, row, col)")
     bad = (day < 1) | (row < 0) | (row >= spec.n_rows) | (col < 0) | (col >= spec.n_cols)
     if bad.any():
         k = int(bad.argmax())
@@ -258,6 +300,8 @@ def load_grid(path, spec: GridSpec, n_days: int | None = None) -> tuple[np.ndarr
     t = n_days if n_days is not None else max_day
     if max_day > t:
         raise SchemaError(f"{path}: contains day {max_day} beyond horizon {t}")
+    if t * spec.n_rows * spec.n_cols > _MAX_GRID_CELLS:
+        raise SchemaError(f"{path}: {t} days of a {spec.n_rows}x{spec.n_cols} grid exceed {_MAX_GRID_CELLS} cells")
     values = np.full((t, spec.n_rows, spec.n_cols), np.nan)
     values[day - 1, row, col] = value
     return values, np.isfinite(values)
@@ -270,7 +314,7 @@ def emit_covariates(path, ids, day, z: np.ndarray, meta: dict | None = None):
 def load_covariates(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Covariate rows; a repeated (site_id, day) is a ParseError."""
     lines, (ids, day, *z) = read_csv(path, COVARIATES)
-    _refuse_repeats(path, lines, zip(ids, day.tolist()), "(site_id, day)")
+    _refuse_repeats(path, lines, (ids, day), "(site_id, day)")
     return ids, day, np.column_stack(z)
 
 
@@ -289,34 +333,24 @@ def load_predictive(path, locations: dict[str, Location]) -> PredictiveTable:
     unknown source, a non-positive var or a repeated (site_id, day, source).
     """
     lines, (ids, day, source, mu, var) = read_csv(path, PREDICTIVE)
-    _refuse_repeats(path, lines, zip(ids, day.tolist(), source), "(site_id, day, source)")
-    col_of = {s: k for k, s in enumerate(SOURCE_COLUMNS)}
-    order: dict[tuple[str, int], int] = {}
-    rows, ks = [], []
-    for line, sid, d, src, v in zip(lines, ids, day.tolist(), source, var.tolist()):
-        if sid not in locations:
-            raise SchemaError(f"{path}:{line}: unknown site_id '{sid}'")
-        if src not in col_of:
-            raise ParseError(f"{path}:{line}: unknown source '{src}'")
-        if v <= 0:
-            raise ParseError(f"{path}:{line}: non-positive value '{v!r}' in column 'var'")
-        rows.append(order.setdefault((sid, d), len(order)))
-        ks.append(col_of[src])
-    n = len(order)
-    table_mu = np.zeros((n, 2))
-    table_var = np.ones((n, 2))
-    avail = np.zeros((n, 2), dtype=bool)
-    table_mu[rows, ks] = mu
-    table_var[rows, ks] = var
-    avail[rows, ks] = True
-    return PredictiveTable(
-        ids=np.asarray([sid for sid, _ in order], dtype=object),
-        day=np.asarray([d for _, d in order], dtype=np.int64),
-        mu=table_mu,
-        var=table_var,
-        available=avail,
-        locations=dict(locations),
-    )
+    _refuse_repeats(path, lines, (ids, day, source), "(site_id, day, source)")
+    known = key_rows((np.asarray(list(locations), dtype=object),), (ids,)) >= 0
+    col = key_rows((np.asarray(SOURCE_COLUMNS, dtype=object),), (source,))
+    bad = ~known | (col < 0) | (var <= 0)
+    if bad.any():
+        i = int(bad.argmax())
+        if not known[i]:
+            raise SchemaError(f"{path}:{lines[i]}: unknown site_id '{ids[i]}'")
+        if col[i] < 0:
+            raise ParseError(f"{path}:{lines[i]}: unknown source '{source[i]}'")
+        raise ParseError(f"{path}:{lines[i]}: non-positive value '{var.item(i)!r}' in column 'var'")
+    # one record per (site_id, day), in first-seen order
+    row, first = key_index(ids, day)
+    table_mu, table_var, avail = np.zeros((first.size, 2)), np.ones((first.size, 2)), np.zeros((first.size, 2), bool)
+    table_mu[row, col] = mu
+    table_var[row, col] = var
+    avail[row, col] = True
+    return PredictiveTable(ids[first], day[first], table_mu, table_var, avail, dict(locations))
 
 
 def emit_weights(path, site_ids, summary: dict[str, np.ndarray], meta: dict | None = None):
@@ -326,7 +360,7 @@ def emit_weights(path, site_ids, summary: dict[str, np.ndarray], meta: dict | No
 def load_weights(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Site weight summaries; a repeated site_id is a ParseError."""
     lines, (ids, *cols) = read_csv(path, WEIGHTS)
-    _refuse_repeats(path, lines, ids, "site_id")
+    _refuse_repeats(path, lines, (ids,), "site_id")
     return ids, dict(zip(WEIGHTS.columns[1:], cols))
 
 
@@ -349,33 +383,28 @@ def load_weight_samples(path, locations: list[Location]):
     from .ensemble import WeightFieldSamples
 
     lines, (sample, ids, q_col, tau2_col, rho_col) = read_csv(path, WEIGHT_SAMPLES)
-    _refuse_repeats(path, lines, zip(sample.tolist(), ids), "(sample, site_id)")
-    by_id = {l.site_id: l for l in locations}
-    site_order: dict[str, int] = {}
-    for line, sid in zip(lines, ids):
-        if sid not in by_id:
-            raise SchemaError(f"{path}:{line}: unknown site_id '{sid}'")
-        site_order.setdefault(sid, len(site_order))
+    _refuse_repeats(path, lines, (sample, ids), "(sample, site_id)")
+    loc = key_rows((np.asarray([l.site_id for l in locations], dtype=object),), (ids,))
+    if (loc < 0).any():
+        i = int(np.argmax(loc < 0))
+        raise SchemaError(f"{path}:{lines[i]}: unknown site_id '{ids[i]}'")
     if not lines:
         raise SchemaError(f"{path}: no sample rows")
     if sample.min() < 0:
         raise ParseError(f"{path}:{lines[int(sample.argmin())]}: sample must be >= 0")
-    n_samples = int(sample.max()) + 1
-    n_sites = len(site_order)
-    # fewer rows than cells leaves a hole; this also bounds the allocation
-    if n_samples * n_sites > len(lines):
+    s, first = key_index(ids)
+    n_samples, n_sites = int(sample.max()) + 1, first.size
+    # the (sample, site) keys are distinct, so they fill the grid exactly when
+    # there are as many as cells; checked before the grid is allocated
+    if n_samples * n_sites != len(lines):
         raise SchemaError(f"{path}: incomplete sample grid (missing site rows)")
-    s = np.asarray([site_order[sid] for sid in ids], dtype=np.int64)
-    q = np.full((n_samples, n_sites), np.nan)
-    tau2 = np.full(n_samples, np.nan)
-    rho = np.full(n_samples, np.nan)
+    q = np.empty((n_samples, n_sites))
+    tau2, rho = np.empty(n_samples), np.empty(n_samples)
     q[sample, s] = q_col
     tau2[sample] = tau2_col
     rho[sample] = rho_col
-    if np.isnan(q).any():
-        raise SchemaError(f"{path}: incomplete sample grid (missing site rows)")
     return WeightFieldSamples(
-        locations=[by_id[sid] for sid in site_order],
+        locations=[locations[i] for i in loc[first]],
         q=q,
         tau2=tau2,
         rho=rho,
@@ -417,8 +446,12 @@ def emit_surface(path, surface: SurfaceOutput, meta: dict | None = None):
 
 
 def load_surface(path) -> SurfaceOutput:
+    """A surface file; SurfaceOutput's checks fail naming the file."""
     _, cols = read_csv(path, SURFACE)
-    return SurfaceOutput(*cols)
+    try:
+        return SurfaceOutput(*cols)
+    except SchemaError as e:
+        raise SchemaError(f"{path}: {e}") from None
 
 
 def emit_evaluation(path, reports: list, meta: dict | None = None):
@@ -487,11 +520,9 @@ def assemble_observations(
     from .geo import link_points
 
     ids, day, y = obs
-    by_id = {l.site_id: k for k, l in enumerate(monitors)}
-    for sid in ids:
-        if sid not in by_id:
-            raise SchemaError(f"observation references unknown site_id '{sid}'")
-    site_idx = np.asarray([by_id[s] for s in ids], dtype=np.int64)
+    site_idx = key_rows((np.asarray([l.site_id for l in monitors], dtype=object),), (ids,))
+    if (site_idx < 0).any():
+        raise SchemaError(f"observation references unknown site_id '{ids[np.argmax(site_idx < 0)]}'")
     unmeasured = np.flatnonzero(np.bincount(site_idx, minlength=len(monitors)) == 0)
     if unmeasured.size:
         names = ", ".join(monitors[k].site_id for k in unmeasured)
@@ -518,13 +549,13 @@ def assemble_observations(
     z = np.zeros((ids.shape[0], N_COVARIATES))
     if covariates is not None:
         cov_ids, cov_day, z_all = covariates
-        row_of = {key: i for i, key in enumerate(zip(cov_ids, cov_day.tolist()))}
-        if len(row_of) < len(cov_ids):
+        if key_index(cov_ids, cov_day)[1].size < len(cov_ids):
             raise SchemaError("covariates repeat a (site_id, day) row")
-        for i, key in enumerate(zip(ids, day.tolist())):
-            if key not in row_of:
-                raise SchemaError(f"no covariate row for site '{key[0]}' day {key[1]}")
-            z[i] = z_all[row_of[key]]
+        row = key_rows((cov_ids, cov_day), (ids, day))
+        if (row < 0).any():
+            i = int(np.argmax(row < 0))
+            raise SchemaError(f"no covariate row for site '{ids[i]}' day {int(day[i])}")
+        z = np.asarray(z_all, dtype=float)[row]
 
     return ObservationTable(
         sites=list(monitors),
@@ -571,7 +602,7 @@ def export_scene(truth, out_dir, grid_days: list[int] | None = None) -> dict[str
     cfg = truth.config
     meta = {"seed": cfg.seed, "config": scene_hash(cfg)}
     obs = truth.obs
-    ids = np.asarray([obs.sites[i].site_id for i in obs.site_idx], dtype=object)
+    ids = obs.record_ids
 
     t = cfg.n_days
     full_days = set(range(1, t + 1)) if grid_days is None else {int(d) for d in grid_days}
@@ -612,8 +643,6 @@ def scene_hash(cfg) -> str:
 
 def _grid_export_mask(shape, site_cells: np.ndarray, full_days: set) -> np.ndarray:
     keep = np.zeros(shape, dtype=bool)
-    for d in full_days:
-        if 1 <= d <= shape[0]:
-            keep[d - 1] = True
+    keep[[d - 1 for d in full_days if 1 <= d <= shape[0]]] = True
     keep[:, site_cells[:, 0], site_cells[:, 1]] = True
     return keep

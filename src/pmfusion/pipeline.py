@@ -177,9 +177,7 @@ def combine_predictions(
     A source given as None is unavailable on every row.
     """
     n = data.n_records
-    mu = np.zeros((n, 2))
-    var = np.ones((n, 2))
-    avail = np.zeros((n, 2), dtype=bool)
+    mu, var, avail = np.zeros((n, 2)), np.ones((n, 2)), np.zeros((n, 2), dtype=bool)
     for k, pred in enumerate((pred_ctm, pred_sat)):
         if pred is None:
             continue
@@ -187,28 +185,23 @@ def combine_predictions(
         mu[ok, k] = pred.mu[ok]
         var[ok, k] = pred.var[ok]
         avail[:, k] = ok
-    ids = np.array([data.sites[i].site_id for i in data.site_idx], dtype=object)
-    return PredictiveTable(
-        ids=ids,
-        day=data.day.copy(),
-        mu=mu,
-        var=var,
-        available=avail,
-        locations={s.site_id: s for s in data.sites},
-    )
+    return PredictiveTable(data.record_ids, data.day.copy(), mu, var, avail, {s.site_id: s for s in data.sites})
 
 
-def row_weights(inputs: PredictiveTable, w_of_site) -> np.ndarray:
+def row_weights(inputs: PredictiveTable, site_weights) -> np.ndarray:
     """Weight on the CTM model of each row where both sources exist; NaN elsewhere.
 
-    Raises SchemaError for a site that such a row needs and w_of_site lacks.
+    site_weights is (site ids, summary columns), as io.load_weights returns
+    it; only w_mean is read. Raises SchemaError for a site that such a row
+    needs and site_weights lacks, naming the least such id.
     """
     both = inputs.both_available()
-    missing = set(inputs.ids[both]).difference(w_of_site)
-    if missing:
-        raise SchemaError(f"no weight row for site '{min(missing)}'")
+    ids = inputs.ids[both]
+    row = pio.key_rows((site_weights[0],), (ids,))
+    if (row < 0).any():
+        raise SchemaError(f"no weight row for site '{min(ids[row < 0])}'")
     w = np.full(inputs.n_records, np.nan)
-    w[both] = [w_of_site[sid] for sid in inputs.ids[both]]
+    w[both] = site_weights[1]["w_mean"][row]
     return w
 
 
@@ -234,14 +227,11 @@ def _source_view(data: ObservationTable, source: str):
 
 
 def _embed(pred_sub: SourcePredictions, rows: np.ndarray, n: int, data) -> SourcePredictions:
-    mu = np.full(n, np.nan)
-    var = np.full(n, np.nan)
-    avail = np.zeros(n, dtype=bool)
+    mu, var, avail = np.full(n, np.nan), np.full(n, np.nan), np.zeros(n, dtype=bool)
     mu[rows] = pred_sub.mu
     var[rows] = pred_sub.var
     avail[rows] = pred_sub.available
-    ids = np.array([data.sites[i].site_id for i in data.site_idx], dtype=object)
-    return SourcePredictions(ids=ids, day=data.day.copy(), mu=mu, var=var, available=avail)
+    return SourcePredictions(ids=data.record_ids, day=data.day.copy(), mu=mu, var=var, available=avail)
 
 
 def cv_component_table(
@@ -297,27 +287,15 @@ def _full_predictive(data, fits, seeds) -> PredictiveTable:
         if fit is None:
             preds[source] = None
             continue
-        loc_of = {l.site_id: j for j, l in enumerate(fit.sites)}
-        # sites absent from the source fit are predicted as new locations
-        locations = list(fit.sites)
-        loc_idx = np.empty(data.n_records, dtype=np.int64)
-        for i in range(data.n_records):
-            sid = data.sites[data.site_idx[i]].site_id
-            if sid not in loc_of:
-                loc_of[sid] = len(locations)
-                locations.append(data.sites[data.site_idx[i]])
-            loc_idx[i] = loc_of[sid]
-        x = data.x_for(source)
+        # sites absent from the source fit are predicted as new locations,
+        # numbered after the fitted ones in the order of their first record
+        n_fit = len(fit.sites)
+        fit_ids = np.asarray([l.site_id for l in fit.sites], dtype=object)
+        loc_idx, first = pio.key_index(np.concatenate((fit_ids, data.record_ids)))
+        locations = [*fit.sites, *(data.sites[s] for s in data.site_idx[first[n_fit:] - n_fit])]
         z = data.z if source == SAT else None
-        preds[source] = predict_at(
-            fit,
-            locations,
-            loc_idx,
-            data.day,
-            x,
-            z,
-            seed=int(seeds[k].generate_state(1)[0]),
-        )
+        seed = int(seeds[k].generate_state(1)[0])
+        preds[source] = predict_at(fit, locations, loc_idx[n_fit:], data.day, data.x_for(source), z, seed=seed)
     return combine_predictions(data, preds[CTM], preds[SAT])
 
 
@@ -403,13 +381,12 @@ def _surface_stage(cfg: PipelineConfig, data, fits, weights, ctm, sat, seeds):
 
 
 def _reports(
-    y, inputs: PredictiveTable, w_of_site, estimation: str, derivation: str
+    y, inputs: PredictiveTable, site_weights, estimation: str, derivation: str
 ) -> list[EvalReport]:
     """Held-out scores of each source and, given site weights, of their mixture.
 
-    y aligns with the rows of inputs. w_of_site maps a site id to its mean
-    weight on the CTM model; it is read only for rows where both sources
-    exist, and None leaves the ensemble out.
+    y aligns with the rows of inputs. site_weights is read by row_weights,
+    only for rows where both sources exist; None leaves the ensemble out.
     """
     reps = []
     for k, name in enumerate(SOURCE_COLUMNS):
@@ -419,9 +396,9 @@ def _reports(
             reps.append(
                 replace(rep, method=name, estimation="downscaler", input_derivation=derivation)
             )
-    if w_of_site is not None:
+    if site_weights is not None:
         any_ok = inputs.available.any(axis=1)
-        w_row = row_weights(inputs, w_of_site)
+        w_row = row_weights(inputs, site_weights)
         mix = predict_mixture(
             w_row[any_ok], inputs.mu[any_ok], inputs.var[any_ok], inputs.available[any_ok]
         )
@@ -493,9 +470,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     checkpoint()
 
     weights = run_stage("stage2-ensemble", lambda: _stage2(cfg, data, cv_inputs, seeds[2:3]))
-    paths["site_weights"] = pio.emit_weights(
-        run_dir / "site_weights.csv", weights.site_ids, weights.summary(), meta
-    )
+    summary = weights.summary()
+    paths["site_weights"] = pio.emit_weights(run_dir / "site_weights.csv", weights.site_ids, summary, meta)
     paths["weight_samples"] = pio.emit_weight_samples(
         run_dir / "weight_samples.csv", weights, meta
     )
@@ -521,10 +497,10 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         paths["surface"] = pio.emit_surface(run_dir / "surface.csv", surface, meta)
         checkpoint()
 
-    w_of_site = dict(zip(weights.site_ids, weights.summary()["w_mean"]))
+    site_weights = (np.asarray(weights.site_ids, dtype=object), summary)
     reports = run_stage(
         "evaluate",
-        lambda: _reports(data.y, cv_inputs, w_of_site, cfg.variant, cfg.derivation),
+        lambda: _reports(data.y, cv_inputs, site_weights, cfg.variant, cfg.derivation),
     )
     paths["evaluation"] = pio.emit_evaluation(run_dir / "evaluation.csv", reports, meta)
 

@@ -257,7 +257,7 @@ def generate_scene(cfg: SceneConfig) -> SceneTruth:
     )
     var_col = np.full(keep.sum(), max(cfg.sigma2_y, 1e-12))
     inputs = PredictiveTable(
-        ids=np.array([sites[i].site_id for i in site_idx[keep]], dtype=object),
+        ids=obs.record_ids,
         day=day[keep],
         mu=np.column_stack([mean_ctm[keep], mean_sat[keep]]),
         var=np.column_stack([var_col, var_col]),
@@ -337,7 +337,7 @@ def generate_split_scene(
     var2 = err2[site_idx] ** 2 + meas_sd**2
 
     inputs = PredictiveTable(
-        ids=np.array([locations[i].site_id for i in site_idx], dtype=object),
+        ids=np.asarray([l.site_id for l in locations], dtype=object)[site_idx],
         day=day,
         mu=np.column_stack([mu1, mu2]),
         var=np.column_stack([var1, var2]),

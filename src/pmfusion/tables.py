@@ -103,6 +103,11 @@ class ObservationTable:
     def site_ids(self) -> list[str]:
         return [s.site_id for s in self.sites]
 
+    @property
+    def record_ids(self) -> np.ndarray:
+        """(n,) object array: the site id of each record."""
+        return np.asarray(self.site_ids, dtype=object)[self.site_idx]
+
     def x_for(self, source: str) -> np.ndarray:
         return self.x_ctm if source_column(source) == 0 else self.x_sat
 

@@ -15,7 +15,9 @@ references. The numpy-scalar sweep, the range move that solves both
 quadratic forms and the per-row inv_logit membership draw are also the
 forms that the array accept tests replaced. SingleChainBlocks and
 single_chain_fit are the one-chain downscaler sampler, fitted to one table
-at a time, that the lockstep batch of chains must equal fold by fold.
+at a time, that the lockstep batch of chains must equal fold by fold. The
+dict_* functions are the per-row key loops that io.key_index and io.key_rows
+replaced, and the loaders and joins as they were built on them.
 """
 
 from __future__ import annotations
@@ -31,12 +33,13 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 from pmfusion import downscaler
+from pmfusion import io as pio
 from pmfusion.chain import Chain
 from pmfusion.config import MCMCConfig
 from pmfusion.downscaler import A_PRIOR_VAR, DownscalerFit
-from pmfusion.ensemble import MixtureDistribution
-from pmfusion.errors import DomainError, InsufficientDataError, OutOfDomainError
-from pmfusion.geo import CTM, SAT, GridSpec, distance_matrix
+from pmfusion.ensemble import MixtureDistribution, WeightFieldSamples
+from pmfusion.errors import DomainError, InsufficientDataError, OutOfDomainError, ParseError, SchemaError
+from pmfusion.geo import CTM, SAT, GridSpec, Location, distance_matrix
 from pmfusion.kernels import (
     ETA_GRID,
     car_logdet_table,
@@ -49,7 +52,7 @@ from pmfusion.kernels import (
     sample_tridiag_mvn,
     tri_solve,
 )
-from pmfusion.tables import N_COVARIATES, ObservationTable
+from pmfusion.tables import N_COVARIATES, SOURCE_COLUMNS, ObservationTable, PredictiveTable
 
 
 def default_weight_grid(n: int = 2000) -> np.ndarray:
@@ -710,3 +713,201 @@ def single_chain_cv_predict(data, fold_of_record, source, mcmc):
         mu[held_idx] = pred.mu
         var[held_idx] = pred.var
     return mu, var
+
+
+# The per-row key handling that io.key_index and io.key_rows replaced: dicts
+# filled row by row. The loaders below are the loaders as they were, each
+# read_csv followed by these loops.
+
+
+def dict_key_index(*columns):
+    """key_index by a dict filled in row order."""
+    code_of: dict = {}
+    code = [code_of.setdefault(key, len(code_of)) for key in zip(*(c.tolist() for c in columns))]
+    first: dict = {}
+    for row, c in enumerate(code):
+        first.setdefault(c, row)
+    return np.asarray(code, dtype=np.int64), np.asarray(list(first.values()), dtype=np.int64)
+
+
+def dict_key_rows(table, query):
+    """key_rows by a dict of the table's keys, the first row of each kept."""
+    row_of: dict = {}
+    for row, key in enumerate(zip(*(c.tolist() for c in table))):
+        row_of.setdefault(key, row)
+    return np.asarray([row_of.get(key, -1) for key in zip(*(c.tolist() for c in query))], dtype=np.int64)
+
+
+def dict_refuse_repeats(path, lines, keys, name):
+    first: dict = {}
+    for line, key in zip(lines, keys):
+        if key in first:
+            raise ParseError(f"{path}:{line}: duplicate {name} {key!r}, first at line {first[key]}")
+        first[key] = line
+
+
+def dict_load_monitors(path):
+    lines, (ids, x, y) = pio.read_csv(path, pio.MONITORS)
+    dict_refuse_repeats(path, lines, ids, "site_id")
+    return [Location(*row) for row in zip(ids.tolist(), x.tolist(), y.tolist())]
+
+
+def dict_load_obs(path):
+    lines, (ids, day, y) = pio.read_csv(path, pio.OBS)
+    keep = ~np.isnan(y)
+    ids, day, y = ids[keep], day[keep], y[keep]
+    dict_refuse_repeats(path, np.asarray(lines)[keep].tolist(), zip(ids, day.tolist()), "(site_id, day)")
+    return ids, day, y
+
+
+def dict_load_grid(path, spec, n_days=None):
+    lines, (day, row, col, value) = pio.read_csv(path, pio.GRID)
+    dict_refuse_repeats(path, lines, zip(day.tolist(), row.tolist(), col.tolist()), "(day, row, col)")
+    bad = (day < 1) | (row < 0) | (row >= spec.n_rows) | (col < 0) | (col >= spec.n_cols)
+    if bad.any():
+        k = int(bad.argmax())
+        if day[k] < 1:
+            raise ParseError(f"{path}:{lines[k]}: day must be >= 1")
+        raise ParseError(f"{path}:{lines[k]}: cell ({row[k]}, {col[k]}) outside {spec.n_rows}x{spec.n_cols} grid")
+    max_day = int(day.max(initial=0))
+    t = n_days if n_days is not None else max_day
+    if max_day > t:
+        raise SchemaError(f"{path}: contains day {max_day} beyond horizon {t}")
+    if t * spec.n_rows * spec.n_cols > 2**27:
+        raise SchemaError(f"{path}: {t} days of a {spec.n_rows}x{spec.n_cols} grid exceed {2**27} cells")
+    values = np.full((t, spec.n_rows, spec.n_cols), np.nan)
+    values[day - 1, row, col] = value
+    return values, np.isfinite(values)
+
+
+def dict_load_covariates(path):
+    lines, (ids, day, *z) = pio.read_csv(path, pio.COVARIATES)
+    dict_refuse_repeats(path, lines, zip(ids, day.tolist()), "(site_id, day)")
+    return ids, day, np.column_stack(z)
+
+
+def dict_load_weights(path):
+    lines, (ids, *cols) = pio.read_csv(path, pio.WEIGHTS)
+    dict_refuse_repeats(path, lines, ids, "site_id")
+    return ids, dict(zip(pio.WEIGHTS.columns[1:], cols))
+
+
+def dict_load_predictive(path, locations):
+    lines, (ids, day, source, mu, var) = pio.read_csv(path, pio.PREDICTIVE)
+    dict_refuse_repeats(path, lines, zip(ids, day.tolist(), source), "(site_id, day, source)")
+    col_of = {s: k for k, s in enumerate(SOURCE_COLUMNS)}
+    order: dict = {}
+    rows, ks = [], []
+    for line, sid, d, src, v in zip(lines, ids, day.tolist(), source, var.tolist()):
+        if sid not in locations:
+            raise SchemaError(f"{path}:{line}: unknown site_id '{sid}'")
+        if src not in col_of:
+            raise ParseError(f"{path}:{line}: unknown source '{src}'")
+        if v <= 0:
+            raise ParseError(f"{path}:{line}: non-positive value '{v!r}' in column 'var'")
+        rows.append(order.setdefault((sid, d), len(order)))
+        ks.append(col_of[src])
+    n = len(order)
+    table_mu, table_var, avail = np.zeros((n, 2)), np.ones((n, 2)), np.zeros((n, 2), dtype=bool)
+    table_mu[rows, ks] = mu
+    table_var[rows, ks] = var
+    avail[rows, ks] = True
+    return PredictiveTable(
+        ids=np.asarray([sid for sid, _ in order], dtype=object),
+        day=np.asarray([d for _, d in order], dtype=np.int64),
+        mu=table_mu, var=table_var, available=avail, locations=dict(locations),
+    )
+
+
+def dict_load_weight_samples(path, locations):
+    lines, (sample, ids, q_col, tau2_col, rho_col) = pio.read_csv(path, pio.WEIGHT_SAMPLES)
+    dict_refuse_repeats(path, lines, zip(sample.tolist(), ids), "(sample, site_id)")
+    by_id = {l.site_id: l for l in locations}
+    site_order: dict = {}
+    for line, sid in zip(lines, ids):
+        if sid not in by_id:
+            raise SchemaError(f"{path}:{line}: unknown site_id '{sid}'")
+        site_order.setdefault(sid, len(site_order))
+    if not lines:
+        raise SchemaError(f"{path}: no sample rows")
+    if sample.min() < 0:
+        raise ParseError(f"{path}:{lines[int(sample.argmin())]}: sample must be >= 0")
+    n_samples, n_sites = int(sample.max()) + 1, len(site_order)
+    if n_samples * n_sites > len(lines):
+        raise SchemaError(f"{path}: incomplete sample grid (missing site rows)")
+    s = np.asarray([site_order[sid] for sid in ids], dtype=np.int64)
+    q = np.full((n_samples, n_sites), np.nan)
+    tau2, rho = np.full(n_samples, np.nan), np.full(n_samples, np.nan)
+    q[sample, s] = q_col
+    tau2[sample] = tau2_col
+    rho[sample] = rho_col
+    if np.isnan(q).any():
+        raise SchemaError(f"{path}: incomplete sample grid (missing site rows)")
+    return WeightFieldSamples(
+        locations=[by_id[sid] for sid in site_order], q=q, tau2=tau2, rho=rho,
+        t_s=np.zeros(n_sites, dtype=np.int64), acceptance={},
+    )
+
+
+def dict_observed(obs, predictive_path, inputs):
+    """The observation of every predictive row, joined through a dict."""
+    ids, day, y = obs
+    y_of = dict(zip(zip(ids, day.tolist()), y))
+    out = np.empty(inputs.n_records)
+    for i, key in enumerate(zip(inputs.ids, inputs.day.tolist())):
+        if key not in y_of:
+            raise SchemaError(f"{predictive_path}: no observation for (site_id, day) {key}")
+        out[i] = y_of[key]
+    return out
+
+
+def dict_row_weights(inputs, w_of_site):
+    both = inputs.both_available()
+    missing = set(inputs.ids[both]).difference(w_of_site)
+    if missing:
+        raise SchemaError(f"no weight row for site '{min(missing)}'")
+    w = np.full(inputs.n_records, np.nan)
+    w[both] = [w_of_site[sid] for sid in inputs.ids[both]]
+    return w
+
+
+def dict_site_index(ids, locations):
+    order = {l.site_id: i for i, l in enumerate(locations)}
+    try:
+        return np.array([order[sid] for sid in ids], dtype=np.int64)
+    except KeyError as exc:
+        raise SchemaError(f"record id {exc.args[0]!r} not among the weight-field sites") from None
+
+
+def dict_full_predictive_targets(data, fit_sites):
+    """The targets of a source's full predictive: the fitted sites, then the
+    sites the fit lacks in the order of their first record."""
+    loc_of = {l.site_id: j for j, l in enumerate(fit_sites)}
+    locations = list(fit_sites)
+    loc_idx = np.empty(data.n_records, dtype=np.int64)
+    for i in range(data.n_records):
+        sid = data.sites[data.site_idx[i]].site_id
+        if sid not in loc_of:
+            loc_of[sid] = len(locations)
+            locations.append(data.sites[data.site_idx[i]])
+        loc_idx[i] = loc_of[sid]
+    return locations, loc_idx
+
+
+def dict_join_observations(monitors, ids, day, covariates):
+    """assemble_observations' site index and covariate rows, by dicts."""
+    by_id = {l.site_id: k for k, l in enumerate(monitors)}
+    for sid in ids:
+        if sid not in by_id:
+            raise SchemaError(f"observation references unknown site_id '{sid}'")
+    site_idx = np.asarray([by_id[s] for s in ids], dtype=np.int64)
+    z = np.zeros((ids.shape[0], N_COVARIATES))
+    cov_ids, cov_day, z_all = covariates
+    row_of = {key: i for i, key in enumerate(zip(cov_ids, cov_day.tolist()))}
+    if len(row_of) < len(cov_ids):
+        raise SchemaError("covariates repeat a (site_id, day) row")
+    for i, key in enumerate(zip(ids, day.tolist())):
+        if key not in row_of:
+            raise SchemaError(f"no covariate row for site '{key[0]}' day {key[1]}")
+        z[i] = z_all[row_of[key]]
+    return site_idx, z
