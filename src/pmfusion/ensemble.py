@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .chain import Chain
 from .config import MCMCConfig
@@ -51,6 +50,8 @@ from .kernels import (
     clipped_logit,
     inv_logit,
     jittered_cholesky,
+    ndtr,
+    ndtri,
     norm_logpdf,
     tri_solve,
 )

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputFileError, ParseError, SchemaError
+from .errors import InputFileError, OutOfDomainError, ParseError, SchemaError
 from .geo import GridSpec, Location
 from .tables import COVARIATE_NAMES, N_COVARIATES, SOURCE_COLUMNS, ObservationTable, PredictiveTable
 
@@ -262,12 +262,16 @@ def emit_obs(path, ids, day, pm25, meta: dict | None = None):
     return write_csv(path, OBS, (ids, day, pm25), meta)
 
 
-def load_obs(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def load_obs(path, n_days: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Observation rows; records with an empty pm25 field are dropped.
 
-    Raises ParseError at a kept row that repeats a (site_id, day).
+    Raises ParseError at a kept row that repeats a (site_id, day) and, given
+    a horizon n_days, OutOfDomainError at a row whose day is outside 1..n_days.
     """
     lines, (ids, day, y) = read_csv(path, OBS)
+    if n_days is not None and ((day < 1) | (day > n_days)).any():
+        k = int(np.argmax((day < 1) | (day > n_days)))
+        raise OutOfDomainError(f"{path}:{lines[k]}: day {day.item(k)} outside the horizon 1..{n_days}")
     keep = ~np.isnan(y)
     ids, day, y = ids[keep], day[keep], y[keep]
     _refuse_repeats(path, np.asarray(lines)[keep].tolist(), (ids, day), "(site_id, day)")
@@ -379,7 +383,7 @@ def emit_weight_samples(path, field, meta: dict | None = None):
 
 def load_weight_samples(path, locations: list[Location]):
     """The sample grid, sites in first-seen order; every (sample, site) needs
-    exactly one row."""
+    exactly one row, and a tau2 or rho <= 0 is a ParseError at its line."""
     from .ensemble import WeightFieldSamples
 
     lines, (sample, ids, q_col, tau2_col, rho_col) = read_csv(path, WEIGHT_SAMPLES)
@@ -403,6 +407,10 @@ def load_weight_samples(path, locations: list[Location]):
     q[sample, s] = q_col
     tau2[sample] = tau2_col
     rho[sample] = rho_col
+    for column, values in (("tau2", tau2_col), ("rho", rho_col)):
+        if (values <= 0).any():
+            i = int(np.argmax(values <= 0))
+            raise ParseError(f"{path}:{lines[i]}: non-positive value '{values.item(i)!r}' in column '{column}'")
     return WeightFieldSamples(
         locations=[locations[i] for i in loc[first]],
         q=q,
@@ -492,7 +500,7 @@ def load_inputs(
     as load_grid gives them and sat None without a satellite grid.
     """
     locations = load_monitors(monitors)
-    records = load_obs(obs)
+    records = load_obs(obs, n_days)
     if n_days is None and records[1].size:
         n_days = int(records[1].max())
     ctm = load_grid(grid_ctm, ctm_spec, n_days)

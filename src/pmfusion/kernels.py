@@ -14,11 +14,15 @@ and 2 in the interior.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, get_blas_funcs, get_lapack_funcs
-from scipy.special import ndtri
+import scipy
 
 from .errors import DomainError, NotPositiveDefiniteError
 
@@ -33,13 +37,32 @@ _JITTER_MAX = 1e-4
 # midpoints keep eta < 1 so the implied joint prior stays proper
 ETA_GRID = (np.arange(1000, dtype=float) + 0.5) / 1000.0
 
+
+def _scipy_extension(subpackage: str, name: str):
+    """The compiled module scipy.<subpackage>.<name>, loaded from its file without
+    running the __init__ of scipy.<subpackage> (about half of pmfusion's import
+    time). A module already imported, or a scipy without the file, goes through import."""
+    fullname = f"scipy.{subpackage}.{name}"
+    path = os.path.join(scipy.__path__[0], subpackage, name + importlib.machinery.EXTENSION_SUFFIXES[0])
+    if fullname in sys.modules or not os.path.isfile(path):
+        return importlib.import_module(fullname)
+    spec = importlib.util.spec_from_file_location(fullname, path)
+    module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_FLAPACK = _scipy_extension("linalg", "_flapack")
 # the float64 LAPACK routines behind scipy.linalg's triangular, Cholesky and
 # banded solvers; called directly to skip scipy's per-call input handling
-_TRTRS, _TRTRI, _POTRS, _PBTRF, _PBTRS, _GBSV = get_lapack_funcs(
-    ("trtrs", "trtri", "potrs", "pbtrf", "pbtrs", "gbsv"), (np.empty(0),)
+_TRTRS, _TRTRI, _POTRS, _PBTRF, _PBTRS, _GBSV = (
+    _FLAPACK.dtrtrs, _FLAPACK.dtrtri, _FLAPACK.dpotrs, _FLAPACK.dpbtrf, _FLAPACK.dpbtrs, _FLAPACK.dgbsv
 )
 # the BLAS-3 triangular product behind kriging's cross term
-_TRMM = get_blas_funcs("trmm", (np.empty(0),))
+_TRMM = _scipy_extension("linalg", "_fblas").dtrmm
+# the standard normal CDF (scipy.special.ndtr) and, at scalar levels, its inverse
+ndtr = _scipy_extension("special", "_special_ufuncs").ndtr
+ndtri = NormalDist().inv_cdf
 
 
 @dataclass(frozen=True)
@@ -65,7 +88,7 @@ class GaussianSummary:
     def quantile(self, p: float):
         if not 0.0 < p < 1.0:
             raise DomainError("quantile level must lie in (0, 1)")
-        return self.mean + self.sd * float(ndtri(p))
+        return self.mean + self.sd * ndtri(p)
 
 
 def jittered_cholesky(c: np.ndarray) -> tuple[np.ndarray, float]:
@@ -237,7 +260,11 @@ def car_normalized_eigvals(horizon: int) -> np.ndarray:
     """
     n_t = car_neighbor_count(horizon)
     off = 1.0 / np.sqrt(n_t[:-1] * n_t[1:])
-    return eigh_tridiagonal(np.zeros(horizon), off, eigvals_only=True)
+    # LAPACK stevd, the driver scipy.linalg.eigh_tridiagonal picks for all eigenvalues
+    lam, _, info = _FLAPACK.dstevd(np.zeros(horizon), off, compute_v=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"stevd did not converge (info={info})")
+    return lam
 
 
 def car_logdet_table(horizon: int, eta_grid: np.ndarray = ETA_GRID) -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 from pmfusion import io as pio
 from pmfusion.crossval import EvalReport
 from pmfusion.ensemble import WeightFieldSamples
-from pmfusion.errors import ParseError, SchemaError
+from pmfusion.errors import OutOfDomainError, ParseError, SchemaError
 from pmfusion.geo import CTM, SAT, GridSpec, Location
 from pmfusion.io import (
     PREDICTIONS,
@@ -117,6 +117,15 @@ class TestObs:
         p.write_text("site_id,day,pm25\na,1.5,3.0\n")
         with pytest.raises(ParseError, match="obs.csv:2.*integer"):
             load_obs(p)
+
+    @pytest.mark.parametrize("day", [0, 9])
+    def test_day_outside_the_horizon_rejected(self, tmp_path, day):
+        p = tmp_path / "obs.csv"
+        p.write_text(f"site_id,day,pm25\na,1,3.0\nb,8,\n# note\na,{day},4.0\n")
+        with pytest.raises(OutOfDomainError, match=rf"obs\.csv:5: day {day} outside the horizon 1\.\.8$"):
+            load_obs(p, n_days=8)
+        if day > 8:
+            assert list(load_obs(p, n_days=day)[1]) == [1, day]
 
 
 class TestGrid:
@@ -317,6 +326,17 @@ class TestWeightSamples:
         )
         with pytest.raises(SchemaError, match="incomplete"):
             load_weight_samples(p, sites[:2])
+
+    @pytest.mark.parametrize("column", ["tau2", "rho"])
+    @pytest.mark.parametrize("value", ["0.0", "-0.0", "-1.0"])
+    def test_non_positive_variance_or_range_rejected(self, tmp_path, sites, column, value):
+        rows = [["0", "a01", "0.1", "1.0", "30.0"], ["1", "a01", "0.2", "1.1", "31.0"]]
+        rows[1]["sample,site_id,q,tau2,rho".split(",").index(column)] = value
+        p = tmp_path / "weight_samples.csv"
+        p.write_text("sample,site_id,q,tau2,rho\n" + "".join(",".join(r) + "\n" for r in rows))
+        message = rf"weight_samples\.csv:3: non-positive value '{float(value)!r}' in column '{column}'$"
+        with pytest.raises(ParseError, match=message):
+            load_weight_samples(p, sites[:1])
 
     def test_unknown_site_rejected(self, tmp_path, sites):
         p = tmp_path / "weight_samples.csv"

@@ -1,8 +1,12 @@
 """Cholesky jitter policy, LAPACK solves, CAR machinery, kriging kernel."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from scipy import linalg
+from scipy import linalg, special
 
 from pmfusion import kernels
 from pmfusion.errors import DomainError, NotPositiveDefiniteError
@@ -213,6 +217,56 @@ class TestLapackSolves:
                 solve(l, np.ones(4))
             with pytest.raises(ValueError, match="square"):
                 solve(l[:, :4], np.ones(5))
+
+
+# in a fresh interpreter: each kernel routine is the object scipy's own
+# lookup returns for float64, whichever of scipy and pmfusion loads first
+_SAME_ROUTINES = """
+{first}
+import numpy as np
+import scipy.linalg, scipy.special
+from pmfusion import kernels
+x = (np.empty(0),)
+lapack = ("trtrs", "trtri", "potrs", "pbtrf", "pbtrs", "gbsv")
+same = [getattr(kernels, "_" + n.upper()) is scipy.linalg.get_lapack_funcs(n, x) for n in lapack]
+same.append(kernels._FLAPACK.dstevd is scipy.linalg.get_lapack_funcs("stevd", x))
+same.append(kernels._TRMM is scipy.linalg.get_blas_funcs("trmm", x))
+same.append(kernels.ndtr is scipy.special.ndtr)
+print(same)
+"""
+
+
+class TestScipyExtensions:
+    @pytest.mark.parametrize("first", ["import scipy.linalg, scipy.special", "import pmfusion.cli"])
+    def test_routines_are_the_ones_scipy_looks_up(self, first, pmfusion_env):
+        code = _SAME_ROUTINES.format(first=first)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=pmfusion_env)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == str([True] * 9)
+
+    def test_ndtr_is_scipys_bit_for_bit(self):
+        x = np.concatenate((np.linspace(-40.0, 10.0, 200_001), [-1e300, -38.5, 8.3, 1e300, -np.inf, np.inf]))
+        assert kernels.ndtr(x).tobytes() == special.ndtr(x).tobytes()
+        assert kernels.ndtr(-10.0) == special.ndtr(-10.0)
+
+    @pytest.mark.parametrize("horizon", [2, 3, 60, 90, 120, 365])
+    def test_car_eigvals_are_eigh_tridiagonal_bit_for_bit(self, horizon):
+        n_t = car_neighbor_count(horizon)
+        want = linalg.eigh_tridiagonal(np.zeros(horizon), 1.0 / np.sqrt(n_t[:-1] * n_t[1:]), eigvals_only=True)
+        assert car_normalized_eigvals(horizon).tobytes() == want.tobytes()
+
+    def test_ndtri_within_1e14_of_scipy(self):
+        tail = np.logspace(-12.0, np.log10(0.5), 20_001)
+        p = np.concatenate((tail, 1.0 - tail, np.linspace(1e-6, 1.0 - 1e-6, 20_001)))
+        got = np.array([kernels.ndtri(v) for v in p.tolist()])
+        np.testing.assert_allclose(got, special.ndtri(p), rtol=1e-14, atol=0.0)
+
+    def test_missing_file_falls_back_to_the_package_import(self, monkeypatch):
+        monkeypatch.setattr(os.path, "isfile", lambda path: False)
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        module = kernels._scipy_extension("linalg", "_flapack")
+        assert module.__name__ == "scipy.linalg._flapack" and sys.modules["scipy.linalg._flapack"] is module
+        assert module.dtrtrs is kernels._TRTRS and module.dstevd is kernels._FLAPACK.dstevd
 
 
 class TestGaussianSummary:

@@ -411,6 +411,38 @@ class TestCliInProcess:
         assert len(err) == 1 and err[0].startswith("error:")
         assert f"{obs}:{len(lines) + 1}:" in err[0] and "('m000', 1)" in err[0]
 
+    @pytest.mark.parametrize("command", ["cv", "fit-downscaler"])
+    def test_observation_past_the_scene_horizon_is_a_typed_error(self, command, scene, tmp_path, capsys):
+        truth, paths, _ = scene
+        lines = paths["obs"].read_text().splitlines()
+        obs = tmp_path / "obs.csv"
+        day = truth.config.n_days + 1
+        obs.write_text("\n".join(lines + [f"m000,{day},5.0"]) + "\n")
+        args = ("--monitors", paths["monitors"], "--obs", obs, "--grid-ctm", paths["grid_ctm"],
+                "--scene", paths["scene"], "--iters", 40, "--out", tmp_path / "p.csv")
+        if command == "fit-downscaler":
+            args += ("--source", CTM)
+        code, err = run_main(capsys, command, *args)
+        assert code == 2
+        assert err == [f"error: {obs}:{len(lines) + 1}: day {day} outside the horizon 1..{day - 1}"]
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("column", ["tau2", "rho"])
+    def test_krige_weights_refuses_a_non_positive_sample_setting(self, column, scene, result, tmp_path, capsys):
+        _, paths, _ = scene
+        lines = result.paths["weight_samples"].read_text().splitlines()
+        k = lines[0].split(",").index(column)
+        row = lines[1].split(",")
+        row[k] = "-1.0"
+        samples = tmp_path / "weight_samples.csv"
+        samples.write_text("\n".join([lines[0], ",".join(row), *lines[2:]]) + "\n")
+        out = tmp_path / "out.csv"
+        code, err = run_main(capsys, "krige-weights", "--monitors", paths["monitors"], "--samples", samples,
+                             "--targets", paths["monitors"], "--out", out)
+        assert code == 2
+        assert err == [f"error: {samples}:2: non-positive value '-1.0' in column '{column}'"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", ["missing", "header", "non-finite"])
     @pytest.mark.parametrize(
         "command,name", UNREADABLE, ids=[c if n == "obs" else f"{c}-{n}" for c, n in UNREADABLE]
@@ -656,6 +688,16 @@ class TestCliInProcess:
         k = (CTM, SAT).index(source)
         assert table.n_records > 0
         assert table.available[:, k].all() and not table.available[:, 1 - k].any()
+
+
+def test_cli_import_skips_the_scipy_package_inits(pmfusion_env):
+    # kernels loads the compiled LAPACK, BLAS and ndtr modules from their
+    # files; the package __init__s import numpy.f2py and numpy.testing
+    skipped = ("scipy.linalg", "scipy.special", "scipy._lib._array_api", "numpy.f2py", "numpy.testing")
+    code = f"import sys, pmfusion.cli; print([m for m in {skipped!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=pmfusion_env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_import_leaves_scipy_stats_unloaded(pmfusion_env):
