@@ -40,8 +40,8 @@ from .tables import COVARIATE_NAMES, N_COVARIATES, SOURCE_COLUMNS, ObservationTa
 class CsvFormat:
     """The exact header of one file format and the kind of each column.
 
-    Kinds: 's' non-empty text, 'i' integer, 'f' finite number, 'm' finite
-    number or empty (missing, read as NaN).
+    Kinds: 's' non-empty text, 'i' integer, 'f' finite number, 'p' positive
+    finite number, 'm' finite number or empty (missing, read as NaN).
     """
 
     columns: tuple
@@ -52,17 +52,17 @@ MONITORS = CsvFormat(("site_id", "x_km", "y_km"), "sff")
 OBS = CsvFormat(("site_id", "day", "pm25"), "sim")
 GRID = CsvFormat(("day", "row", "col", "value"), "iiim")
 COVARIATES = CsvFormat(("site_id", "day", *COVARIATE_NAMES), "si" + "f" * N_COVARIATES)
-PREDICTIVE = CsvFormat(("site_id", "day", "source", "mu", "var"), "sisff")
+PREDICTIVE = CsvFormat(("site_id", "day", "source", "mu", "var"), "sisfp")
 WEIGHTS = CsvFormat(("site_id", "w_mean", "w_lo", "w_hi", "q_mean"), "sffff")
 SURFACE = CsvFormat(("day", "row", "col", "mean", "sd", "q025", "q975", "w"), "iiifffff")
-WEIGHT_SAMPLES = CsvFormat(("sample", "site_id", "q", "tau2", "rho"), "isfff")
+WEIGHT_SAMPLES = CsvFormat(("sample", "site_id", "q", "tau2", "rho"), "isfpp")
 EVALUATION = CsvFormat(
     ("method", "estimation", "input_derivation", "n_pairs", "rmse", "coverage95", "avg_posterior_sd", "r2"),
     "sssifffm",
 )
 PREDICTIONS = CsvFormat(("site_id", "day", "mean", "sd", "q025", "q975", "w"), "sifffff")
 
-_DTYPE = {"s": object, "i": np.int64, "f": float, "m": float}
+_DTYPE = {"s": object, "i": np.int64, "f": float, "p": float, "m": float}
 # rows formatted per write; bounds the strings held at once
 _WRITE_CHUNK = 4096
 # cells of the largest dense (day, row, col) grid loaded; bounds the allocation
@@ -112,6 +112,8 @@ def _cell(text: str, kind: str, path, line: int, column: str):
     if not math.isfinite(number):
         # an empty field is the one spelling of "missing"
         raise ParseError(f"{path}:{line}: non-finite value '{value}' in column '{column}'")
+    if kind == "p" and number <= 0:
+        raise ParseError(f"{path}:{line}: non-positive value '{number!r}' in column '{column}'")
     if kind == "i":
         # past 2**53 a float no longer holds every integer
         if not number.is_integer() or abs(number) > 2**53:
@@ -124,8 +126,8 @@ def read_csv(path, fmt: CsvFormat) -> tuple[list[int], list[np.ndarray]]:
     """Rows of a file in the given format; comment ('#') and blank lines are skipped.
 
     Returns the line number of each row and one array per column: object
-    (str) for 's', int64 for 'i', float for 'f' and 'm' (NaN where an 'm'
-    cell is empty). Raises SchemaError for a wrong header and ParseError at
+    (str) for 's', int64 for 'i', float for 'f', 'p' and 'm' (NaN where an
+    'm' cell is empty). Raises SchemaError for a wrong header and ParseError at
     file:line for a row with the wrong field count or a bad cell.
     """
     path = Path(path)
@@ -265,12 +267,12 @@ def emit_obs(path, ids, day, pm25, meta: dict | None = None):
 def load_obs(path, n_days: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Observation rows; records with an empty pm25 field are dropped.
 
-    Raises ParseError at a kept row that repeats a (site_id, day) and, given
-    a horizon n_days, OutOfDomainError at a row whose day is outside 1..n_days.
+    Raises ParseError at a kept row that repeats a (site_id, day), OutOfDomainError at a day outside 1..n_days.
     """
     lines, (ids, day, y) = read_csv(path, OBS)
-    if n_days is not None and ((day < 1) | (day > n_days)).any():
-        k = int(np.argmax((day < 1) | (day > n_days)))
+    outside = np.zeros(day.size, dtype=bool) if n_days is None else (day < 1) | (day > n_days)
+    if outside.any():
+        k = int(outside.argmax())
         raise OutOfDomainError(f"{path}:{lines[k]}: day {day.item(k)} outside the horizon 1..{n_days}")
     keep = ~np.isnan(y)
     ids, day, y = ids[keep], day[keep], y[keep]
@@ -340,14 +342,12 @@ def load_predictive(path, locations: dict[str, Location]) -> PredictiveTable:
     _refuse_repeats(path, lines, (ids, day, source), "(site_id, day, source)")
     known = key_rows((np.asarray(list(locations), dtype=object),), (ids,)) >= 0
     col = key_rows((np.asarray(SOURCE_COLUMNS, dtype=object),), (source,))
-    bad = ~known | (col < 0) | (var <= 0)
+    bad = ~known | (col < 0)
     if bad.any():
         i = int(bad.argmax())
         if not known[i]:
             raise SchemaError(f"{path}:{lines[i]}: unknown site_id '{ids[i]}'")
-        if col[i] < 0:
-            raise ParseError(f"{path}:{lines[i]}: unknown source '{source[i]}'")
-        raise ParseError(f"{path}:{lines[i]}: non-positive value '{var.item(i)!r}' in column 'var'")
+        raise ParseError(f"{path}:{lines[i]}: unknown source '{source[i]}'")
     # one record per (site_id, day), in first-seen order
     row, first = key_index(ids, day)
     table_mu, table_var, avail = np.zeros((first.size, 2)), np.ones((first.size, 2)), np.zeros((first.size, 2), bool)
@@ -407,10 +407,6 @@ def load_weight_samples(path, locations: list[Location]):
     q[sample, s] = q_col
     tau2[sample] = tau2_col
     rho[sample] = rho_col
-    for column, values in (("tau2", tau2_col), ("rho", rho_col)):
-        if (values <= 0).any():
-            i = int(np.argmax(values <= 0))
-            raise ParseError(f"{path}:{lines[i]}: non-positive value '{values.item(i)!r}' in column '{column}'")
     return WeightFieldSamples(
         locations=[locations[i] for i in loc[first]],
         q=q,

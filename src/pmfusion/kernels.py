@@ -14,15 +14,13 @@ and 2 in the interior.
 
 from __future__ import annotations
 
-import importlib.machinery
 import importlib.util
-import os
 import sys
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
 from statistics import NormalDist
 
 import numpy as np
-import scipy
 
 from .errors import DomainError, NotPositiveDefiniteError
 
@@ -38,31 +36,26 @@ _JITTER_MAX = 1e-4
 ETA_GRID = (np.arange(1000, dtype=float) + 0.5) / 1000.0
 
 
-def _scipy_extension(subpackage: str, name: str):
-    """The compiled module scipy.<subpackage>.<name>, loaded from its file without
-    running the __init__ of scipy.<subpackage> (about half of pmfusion's import
-    time). A module already imported, or a scipy without the file, goes through import."""
-    fullname = f"scipy.{subpackage}.{name}"
-    path = os.path.join(scipy.__path__[0], subpackage, name + importlib.machinery.EXTENSION_SUFFIXES[0])
-    if fullname in sys.modules or not os.path.isfile(path):
-        return importlib.import_module(fullname)
-    spec = importlib.util.spec_from_file_location(fullname, path)
-    module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _scipy_extension(private: str, public: str):
+    """scipy.<private>, loaded without its subpackage's __init__ (half the import time), else scipy.<public>."""
+    name = f"scipy.{private}"
+    if name not in sys.modules:
+        spec = PathFinder.find_spec(name, importlib.util.find_spec(name.rpartition(".")[0]).submodule_search_locations)
+        if spec is None:
+            return importlib.import_module(f"scipy.{public}")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
-_FLAPACK = _scipy_extension("linalg", "_flapack")
+_FLAPACK = _scipy_extension("linalg._flapack", "linalg.lapack")
 # the float64 LAPACK routines behind scipy.linalg's triangular, Cholesky and
 # banded solvers; called directly to skip scipy's per-call input handling
-_TRTRS, _TRTRI, _POTRS, _PBTRF, _PBTRS, _GBSV = (
-    _FLAPACK.dtrtrs, _FLAPACK.dtrtri, _FLAPACK.dpotrs, _FLAPACK.dpbtrf, _FLAPACK.dpbtrs, _FLAPACK.dgbsv
-)
+_TRTRS, _TRTRI, _POTRS, _PBTRF, _PBTRS, _GBSV = (getattr(_FLAPACK, "d" + n) for n in ("trtrs", "trtri", "potrs", "pbtrf", "pbtrs", "gbsv"))
 # the BLAS-3 triangular product behind kriging's cross term
-_TRMM = _scipy_extension("linalg", "_fblas").dtrmm
-# the standard normal CDF (scipy.special.ndtr) and, at scalar levels, its inverse
-ndtr = _scipy_extension("special", "_special_ufuncs").ndtr
-ndtri = NormalDist().inv_cdf
+_TRMM = _scipy_extension("linalg._fblas", "linalg.blas").dtrmm
+ndtr = _scipy_extension("special._special_ufuncs", "special").ndtr  # the standard normal CDF
+ndtri = NormalDist().inv_cdf  # its inverse, at scalar levels
 
 
 @dataclass(frozen=True)

@@ -843,10 +843,6 @@ def dict_load_weight_samples(path, locations):
     rho[sample] = rho_col
     if np.isnan(q).any():
         raise SchemaError(f"{path}: incomplete sample grid (missing site rows)")
-    for column, values in (("tau2", tau2_col), ("rho", rho_col)):
-        for line, value in zip(lines, values.tolist()):
-            if value <= 0:
-                raise ParseError(f"{path}:{line}: non-positive value '{value!r}' in column '{column}'")
     return WeightFieldSamples(
         locations=[by_id[sid] for sid in site_order], q=q, tau2=tau2, rho=rho,
         t_s=np.zeros(n_sites, dtype=np.int64), acceptance={},

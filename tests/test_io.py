@@ -338,6 +338,19 @@ class TestWeightSamples:
         with pytest.raises(ParseError, match=message):
             load_weight_samples(p, sites[:1])
 
+    @pytest.mark.parametrize(
+        "rows, where",
+        [
+            (["0,a01,0.1,1.0,-30.0", "1,a01,0.2,-1.1,31.0"], r"2: non-positive value '-30\.0' in column 'rho'"),
+            (["0,a01,0.1,1.0,30.0", "1,a01,0.2,0.0,-31.0"], r"3: non-positive value '0\.0' in column 'tau2'"),
+        ],
+    )
+    def test_first_non_positive_setting_in_file_order(self, tmp_path, sites, rows, where):
+        p = tmp_path / "weight_samples.csv"
+        p.write_text("sample,site_id,q,tau2,rho\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match=rf"weight_samples\.csv:{where}$"):
+            load_weight_samples(p, sites[:1])
+
     def test_unknown_site_rejected(self, tmp_path, sites):
         p = tmp_path / "weight_samples.csv"
         p.write_text("sample,site_id,q,tau2,rho\n0,zz,0.1,1.0,30.0\n")
@@ -689,12 +702,13 @@ class TestWriterMatchesCsvModule:
 
 
 FORMATS = {name: v for name, v in vars(pio).items() if isinstance(v, CsvFormat)}
-GOOD_CELL = {"s": "a", "i": "7", "f": "1.5", "m": ""}
-PARSED_CELL = {"s": "a", "i": 7, "f": 1.5, "m": None}
+GOOD_CELL = {"s": "a", "i": "7", "f": "1.5", "p": "2e-300", "m": ""}
+PARSED_CELL = {"s": "a", "i": 7, "f": 1.5, "p": 2e-300, "m": None}
 BAD_CELL = {
     "s": (" ", "empty value in column '{}'"),
     "i": ("2.5", "column '{}' must be an integer, got '2.5'"),
     "f": ("x1", "non-numeric value 'x1' in column '{}'"),
+    "p": ("-0", "non-positive value '-0.0' in column '{}'"),
     "m": ("inf", "non-finite value 'inf' in column '{}'"),
 }
 

@@ -1,8 +1,9 @@
 """Cholesky jitter policy, LAPACK solves, CAR machinery, kriging kernel."""
 
-import os
+import importlib
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -220,7 +221,9 @@ class TestLapackSolves:
 
 
 # in a fresh interpreter: each kernel routine is the object scipy's own
-# lookup returns for float64, whichever of scipy and pmfusion loads first
+# lookup returns for float64, whichever of scipy and pmfusion loads first,
+# and also where the loader finds no extension file and imports scipy's
+# public modules instead
 _SAME_ROUTINES = """
 {first}
 import numpy as np
@@ -237,7 +240,18 @@ print(same)
 
 
 class TestScipyExtensions:
-    @pytest.mark.parametrize("first", ["import scipy.linalg, scipy.special", "import pmfusion.cli"])
+    @pytest.mark.parametrize(
+        "first",
+        [
+            "import scipy.linalg, scipy.special",
+            "import pmfusion.cli",
+            "import importlib.abc, importlib.machinery, types\n"
+            "finder, importlib.machinery.PathFinder = importlib.machinery.PathFinder, types.SimpleNamespace(\n"
+            "    find_spec=lambda name, path: None)\n"
+            "import pmfusion.cli\n"
+            "importlib.machinery.PathFinder = finder",
+        ],
+    )
     def test_routines_are_the_ones_scipy_looks_up(self, first, pmfusion_env):
         code = _SAME_ROUTINES.format(first=first)
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=pmfusion_env)
@@ -261,12 +275,21 @@ class TestScipyExtensions:
         got = np.array([kernels.ndtri(v) for v in p.tolist()])
         np.testing.assert_allclose(got, special.ndtri(p), rtol=1e-14, atol=0.0)
 
-    def test_missing_file_falls_back_to_the_package_import(self, monkeypatch):
-        monkeypatch.setattr(os.path, "isfile", lambda path: False)
-        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
-        module = kernels._scipy_extension("linalg", "_flapack")
-        assert module.__name__ == "scipy.linalg._flapack" and sys.modules["scipy.linalg._flapack"] is module
-        assert module.dtrtrs is kernels._TRTRS and module.dstevd is kernels._FLAPACK.dstevd
+    @pytest.mark.parametrize(
+        "private, public, routine",
+        [("linalg._flapack", "linalg.lapack", "dtrtrs"), ("linalg._fblas", "linalg.blas", "dtrmm"),
+         ("special._special_ufuncs", "special", "ndtr")],
+    )
+    def test_missing_file_falls_back_to_the_public_module(self, monkeypatch, private, public, routine):
+        monkeypatch.setattr(kernels, "PathFinder", SimpleNamespace(find_spec=lambda name, path: None))
+        monkeypatch.delitem(sys.modules, f"scipy.{private}")
+        module = kernels._scipy_extension(private, public)
+        assert module is importlib.import_module(f"scipy.{public}") and f"scipy.{private}" not in sys.modules
+        assert getattr(module, routine) in (kernels._TRTRS, kernels._TRMM, kernels.ndtr)
+
+    def test_loaded_module_is_returned_as_imported(self):
+        for private in ("linalg._flapack", "linalg._fblas", "special._special_ufuncs"):
+            assert kernels._scipy_extension(private, "") is sys.modules[f"scipy.{private}"]
 
 
 class TestGaussianSummary:
