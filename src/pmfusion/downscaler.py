@@ -50,9 +50,6 @@ from .tables import N_COVARIATES, ObservationTable
 A_PRIOR_VAR = 1.0e3
 _A_PRIOR_PREC = np.eye(3) / A_PRIOR_VAR
 
-# sweeps between rebuilds of the running residual, to cap its round-off
-_REFRESH_EVERY = 128
-
 
 @dataclass
 class DownscalerFit:
@@ -95,16 +92,15 @@ class SourcePredictions:
 
 @dataclass
 class _Training:
-    """The records one chain is fitted to: the rows of the data table usable
-    for the source, grouped by site; its sites, as indices into data.sites;
-    its generator's seed; and its standardized covariate block (satellite)."""
+    """One chain: the records usable for the source that it holds out (rows
+    of the data table), its sites (indices into data.sites), its generator's
+    seed, and the scaler and Gram matrix of its standardized covariates."""
 
-    rows: np.ndarray
+    held: np.ndarray
     sites: np.ndarray
     seed: int
     z_mean: np.ndarray
     z_sd: np.ndarray
-    zmat: np.ndarray | None = None
     ztz: np.ndarray | None = None
     ztz_chol: np.ndarray | None = None
 
@@ -120,17 +116,18 @@ def _training_set(data: ObservationTable, source: str, train: np.ndarray | None,
         raise InsufficientDataError("subset would be empty")
     else:
         sites = np.unique(data.site_idx[train])
-    mask = train & data.usable_mask(source)
+    usable = data.usable_mask(source)
+    mask = train & usable
     seen = np.bincount(data.site_idx[mask], minlength=data.n_sites) > 0
     bad = [data.sites[s].site_id for s in sites if not seen[s]]
     if bad:
         raise InsufficientDataError(f"sites with no usable {source} records: {', '.join(bad)}")
     if data.n_days < 2:
         raise InsufficientDataError("need a horizon of at least 2 days")
-    rows = np.flatnonzero(mask)[np.argsort(data.site_idx[mask], kind="stable")]
+    held = np.flatnonzero(usable & ~train)
     if source == CTM:
-        return _Training(rows, sites, seed, np.zeros(N_COVARIATES), np.ones(N_COVARIATES))
-    z_raw = data.z[rows]
+        return _Training(held, sites, seed, np.zeros(N_COVARIATES), np.ones(N_COVARIATES))
+    z_raw = data.z[mask]
     z_mean, z_sd = z_raw.mean(axis=0), z_raw.std(axis=0)
     flat = np.flatnonzero(z_sd <= 0)
     if flat.size:
@@ -138,9 +135,15 @@ def _training_set(data: ObservationTable, source: str, train: np.ndarray | None,
             f"constant covariate column(s) {flat.tolist()}; "
             "gamma is not identifiable under a flat prior"
         )
-    zmat = (z_raw - z_mean) / z_sd
-    ztz = zmat.T @ zmat
-    return _Training(rows, sites, seed, z_mean, z_sd, zmat, ztz, jittered_cholesky(ztz)[0])
+    # the Gram matrix of the standardized covariates, from a copy of them freed on return
+    zs = (z_raw - z_mean) / z_sd
+    ztz = zs.T @ zs
+    return _Training(held, sites, seed, z_mean, z_sd, ztz, jittered_cholesky(ztz)[0])
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise inner products, each row reduced alone whatever the row count."""
+    return (u * v).sum(axis=-1)
 
 
 class _Blocks:
@@ -148,57 +151,67 @@ class _Blocks:
 
     Chain f fits the records of chains[f] (by default one chain on every
     record of data, seeded with mcmc.seed), and all chains have the same
-    site count S. State variables carry a leading chain axis. The records
-    are stored once, chain after chain, each chain's grouped by site, with
-    day index f*T + day - 1 and site index f*S + site, so that one bincount
-    or reduceat serves every chain. BLAS products, LAPACK solves, random
-    draws and accept decisions run chain by chain, and every chain draws
-    from its own generator in the order a lone chain would: each chain's
-    draws equal its fit on its own table bit for bit.
+    site count S. State variables carry a leading chain axis.
 
-    Each draw_* method is one Gibbs/MH block so the blocks can be exercised
-    and checked in isolation.
+    The usable records are the filled cells of data's (day x site) grid,
+    T x G, held once per batch: the planes M, M x and M x^2 (M the usable
+    mask) and the sums by day and by site of 1, x, x^2, y, x y, z and z x.
+    A chain keeps of its own only its held-out cells. Every statistic a
+    block reads (sums of r and x r by day and by site, Z'r and r'r, r the
+    residual) is the full-grid sum, contracted with each chain's state,
+    less the sum over the chain's held-out cells. BLAS products, LAPACK
+    solves, random draws and accept decisions run chain by chain with
+    shapes that do not depend on F, each chain drawing from its own
+    generator: its draws equal a batch of one's bit for bit.
+
+    Each draw_* method is one Gibbs/MH block, reading only the state, so
+    the blocks can be exercised and checked in isolation.
     """
 
     def __init__(self, data: ObservationTable, source: str, mcmc: MCMCConfig, chains=None):
         if chains is None:
             chains = [_training_set(data, source, None, mcmc.seed)]
-        self.source = source
-        self.mcmc = mcmc
+        self.source, self.mcmc = source, mcmc
         self.F = F = len(chains)
         self.S = S = chains[0].sites.size
         self.T = T = data.n_days
+        self.G = G = data.n_sites
         if any(c.sites.size != S for c in chains):
             raise ValueError("the chains of a batch need equal site counts")
         self.sites = [[data.sites[s] for s in c.sites] for c in chains]
-        self.n = np.array([c.rows.size for c in chains])
-        ends = np.cumsum(self.n)
-        self.spans = [slice(e - n, e) for e, n in zip(ends.tolist(), self.n.tolist())]
-        rows = np.concatenate([c.rows for c in chains])
-        chain_of = np.repeat(np.arange(F), self.n)
-        local_site = np.concatenate([np.searchsorted(c.sites, data.site_idx[c.rows]) for c in chains])
-        self.site = chain_of * S + local_site
-        self.day0 = chain_of * T + data.day[rows] - 1
-        self.y = data.y[rows]
-        self.x = data.x_for(source)[rows]
-        self.p_cov = N_COVARIATES if source == SAT else 0
-        self.z_mean = [c.z_mean for c in chains]
-        self.z_sd = [c.z_sd for c in chains]
-        self.zmat = [c.zmat for c in chains]
-        self.ztz = [c.ztz for c in chains]
-        self.ztz_chol = np.array([c.ztz_chol for c in chains]) if self.p_cov else None
+        self.cols = np.array([c.sites for c in chains])
+        self.p_cov = p = N_COVARIATES if source == SAT else 0
 
-        self.counts_day = np.bincount(self.day0, minlength=F * T).reshape(F, T).astype(float)
-        self.sum_x2_day = np.bincount(self.day0, weights=self.x**2, minlength=F * T).reshape(F, T)
-        # records per site, where each site's run starts, and per-site sums of 1, x and x^2
-        self.site_runs = np.bincount(self.site, minlength=F * S)
-        self.site_start = np.cumsum(self.site_runs) - self.site_runs
-        self.site_gram = [
-            np.add.reduceat(w, self.site_start).reshape(F, S) for w in (np.ones(self.y.size), self.x, self.x**2)
-        ]
+        use = np.flatnonzero(data.usable_mask(source))
+        day0, site, y, x = data.day[use] - 1, data.site_idx[use], data.y[use], data.x_for(source)[use]
+        z = data.z[use][:, :p]
+
+        def sums(w: np.ndarray) -> list[np.ndarray]:
+            """The columns of w summed by day, (k, T), and by site, (k, G)."""
+            return [np.array([np.bincount(i, c, n) for c in w.T]).reshape(-1, n) for i, n in ((day0, T), (site, G))]
+        gram = np.array([np.ones_like(x), x, x * x])
+        self.planes = np.zeros((3, T, G))
+        self.planes[:, day0, site] = gram
+        self._kept = [None, None]
+        self.gram, self.ysums = sums(gram.T), sums(np.column_stack([y, x * y]))
+        # z and z x by day, (2, T, p), and by site, (2, G, p)
+        self.zsums = [np.stack([t[:p].T, t[p:].T]) for t in sums(np.hstack([z, z * x[:, None]]))]
+        self.yy, self.zy, self.zz = float(y @ y), z.T @ y, z.T @ z
+
+        held = np.concatenate([c.held for c in chains])
+        self.h_chain = np.repeat(np.arange(F), [c.held.size for c in chains])
+        self.h_day, self.h_col = self.h_chain * T + data.day[held] - 1, self.h_chain * G + data.site_idx[held]
+        self.h_y, self.h_x, self.h_z = data.y[held], data.x_for(source)[held], data.z[held][:, :p].T.copy()
+        self.n = use.size - np.bincount(self.h_chain, minlength=F)
+        # sums of 1, x and x^2 over each chain's training cells, by day (F, 3, T) and by site (F, 3, S)
+        w = (np.ones(held.size), self.h_x, self.h_x * self.h_x)
+        self.grams = [self._less_held(axis, self.gram[axis], w) for axis in (0, 1)]
+        (self.counts_day, _, self.sum_x2_day), self.site_gram = (g.transpose(1, 0, 2) for g in self.grams)
         n, sx, sxx = self.site_gram
         # per-site Gram terms of the coregionalization regressors (v1, v1 x, v2 x)
         self.gram3 = np.array([[n, sx, sx], [sx, sxx, sxx], [sx, sxx, sxx]])
+        self.z_mean, self.z_sd = np.array([c.z_mean for c in chains]), np.array([c.z_sd for c in chains])
+        self.ztz, self.ztz_chol = (np.array([getattr(c, k) for c in chains]) for k in ("ztz", "ztz_chol"))
         self.n_t = car_neighbor_count(T)
         self.logdet_table = car_logdet_table(T)
         self.d_sites = np.array([distance_matrix(s) for s in self.sites])
@@ -208,26 +221,22 @@ class _Blocks:
         self.shape_y = [mcmc.ig_a + 0.5 * n for n in self.n.tolist()]
         self.mvn_const = float(S * np.log(2.0 * np.pi))
 
-        # starting values from each chain's pooled least-squares line through (x, y)
-        self.alpha0 = np.empty((F, T))
-        self.beta0 = np.empty((F, T))
-        self.sigma2_y = np.empty(F)
-        self.sigma2_a = np.empty(F)
-        for f, sl in enumerate(self.spans):
-            x, y, day0, counts = self.x[sl], self.y[sl], self.day0[sl] - f * T, self.counts_day[f]
-            xbar, ybar = x.mean(), y.mean()
-            vx = float(np.var(x))
-            b0 = float(np.cov(x, y)[0, 1] / vx) if vx > 0 and x.size > 1 else 0.0
-            day_sum = np.bincount(day0, weights=y - b0 * x, minlength=T)
-            self.alpha0[f] = np.where(counts > 0, day_sum / np.maximum(counts, 1.0), ybar - b0 * xbar)
-            self.beta0[f] = b0
-            resid = y - self.alpha0[f][day0] - b0 * x
-            self.sigma2_y[f] = max(float(np.var(resid)), 1e-3)
-            self.sigma2_a[f] = max(float(np.var(self.alpha0[f])), 0.1)
-        self.gamma = np.zeros((F, self.p_cov))
-        self.v1 = np.zeros((F, S))
-        self.v2 = np.zeros((F, S))
+        self.alpha0, self.beta0 = np.zeros((2, F, T))
+        self.v1, self.v2 = np.zeros((2, F, S))
+        self.gamma = np.zeros((F, p))
         self.a = np.tile([1.0, 0.0, 1.0], (F, 1))
+        # starting values from each chain's pooled least-squares line through (x, y)
+        n, (sum_y, sum_xy) = self.n, (t.sum(axis=1) for t in self._grid_sums(0)[:2])
+        xbar, ybar = sx.sum(axis=1) / n, sum_y / n
+        vx = self.sum_x2_day.sum(axis=1) / n - xbar * xbar
+        cov = (sum_xy - n * xbar * ybar) / np.maximum(n - 1, 1)
+        b0 = np.divide(cov, vx, out=np.zeros(F), where=(vx > 0) & (n > 1))
+        self.beta0[:] = b0[:, None]
+        day_mean = self._grid_sums(0)[0] / np.maximum(self.counts_day, 1.0)
+        self.alpha0 = np.where(self.counts_day > 0, day_mean, (ybar - b0 * xbar)[:, None])
+        mean_r = self._grid_sums(0)[0].sum(axis=1) / n
+        self.sigma2_y = np.maximum(self._ssr() / n - mean_r * mean_r, 1e-3)
+        self.sigma2_a = np.maximum(np.var(self.alpha0, axis=1), 0.1)
         self.sigma2_b = np.full(F, 0.1)
         self.eta_a = np.full(F, 0.5)
         self.eta_b = np.full(F, 0.5)
@@ -240,10 +249,8 @@ class _Blocks:
         self._set_range_cache(1, everyone, *self._range_chol(self.theta1, everyone))
         self._set_range_cache(2, everyone, *self._range_chol(self.theta2, everyone))
         self.chain = Chain(mcmc, theta1=np.full(F, 0.5), theta2=np.full(F, 0.5))
-        self.n_sweeps = 0
-        self.rebuild_residual()
 
-    # -- residual helpers ------------------------------------------------
+    # -- sums over the training cells --------------------------------------
 
     def _normals(self, k: int) -> np.ndarray:
         """k standard normals from each chain's generator, one row per chain."""
@@ -254,47 +261,91 @@ class _Blocks:
         beta1 = self.a[:, 1:2] * self.v1 + self.a[:, 2:3] * self.v2
         return alpha1, beta1
 
-    @property
-    def resid(self) -> np.ndarray:
-        """y - alpha0 - beta0 x - alpha1 - beta1 x - z gamma, kept by increments."""
-        if self._site_shift is not None:
-            d_alpha1, d_beta1 = (np.repeat(d.ravel(), self.site_runs) for d in self._site_shift)
-            self._resid -= d_alpha1 + d_beta1 * self.x
-            self._site_shift = None
-        return self._resid
+    def _less_held(self, axis: int, full: np.ndarray, w) -> np.ndarray:
+        """full, k sums by day (axis 0) or grid site (axis 1), less each chain's sums of
+        w[i] over its held-out cells: (F, k, T) by day, (F, k, S) by the chain's sites."""
+        idx, n = (self.h_day, self.T) if axis == 0 else (self.h_col, self.G)
+        out = full - np.array([np.bincount(idx, wi, self.F * n).reshape(self.F, n) for wi in w]).transpose(1, 0, 2)
+        return out if axis == 0 else np.take_along_axis(out, self.cols[:, None], axis=2)
 
-    @resid.setter
-    def resid(self, value: np.ndarray) -> None:
-        self._resid, self._site_shift = value, None
+    def _terms(self):
+        """The state as coefficients of a cell's regressors (by day, of 1 and
+        x, (F, T); by grid site, of 1 and x, (F, G), zero at sites a chain
+        lacks; of the raw covariates, (F, p), their centring folded into the
+        day intercepts), and r = y - alpha - beta x - z gamma at held-out cells."""
+        site = np.zeros((2, self.F, self.G))
+        np.put_along_axis(site, self.cols[None], np.array(self._site_effects()), axis=2)
+        (b, d), g = site, self.gamma / self.z_sd[:, : self.p_cov]
+        a, c = self.alpha0 - _dot(g, self.z_mean[:, : self.p_cov])[:, None], self.beta0
+        r = self.h_y - a.ravel()[self.h_day] - b.ravel()[self.h_col]
+        r -= (c.ravel()[self.h_day] + d.ravel()[self.h_col]) * self.h_x
+        for zj, gj in zip(self.h_z, g.T):
+            r -= zj * gj[self.h_chain]
+        return (a, c), (b, d), g, r
 
-    def rebuild_residual(self) -> None:
-        """Recompute resid from the state; call after setting state directly."""
-        alpha1, beta1 = (t.ravel() for t in self._site_effects())
-        d0, s = self.day0, self.site
-        alpha0, beta0 = self.alpha0.ravel(), self.beta0.ravel()
-        self.resid = self.y - alpha0[d0] - alpha1[s] - (beta0[d0] + beta1[s]) * self.x
-        for f, sl in enumerate(self.spans if self.p_cov else ()):
-            self._resid[sl] -= self.zmat[f] @ self.gamma[f]
-        self._by_site = None
+    def _grid_sums(self, axis: int, terms=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sums of r and x r over each chain's training cells, by day (axis 0,
+        (F, T)) or by the chain's sites (axis 1, (F, S)), and the sum of
+        squares of the residual without this axis' terms, (F,). A chain's
+        sums are taken on the grid when its terms of the other axis or its
+        gamma have changed since they last were, and are otherwise shifted
+        through this axis' training Grams: the site blocks move only the
+        site terms, the daily series only the day terms."""
+        state = ((self.alpha0, self.beta0), self._site_effects())
+        key, own = np.hstack([*state[1 - axis], self.gamma]), np.stack(state[axis], axis=1)
+        kept = self._kept[axis]
+        stale = np.ones(self.F, dtype=bool) if kept is None else (kept[0] != key).any(axis=1)
+        if stale.any():
+            fresh = key, own, *self._fresh_sums(axis, self._terms() if terms is None else terms)
+            if not stale.all():
+                fresh = tuple(np.where(stale.reshape((-1,) + (1,) * (f.ndim - 1)), f, k) for f, k in zip(fresh, kept))
+            self._kept[axis] = kept = fresh
+        shift, grams = own - kept[1], self.grams[axis]
+        sums = kept[2] - grams[:, :2] * shift[:, :1] - grams[:, 1:] * shift[:, 1:]
+        return sums[:, 0], sums[:, 1], kept[3]
 
-    def _site_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-site sums of resid and x * resid, kept while only site terms change."""
-        if self._by_site is None:
-            sr = np.add.reduceat(self.resid, self.site_start).reshape(self.F, self.S)
-            sxr = np.add.reduceat(self.x * self.resid, self.site_start).reshape(self.F, self.S)
-            self._by_site = sr, sxr
-        return self._by_site
+    def _fresh_sums(self, axis: int, terms) -> tuple[np.ndarray, np.ndarray]:
+        """_grid_sums taken on the grid, the sums of r and x r stacked, (F, 2, T or S):
+        the full grid's sums, their cross terms one product with the planes per
+        chain, less the held-out cells'. The sum of squares is expanded from y'y."""
+        (u, v), (p, q), g, r_held = terms[axis], terms[1 - axis], terms[2], terms[3]
+        planes = self.planes if axis == 0 else self.planes.transpose(0, 2, 1)
+        cross = np.matmul(planes, np.stack((p, q), axis=-1)[:, None])
+        gram = self.gram[axis]
+        sums = self.ysums[axis] - gram[:2] * u[:, None] - gram[1:] * v[:, None]
+        sums = sums - cross[:, :2, :, 0] - cross[:, 1:, :, 1]
+        # sum over the grid of (y - p - q x - z g)^2, p + q x the other axis' terms
+        (n, x, xx), (y, xy) = self.gram[1 - axis], self.ysums[1 - axis]
+        ss = self.yy - 2.0 * (_dot(p, y) + _dot(q, xy)) + _dot(p, p * n + 2.0 * q * x) + _dot(q, q * xx)
+        if self.p_cov:
+            zg, zg_other = (np.matmul(self.zsums[k], g[:, None, :, None])[..., 0] for k in (axis, 1 - axis))
+            sums = sums - zg
+            ss += 2.0 * (_dot(p, zg_other[:, 0]) + _dot(q, zg_other[:, 1]) - _dot(g, self.zy))
+            ss += _dot(g, np.matmul(self.zz, g[..., None])[..., 0])
+        idx = self.h_day if axis == 0 else self.h_col
+        e_held = r_held + u.ravel()[idx] + v.ravel()[idx] * self.h_x
+        ss -= np.bincount(self.h_chain, e_held * e_held, self.F)
+        return self._less_held(axis, sums, (r_held, r_held * self.h_x)), ss
 
-    def _shift_site_terms(self, d_alpha1: np.ndarray, d_beta1: np.ndarray) -> None:
-        """Take a change of the site terms out of the per-site sums now and out
-        of resid when it is next read, so that consecutive site blocks pass
-        over the records once."""
-        sr, sxr = self._site_sums()
+    def _z_sums(self, terms, r_sum: np.ndarray) -> np.ndarray:
+        """Z'r over each chain's training cells, (F, p), Z standardized by its
+        scaler: the raw-scale sums less z_mean times r_sum (sum of r), over z_sd."""
+        g, r_held = terms[2], terms[3]
+        zr = self.zy - np.matmul(self.zz, g[..., None])[..., 0]
+        for axis in (0, 1):
+            uz = np.matmul(np.stack(terms[axis], axis=1)[:, :, None], self.zsums[axis])[:, :, 0]
+            zr = zr - uz[:, 0] - uz[:, 1]
+        zr = zr - np.array([np.bincount(self.h_chain, zj * r_held, self.F) for zj in self.h_z]).T
+        return (zr - self.z_mean * r_sum[:, None]) / self.z_sd
+
+    def _ssr(self) -> np.ndarray:
+        """r'r over each chain's training cells, from the per-site sums; expanded
+        from y'y, it loses about eps y'y / r'r of relative precision."""
+        sr, sxr, ss = self._grid_sums(1)
+        alpha1, beta1 = self._site_effects()
         n, sx, sxx = self.site_gram
-        self._by_site = sr - d_alpha1 * n - d_beta1 * sx, sxr - d_alpha1 * sx - d_beta1 * sxx
-        if self._site_shift is not None:
-            d_alpha1, d_beta1 = d_alpha1 + self._site_shift[0], d_beta1 + self._site_shift[1]
-        self._site_shift = d_alpha1, d_beta1
+        ss = ss - _dot(alpha1, 2.0 * sr + alpha1 * n + 2.0 * beta1 * sx) - _dot(beta1, 2.0 * sxr + beta1 * sxx)
+        return np.maximum(ss, 0.0)
 
     def _range_chol(self, theta: np.ndarray, chains) -> tuple[np.ndarray, np.ndarray]:
         """Cholesky factors of the unit-variance site correlations of the given
@@ -315,18 +366,13 @@ class _Blocks:
     def draw_gamma(self) -> None:
         if not self.p_cov:
             return
-        resid = self.resid
-        # Z' r for r = resid + Z gamma, the residual without the covariate term
-        rhs = np.array([
-            self.zmat[f].T @ resid[sl] + self.ztz[f] @ self.gamma[f] for f, sl in enumerate(self.spans)
-        ])
+        terms = self._terms()
+        # Z'(r + Z gamma), for the residual without the covariate term
+        rhs = self._z_sums(terms, self._grid_sums(1, terms)[0].sum(axis=1))
+        rhs += np.matmul(self.ztz, self.gamma[..., None])[..., 0]
         mean = chol_factor_solve_stack(self.ztz_chol, rhs)
         z = self._normals(self.p_cov)
-        gamma = mean + np.sqrt(self.sigma2_y)[:, None] * tri_solve_stack(self.ztz_chol, z, trans=1)
-        for f, sl in enumerate(self.spans):
-            resid[sl] -= self.zmat[f] @ (gamma[f] - self.gamma[f])
-        self.gamma = gamma
-        self._by_site = None
+        self.gamma = mean + np.sqrt(self.sigma2_y)[:, None] * tri_solve_stack(self.ztz_chol, z, trans=1)
 
     def _daily_series_draw(
         self, weights_diag: np.ndarray, wr_day: np.ndarray,
@@ -336,29 +382,18 @@ class _Blocks:
         s2y = self.sigma2_y[:, None]
         return sample_tridiag_mvn_stack(prior_diag + weights_diag / s2y, prior_off, wr_day / s2y, self.rngs)
 
-    def _by_day(self, weights: np.ndarray) -> np.ndarray:
-        return np.bincount(self.day0, weights=weights, minlength=self.F * self.T).reshape(self.F, self.T)
-
     def draw_alpha0(self) -> None:
-        wr = self._by_day(self.resid)
-        wr += self.counts_day * self.alpha0
-        alpha0 = self._daily_series_draw(self.counts_day, wr, self.eta_a, self.sigma2_a)
-        self.resid -= (alpha0 - self.alpha0).ravel()[self.day0]
-        self.alpha0 = alpha0
-        self._by_site = None
+        wr = self._grid_sums(0)[0] + self.counts_day * self.alpha0
+        self.alpha0 = self._daily_series_draw(self.counts_day, wr, self.eta_a, self.sigma2_a)
 
     def draw_beta0(self) -> None:
-        wr = self._by_day(self.x * self.resid)
-        wr += self.sum_x2_day * self.beta0
-        beta0 = self._daily_series_draw(self.sum_x2_day, wr, self.eta_b, self.sigma2_b)
-        self.resid -= (beta0 - self.beta0).ravel()[self.day0] * self.x
-        self.beta0 = beta0
-        self._by_site = None
+        wr = self._grid_sums(0)[1] + self.sum_x2_day * self.beta0
+        self.beta0 = self._daily_series_draw(self.sum_x2_day, wr, self.eta_b, self.sigma2_b)
 
     def _draw_site_field(self, v: np.ndarray, k0, k1, rinv: np.ndarray) -> np.ndarray:
         """Draw the site field v, which enters a record at site s as v[s] (k0 + k1 x);
         k0 and k1 are per-chain columns or floats."""
-        sr, sxr = self._site_sums()
+        sr, sxr, _ = self._grid_sums(1)
         n, sx, sxx = self.site_gram
         g = k0 * k0 * n + 2.0 * k0 * k1 * sx + k1 * k1 * sxx
         s2y = self.sigma2_y[:, None]
@@ -366,9 +401,7 @@ class _Blocks:
         prec.reshape(self.F, -1)[:, :: self.S + 1] += g / s2y
         chol = cholesky_stack(prec)
         mean = chol_factor_solve_stack(chol, (k0 * sr + k1 * sxr + g * v) / s2y)
-        new = mean + tri_solve_stack(chol, self._normals(self.S), trans=1)
-        self._shift_site_terms(k0 * (new - v), k1 * (new - v))
-        return new
+        return mean + tri_solve_stack(chol, self._normals(self.S), trans=1)
 
     def draw_v1(self) -> None:
         self.v1 = self._draw_site_field(self.v1, self.a[:, 0:1], self.a[:, 1:2], self.rinv1)
@@ -377,11 +410,11 @@ class _Blocks:
         self.v2 = self._draw_site_field(self.v2, 0.0, self.a[:, 2:3], self.rinv2)
 
     def draw_a(self) -> None:
-        sr, sxr = self._site_sums()
+        sr, sxr, _ = self._grid_sums(1)
         alpha1, beta1 = self._site_effects()
         n, sx, sxx = self.site_gram
         # A's regressors in a record are f = (v1, v1 x, v2 x); f'f and f'e, with
-        # e = resid + alpha1 + beta1 x the residual without the site terms,
+        # e = r + alpha1 + beta1 x the residual without the site terms,
         # are sums over sites
         e, xe = sr + alpha1 * n + beta1 * sx, sxr + alpha1 * sx + beta1 * sxx
         u = np.array([self.v1, self.v1, self.v2])
@@ -401,15 +434,12 @@ class _Blocks:
             self.v1 = self.v1 * sign[:, 0:1]
             self.v2 = self.v2 * sign[:, 1:2]
         self.a = a
-        new_alpha1, new_beta1 = self._site_effects()
-        self._shift_site_terms(new_alpha1 - alpha1, new_beta1 - beta1)
 
     def _inv_gamma(self, shape: list[float], rate: list[float]) -> np.ndarray:
         return np.array([r / rng.gamma(k, 1.0) for rng, k, r in zip(self.rngs, shape, rate)])
 
     def draw_sigma2_y(self) -> None:
-        resid, ig_b = self.resid, self.mcmc.ig_b
-        rate = [ig_b + 0.5 * float(r @ r) for r in (resid[sl] for sl in self.spans)]
+        rate = [self.mcmc.ig_b + 0.5 * ssr for ssr in self._ssr().tolist()]
         self.sigma2_y = self._inv_gamma(self.shape_y, rate)
 
     def _car_neighbor_quad(self, series: np.ndarray) -> list[float]:
@@ -492,9 +522,6 @@ class _Blocks:
         self.draw_eta_beta0()
         self.draw_theta(1)
         self.draw_theta(2)
-        self.n_sweeps += 1
-        if self.n_sweeps % _REFRESH_EVERY == 0:
-            self.rebuild_residual()
 
 
 # sampler state recorded at each kept iteration, by DownscalerFit field

@@ -34,7 +34,7 @@ from .ensemble import (
     krige_weights,
     predict_mixture,
 )
-from .errors import OutOfDomainError, OverwriteError, SchemaError, StageError
+from .errors import DomainError, OutOfDomainError, OverwriteError, SchemaError, StageError
 from .geo import CTM, SAT, GridSpec, distance_matrix
 from .kernels import GaussianSummary
 from .tables import SOURCE_COLUMNS, ObservationTable, PredictiveTable
@@ -83,6 +83,8 @@ class PipelineConfig:
                 _check_integer("surface_days", day, 1)
         if (self.grid_sat is None) != (self.sat_grid is None):
             raise SchemaError("grid_sat path and sat_grid geometry go together")
+        if self.target_grid is not None and (self.ctm_grid.cells_of(self.target_grid.all_centers()) < 0).all():
+            raise DomainError("target_grid has no cell inside ctm_grid")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -146,8 +148,8 @@ def load_pipeline_config(path) -> PipelineConfig:
         raise SchemaError(f"{path}: a config must be a JSON object")
     try:
         return PipelineConfig.from_dict(d)
-    except SchemaError as e:
-        raise SchemaError(f"{path}: {e}") from None
+    except (SchemaError, DomainError) as e:
+        raise type(e)(f"{path}: {e}") from None
 
 
 def save_pipeline_config(path, cfg: PipelineConfig):
@@ -206,8 +208,10 @@ def row_weights(inputs: PredictiveTable, site_weights) -> np.ndarray:
 
 
 def _load_inputs(cfg: PipelineConfig):
-    """The record table and the (values, present) grids; a surface day
-    outside the horizon the grids were loaded for is an error here."""
+    """The record table and the (values, present) grids. A surface day
+    outside the horizon the grids were loaded for, or without a CTM value at
+    a target cell inside the CTM grid, is an error here; satellite gaps are
+    not."""
     data, ctm, sat = pio.load_inputs(
         cfg.monitors, cfg.obs, cfg.grid_ctm, cfg.ctm_grid, cfg.grid_sat, cfg.sat_grid, cfg.covariates, cfg.n_days
     )
@@ -215,6 +219,14 @@ def _load_inputs(cfg: PipelineConfig):
     for d in cfg.surface_days or ():
         if not 1 <= d <= n_days:
             raise OutOfDomainError(f"surface day {d} outside horizon 1..{n_days}")
+    if cfg.target_grid is not None:
+        cells = cfg.ctm_grid.cells_of(cfg.target_grid.all_centers())
+        rows, cols = cells[cells[:, 0] >= 0].T
+        for d in cfg.surface_days or range(1, n_days + 1):
+            missing = int(np.count_nonzero(~ctm[1][d - 1, rows, cols]))
+            if missing:
+                raise SchemaError(f"{cfg.grid_ctm}: surface day {d} has no CTM value at {missing} of the "
+                                  f"{rows.size} target cells inside the CTM grid")
     return data, ctm, sat
 
 

@@ -13,9 +13,9 @@ vectorizes. The numpy-scalar logit sweep and the masked inverse logit are
 the forms that update_q and inv_logit replaced, kept as their bit-for-bit
 references. The numpy-scalar sweep, the range move that solves both
 quadratic forms and the per-row inv_logit membership draw are also the
-forms that the array accept tests replaced. SingleChainBlocks and
-single_chain_fit are the one-chain downscaler sampler, fitted to one table
-at a time, that the lockstep batch of chains must equal fold by fold. The
+forms that the array accept tests replaced. SingleChainBlocks is the
+one-chain downscaler sampler in the record layout, fitted to one table at a
+time, whose residual sums the grid statistics of the batch must equal. The
 dict_* functions are the per-row key loops that io.key_index and io.key_rows
 replaced, and the loaders and joins as they were built on them.
 """
@@ -25,18 +25,16 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import replace
 
 import numpy as np
 from scipy import linalg
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from pmfusion import downscaler
 from pmfusion import io as pio
 from pmfusion.chain import Chain
 from pmfusion.config import MCMCConfig
-from pmfusion.downscaler import A_PRIOR_VAR, DownscalerFit
+from pmfusion.downscaler import A_PRIOR_VAR
 from pmfusion.ensemble import MixtureDistribution, WeightFieldSamples
 from pmfusion.errors import DomainError, InsufficientDataError, OutOfDomainError, ParseError, SchemaError
 from pmfusion.geo import CTM, SAT, GridSpec, Location, distance_matrix
@@ -318,9 +316,15 @@ def mvn_logpdf_zero_mean(x: np.ndarray, chol_lower: np.ndarray) -> float:
     )
 
 
+# sweeps between rebuilds of SingleChainBlocks' running residual, to cap its round-off
+_REFRESH_EVERY = 128
+
+
 class SingleChainBlocks:
-    """The downscaler's Gibbs/MH blocks for one chain on one table: the
-    sampler that pmfusion.downscaler._Blocks runs F of in lockstep."""
+    """The downscaler's Gibbs/MH blocks for one chain on one table, in the
+    record layout: a residual kept over the chain's records, and the per-day
+    and per-site sums taken from it. pmfusion.downscaler._Blocks builds the
+    same statistics on the (day x site) grid for F chains at once."""
 
     def __init__(self, data: ObservationTable, source: str, mcmc: MCMCConfig):
         if source not in (CTM, SAT):
@@ -635,84 +639,8 @@ class SingleChainBlocks:
         self.draw_theta(1)
         self.draw_theta(2)
         self.n_sweeps += 1
-        if self.n_sweeps % downscaler._REFRESH_EVERY == 0:
+        if self.n_sweeps % _REFRESH_EVERY == 0:
             self.rebuild_residual()
-
-
-def single_chain_fit(data: ObservationTable, source: str, mcmc: MCMCConfig) -> DownscalerFit:
-    """fit_downscaler as one chain, sweep by sweep, on its own table."""
-    blocks = SingleChainBlocks(data, source, mcmc)
-    n_kept = mcmc.n_kept
-    out = DownscalerFit(
-        source=source,
-        sites=blocks.sites,
-        n_days=blocks.T,
-        gamma=np.zeros((n_kept, blocks.p_cov)),
-        alpha0=np.zeros((n_kept, blocks.T)),
-        beta0=np.zeros((n_kept, blocks.T)),
-        a_coreg=np.zeros((n_kept, 3)),
-        v1=np.zeros((n_kept, blocks.S)),
-        v2=np.zeros((n_kept, blocks.S)),
-        sigma2_y=np.zeros(n_kept),
-        sigma2_alpha0=np.zeros(n_kept),
-        sigma2_beta0=np.zeros(n_kept),
-        eta_alpha0=np.zeros(n_kept),
-        eta_beta0=np.zeros(n_kept),
-        theta1=np.zeros(n_kept),
-        theta2=np.zeros(n_kept),
-        z_mean=blocks.z_mean,
-        z_sd=blocks.z_sd,
-        acceptance={},
-    )
-    chain = blocks.chain
-    for _, j in chain:
-        blocks.sweep()
-        if j is not None:
-            out.gamma[j] = blocks.gamma
-            out.alpha0[j] = blocks.alpha0
-            out.beta0[j] = blocks.beta0
-            out.a_coreg[j] = blocks.a
-            out.v1[j] = blocks.v1
-            out.v2[j] = blocks.v2
-            out.sigma2_y[j] = blocks.sigma2_y
-            out.sigma2_alpha0[j] = blocks.sigma2_a
-            out.sigma2_beta0[j] = blocks.sigma2_b
-            out.eta_alpha0[j] = blocks.eta_a
-            out.eta_beta0[j] = blocks.eta_b
-            out.theta1[j] = blocks.theta1
-            out.theta2[j] = blocks.theta2
-    out.acceptance = {
-        **chain.acceptance(),
-        "step_theta": (chain.step("theta1"), chain.step("theta2")),
-    }
-    return out
-
-
-def single_chain_cv_predict(data, fold_of_record, source, mcmc):
-    """cv_predict as a loop over folds: a single-chain fit on each fold's
-    training subset, then its prediction of the fold's usable records."""
-    mu = np.full(data.n_records, np.nan)
-    var = np.full(data.n_records, np.nan)
-    avail = data.usable_mask(source)
-    folds = np.unique(fold_of_record)
-    children = np.random.SeedSequence(mcmc.seed).spawn(2 * folds.size)
-    for k, fold in enumerate(folds):
-        held = fold_of_record == fold
-        fit_seed = int(children[2 * k].generate_state(1)[0])
-        pred_seed = int(children[2 * k + 1].generate_state(1)[0])
-        fit = single_chain_fit(data.subset(~held), source, replace(mcmc, seed=fit_seed))
-        held_idx = np.flatnonzero(held & avail)
-        if held_idx.size == 0:
-            continue
-        held_sites = np.unique(data.site_idx[held_idx])
-        loc_idx = np.searchsorted(held_sites, data.site_idx[held_idx])
-        pred = downscaler.predict_at(
-            fit, [data.sites[s] for s in held_sites], loc_idx, data.day[held_idx],
-            data.x_for(source)[held_idx], data.z[held_idx] if source == SAT else None, seed=pred_seed,
-        )
-        mu[held_idx] = pred.mu
-        var[held_idx] = pred.var
-    return mu, var
 
 
 # The per-row key handling that io.key_index and io.key_rows replaced: dicts

@@ -5,8 +5,6 @@ repeatedly, and compare Monte Carlo moments with the analytic full
 conditional computed by an independent dense linear-algebra route.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -22,7 +20,7 @@ from pmfusion.geo import CTM, SAT, Location, distance_matrix
 from pmfusion.kernels import ETA_GRID, jittered_cholesky
 from pmfusion.tables import N_COVARIATES, ObservationTable
 import oracles
-from oracles import scipy_chol_factor_solve, scipy_kriging, scipy_tri_solve, scipy_tridiag_mvn, single_chain_fit
+from oracles import scipy_chol_factor_solve, scipy_kriging, scipy_tri_solve, scipy_tridiag_mvn
 
 
 def build_table(rng, n_sites, n_days, *, alpha=0.0, beta=1.0, gamma=None,
@@ -46,6 +44,21 @@ def build_table(rng, n_sites, n_days, *, alpha=0.0, beta=1.0, gamma=None,
     )
 
 
+def with_y(data, y):
+    """data with its monitor values replaced by y."""
+    return ObservationTable(
+        sites=data.sites, site_idx=data.site_idx, day=data.day, y=y,
+        x_ctm=data.x_ctm, x_sat=data.x_sat, z=data.z, n_days=data.n_days,
+    )
+
+
+def copy_state(source, target):
+    """target, its sampler state set to a copy of source's."""
+    for name in ("alpha0", "beta0", "gamma", "v1", "v2", "a", "sigma2_y", "sigma2_a", "sigma2_b", "eta_a", "eta_b"):
+        setattr(target, name, getattr(source, name).copy())
+    return target
+
+
 def fix_state(blocks, rng):
     """Overwrite the state of chain 0 (of a batch of one) with a reproducible
     non-trivial value."""
@@ -61,7 +74,6 @@ def fix_state(blocks, rng):
     blocks.sigma2_b[0] = 0.05
     blocks.eta_a[0] = 0.7
     blocks.eta_b[0] = 0.4
-    blocks.rebuild_residual()
 
 
 def site_effects(blocks):
@@ -70,10 +82,26 @@ def site_effects(blocks):
     return alpha1[0], beta1[0]
 
 
-def resid_no_site(blocks):
-    """y minus everything except the site-level terms and noise (chain 0)."""
-    zg = blocks.zmat[0] @ blocks.gamma[0] if blocks.p_cov else 0.0
-    return blocks.y - blocks.alpha0[0][blocks.day0] - blocks.beta0[0][blocks.day0] * blocks.x - zg
+class Records:
+    """The records a batch of one fitted to all of data reads: its source's
+    usable records, with the covariates standardized by the chain's scaler."""
+
+    def __init__(self, blocks, data):
+        use = data.usable_mask(blocks.source)
+        self.site, self.day0, self.y = data.site_idx[use], data.day[use] - 1, data.y[use]
+        self.x = data.x_for(blocks.source)[use]
+        self.zmat = (data.z[use] - blocks.z_mean[0]) / blocks.z_sd[0]
+        self.data = data
+
+    def resid_no_site(self, blocks):
+        """y minus everything except the site-level terms and noise (chain 0)."""
+        zg = self.zmat @ blocks.gamma[0] if blocks.p_cov else 0.0
+        return self.y - blocks.alpha0[0][self.day0] - blocks.beta0[0][self.day0] * self.x - zg
+
+    def resid(self, blocks):
+        """y minus every fitted term (chain 0)."""
+        alpha1, beta1 = site_effects(blocks)
+        return self.resid_no_site(blocks) - alpha1[self.site] - beta1[self.site] * self.x
 
 
 def tridiag_dense(diag, off):
@@ -102,18 +130,12 @@ class TestConjugateBlocks:
         data = build_table(rng, 6, 8, noise_sd=1.0)
         blocks = _Blocks(data, source, MCMCConfig(n_iter=10, burn_in=5, thin=1, seed=seed))
         fix_state(blocks, rng)
-        return blocks
+        return blocks, Records(blocks, data)
 
     def test_gamma_block_matches_analytic_conditional(self):
-        blocks = self.make_blocks(SAT, seed=1)
-        alpha1, beta1 = site_effects(blocks)
-        r = (
-            blocks.y
-            - blocks.alpha0[0][blocks.day0]
-            - alpha1[blocks.site]
-            - (blocks.beta0[0][blocks.day0] + beta1[blocks.site]) * blocks.x
-        )
-        zmat = blocks.zmat[0]
+        blocks, rec = self.make_blocks(SAT, seed=1)
+        zmat = rec.zmat
+        r = rec.resid(blocks) + zmat @ blocks.gamma[0]
         ztz = zmat.T @ zmat
         mean = np.linalg.solve(ztz, zmat.T @ r)
         cov = blocks.sigma2_y[0] * np.linalg.inv(ztz)
@@ -131,10 +153,9 @@ class TestConjugateBlocks:
         return cov @ (wr / blocks.sigma2_y[0]), cov
 
     def test_alpha0_block_matches_dense_oracle(self):
-        blocks = self.make_blocks(CTM, seed=2)
-        alpha1, beta1 = site_effects(blocks)
-        r = blocks.y - alpha1[blocks.site] - (blocks.beta0[0][blocks.day0] + beta1[blocks.site]) * blocks.x
-        wr = np.bincount(blocks.day0, weights=r, minlength=blocks.T)
+        blocks, rec = self.make_blocks(CTM, seed=2)
+        r = rec.resid(blocks) + blocks.alpha0[0][rec.day0]
+        wr = np.bincount(rec.day0, weights=r, minlength=blocks.T)
         mean, cov = self.daily_series_oracle(
             blocks, blocks.counts_day[0], wr, blocks.eta_a[0], blocks.sigma2_a[0]
         )
@@ -145,10 +166,9 @@ class TestConjugateBlocks:
         check_moments(draws, mean, cov)
 
     def test_beta0_block_matches_dense_oracle(self):
-        blocks = self.make_blocks(CTM, seed=3)
-        alpha1, beta1 = site_effects(blocks)
-        r = blocks.y - blocks.alpha0[0][blocks.day0] - alpha1[blocks.site] - beta1[blocks.site] * blocks.x
-        wr = np.bincount(blocks.day0, weights=blocks.x * r, minlength=blocks.T)
+        blocks, rec = self.make_blocks(CTM, seed=3)
+        r = rec.resid(blocks) + blocks.beta0[0][rec.day0] * rec.x
+        wr = np.bincount(rec.day0, weights=rec.x * r, minlength=blocks.T)
         mean, cov = self.daily_series_oracle(
             blocks, blocks.sum_x2_day[0], wr, blocks.eta_b[0], blocks.sigma2_b[0]
         )
@@ -159,13 +179,13 @@ class TestConjugateBlocks:
         check_moments(draws, mean, cov)
 
     def test_v1_block_matches_dense_oracle(self):
-        blocks = self.make_blocks(CTM, seed=4)
-        e = resid_no_site(blocks)
+        blocks, rec = self.make_blocks(CTM, seed=4)
+        e = rec.resid_no_site(blocks)
         a = blocks.a[0]
-        coef = a[0] + a[1] * blocks.x
-        r = e - a[2] * blocks.v2[0][blocks.site] * blocks.x
-        g = np.bincount(blocks.site, weights=coef * coef, minlength=blocks.S)
-        b = np.bincount(blocks.site, weights=coef * r, minlength=blocks.S) / blocks.sigma2_y[0]
+        coef = a[0] + a[1] * rec.x
+        r = e - a[2] * blocks.v2[0][rec.site] * rec.x
+        g = np.bincount(rec.site, weights=coef * coef, minlength=blocks.S)
+        b = np.bincount(rec.site, weights=coef * r, minlength=blocks.S) / blocks.sigma2_y[0]
         prec = blocks.rinv1[0] + np.diag(g / blocks.sigma2_y[0])
         cov = np.linalg.inv(prec)
         mean = cov @ b
@@ -179,21 +199,23 @@ class TestConjugateBlocks:
         # regenerate y so the residual really carries positive coefficients;
         # the posterior then sits far inside the identified half-space,
         # reflections never fire, and plain Normal moments apply
-        blocks = self.make_blocks(CTM, seed=5)
+        blocks, rec = self.make_blocks(CTM, seed=5)
         rng = np.random.default_rng(55)
         a_true = np.array([1.5, 0.6, 1.2])
-        v1s, v2s = blocks.v1[0][blocks.site], blocks.v2[0][blocks.site]
-        blocks.y = (
-            blocks.alpha0[0][blocks.day0]
-            + blocks.beta0[0][blocks.day0] * blocks.x
+        v1s, v2s = blocks.v1[0][rec.site], blocks.v2[0][rec.site]
+        y = (
+            blocks.alpha0[0][rec.day0]
+            + blocks.beta0[0][rec.day0] * rec.x
             + a_true[0] * v1s
-            + (a_true[1] * v1s + a_true[2] * v2s) * blocks.x
+            + (a_true[1] * v1s + a_true[2] * v2s) * rec.x
             + 0.3 * rng.standard_normal(blocks.n[0])
         )
+        data = with_y(rec.data, y)
+        blocks = copy_state(blocks, _Blocks(data, CTM, blocks.mcmc))
         blocks.sigma2_y[0] = 0.09
-        blocks.rebuild_residual()
-        e = resid_no_site(blocks)
-        f = np.column_stack([v1s, v1s * blocks.x, v2s * blocks.x])
+        rec = Records(blocks, data)
+        e = rec.resid_no_site(blocks)
+        f = np.column_stack([v1s, v1s * rec.x, v2s * rec.x])
         prec = f.T @ f / blocks.sigma2_y[0] + np.eye(3) / 1.0e3
         cov = np.linalg.inv(prec)
         mean = cov @ (f.T @ e / blocks.sigma2_y[0])
@@ -203,20 +225,13 @@ class TestConjugateBlocks:
         draws = np.empty((self.N_DRAWS, 3))
         for k in range(self.N_DRAWS):
             blocks.v1, blocks.v2 = v1_fix.copy(), v2_fix.copy()
-            blocks.rebuild_residual()
             blocks.draw_a()
             draws[k] = blocks.a[0]
         check_moments(draws, mean, cov)
 
     def test_noise_variance_block_matches_inverse_gamma(self):
-        blocks = self.make_blocks(CTM, seed=6)
-        alpha1, beta1 = site_effects(blocks)
-        resid = (
-            blocks.y
-            - blocks.alpha0[0][blocks.day0]
-            - alpha1[blocks.site]
-            - (blocks.beta0[0][blocks.day0] + beta1[blocks.site]) * blocks.x
-        )
+        blocks, rec = self.make_blocks(CTM, seed=6)
+        resid = rec.resid(blocks)
         shape = blocks.mcmc.ig_a + 0.5 * blocks.n[0]
         rate = blocks.mcmc.ig_b + 0.5 * float(resid @ resid)
         mean = rate / (shape - 1.0)
@@ -228,7 +243,7 @@ class TestConjugateBlocks:
         assert abs(draws.var(ddof=1) - sd**2) < 4.0 * sd**2 * np.sqrt(2.0 / self.N_DRAWS)
 
     def test_car_variance_block_matches_inverse_gamma(self):
-        blocks = self.make_blocks(CTM, seed=7)
+        blocks, _ = self.make_blocks(CTM, seed=7)
         series = blocks.alpha0[0]
         eta = 0.65
         qd = float(np.dot(blocks.n_t * series, series))
@@ -243,7 +258,7 @@ class TestConjugateBlocks:
         assert abs(draws.mean() - mean) < 3.0 * sd / np.sqrt(self.N_DRAWS)
 
     def test_temporal_dependence_block_matches_grid_posterior(self):
-        blocks = self.make_blocks(CTM, seed=8)
+        blocks, _ = self.make_blocks(CTM, seed=8)
         series = blocks.alpha0[0]
         s2 = 0.7
         qw = 2.0 * float(np.dot(series[:-1], series[1:]))
@@ -258,56 +273,117 @@ class TestConjugateBlocks:
         assert abs(draws.var(ddof=1) - var) < 4.0 * var * np.sqrt(2.0 / m)
 
 
-def fresh_residual(blocks):
-    """y minus every fitted term, rebuilt from the state (chain 0)."""
-    alpha1, beta1 = site_effects(blocks)
-    zg = blocks.zmat[0] @ blocks.gamma[0] if blocks.p_cov else 0.0
-    return (
-        blocks.y - blocks.alpha0[0][blocks.day0] - alpha1[blocks.site]
-        - (blocks.beta0[0][blocks.day0] + beta1[blocks.site]) * blocks.x - zg
-    )
+def oracle_in_state(blocks, f, data, train):
+    """The record-layout sampler of oracles.py on data.subset(train), in the
+    state of chain f of blocks."""
+    one = oracles.SingleChainBlocks(data.subset(train), blocks.source, blocks.mcmc)
+    for name in ("alpha0", "beta0", "gamma", "v1", "v2", "a"):
+        setattr(one, name, getattr(blocks, name)[f].copy())
+    one.rebuild_residual()
+    return one
 
 
-class TestRunningResidual:
-    """The sweep keeps the residual and its per-site sums by increments."""
+class TestGridStatistics:
+    """The statistics the blocks read, built on the (day x site) grid, equal
+    the record-layout sums of oracles.SingleChainBlocks in the same state."""
 
-    N_SWEEPS = 520
+    # the largest error allowed, as a share of the largest value of its statistic
+    RTOL = 1e-12
+    GAMMA = [0.5, -0.3, 0.0, 0.2, 0.1, -0.1]
 
-    def make_blocks(self, source, seed):
-        rng = np.random.default_rng(seed)
-        data = build_table(rng, 9, 20, alpha=3.0, beta=1.2,
-                           gamma=[0.5, -0.3, 0.0, 0.2, 0.1, -0.1], noise_sd=1.0)
-        return _Blocks(data, source, MCMCConfig(n_iter=10, burn_in=5, thin=1, seed=seed))
+    def batch(self, kind, source, rng, *, alpha=3.0):
+        from pmfusion.crossval import make_folds
 
-    def assert_tracks(self, blocks):
-        fresh = fresh_residual(blocks)
-        assert np.max(np.abs(blocks.resid - fresh)) <= 1e-9
-        sr, sxr = (t[0] for t in blocks._site_sums())
-        assert_allclose(sr, np.bincount(blocks.site, weights=fresh, minlength=blocks.S), rtol=0, atol=1e-9)
-        assert_allclose(sxr, np.bincount(blocks.site, weights=blocks.x * fresh, minlength=blocks.S),
-                        rtol=0, atol=1e-8)
+        data = with_missing_sat(build_table(rng, 7, 12, alpha=alpha, beta=1.2, gamma=self.GAMMA), rng)
+        plan = make_folds(data, kind, k=4, seed=2).fold_of_record
+        folds = np.unique(plan)
+        trains = [plan != fold for fold in folds]
+        chains = [downscaler._training_set(data, source, t, s) for t, s in zip(trains, fold_seeds(folds.size))]
+        return data, trains, _Blocks(data, source, MCMCConfig(n_iter=10, burn_in=5, thin=1), chains)
+
+    def statistics(self, blocks):
+        terms = blocks._terms()
+        (rd, xrd, _), (rs, xrs, _) = blocks._grid_sums(0, terms), blocks._grid_sums(1, terms)
+        stats = {"day r": rd, "day x r": xrd, "site r": rs, "site x r": xrs, "r'r": blocks._ssr(),
+                 "day counts": blocks.counts_day, "day x^2": blocks.sum_x2_day}
+        stats.update(zip(("site counts", "site x", "site x^2"), blocks.site_gram))
+        if blocks.p_cov:
+            stats["Z'r"] = blocks._z_sums(terms, rd.sum(axis=1))
+        return stats
+
+    def oracle_statistics(self, one):
+        r = one.resid
+        sr, sxr = one._site_sums()
+        stats = {"day r": np.bincount(one.day0, r, one.T), "day x r": np.bincount(one.day0, one.x * r, one.T),
+                 "site r": sr, "site x r": sxr, "r'r": r @ r,
+                 "day counts": one.counts_day, "day x^2": one.sum_x2_day}
+        stats.update(zip(("site counts", "site x", "site x^2"), one.site_gram))
+        if one.p_cov:
+            stats["Z'r"] = one.zmat.T @ r
+        return stats
+
+    def assert_match(self, blocks, data, trains):
+        got = self.statistics(blocks)
+        for f, train in enumerate(trains):
+            want = self.oracle_statistics(oracle_in_state(blocks, f, data, train))
+            assert want.keys() == got.keys()
+            for name, w in want.items():
+                assert_allclose(got[name][f], w, rtol=0, atol=self.RTOL * np.max(np.abs(w)), err_msg=name)
+
+    @pytest.mark.parametrize("kind", ["kfold", "spatial"])
+    @pytest.mark.parametrize("source", [CTM, SAT])
+    def test_statistics_equal_the_record_layout_sums(self, kind, source):
+        rng = np.random.default_rng(81)
+        data, trains, blocks = self.batch(kind, source, rng)
+        blocks.alpha0 = rng.normal(2.0, 0.5, blocks.alpha0.shape)
+        blocks.beta0 = rng.normal(1.0, 0.2, blocks.beta0.shape)
+        blocks.v1 = rng.normal(0.0, 1.0, blocks.v1.shape)
+        blocks.v2 = rng.normal(0.0, 1.0, blocks.v2.shape)
+        blocks.a = np.tile([1.3, 0.4, 0.9], (blocks.F, 1))
+        blocks.gamma = rng.normal(0.0, 0.5, blocks.gamma.shape)
+        self.assert_match(blocks, data, trains)
 
     @pytest.mark.parametrize("source", [CTM, SAT])
-    def test_running_residual_equals_a_fresh_rebuild(self, source):
-        blocks = self.make_blocks(source, seed=61)
-        assert self.N_SWEEPS > 4 * downscaler._REFRESH_EVERY
-        refreshed = 0
-        for _ in range(self.N_SWEEPS):
+    def test_statistics_hold_along_a_chain(self, source):
+        data, trains, blocks = self.batch("spatial", source, np.random.default_rng(82))
+        for sweep in range(60):
             blocks.sweep()
-            self.assert_tracks(blocks)
-            if blocks.n_sweeps % downscaler._REFRESH_EVERY == 0:
-                # the refresh recomputes the residual, so it matches to the bit
-                assert np.array_equal(blocks.resid, fresh_residual(blocks))
-                refreshed += 1
-        assert refreshed == 4
+            if sweep % 20 == 19:
+                self.assert_match(blocks, data, trains)
 
     @pytest.mark.parametrize("source", [CTM, SAT])
-    def test_increments_alone_drift_below_1e9(self, source, monkeypatch):
-        monkeypatch.setattr(downscaler, "_REFRESH_EVERY", 10**9)
-        blocks = self.make_blocks(source, seed=62)
-        for _ in range(self.N_SWEEPS):
+    def test_sum_of_squares_loses_at_most_eps_y2_over_r2(self, source):
+        """r'r, expanded from y'y, against the direct per-record sum on a scene
+        whose monitor values sit 1e4 above a unit-variance residual."""
+        data, trains, blocks = self.batch("kfold", source, np.random.default_rng(83), alpha=1e4)
+        blocks.alpha0[:] = 1e4
+        blocks.beta0[:] = 1.2
+        blocks.gamma = np.asarray(self.GAMMA)[: blocks.p_cov] * blocks.z_sd[:, : blocks.p_cov]
+        ssr = blocks._ssr()
+        for f, train in enumerate(trains):
+            one = oracle_in_state(blocks, f, data, train)
+            direct, yy = one.resid @ one.resid, one.y @ one.y
+            assert yy / direct > 1e7
+            assert abs(ssr[f] - direct) <= 8.0 * np.finfo(float).eps * yy
+
+    @pytest.mark.parametrize("kind", ["kfold", "spatial"])
+    def test_no_array_grows_with_chains_times_records(self, kind):
+        from pmfusion.crossval import make_folds
+
+        rng = np.random.default_rng(84)
+        data = with_missing_sat(build_table(rng, 12, 40), rng)
+        plan = make_folds(data, kind, k=10, seed=3).fold_of_record
+        for source in (CTM, SAT):
+            chains = [downscaler._training_set(data, source, plan != f, 0) for f in np.unique(plan)]
+            blocks = _Blocks(data, source, MCMCConfig(n_iter=10, burn_in=5, thin=1), chains)
             blocks.sweep()
-        self.assert_tracks(blocks)
+            n = int(data.usable_mask(source).sum())
+            limit = min(blocks.F * n, blocks.F * blocks.T * blocks.S)
+            arrays = [v for v in vars(blocks).values() if isinstance(v, np.ndarray)]
+            arrays += [a for v in vars(blocks).values() if isinstance(v, (list, tuple))
+                       for a in v if isinstance(a, np.ndarray)]
+            assert blocks.F >= 10 and len(arrays) > 30
+            assert max(a.size for a in arrays) < limit
 
 
 class TestTemporalDependenceSampler:
@@ -345,7 +421,6 @@ class TestSignConstraints:
         v1_fix, v2_fix = blocks.v1.copy(), blocks.v2.copy()
         for _ in range(2_000):
             blocks.v1, blocks.v2 = v1_fix.copy(), v2_fix.copy()
-            blocks.rebuild_residual()
             blocks.draw_a()
             a = blocks.a[0]
             assert a[0] >= 0.0
@@ -374,7 +449,6 @@ class TestSignConstraints:
         signs = np.array([-1.0, -1.0, 1.0])
         two.v1 = -two.v1
         two.a = two.a * signs
-        two.rebuild_residual()
         one.rngs[0] = np.random.default_rng(777)
         two.rngs[0] = FlippedNormals(777, signs)
         one.draw_a()
@@ -504,11 +578,14 @@ class TestLapackSolvesInTheSampler:
         mcmc = MCMCConfig(n_iter=80, burn_in=40, thin=2, seed=11)
         fit = fit_downscaler(data, source, mcmc)
         assert fit.acceptance["theta1"] > 0 and fit.acceptance["theta2"] > 0
-        # the single-chain sampler, every solve made through scipy.linalg
-        monkeypatch.setattr(oracles, "tri_solve", scipy_tri_solve)
-        monkeypatch.setattr(oracles, "chol_factor_solve", scipy_chol_factor_solve)
-        monkeypatch.setattr(oracles, "sample_tridiag_mvn", scipy_tridiag_mvn)
-        ref = single_chain_fit(data, source, mcmc)
+        # the same sampler, every solve made chain by chain through scipy.linalg
+        monkeypatch.setattr(downscaler, "tri_solve_stack", lambda l, b, trans=0: np.array(
+            [scipy_tri_solve(lf, bf, trans) for lf, bf in zip(l, b)]))
+        monkeypatch.setattr(downscaler, "chol_factor_solve_stack", lambda l, b: np.array(
+            [scipy_chol_factor_solve(lf, bf) for lf, bf in zip(l, b)]))
+        monkeypatch.setattr(downscaler, "sample_tridiag_mvn_stack", lambda d, off, b, rngs: np.array(
+            [scipy_tridiag_mvn(*args) for args in zip(d, off, b, rngs)]))
+        ref = fit_downscaler(data, source, mcmc)
         for name in ("gamma", "alpha0", "beta0", "a_coreg", "v1", "v2", "sigma2_y",
                      "sigma2_alpha0", "sigma2_beta0", "eta_alpha0", "eta_beta0",
                      "theta1", "theta2"):
@@ -783,8 +860,23 @@ def fold_seeds(n_folds, seed=0):
     return [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(seed).spawn(n_folds)]
 
 
+def solo(data, source, mcmc, chain):
+    """One chain run as a batch of one."""
+    return _Blocks(data, source, mcmc, [chain])
+
+
+def cv_predict_fold_by_fold(data, plan, source, mcmc):
+    """cv_predict with every fold's chain run as a batch of one."""
+    blocks_cls, run = downscaler._Blocks, downscaler._run_chains
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(downscaler, "_Blocks", lambda *args: args)
+        mp.setattr(downscaler, "_run_chains", lambda args: [run(solo(*args[:3], c))[0] for c in args[3]])
+        return cv_predict(data, plan, source, mcmc)
+
+
 class TestFoldBatch:
-    """F folds advanced as one lockstep batch equal their single-chain fits bit for bit."""
+    """F folds advanced as one lockstep batch equal their single-chain fits,
+    each a batch of one, bit for bit."""
 
     MCMC = MCMCConfig(n_iter=120, burn_in=60, thin=2, seed=0)
 
@@ -801,8 +893,8 @@ class TestFoldBatch:
         chains = [downscaler._training_set(data, source, plan != f, s) for f, s in zip(folds, seeds)]
         fits = downscaler._run_chains(_Blocks(data, source, self.MCMC, chains))
         assert len(fits) == folds.size > 1
-        for fold, seed, fit in zip(folds, seeds, fits):
-            want = single_chain_fit(data.subset(plan != fold), source, replace(self.MCMC, seed=seed))
+        for chain, fit in zip(chains, fits):
+            want = downscaler._run_chains(solo(data, source, self.MCMC, chain))[0]
             assert [l.site_id for l in fit.sites] == [l.site_id for l in want.sites]
             for name in FIT_ARRAYS:
                 assert np.array_equal(getattr(fit, name), getattr(want, name)), name
@@ -816,12 +908,11 @@ class TestFoldBatch:
         seeds = fold_seeds(3, seed=5)
         chains = [downscaler._training_set(data, CTM, plan != f, s) for f, s in enumerate(seeds)]
         blocks = _Blocks(data, CTM, mcmc, chains)
-        singles = [oracles.SingleChainBlocks(data.subset(plan != f), CTM, replace(mcmc, seed=s))
-                   for f, s in enumerate(seeds)]
+        singles = [solo(data, CTM, mcmc, chain) for chain in chains]
         # steps of 40 on log theta put about 4 proposals in 10 below the floor
         blocks.chain = Chain(mcmc, theta1=np.full(3, 40.0), theta2=np.full(3, 40.0))
         for one in singles:
-            one.chain = Chain(mcmc, theta1=40.0, theta2=40.0)
+            one.chain = Chain(mcmc, theta1=np.full(1, 40.0), theta2=np.full(1, 40.0))
         live = []
         factor = blocks._range_chol
         blocks._range_chol = lambda theta, chains: live.append(theta.size) or factor(theta, chains)
@@ -829,12 +920,12 @@ class TestFoldBatch:
             blocks.sweep()
             for f, one in enumerate(singles):
                 one.sweep()
-                assert blocks.rngs[f].bit_generator.state == one.rng.bit_generator.state
-                assert (blocks.theta1[f], blocks.theta2[f]) == (one.theta1, one.theta2)
-                assert np.array_equal(blocks.v1[f], one.v1) and np.array_equal(blocks.v2[f], one.v2)
+                assert blocks.rngs[f].bit_generator.state == one.rngs[0].bit_generator.state
+                assert (blocks.theta1[f], blocks.theta2[f]) == (one.theta1[0], one.theta2[0])
+                assert np.array_equal(blocks.v1[f], one.v1[0]) and np.array_equal(blocks.v2[f], one.v2[0])
         assert sum(live) < 2 * 30 * 3
         for f, one in enumerate(singles):
-            assert blocks.chain.step("theta1")[f] == one.chain.step("theta1")
+            assert blocks.chain.step("theta1")[f] == one.chain.step("theta1")[0]
 
     def test_a_stack_with_one_jittered_factor(self, monkeypatch):
         from pmfusion.crossval import make_folds
@@ -866,8 +957,8 @@ class TestFoldBatch:
         assert any(jitter) and not all(jitter)
         monkeypatch.undo()
         got = cv_predict(data, plan, CTM, mcmc)
-        want_mu, want_var = oracles.single_chain_cv_predict(data, plan, CTM, mcmc)
-        assert np.array_equal(got.mu, want_mu) and np.array_equal(got.var, want_var)
+        want = cv_predict_fold_by_fold(data, plan, CTM, mcmc)
+        assert np.array_equal(got.mu, want.mu) and np.array_equal(got.var, want.var)
 
     @pytest.mark.parametrize("source", [CTM, SAT])
     def test_a_fold_short_of_one_site_forms_its_own_batch(self, source, monkeypatch):
@@ -885,6 +976,7 @@ class TestFoldBatch:
         got = cv_predict(data, plan, source, mcmc)
         assert sorted(len(b) for b in batches) == [1, 3]
         assert {b[0].sites.size for b in batches} == {5, 6}
-        want_mu, want_var = oracles.single_chain_cv_predict(data, plan, source, mcmc)
-        assert np.array_equal(got.mu, want_mu, equal_nan=True)
-        assert np.array_equal(got.var, want_var, equal_nan=True)
+        monkeypatch.undo()
+        want = cv_predict_fold_by_fold(data, plan, source, mcmc)
+        assert np.array_equal(got.mu, want.mu, equal_nan=True)
+        assert np.array_equal(got.var, want.var, equal_nan=True)

@@ -18,6 +18,7 @@ from pmfusion.pipeline import (
     JOINT,
     TWO_STAGE,
     PipelineConfig,
+    _load_inputs,
     _nearest_site_rows,
     load_pipeline_config,
     run_pipeline,
@@ -543,6 +544,41 @@ class TestCliInProcess:
         manifest = pio.load_json(tmp_path / "runs" / f"run_{cfg.digest()}" / "manifest.json")
         assert manifest["status"] == "failed"
         assert "stage1-cv-downscalers" not in manifest["timings_s"]
+
+    def test_run_all_refuses_a_target_grid_outside_the_ctm_grid_at_config_load(self, scene, tmp_path, capsys):
+        truth, paths, _ = scene
+        d = make_config(truth, paths, tmp_path / "runs").to_dict()
+        d["target_grid"].update(origin_x=500.0, origin_y=500.0)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(d))
+        code, err = run_main(capsys, "run-all", "--config", cfg_path)
+        assert code == 2
+        assert err == [f"error: {cfg_path}: target_grid has no cell inside ctm_grid"]
+        assert not (tmp_path / "runs").exists()
+
+    def test_run_all_refuses_a_surface_day_the_ctm_grid_lacks_at_load(self, scene, tmp_path, capsys):
+        truth, _, _ = scene
+        # full grids on days 3 and 7 only; on day 5 the grids hold the monitors' cells alone
+        paths = pio.export_scene(truth, tmp_path / "scene", grid_days=[3, 7])
+        cfg = make_config(truth, paths, tmp_path / "runs", surface_days=(3, 5))
+        _, present = pio.load_grid(paths["grid_ctm"], cfg.ctm_grid, cfg.n_days)
+        cells = cfg.ctm_grid.cells_of(cfg.target_grid.all_centers())
+        assert (cells >= 0).all()
+        missing = int((~present[4, cells[:, 0], cells[:, 1]]).sum())
+        assert 0 < missing < len(cells)
+        cfg_path = save_pipeline_config(tmp_path / "config.json", cfg)
+        code, err = run_main(capsys, "run-all", "--config", cfg_path)
+        assert code == 2
+        assert err == [
+            f"error: stage 'load' failed: {paths['grid_ctm']}: surface day 5 has no CTM value at "
+            f"{missing} of the {len(cells)} target cells inside the CTM grid"
+        ]
+        manifest = pio.load_json(tmp_path / "runs" / f"run_{cfg.digest()}" / "manifest.json")
+        assert manifest["status"] == "failed"
+        assert "stage1-cv-downscalers" not in manifest["timings_s"]
+        # the grid days load, satellite gaps and all
+        _, _, sat = _load_inputs(replace(cfg, surface_days=(3, 7)))
+        assert not sat[1][2].all()
 
     @pytest.mark.parametrize(
         "command,bad",
