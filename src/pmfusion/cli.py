@@ -214,7 +214,7 @@ def _cmd_predict(args) -> int:
 def _cmd_cv(args) -> int:
     data = _load_table(args, require_sat=False)
     seeds = np.random.SeedSequence(args.seed).spawn(2)
-    table = cv_component_table(
+    table, _ = cv_component_table(
         data, args.derivation, args.folds, _mcmc_from(args), args.seed, seeds
     )
     meta = {"seed": args.seed, "config": pio.config_hash({"cmd": "cv", "derivation": args.derivation, "folds": args.folds, "seed": args.seed})}

@@ -23,7 +23,7 @@ update for each eta, and adaptive random-walk Metropolis on log theta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -709,15 +709,19 @@ def cv_predict(
     fold_of_record: np.ndarray,
     source: str,
     mcmc: MCMCConfig,
-) -> SourcePredictions:
+    *,
+    full_seed: int | None = None,
+) -> SourcePredictions | tuple[SourcePredictions, DownscalerFit]:
     """Out-of-sample predictive for every record via fold-held-out refits.
 
     fold_of_record assigns each record of `data` to a fold; for each fold
     the model is refit on the complement and the fold's records predicted.
     Fold fits use independent child seeds of mcmc.seed, so the result is
-    deterministic and independent of fold ordering. The folds whose training
-    sets have the same site count (in practice all of them) run as one
-    lockstep batch of chains, each equal to the fold's own fit.
+    deterministic and independent of fold ordering. Chains whose training
+    sets have the same site count run as one lockstep batch, each equal to
+    its own fit. Given full_seed, a chain on every record (fit_downscaler's
+    with that seed) runs after the folds' and (predictions, its fit) is
+    returned.
     """
     fold_of_record = np.asarray(fold_of_record, dtype=np.int64)
     if fold_of_record.shape[0] != data.n_records:
@@ -732,10 +736,17 @@ def cv_predict(
     seeds = [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(mcmc.seed).spawn(2 * folds.size)]
     # every fold's training set is checked in fold order before any chain runs
     chains = [_training_set(data, source, fold_of_record != fold, seeds[2 * k]) for k, fold in enumerate(folds)]
+    if full_seed is not None:
+        chains.append(_training_set(data, source, None, full_seed))
+    full = None
     for n_sites in dict.fromkeys(c.sites.size for c in chains):
         batch = [k for k, c in enumerate(chains) if c.sites.size == n_sites]
         fits = _run_chains(_Blocks(data, source, mcmc, [chains[k] for k in batch]))
         for k, fit in zip(batch, fits):
+            if k == folds.size:
+                # copied out, so that the fit kept does not hold the batch's draws
+                full = replace(fit, **{name: getattr(fit, name).copy() for name in _RECORDED})
+                continue
             held_idx = np.flatnonzero((fold_of_record == folds[k]) & avail)
             if held_idx.size == 0:
                 continue
@@ -751,4 +762,5 @@ def cv_predict(
             )
             mu[held_idx] = pred.mu
             var[held_idx] = pred.var
-    return SourcePredictions(ids=ids, day=data.day.copy(), mu=mu, var=var, available=avail)
+    pred = SourcePredictions(ids=ids, day=data.day.copy(), mu=mu, var=var, available=avail)
+    return pred if full is None else (pred, full)

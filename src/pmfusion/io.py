@@ -222,7 +222,7 @@ def _format(kind: str, values) -> list[str]:
     if kind == "s":
         return [_quote(str(v)) for v in values]
     if kind == "i":
-        return [str(int(v)) for v in values]
+        return list(map(str, np.asarray(values).astype(np.int64).tolist()))
     # repr round-trips every float; NaN or None is an empty field
     return ["" if v != v else repr(v) for v in np.asarray(values, dtype=float).tolist()]
 

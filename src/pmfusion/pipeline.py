@@ -1,10 +1,11 @@
 """Three-stage orchestration from input CSVs to surface artifacts.
 
-Stage 1 fits each source's downscaler under cross-validation and assembles
-the out-of-sample component predictives. Stage 2 fits the ensemble weight
-field to those held-out predictives. Stage 3 refits both downscalers on all
-observations, kriges the weight field to the target grid, and combines
-everything into a predictive surface.
+Stage 1 fits each source's downscaler under cross-validation, assembling
+the out-of-sample component predictives, and on all its observations, the
+full-data chain running in the folds' batch where the site counts match.
+Stage 2 fits the ensemble weight field to the held-out predictives. Stage 3
+predicts from the full-data fits (no refit), kriges the weight field to the
+target grid, and combines everything into a predictive surface.
 
 Outputs land in <out_dir>/run_<confighash>/ so distinct configurations never
 collide; an existing run directory is refused unless overwrite is set. Every
@@ -26,7 +27,7 @@ import numpy as np
 from . import io as pio
 from .config import MCMCConfig
 from .crossval import KFOLD, SPATIAL, EvalReport, evaluate, make_folds
-from .downscaler import SourcePredictions, cv_predict, fit_downscaler, predict_at, predict_batches
+from .downscaler import SourcePredictions, cv_predict, predict_at, predict_batches
 from .ensemble import (
     WeightFieldSamples,
     fit_joint,
@@ -253,9 +254,12 @@ def cv_component_table(
     mcmc: MCMCConfig,
     fold_seed: int,
     seeds,
-) -> PredictiveTable:
-    """Held-out component predictives for both sources over one record table."""
-    per_source = {}
+    full_seeds=None,
+) -> tuple[PredictiveTable, dict]:
+    """Held-out component predictives for both sources over one record table,
+    and by source the fit on all its records seeded from full_seeds (None
+    without full_seeds, or for a source with no usable record)."""
+    per_source, fits = {}, {CTM: None, SAT: None}
     for k, source in enumerate((CTM, SAT)):
         if source == SAT and not data.usable_mask(SAT).any():
             per_source[source] = None
@@ -263,33 +267,21 @@ def cv_component_table(
         view, rows = _source_view(data, source)
         plan = make_folds(view, derivation, n_folds, seed=fold_seed)
         source_mcmc = replace(mcmc, seed=int(seeds[k].generate_state(1)[0]))
-        pred = cv_predict(view, plan.fold_of_record, source, source_mcmc)
+        full_seed = None if full_seeds is None else int(full_seeds[k].generate_state(1)[0])
+        out = cv_predict(view, plan.fold_of_record, source, source_mcmc, full_seed=full_seed)
+        pred, fits[source] = (out, None) if full_seed is None else out
         per_source[source] = _embed(pred, rows, data.n_records, data)
-    return combine_predictions(data, per_source[CTM], per_source[SAT])
+    return combine_predictions(data, per_source[CTM], per_source[SAT]), fits
 
 
-def _stage1(cfg: PipelineConfig, data: ObservationTable, seeds) -> PredictiveTable:
-    return cv_component_table(
-        data, cfg.derivation, cfg.n_folds, cfg.downscaler_mcmc, cfg.seed, seeds
-    )
+def _stage1(cfg: PipelineConfig, data: ObservationTable, seeds, full_seeds) -> tuple[PredictiveTable, dict]:
+    return cv_component_table(data, cfg.derivation, cfg.n_folds, cfg.downscaler_mcmc, cfg.seed, seeds, full_seeds)
 
 
 def _stage2(cfg: PipelineConfig, data, cv_inputs: PredictiveTable, seeds) -> WeightFieldSamples:
     mcmc = replace(cfg.ensemble_mcmc, seed=int(seeds[0].generate_state(1)[0]))
     fitter = fit_joint if cfg.variant == JOINT else fit_two_stage
     return fitter(data.y, cv_inputs, data.sites, mcmc)
-
-
-def _stage3_fits(cfg: PipelineConfig, data, seeds):
-    fits = {}
-    for k, source in enumerate((CTM, SAT)):
-        if source == SAT and not data.usable_mask(SAT).any():
-            fits[source] = None
-            continue
-        view, _ = _source_view(data, source)
-        mcmc = replace(cfg.downscaler_mcmc, seed=int(seeds[k].generate_state(1)[0]))
-        fits[source] = fit_downscaler(view, source, mcmc)
-    return fits
 
 
 def _full_predictive(data, fits, seeds) -> PredictiveTable:
@@ -448,9 +440,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     }
     pio.save_json(run_dir / "manifest.json", manifest)
     save_pipeline_config(run_dir / "config.json", cfg)
-    # children by index: 0-1 stage-1 CTM/SAT, 2 stage 2, 3-4 full fits, 5-6
-    # unused, 7-8 full predictive, 9 kriging, 10-11 surface CTM/SAT; fixed,
-    # because renumbering would change every artifact
+    # children by index: 0-1 stage-1 CTM/SAT folds, 2 stage 2, 3-4 stage-1
+    # CTM/SAT full-data chains, 5-6 unused, 7-8 full predictive, 9 kriging,
+    # 10-11 surface CTM/SAT; fixed, because renumbering would change every artifact
     seeds = np.random.SeedSequence(cfg.seed).spawn(12)
     paths = {}
     reports = []
@@ -477,7 +469,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     data, ctm, sat = run_stage("load", lambda: _load_inputs(cfg))
 
-    cv_inputs = run_stage("stage1-cv-downscalers", lambda: _stage1(cfg, data, seeds[0:2]))
+    cv_inputs, fits = run_stage("stage1-cv-downscalers", lambda: _stage1(cfg, data, seeds[0:2], seeds[3:5]))
     paths["cv_predictive"] = pio.emit_predictive(run_dir / "cv_predictive.csv", cv_inputs, meta)
     checkpoint()
 
@@ -489,13 +481,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     )
     checkpoint()
 
-    fits = run_stage("stage3-full-fits", lambda: _stage3_fits(cfg, data, seeds[3:5]))
-    full_inputs = run_stage(
-        "stage3-full-predictive", lambda: _full_predictive(data, fits, seeds[7:9])
-    )
-    paths["full_predictive"] = pio.emit_predictive(
-        run_dir / "full_predictive.csv", full_inputs, meta
-    )
+    full_inputs = run_stage("stage3-full-predictive", lambda: _full_predictive(data, fits, seeds[7:9]))
+    paths["full_predictive"] = pio.emit_predictive(run_dir / "full_predictive.csv", full_inputs, meta)
     checkpoint()
 
     if cfg.target_grid is not None:

@@ -191,7 +191,10 @@ def test_tracer_sees_every_sampler_step(pmfusion_env):
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
     n = out["n"]
-    assert not [m for m in out["missing"] if m.startswith("pmfusion.")]
+    # every program target resolves but pipeline._stage3_fits, which perfbench's
+    # TARGETS still lists: each source's full-data fit now runs inside its
+    # Stage-1 batch, so there is no such stage left to time
+    assert [m for m in out["missing"] if m.startswith("pmfusion.")] == ["pmfusion.pipeline._stage3_fits"]
     assert out["sweeps"] == n
     assert out["joint_q"] == n and out["two_stage_q"] == 0
     assert out["joint_rho"] == n and out["two_stage_rho"] == n

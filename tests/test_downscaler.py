@@ -980,3 +980,33 @@ class TestFoldBatch:
         want = cv_predict_fold_by_fold(data, plan, source, mcmc)
         assert np.array_equal(got.mu, want.mu, equal_nan=True)
         assert np.array_equal(got.var, want.var, equal_nan=True)
+
+
+    @pytest.mark.parametrize("kind", ["kfold", "spatial"])
+    @pytest.mark.parametrize("source", [CTM, SAT])
+    def test_the_full_data_chain_equals_fit_downscaler(self, kind, source, monkeypatch):
+        """Under kfold it is the last chain of the fold batch; when each fold
+        holds out a site it has one site more than the folds and runs alone."""
+        from pmfusion.crossval import make_folds
+
+        rng = np.random.default_rng(75)
+        data = with_missing_sat(build_table(rng, 6, 10, gamma=[0.3, -0.2, 0.0, 0.1, 0.2, 0.0]), rng)
+        plan = make_folds(data, kind, k=3, seed=4).fold_of_record
+        n_folds = np.unique(plan).size
+        batches = []
+        blocks_cls = downscaler._Blocks
+        monkeypatch.setattr(downscaler, "_Blocks", lambda *a: batches.append(a[3]) or blocks_cls(*a))
+        pred, got = cv_predict(data, plan, source, self.MCMC, full_seed=17)
+        assert [len(b) for b in batches] == ([n_folds + 1] if kind == "kfold" else [n_folds, 1])
+        assert batches[-1][-1].held.size == 0 and batches[-1][-1].seed == 17
+        monkeypatch.undo()
+        want = fit_downscaler(data, source, MCMCConfig(n_iter=120, burn_in=60, thin=2, seed=17))
+        assert [l.site_id for l in got.sites] == [l.site_id for l in want.sites]
+        for name in FIT_ARRAYS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        # the draws are not views that would keep the whole batch's draws alive
+        assert all(getattr(got, name).base is None for name in downscaler._RECORDED)
+        assert got.acceptance == want.acceptance  # the adapted steps included
+        folds_alone = cv_predict(data, plan, source, self.MCMC)
+        assert np.array_equal(pred.mu, folds_alone.mu, equal_nan=True)
+        assert np.array_equal(pred.var, folds_alone.var, equal_nan=True)

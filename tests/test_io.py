@@ -694,6 +694,21 @@ class TestWriterMatchesCsvModule:
         path = write_csv(tmp_path / "f.csv", fmt, columns, META)
         assert path.read_bytes() == csv_writer_bytes(fmt, columns, META)
 
+    @pytest.mark.parametrize("kind", ["i", "f", "m", "p"])
+    def test_columns_format_as_cell_by_cell(self, kind):
+        """Whole-column formatting gives the bytes of str(int(v)) and repr(v) per cell."""
+        rng = np.random.default_rng(13)
+        if kind == "i":
+            cases = [rng.integers(-2**62, 2**62, 500), rng.integers(-5, 400, 500).tolist(),
+                     np.array([0.0, 3.0, -7.0, 2.0**52]), [True, False, 5, -0]]
+            want = [[str(int(v)) for v in c] for c in cases]
+        else:
+            special = [np.nan, -0.0, 0.0, 5e-324, 2.2e-308, 1e300, -1e-300, 1e-300, -1e300, np.inf, None]
+            cases = [rng.normal(0.0, 10.0 ** rng.integers(-300, 300, 500)), special, [1, -2, 3], []]
+            want = [["" if v != v else repr(v) for v in np.asarray(c, dtype=float).tolist()] for c in cases]
+        for case, cells in zip(cases, want):
+            assert pio._format(kind, case) == cells
+
     def test_quoted_ids_read_back(self, tmp_path):
         ids = [*self.IDS, "cr\rid"]
         locs = [Location(sid, float(i), 2.0) for i, sid in enumerate(ids)]

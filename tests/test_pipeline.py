@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pmfusion import cli
+from pmfusion import cli, pipeline
 from pmfusion import io as pio
 from pmfusion.config import MCMCConfig
+from pmfusion.downscaler import fit_downscaler
 from pmfusion.errors import OverwriteError, StageError
 from pmfusion.geo import CTM, SAT, GridSpec, Location
 from pmfusion.pipeline import (
@@ -20,6 +21,7 @@ from pmfusion.pipeline import (
     PipelineConfig,
     _load_inputs,
     _nearest_site_rows,
+    cv_component_table,
     load_pipeline_config,
     run_pipeline,
     save_pipeline_config,
@@ -91,7 +93,8 @@ class TestRunPipeline:
         assert manifest["status"] == "complete"
         assert manifest["stage"] == "done"
         assert set(manifest["artifacts"]) == set(result.paths)
-        assert "stage2-ensemble" in manifest["timings_s"]
+        assert {"stage1-cv-downscalers", "stage2-ensemble"} <= set(manifest["timings_s"])
+        assert "stage3-full-fits" not in manifest["timings_s"]  # the full fits run in stage 1
         cfg_back = load_pipeline_config(result.run_dir / "config.json")
         assert cfg_back.digest() == result.config.digest()
 
@@ -155,6 +158,30 @@ class TestRunPipeline:
         assert "m000" not in out.weights.site_ids
         rep = next(r for r in out.reports if r.method == "ensemble")
         assert rep.n_pairs == out.cv_inputs.n_records
+
+    @pytest.mark.parametrize("derivation", ["kfold", "spatial"])
+    def test_full_fits_are_fit_downscaler_on_seed_children_3_and_4(self, scene, tmp_path, derivation, monkeypatch):
+        truth, paths, _ = scene
+        mcmc = MCMCConfig(n_iter=40, burn_in=20, thin=2)
+        cfg = make_config(truth, paths, tmp_path, derivation=derivation, downscaler_mcmc=mcmc, ensemble_mcmc=mcmc)
+        passed = []
+        full_predictive = pipeline._full_predictive
+        monkeypatch.setattr(pipeline, "_full_predictive", lambda *a: passed.append(a[1]) or full_predictive(*a))
+        cv_inputs = run_pipeline(cfg).cv_inputs
+        (fits,) = passed
+        data, _, _ = _load_inputs(cfg)
+        seeds = np.random.SeedSequence(cfg.seed).spawn(12)
+        for k, source in enumerate((CTM, SAT)):
+            view, _ = pipeline._source_view(data, source)
+            want = fit_downscaler(view, source, replace(mcmc, seed=int(seeds[3 + k].generate_state(1)[0])))
+            got = fits[source]
+            for name, value in vars(want).items():
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(getattr(got, name), value), (source, name)
+            assert got.acceptance == want.acceptance
+        folds_only, no_fits = cv_component_table(data, derivation, cfg.n_folds, mcmc, cfg.seed, seeds[0:2])
+        assert no_fits == {CTM: None, SAT: None}
+        assert np.array_equal(folds_only.mu, cv_inputs.mu) and np.array_equal(folds_only.var, cv_inputs.var)
 
     def test_failed_stage_is_tagged_and_recorded(self, scene, tmp_path):
         truth, paths, _ = scene
