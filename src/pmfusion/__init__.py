@@ -69,16 +69,21 @@ from .pipeline import (
     run_pipeline,
     save_pipeline_config,
 )
-from .synth import (
-    SceneConfig,
-    SceneTruth,
-    SplitScene,
-    generate_scene,
-    generate_split_scene,
-)
 from .tables import COVARIATE_NAMES, ObservationTable, PredictiveTable
 
 __version__ = "0.1.0"
+
+# the scene generator is imported on first use; a pipeline run never needs it
+_SYNTH_NAMES = ("SceneConfig", "SceneTruth", "SplitScene", "generate_scene", "generate_split_scene")
+
+
+def __getattr__(name):
+    if name in _SYNTH_NAMES:
+        from . import synth
+
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CTM",

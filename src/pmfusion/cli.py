@@ -37,7 +37,6 @@ from .pipeline import (
     run_pipeline,
     save_pipeline_config,
 )
-from .synth import SceneConfig, generate_scene
 from .tables import PredictiveTable
 
 
@@ -93,6 +92,8 @@ def _observed(obs_path, predictive_path, inputs: PredictiveTable) -> np.ndarray:
 
 
 def _cmd_synth(args) -> int:
+    from .synth import SceneConfig, generate_scene
+
     # every argument is checked before a file is written
     sat_grid = GridSpec(0.0, 0.0, args.sat_cell_km, args.sat_cells, args.sat_cells, SAT)
     ctm_cell = args.ctm_cell_km

@@ -62,7 +62,8 @@ EVALUATION = CsvFormat(
 )
 PREDICTIONS = CsvFormat(("site_id", "day", "mean", "sd", "q025", "q975", "w"), "sifffff")
 
-_DTYPE = {"s": object, "i": np.int64, "f": float, "p": float, "m": float}
+# an empty (missing) cell of an 'm' column is read as this text, NaN
+_MISSING = {"": "nan"}
 # rows formatted per write; bounds the strings held at once
 _WRITE_CHUNK = 4096
 # cells of the largest dense (day, row, col) grid loaded; bounds the allocation
@@ -97,13 +98,12 @@ def read_meta(path) -> dict:
     return out
 
 
-def _cell(text: str, kind: str, path, line: int, column: str):
+def _cell(text: str, kind: str, path, line: int, column: str) -> None:
+    """ParseError at file:line if the cell fails its column kind's check."""
     value = text.strip()
     if kind == "s" or not value:
-        if value:
-            return value
-        if kind == "m":
-            return math.nan
+        if value or kind == "m":
+            return
         raise ParseError(f"{path}:{line}: empty value in column '{column}'")
     try:
         number = float(value)
@@ -114,12 +114,45 @@ def _cell(text: str, kind: str, path, line: int, column: str):
         raise ParseError(f"{path}:{line}: non-finite value '{value}' in column '{column}'")
     if kind == "p" and number <= 0:
         raise ParseError(f"{path}:{line}: non-positive value '{number!r}' in column '{column}'")
+    # past 2**53 a float no longer holds every integer
+    if kind == "i" and (not number.is_integer() or abs(number) > 2**53):
+        raise ParseError(f"{path}:{line}: column '{column}' must be an integer, got '{text}'")
+
+
+def _column(texts: list[str], kind: str) -> np.ndarray | None:
+    """One column's cells as an array, converted in C (see read_csv); None
+    if any cell fails the check of its kind."""
+    if kind == "s":
+        values = list(map(str.strip, texts))
+        return None if "" in values else np.asarray(values, dtype=object)
+    n_missing = 0
+    if kind == "m":
+        texts = list(map(str.strip, texts))
+        n_missing = texts.count("")
+        texts = map(_MISSING.get, texts, texts)
+    try:
+        values = np.array(list(map(float, texts)), dtype=float)
+    except ValueError:
+        return None
+    # every missing cell reads as NaN, so any further non-finite value is a bad cell
+    if values.size - np.count_nonzero(np.isfinite(values)) != n_missing:
+        return None
+    if kind == "p" and not (values > 0).all():
+        return None
     if kind == "i":
-        # past 2**53 a float no longer holds every integer
-        if not number.is_integer() or abs(number) > 2**53:
-            raise ParseError(f"{path}:{line}: column '{column}' must be an integer, got '{text}'")
-        return int(number)
-    return number
+        if not ((values == np.trunc(values)) & (np.abs(values) <= 2**53)).all():
+            return None
+        return values.astype(np.int64)
+    return values
+
+
+def _first_bad_cell(texts: list[str], kind: str, path, lines: list[int], column: str) -> tuple[int, ParseError]:
+    """The row of a column's first bad cell and the ParseError it raises."""
+    for k, text in enumerate(texts):
+        try:
+            _cell(text, kind, path, lines[k], column)
+        except ParseError as e:
+            return k, e
 
 
 def read_csv(path, fmt: CsvFormat) -> tuple[list[int], list[np.ndarray]]:
@@ -128,13 +161,19 @@ def read_csv(path, fmt: CsvFormat) -> tuple[list[int], list[np.ndarray]]:
     Returns the line number of each row and one array per column: object
     (str) for 's', int64 for 'i', float for 'f', 'p' and 'm' (NaN where an
     'm' cell is empty). Raises SchemaError for a wrong header and ParseError at
-    file:line for a row with the wrong field count or a bad cell.
+    file:line for a row with the wrong field count or a bad cell: the first
+    in file order, as if the cells were checked one by one. The rows are
+    gathered in one pass and then converted a column at a time.
     """
     path = Path(path)
     expected = fmt.columns
     lines: list[int] = []
-    cols: list[list] = [[] for _ in expected]
+    # the cells of the data rows, row after row
+    cells: list[str] = []
     header = None
+    # a malformed row or undecodable text ends the pass; it is raised only
+    # if no row above it holds a bad cell
+    stop = None
     with _open_input(path, newline="") as f:
         reader = csv.reader(f)
         try:
@@ -153,17 +192,33 @@ def read_csv(path, fmt: CsvFormat) -> tuple[list[int], list[np.ndarray]]:
                         )
                     continue
                 if len(rec) != len(expected):
-                    raise ParseError(f"{path}:{line}: expected {len(expected)} fields, got {len(rec)}")
-                for text, kind, column, out in zip(rec, fmt.kinds, expected, cols):
-                    out.append(_cell(text, kind, path, line, column))
+                    stop = ParseError(f"{path}:{line}: expected {len(expected)} fields, got {len(rec)}")
+                    break
+                cells += rec
                 lines.append(line)
         except csv.Error as e:
-            raise ParseError(f"{path}:{reader.line_num}: {e}") from None
+            stop = ParseError(f"{path}:{reader.line_num}: {e}")
         except UnicodeDecodeError as e:
-            raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
+            stop = ParseError(f"{path}: not UTF-8 text ({e.reason})")
     if header is None:
-        raise SchemaError(f"{path}: empty file, expected header {','.join(expected)}")
-    return lines, [np.asarray(c, dtype=_DTYPE[k]) for c, k in zip(cols, fmt.kinds)]
+        raise stop or SchemaError(f"{path}: empty file, expected header {','.join(expected)}")
+    n = len(expected)
+    arrays, bad = [], None
+    for j, (kind, column) in enumerate(zip(fmt.kinds, expected)):
+        texts = cells[j::n]
+        # each column's text is freed once it is converted
+        cells[j::n] = [None] * len(lines)
+        values = _column(texts, kind)
+        if values is None:
+            k, error = _first_bad_cell(texts, kind, path, lines, column)
+            if bad is None or k < bad[0]:
+                bad = (k, error)
+        arrays.append(values)
+    if bad is not None:
+        raise bad[1]
+    if stop is not None:
+        raise stop
+    return lines, arrays
 
 
 def key_index(*columns) -> tuple[np.ndarray, np.ndarray]:
@@ -302,10 +357,11 @@ def load_grid(path, spec: GridSpec, n_days: int | None = None) -> tuple[np.ndarr
         raise ParseError(
             f"{path}:{lines[k]}: cell ({row[k]}, {col[k]}) outside {spec.n_rows}x{spec.n_cols} grid"
         )
-    max_day = int(day.max(initial=0))
-    t = n_days if n_days is not None else max_day
-    if max_day > t:
-        raise SchemaError(f"{path}: contains day {max_day} beyond horizon {t}")
+    t = n_days if n_days is not None else int(day.max(initial=0))
+    beyond = day > t
+    if beyond.any():
+        k = int(beyond.argmax())
+        raise SchemaError(f"{path}:{lines[k]}: day {day.item(k)} beyond horizon {t}")
     if t * spec.n_rows * spec.n_cols > _MAX_GRID_CELLS:
         raise SchemaError(f"{path}: {t} days of a {spec.n_rows}x{spec.n_cols} grid exceed {_MAX_GRID_CELLS} cells")
     values = np.full((t, spec.n_rows, spec.n_cols), np.nan)

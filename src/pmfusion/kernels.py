@@ -37,12 +37,16 @@ ETA_GRID = (np.arange(1000, dtype=float) + 0.5) / 1000.0
 
 
 def _scipy_extension(private: str, public: str):
-    """scipy.<private>, loaded without its subpackage's __init__ (half the import time), else scipy.<public>."""
+    """scipy.<private>, loaded without the __init__s of scipy and its subpackage, else scipy.<public>."""
     name = f"scipy.{private}"
     if name not in sys.modules:
-        spec = PathFinder.find_spec(name, importlib.util.find_spec(name.rpartition(".")[0]).submodule_search_locations)
-        if spec is None:
-            return importlib.import_module(f"scipy.{public}")
+        # found package by package, so that not even scipy's own __init__ runs
+        parts, path = name.split("."), None
+        for k in range(1, len(parts) + 1):
+            spec = PathFinder.find_spec(".".join(parts[:k]), path)
+            if spec is None:
+                return importlib.import_module(f"scipy.{public}")
+            path = spec.submodule_search_locations
         sys.modules[name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[name])
     return sys.modules[name]

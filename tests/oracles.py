@@ -15,9 +15,11 @@ references. The numpy-scalar sweep, the range move that solves both
 quadratic forms and the per-row inv_logit membership draw are also the
 forms that the array accept tests replaced. SingleChainBlocks is the
 one-chain downscaler sampler in the record layout, fitted to one table at a
-time, whose residual sums the grid statistics of the batch must equal. The
-dict_* functions are the per-row key loops that io.key_index and io.key_rows
-replaced, and the loaders and joins as they were built on them.
+time, whose residual sums the grid statistics of the batch must equal.
+cell_read_csv is the per-cell reader that io.read_csv's column-wise
+conversion replaced. The dict_* functions are the per-row key loops that
+io.key_index and io.key_rows replaced, and the loaders and joins as they
+were built on them and on cell_read_csv.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy import linalg
@@ -643,9 +646,76 @@ class SingleChainBlocks:
             self.rebuild_residual()
 
 
+# The per-cell reader that io.read_csv's column-wise conversion replaced:
+# every cell converted and checked as its row is read.
+
+_CELL_DTYPE = {"s": object, "i": np.int64, "f": float, "p": float, "m": float}
+
+
+def _cell(text, kind, path, line, column):
+    value = text.strip()
+    if kind == "s" or not value:
+        if value:
+            return value
+        if kind == "m":
+            return math.nan
+        raise ParseError(f"{path}:{line}: empty value in column '{column}'")
+    try:
+        number = float(value)
+    except ValueError:
+        raise ParseError(f"{path}:{line}: non-numeric value '{value}' in column '{column}'") from None
+    if not math.isfinite(number):
+        raise ParseError(f"{path}:{line}: non-finite value '{value}' in column '{column}'")
+    if kind == "p" and number <= 0:
+        raise ParseError(f"{path}:{line}: non-positive value '{number!r}' in column '{column}'")
+    if kind == "i":
+        if not number.is_integer() or abs(number) > 2**53:
+            raise ParseError(f"{path}:{line}: column '{column}' must be an integer, got '{text}'")
+        return int(number)
+    return number
+
+
+def cell_read_csv(path, fmt):
+    """io.read_csv, one cell at a time in file order."""
+    path = Path(path)
+    expected = fmt.columns
+    lines = []
+    cols = [[] for _ in expected]
+    header = None
+    with open(path, encoding="utf-8-sig", newline="") as f:
+        reader = csv.reader(f)
+        try:
+            for rec in reader:
+                if not rec or rec[0].startswith("#"):
+                    continue
+                line = reader.line_num
+                if header is None:
+                    header = [c.strip() for c in rec]
+                    for col in expected:
+                        if col not in header:
+                            raise SchemaError(f"{path}: missing column '{col}' in header (line {line})")
+                    if tuple(header) != expected:
+                        raise SchemaError(
+                            f"{path}: header must be exactly '{','.join(expected)}', got '{','.join(header)}'"
+                        )
+                    continue
+                if len(rec) != len(expected):
+                    raise ParseError(f"{path}:{line}: expected {len(expected)} fields, got {len(rec)}")
+                for text, kind, column, out in zip(rec, fmt.kinds, expected, cols):
+                    out.append(_cell(text, kind, path, line, column))
+                lines.append(line)
+        except csv.Error as e:
+            raise ParseError(f"{path}:{reader.line_num}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
+    if header is None:
+        raise SchemaError(f"{path}: empty file, expected header {','.join(expected)}")
+    return lines, [np.asarray(c, dtype=_CELL_DTYPE[k]) for c, k in zip(cols, fmt.kinds)]
+
+
 # The per-row key handling that io.key_index and io.key_rows replaced: dicts
 # filled row by row. The loaders below are the loaders as they were, each
-# read_csv followed by these loops.
+# cell_read_csv followed by these loops.
 
 
 def dict_key_index(*columns):
@@ -675,13 +745,13 @@ def dict_refuse_repeats(path, lines, keys, name):
 
 
 def dict_load_monitors(path):
-    lines, (ids, x, y) = pio.read_csv(path, pio.MONITORS)
+    lines, (ids, x, y) = cell_read_csv(path, pio.MONITORS)
     dict_refuse_repeats(path, lines, ids, "site_id")
     return [Location(*row) for row in zip(ids.tolist(), x.tolist(), y.tolist())]
 
 
 def dict_load_obs(path):
-    lines, (ids, day, y) = pio.read_csv(path, pio.OBS)
+    lines, (ids, day, y) = cell_read_csv(path, pio.OBS)
     keep = ~np.isnan(y)
     ids, day, y = ids[keep], day[keep], y[keep]
     dict_refuse_repeats(path, np.asarray(lines)[keep].tolist(), zip(ids, day.tolist()), "(site_id, day)")
@@ -689,7 +759,7 @@ def dict_load_obs(path):
 
 
 def dict_load_grid(path, spec, n_days=None):
-    lines, (day, row, col, value) = pio.read_csv(path, pio.GRID)
+    lines, (day, row, col, value) = cell_read_csv(path, pio.GRID)
     dict_refuse_repeats(path, lines, zip(day.tolist(), row.tolist(), col.tolist()), "(day, row, col)")
     bad = (day < 1) | (row < 0) | (row >= spec.n_rows) | (col < 0) | (col >= spec.n_cols)
     if bad.any():
@@ -697,10 +767,10 @@ def dict_load_grid(path, spec, n_days=None):
         if day[k] < 1:
             raise ParseError(f"{path}:{lines[k]}: day must be >= 1")
         raise ParseError(f"{path}:{lines[k]}: cell ({row[k]}, {col[k]}) outside {spec.n_rows}x{spec.n_cols} grid")
-    max_day = int(day.max(initial=0))
-    t = n_days if n_days is not None else max_day
-    if max_day > t:
-        raise SchemaError(f"{path}: contains day {max_day} beyond horizon {t}")
+    t = n_days if n_days is not None else int(day.max(initial=0))
+    for line, d in zip(lines, day.tolist()):
+        if d > t:
+            raise SchemaError(f"{path}:{line}: day {d} beyond horizon {t}")
     if t * spec.n_rows * spec.n_cols > 2**27:
         raise SchemaError(f"{path}: {t} days of a {spec.n_rows}x{spec.n_cols} grid exceed {2**27} cells")
     values = np.full((t, spec.n_rows, spec.n_cols), np.nan)
@@ -709,19 +779,19 @@ def dict_load_grid(path, spec, n_days=None):
 
 
 def dict_load_covariates(path):
-    lines, (ids, day, *z) = pio.read_csv(path, pio.COVARIATES)
+    lines, (ids, day, *z) = cell_read_csv(path, pio.COVARIATES)
     dict_refuse_repeats(path, lines, zip(ids, day.tolist()), "(site_id, day)")
     return ids, day, np.column_stack(z)
 
 
 def dict_load_weights(path):
-    lines, (ids, *cols) = pio.read_csv(path, pio.WEIGHTS)
+    lines, (ids, *cols) = cell_read_csv(path, pio.WEIGHTS)
     dict_refuse_repeats(path, lines, ids, "site_id")
     return ids, dict(zip(pio.WEIGHTS.columns[1:], cols))
 
 
 def dict_load_predictive(path, locations):
-    lines, (ids, day, source, mu, var) = pio.read_csv(path, pio.PREDICTIVE)
+    lines, (ids, day, source, mu, var) = cell_read_csv(path, pio.PREDICTIVE)
     dict_refuse_repeats(path, lines, zip(ids, day.tolist(), source), "(site_id, day, source)")
     col_of = {s: k for k, s in enumerate(SOURCE_COLUMNS)}
     order: dict = {}
@@ -748,7 +818,7 @@ def dict_load_predictive(path, locations):
 
 
 def dict_load_weight_samples(path, locations):
-    lines, (sample, ids, q_col, tau2_col, rho_col) = pio.read_csv(path, pio.WEIGHT_SAMPLES)
+    lines, (sample, ids, q_col, tau2_col, rho_col) = cell_read_csv(path, pio.WEIGHT_SAMPLES)
     dict_refuse_repeats(path, lines, zip(sample.tolist(), ids), "(sample, site_id)")
     by_id = {l.site_id: l for l in locations}
     site_order: dict = {}

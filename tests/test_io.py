@@ -171,6 +171,13 @@ class TestGrid:
         with pytest.raises(SchemaError, match="beyond"):
             load_grid(p, spec, n_days=3)
 
+    def test_day_beyond_horizon_names_the_first_such_line(self, tmp_path):
+        spec = GridSpec(0.0, 0.0, 1.0, 2, 1, CTM)
+        p = tmp_path / "grid.csv"
+        p.write_text("day,row,col,value\n# seed=1\n1,0,0,1.0\n4,0,0,1.0\n9,1,0,2.0\n")
+        with pytest.raises(SchemaError, match=r"^.*grid\.csv:4: day 4 beyond horizon 3$"):
+            load_grid(p, spec, n_days=3)
+
 
 # every spelling float() accepts for a non-finite number
 NON_FINITE = ["nan", "NaN", "-nan", "+NAN", "inf", "-inf", "+inf", "Infinity", "-INFINITY", " inf "]

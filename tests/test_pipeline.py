@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pmfusion
 from pmfusion import cli, pipeline
 from pmfusion import io as pio
 from pmfusion.config import MCMCConfig
@@ -769,3 +770,26 @@ def test_cli_import_leaves_scipy_stats_unloaded(pmfusion_env):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=pmfusion_env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("module", ["pmfusion.cli", "pmfusion.pipeline"])
+def test_import_leaves_scipy_and_the_scene_generator_unloaded(pmfusion_env, module):
+    # kernels finds the compiled modules without running scipy's own
+    # __init__, and only `pmfusion synth` needs the scene generator
+    code = f"import sys, {module}; print([m for m in ('scipy', 'pmfusion.synth') if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=pmfusion_env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_scene_generator_names_load_on_first_use(pmfusion_env):
+    code = (
+        "from pmfusion import SceneConfig, generate_scene\n"
+        "truth = generate_scene(SceneConfig(n_sites=4, n_days=3, seed=1))\n"
+        "print(SceneConfig.__module__, generate_scene.__module__, truth.obs.n_records > 0)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=pmfusion_env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["pmfusion.synth", "pmfusion.synth", "True"]
+    with pytest.raises(AttributeError, match="no attribute 'generate_scenes'"):
+        pmfusion.generate_scenes

@@ -1,5 +1,6 @@
-"""The record-key index against the per-row dict loops it replaced, and every
-loader against its per-row reference on generated and mutated files."""
+"""The record-key index against the per-row dict loops it replaced, the
+reader against the per-cell reader it replaced, and every loader against its
+per-row reference, on generated and mutated files."""
 
 import dataclasses
 import re
@@ -21,6 +22,7 @@ from pmfusion.geo import CTM, SAT, GridSpec, Location
 from pmfusion.tables import N_COVARIATES, ObservationTable, PredictiveTable
 
 from oracles import (
+    cell_read_csv,
     dict_full_predictive_targets,
     dict_join_observations,
     dict_key_index,
@@ -291,6 +293,22 @@ def test_every_loader_matches_its_reference_or_fails_typed_naming_the_file(workd
             got = (type(e), str(e))
         if reference is not None:
             _same_outcome(got, _outcome(reference, path))
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_read_csv_matches_the_per_cell_reader(workdir, name):
+    # the same line numbers and arrays bit for bit, or the same error
+    path = workdir / f"read_{name.lower()}.csv"
+    fmt = getattr(pio, name)
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(csv_files(name))
+    def check(data):
+        path.write_bytes(data)
+        _same_outcome(_outcome(pio.read_csv, path, fmt), _outcome(cell_read_csv, path, fmt))
 
     check()
 
