@@ -23,7 +23,7 @@ from pmfusion import (
     evaluate,
     fit_downscaler,
     generate_scene,
-    predict_at,
+    predict_batches,
 )
 
 truth = generate_scene(SceneConfig(n_sites=35, n_days=60, sat_missing_rate=0.35, seed=21))
@@ -55,14 +55,7 @@ print("\nfit          records   rmse   95% cover   avg sd")
 for label, fit, data in (("own regime", own, obs.subset(truth.regime == 2)),
                          ("all records", mixed, obs)):
     usable = np.isfinite(data.x_sat)
-    pred = predict_at(
-        fit,
-        data.sites,
-        data.site_idx[usable],
-        data.day[usable],
-        data.x_sat[usable],
-        data.z[usable],
-        seed=7,
-    )
+    batch = (data.day[usable], data.x_sat[usable], data.z[usable], 7)
+    pred = predict_batches(fit, data.sites, data.site_idx[usable], data.record_ids[usable], [batch])[0]
     rep = evaluate(data.y[usable], GaussianSummary(pred.mu, pred.var))
     print(f"{label:12s} {usable.sum():6d}  {rep.rmse:6.3f} {rep.coverage95:9.1f}%  {rep.avg_posterior_sd:7.3f}")

@@ -27,7 +27,7 @@ from .downscaler import (
     SourcePredictions,
     cv_predict,
     fit_downscaler,
-    predict_at,
+    predict_batches,
 )
 from .ensemble import (
     MixtureDistribution,
@@ -36,7 +36,6 @@ from .ensemble import (
     fit_site_weights,
     fit_two_stage,
     krige_weights,
-    membership_prob,
     predict_mixture,
     update_q,
     update_rho,
@@ -113,14 +112,13 @@ __all__ = [
     "PipelineConfig",
     "PipelineResult",
     "fit_downscaler",
-    "predict_at",
+    "predict_batches",
     "cv_predict",
     "fit_joint",
     "fit_two_stage",
     "fit_site_weights",
     "krige_weights",
     "predict_mixture",
-    "membership_prob",
     "update_q",
     "update_tau2",
     "update_rho",

@@ -20,7 +20,7 @@ import numpy as np
 from . import io as pio
 from .config import MCMCConfig
 from .crossval import KFOLD, SPATIAL
-from .downscaler import fit_downscaler, predict_at
+from .downscaler import fit_downscaler, predict_batches
 from .ensemble import fit_joint, fit_two_stage, krige_weights, predict_mixture
 from .errors import DomainError, OutOfDomainError, PmFusionError, SchemaError
 from .geo import CTM, SAT, GridSpec
@@ -154,15 +154,8 @@ def _cmd_fit_downscaler(args) -> int:
     source = args.source
     view, _ = _source_view(_load_table(args, require_sat=source == SAT), source)
     fit = fit_downscaler(view, source, _mcmc_from(args))
-    pred = predict_at(
-        fit,
-        view.sites,
-        view.site_idx,
-        view.day,
-        view.x_for(source),
-        view.z if source == SAT else None,
-        seed=args.seed + 1,
-    )
+    batch = (view.day, view.x_for(source), view.z if source == SAT else None, args.seed + 1)
+    pred = predict_batches(fit, view.sites, view.site_idx, view.record_ids, [batch])[0]
     preds = (pred, None) if source == CTM else (None, pred)
     table = combine_predictions(view, *preds)
     meta = {"seed": args.seed, "config": pio.config_hash({"cmd": "fit-downscaler", "source": source, "seed": args.seed})}

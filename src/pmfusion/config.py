@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 from .errors import DomainError
 
@@ -34,10 +34,12 @@ class MCMCConfig:
     rho_prior_rate: float = 0.005
 
     def __post_init__(self):
-        for name in ("n_iter", "burn_in", "thin"):
+        for name in ("n_iter", "burn_in", "thin", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.n_iter <= 0:
             raise DomainError("n_iter must be positive")
         if not 0 <= self.burn_in < self.n_iter:
@@ -48,7 +50,9 @@ class MCMCConfig:
             raise DomainError("thin must be >= 1")
         for name in ("kappa_w", "kappa_rho", "ig_a", "ig_b", "rho_prior_shape", "rho_prior_rate"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise DomainError(f"{name} must be a number, got {value!r}")
+            if not abs(value) <= sys.float_info.max:
                 raise DomainError(f"{name} must be finite, got {value!r}")
         if self.kappa_w <= 0 or self.kappa_rho <= 0:
             raise DomainError("proposal variances must be positive")

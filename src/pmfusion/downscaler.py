@@ -23,7 +23,7 @@ update for each eta, and adaptive random-walk Metropolis on log theta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -532,19 +532,28 @@ _RECORDED = {
 }
 
 
-def _run_chains(blocks: _Blocks) -> list[DownscalerFit]:
-    """Run a batch of chains; the thinned post-burn-in sample set of each."""
-    n_kept = blocks.mcmc.n_kept
+def _run_chains(blocks: _Blocks, predictors=None) -> list[DownscalerFit]:
+    """Run a batch of chains. At each kept iteration a chain with a predictor
+    adds its live state to it, and a chain without one (predictors None: every
+    chain) records it; returns the thinned post-burn-in sample set of each
+    recording chain, in batch order."""
+    predictors = predictors or [None] * blocks.F
+    shapes = {field: getattr(blocks, name).shape[1:] for field, name in _RECORDED.items()}
     draws = {
-        field: np.zeros((blocks.F, n_kept) + getattr(blocks, name).shape[1:])
-        for field, name in _RECORDED.items()
+        f: {field: np.zeros((blocks.mcmc.n_kept,) + shape) for field, shape in shapes.items()}
+        for f, p in enumerate(predictors) if p is None
     }
     chain = blocks.chain
     for _, j in chain:
         blocks.sweep()
         if j is not None:
-            for field, name in _RECORDED.items():
-                draws[field][:, j] = getattr(blocks, name)
+            for f, p in enumerate(predictors):
+                state = {field: getattr(blocks, name)[f] for field, name in _RECORDED.items()}
+                if p is not None:
+                    p.add(state)
+                    continue
+                for field, value in state.items():
+                    draws[f][field][j] = value
     acc1, acc2 = chain.acceptance_of("theta1"), chain.acceptance_of("theta2")
     step1, step2 = chain.step("theta1"), chain.step("theta2")
     return [
@@ -552,7 +561,7 @@ def _run_chains(blocks: _Blocks) -> list[DownscalerFit]:
             source=blocks.source,
             sites=blocks.sites[f],
             n_days=blocks.T,
-            **{field: d[f] for field, d in draws.items()},
+            **d,
             z_mean=blocks.z_mean[f],
             z_sd=blocks.z_sd[f],
             acceptance={
@@ -561,7 +570,7 @@ def _run_chains(blocks: _Blocks) -> list[DownscalerFit]:
                 "step_theta": (float(step1[f]), float(step2[f])),
             },
         )
-        for f in range(blocks.F)
+        for f, d in draws.items()
     ]
 
 
@@ -581,34 +590,6 @@ def fit_downscaler(data: ObservationTable, source: str, mcmc: MCMCConfig) -> Dow
     return _run_chains(_Blocks(data, source, mcmc))[0]
 
 
-def predict_at(
-    fit: DownscalerFit,
-    locations: list[Location],
-    loc_idx: np.ndarray,
-    days: np.ndarray,
-    linked_x: np.ndarray,
-    z: np.ndarray | None = None,
-    *,
-    seed: int = 0,
-) -> SourcePredictions:
-    """Posterior predictive mean/variance at arbitrary targets.
-
-    Targets are records (locations[loc_idx[i]], days[i]) with linked grid
-    value linked_x[i] (NaN marks a missing satellite retrieval, yielding
-    available=False). Latent site fields at the targets are drawn from their
-    GP conditionals given the fitted monitors, per posterior sample. At a
-    fitted monitor the conditional variance is roundoff (up to about 3e-15),
-    so the draw lies near the sampled value, not on it. The returned variance is the spread of per-sample predictions plus the
-    mean residual variance, i.e. a full posterior predictive.
-
-    z holds raw-scale covariates (standardized internally with the scaler
-    from the fit); required when the fit used the satellite source.
-    """
-    batch = (days, linked_x, z, seed)
-    ids = np.asarray([l.site_id for l in locations], dtype=object)[loc_idx]
-    return predict_batches(fit, locations, loc_idx, ids, [batch])[0]
-
-
 def predict_batches(
     fit: DownscalerFit,
     targets,
@@ -616,81 +597,99 @@ def predict_batches(
     ids: np.ndarray,
     batches,
 ) -> list[SourcePredictions]:
-    """predict_at for several record batches on the same targets.
+    """Posterior predictive mean/variance of record batches on the same
+    targets, one SourcePredictions per batch.
 
     targets is a list of Location or an (m, 2) array of km coordinates;
     record i sits at targets[loc_idx[i]] and carries the site id ids[i].
-    batches is an iterable, read once, of (days, linked_x, z, seed) as in
-    predict_at; each gives the same result as its own predict_at call, and
-    only its available rows are kept. Each posterior sample's GP conditional
-    at the targets is built once and shared by all batches; every batch
-    draws its fields from its own generator, in sample order.
+    batches is an iterable, read once, of (days, linked_x, z, seed): record
+    i of a batch is on day days[i] with linked grid value linked_x[i] (NaN,
+    a missing satellite retrieval, makes it unavailable); z holds raw-scale
+    covariates, required for a satellite fit; seed seeds its generator.
+    Latent site fields at the targets are drawn from their GP conditionals
+    given the fitted monitors, per posterior sample; at a fitted monitor the
+    conditional variance is roundoff (up to about 3e-15). The variance is
+    the spread of per-sample predictions plus the mean residual variance.
     """
-    loc_idx = np.asarray(loc_idx, dtype=np.int64)
-    n = loc_idx.shape[0]
-    ids = np.asarray(ids, dtype=object)
-    if ids.shape != (n,):
-        raise SchemaError("loc_idx and ids must have equal length")
-    out, live = [], []
-    for days, linked_x, z, seed in batches:
-        days = np.asarray(days, dtype=np.int64)
-        linked_x = np.asarray(linked_x, dtype=float)
-        if days.shape[0] != n or linked_x.shape[0] != n:
-            raise SchemaError("loc_idx, days, linked_x must have equal length")
-        if days.min(initial=1) < 1 or days.max(initial=1) > fit.n_days:
-            raise OutOfDomainError(f"target days must lie in 1..{fit.n_days}")
-        if fit.source == SAT:
-            if z is None:
-                raise SchemaError("satellite predictions need the covariate block z")
-            z = np.asarray(z, dtype=float)
-            if z.shape != (n, N_COVARIATES):
-                raise SchemaError(f"z must have shape ({n}, {N_COVARIATES})")
-        avail = np.isfinite(linked_x)
-        pred = SourcePredictions(
-            ids=ids, day=days, mu=np.full(n, np.nan), var=np.full(n, np.nan), available=avail
-        )
-        out.append(pred)
-        if avail.any():
-            sub = np.flatnonzero(avail)
-            zg = (z[sub] - fit.z_mean) / fit.z_sd if fit.source == SAT else None
-            live.append(_Batch(pred, loc_idx[sub], days[sub] - 1, linked_x[sub], zg, seed))
-    if not live:
-        return out
-
-    d_sites = distance_matrix(fit.sites)
-    d_cross = distance_matrix(fit.sites, targets)
-    n_loc = d_cross.shape[1]
-    # a rejected range proposal repeats theta, and with it the field operators
-    krige1, krige2 = ExpKriging(d_sites, d_cross), ExpKriging(d_sites, d_cross)
-    count = 0
-    s2y_acc = 0.0
+    predictor = _Predictor(fit.source, fit.sites, fit.n_days, fit.z_mean, fit.z_sd, targets, loc_idx, ids, batches)
     for j in range(len(fit)):
-        mean1, resid1 = krige1(fit.v1[j], float(fit.theta1[j]))
-        mean2, resid2 = krige2(fit.v2[j], float(fit.theta2[j]))
+        predictor.add({field: getattr(fit, field)[j] for field in _RECORDED})
+    return predictor.finish()
+
+
+class _Predictor:
+    """predict_batches built up one posterior sample at a time: add() each
+    sample of a fit of this source, sites, horizon and covariate scaler
+    (z_mean, z_sd), then finish(). Each sample's GP conditional at the
+    targets is built once and shared by all batches; every batch draws its
+    fields from its own generator, in sample order."""
+
+    def __init__(self, source, sites, n_days, z_mean, z_sd, targets, loc_idx, ids, batches):
+        loc_idx = np.asarray(loc_idx, dtype=np.int64)
+        n = loc_idx.shape[0]
+        ids = np.asarray(ids, dtype=object)
+        if ids.shape != (n,):
+            raise SchemaError("loc_idx and ids must have equal length")
+        self.out, self.live = [], []
+        for days, linked_x, z, seed in batches:
+            days = np.asarray(days, dtype=np.int64)
+            linked_x = np.asarray(linked_x, dtype=float)
+            if days.shape[0] != n or linked_x.shape[0] != n:
+                raise SchemaError("loc_idx, days, linked_x must have equal length")
+            if days.min(initial=1) < 1 or days.max(initial=1) > n_days:
+                raise OutOfDomainError(f"target days must lie in 1..{n_days}")
+            if source == SAT:
+                if z is None:
+                    raise SchemaError("satellite predictions need the covariate block z")
+                z = np.asarray(z, dtype=float)
+                if z.shape != (n, N_COVARIATES):
+                    raise SchemaError(f"z must have shape ({n}, {N_COVARIATES})")
+            avail = np.isfinite(linked_x)
+            pred = SourcePredictions(
+                ids=ids, day=days, mu=np.full(n, np.nan), var=np.full(n, np.nan), available=avail
+            )
+            self.out.append(pred)
+            if avail.any():
+                sub = np.flatnonzero(avail)
+                zg = (z[sub] - z_mean) / z_sd if source == SAT else None
+                self.live.append(_Batch(pred, loc_idx[sub], days[sub] - 1, linked_x[sub], zg, seed))
+        self.count, self.s2y_acc = 0, 0.0
+        if self.live:
+            d_sites = distance_matrix(sites)
+            d_cross = distance_matrix(sites, targets)
+            self.n_loc = d_cross.shape[1]
+            # a rejected range proposal repeats theta, and with it the field operators
+            self.krige1, self.krige2 = ExpKriging(d_sites, d_cross), ExpKriging(d_sites, d_cross)
+
+    def add(self, sample: dict) -> None:
+        """Update every batch with one posterior sample, a mapping from
+        DownscalerFit field to the sample's value."""
+        if not self.live:
+            return
+        mean1, resid1 = self.krige1(sample["v1"], float(sample["theta1"]))
+        mean2, resid2 = self.krige2(sample["v2"], float(sample["theta2"]))
         sd1, sd2 = np.sqrt(resid1), np.sqrt(resid2)
-        a11, a21, a22 = fit.a_coreg[j]
-        count += 1
-        s2y_acc += float(fit.sigma2_y[j])
-        for b in live:
-            v1_star = mean1 + sd1 * b.rng.standard_normal(n_loc)
-            v2_star = mean2 + sd2 * b.rng.standard_normal(n_loc)
+        a11, a21, a22 = sample["a_coreg"]
+        alpha0, beta0 = sample["alpha0"], sample["beta0"]
+        self.count += 1
+        self.s2y_acc += float(sample["sigma2_y"])
+        for b in self.live:
+            v1_star = mean1 + sd1 * b.rng.standard_normal(self.n_loc)
+            v2_star = mean2 + sd2 * b.rng.standard_normal(self.n_loc)
             alpha1 = a11 * v1_star
             beta1 = a21 * v1_star + a22 * v2_star
-            pred = (
-                fit.alpha0[j][b.day0]
-                + alpha1[b.loc]
-                + (fit.beta0[j][b.day0] + beta1[b.loc]) * b.x
-            )
+            pred = alpha0[b.day0] + alpha1[b.loc] + (beta0[b.day0] + beta1[b.loc]) * b.x
             if b.zg is not None:
-                pred = pred + b.zg @ fit.gamma[j]
+                pred = pred + b.zg @ sample["gamma"]
             delta = pred - b.mean
-            b.mean += delta / count
+            b.mean += delta / self.count
             b.m2 += delta * (pred - b.mean)
 
-    for b in live:
-        b.out.mu[b.out.available] = b.mean
-        b.out.var[b.out.available] = b.m2 / max(count - 1, 1) + s2y_acc / count
-    return out
+    def finish(self) -> list[SourcePredictions]:
+        for b in self.live:
+            b.out.mu[b.out.available] = b.mean
+            b.out.var[b.out.available] = b.m2 / max(self.count - 1, 1) + self.s2y_acc / self.count
+        return self.out
 
 
 class _Batch:
@@ -704,6 +703,18 @@ class _Batch:
         self.m2 = np.zeros(x.size)
 
 
+def _held_out_predictor(data: ObservationTable, source: str, chain: _Training, seed: int) -> _Predictor:
+    """The predictor of a chain's held-out records: their sites as targets,
+    one batch seeded with seed."""
+    held = chain.held
+    held_sites, loc_idx = np.unique(data.site_idx[held], return_inverse=True)
+    targets = [data.sites[s] for s in held_sites]
+    ids = np.asarray([l.site_id for l in targets], dtype=object)[loc_idx]
+    batch = (data.day[held], data.x_for(source)[held], data.z[held] if source == SAT else None, seed)
+    sites = [data.sites[s] for s in chain.sites]
+    return _Predictor(source, sites, data.n_days, chain.z_mean, chain.z_sd, targets, loc_idx, ids, [batch])
+
+
 def cv_predict(
     data: ObservationTable,
     fold_of_record: np.ndarray,
@@ -711,7 +722,7 @@ def cv_predict(
     mcmc: MCMCConfig,
     *,
     full_seed: int | None = None,
-) -> SourcePredictions | tuple[SourcePredictions, DownscalerFit]:
+) -> tuple[SourcePredictions, DownscalerFit | None]:
     """Out-of-sample predictive for every record via fold-held-out refits.
 
     fold_of_record assigns each record of `data` to a fold; for each fold
@@ -719,48 +730,33 @@ def cv_predict(
     Fold fits use independent child seeds of mcmc.seed, so the result is
     deterministic and independent of fold ordering. Chains whose training
     sets have the same site count run as one lockstep batch, each equal to
-    its own fit. Given full_seed, a chain on every record (fit_downscaler's
-    with that seed) runs after the folds' and (predictions, its fit) is
-    returned.
+    its own fit. A fold's predictive is built up from its chain's state at
+    each kept iteration, as predict_batches would from the chain's draws,
+    and no fold keeps its draws. Given full_seed, a chain on every record
+    (fit_downscaler's with that seed) runs with the folds'. Returns the
+    predictions and that chain's fit, or None without full_seed.
     """
     fold_of_record = np.asarray(fold_of_record, dtype=np.int64)
     if fold_of_record.shape[0] != data.n_records:
         raise SchemaError("fold assignment length must match the record count")
-    n = data.n_records
-    mu = np.full(n, np.nan)
-    var = np.full(n, np.nan)
-    avail = data.usable_mask(source)
-    ids = data.record_ids
-
+    mu, var = np.full((2, data.n_records), np.nan)
     folds = np.unique(fold_of_record)
     seeds = [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(mcmc.seed).spawn(2 * folds.size)]
     # every fold's training set is checked in fold order before any chain runs
     chains = [_training_set(data, source, fold_of_record != fold, seeds[2 * k]) for k, fold in enumerate(folds)]
+    predictors = [_held_out_predictor(data, source, c, seeds[2 * k + 1]) for k, c in enumerate(chains)]
     if full_seed is not None:
         chains.append(_training_set(data, source, None, full_seed))
+        predictors.append(None)
     full = None
     for n_sites in dict.fromkeys(c.sites.size for c in chains):
         batch = [k for k, c in enumerate(chains) if c.sites.size == n_sites]
-        fits = _run_chains(_Blocks(data, source, mcmc, [chains[k] for k in batch]))
-        for k, fit in zip(batch, fits):
-            if k == folds.size:
-                # copied out, so that the fit kept does not hold the batch's draws
-                full = replace(fit, **{name: getattr(fit, name).copy() for name in _RECORDED})
-                continue
-            held_idx = np.flatnonzero((fold_of_record == folds[k]) & avail)
-            if held_idx.size == 0:
-                continue
-            held_sites, loc_idx = np.unique(data.site_idx[held_idx], return_inverse=True)
-            pred = predict_at(
-                fit,
-                [data.sites[s] for s in held_sites],
-                loc_idx,
-                data.day[held_idx],
-                data.x_for(source)[held_idx],
-                data.z[held_idx] if source == SAT else None,
-                seed=seeds[2 * k + 1],
-            )
-            mu[held_idx] = pred.mu
-            var[held_idx] = pred.var
-    pred = SourcePredictions(ids=ids, day=data.day.copy(), mu=mu, var=var, available=avail)
-    return pred if full is None else (pred, full)
+        fits = _run_chains(_Blocks(data, source, mcmc, [chains[k] for k in batch]), [predictors[k] for k in batch])
+        full = fits[0] if fits else full
+    for c, predictor in zip(chains, predictors):
+        if predictor is not None:
+            pred = predictor.finish()[0]
+            mu[c.held] = pred.mu
+            var[c.held] = pred.var
+    avail = data.usable_mask(source)
+    return SourcePredictions(ids=data.record_ids, day=data.day.copy(), mu=mu, var=var, available=avail), full

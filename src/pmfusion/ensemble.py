@@ -227,19 +227,6 @@ def mixture_quantiles_arrays(
 # -- MCMC steps ----------------------------------------------------------
 
 
-def membership_prob(
-    y: np.ndarray,
-    mu1: np.ndarray,
-    var1: np.ndarray,
-    mu2: np.ndarray,
-    var2: np.ndarray,
-    w,
-) -> np.ndarray:
-    """Posterior probability that y came from component 1."""
-    delta = norm_logpdf(y, mu1, var1) - norm_logpdf(y, mu2, var2)
-    return inv_logit(clipped_logit(w) + delta)
-
-
 def update_q(
     z_sum: np.ndarray,
     t_s: np.ndarray,

@@ -27,6 +27,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -633,20 +634,32 @@ def grid_spec_to_dict(spec: GridSpec) -> dict:
     return asdict(spec)
 
 
+# GridSpec's keys in its JSON form, with the type each value must have
+_GRID_FIELDS = {"origin_x": Real, "origin_y": Real, "cell_km": Real, "n_rows": Integral, "n_cols": Integral,
+                "source_tag": str}
+_TYPE_NAMES = {Real: "a number", Integral: "an integer", str: "a string"}
+
+
 def grid_spec_from_dict(d: dict) -> GridSpec:
-    """GridSpec from its JSON form; a missing or malformed field is a SchemaError."""
+    """GridSpec from its JSON form, an object with exactly GridSpec's keys;
+    a grid of more than _MAX_GRID_CELLS cells is refused before anything is
+    allocated for it. A missing, unknown or malformed field is a SchemaError."""
+    if not isinstance(d, dict):
+        raise SchemaError(f"a grid must be a JSON object, got {d!r}")
+    unknown = sorted(set(d).difference(_GRID_FIELDS))
+    if unknown:
+        raise SchemaError(f"unknown key '{unknown[0]}'")
+    for key, kind in _GRID_FIELDS.items():
+        if key not in d:
+            raise SchemaError(f"missing key '{key}'")
+        if isinstance(d[key], bool) or not isinstance(d[key], kind):
+            raise SchemaError(f"{key} must be {_TYPE_NAMES[kind]}, got {d[key]!r}")
+    rows, cols = d["n_rows"], d["n_cols"]
+    if min(rows, cols) >= 1 and rows * cols > _MAX_GRID_CELLS:
+        raise SchemaError(f"a {rows}x{cols} grid exceeds {_MAX_GRID_CELLS} cells")
     try:
-        return GridSpec(
-            origin_x=float(d["origin_x"]),
-            origin_y=float(d["origin_y"]),
-            cell_km=float(d["cell_km"]),
-            n_rows=int(d["n_rows"]),
-            n_cols=int(d["n_cols"]),
-            source_tag=str(d["source_tag"]),
-        )
-    except KeyError as e:
-        raise SchemaError(f"missing key {e}") from None
-    except (TypeError, ValueError) as e:
+        return GridSpec(float(d["origin_x"]), float(d["origin_y"]), float(d["cell_km"]), rows, cols, d["source_tag"])
+    except (OverflowError, ValueError) as e:
         raise SchemaError(str(e)) from None
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import io as pio
 from .config import MCMCConfig
 from .crossval import KFOLD, SPATIAL, EvalReport, evaluate, make_folds
-from .downscaler import SourcePredictions, cv_predict, predict_at, predict_batches
+from .downscaler import SourcePredictions, cv_predict, predict_batches
 from .ensemble import (
     WeightFieldSamples,
     fit_joint,
@@ -112,11 +112,11 @@ class PipelineConfig:
         if not isinstance(d.get("overwrite", False), bool):
             raise SchemaError(f"overwrite must be true or false, got {d['overwrite']!r}")
         for name in ("ctm_grid", "sat_grid", "target_grid"):
-            if d.get(name) is not None:
-                d[name] = _parse_field(name, pio.grid_spec_from_dict, d[name])
+            if name in required or d.get(name) is not None:
+                d[name] = _parse_object(name, pio.grid_spec_from_dict, d[name])
         for name in ("downscaler_mcmc", "ensemble_mcmc"):
-            if isinstance(d.get(name), dict):
-                d[name] = _parse_field(name, lambda m: MCMCConfig(**m), d[name])
+            if name in d:
+                d[name] = _parse_object(name, lambda m: MCMCConfig(**m), d[name])
         if isinstance(d.get("surface_days"), list):
             d["surface_days"] = tuple(d["surface_days"])
         return cls(**d)
@@ -133,8 +133,11 @@ def _check_integer(key: str, value, low: int):
         raise SchemaError(f"{key} must be an integer >= {low}, got {value!r}")
 
 
-def _parse_field(key: str, parse, value):
-    """parse(value), with a failure raised as a SchemaError naming the key."""
+def _parse_object(key: str, parse, value):
+    """parse(value) of a JSON object; any other value, or a failure, is a
+    SchemaError naming the key."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"{key} must be a JSON object, got {value!r}")
     try:
         return parse(value)
     except (TypeError, ValueError) as e:
@@ -268,8 +271,7 @@ def cv_component_table(
         plan = make_folds(view, derivation, n_folds, seed=fold_seed)
         source_mcmc = replace(mcmc, seed=int(seeds[k].generate_state(1)[0]))
         full_seed = None if full_seeds is None else int(full_seeds[k].generate_state(1)[0])
-        out = cv_predict(view, plan.fold_of_record, source, source_mcmc, full_seed=full_seed)
-        pred, fits[source] = (out, None) if full_seed is None else out
+        pred, fits[source] = cv_predict(view, plan.fold_of_record, source, source_mcmc, full_seed=full_seed)
         per_source[source] = _embed(pred, rows, data.n_records, data)
     return combine_predictions(data, per_source[CTM], per_source[SAT]), fits
 
@@ -299,7 +301,8 @@ def _full_predictive(data, fits, seeds) -> PredictiveTable:
         locations = [*fit.sites, *(data.sites[s] for s in data.site_idx[first[n_fit:] - n_fit])]
         z = data.z if source == SAT else None
         seed = int(seeds[k].generate_state(1)[0])
-        preds[source] = predict_at(fit, locations, loc_idx[n_fit:], data.day, data.x_for(source), z, seed=seed)
+        batch = (data.day, data.x_for(source), z, seed)
+        preds[source] = predict_batches(fit, locations, loc_idx[n_fit:], data.record_ids, [batch])[0]
     return combine_predictions(data, preds[CTM], preds[SAT])
 
 

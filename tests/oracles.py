@@ -13,7 +13,9 @@ vectorizes. The numpy-scalar logit sweep and the masked inverse logit are
 the forms that update_q and inv_logit replaced, kept as their bit-for-bit
 references. The numpy-scalar sweep, the range move that solves both
 quadratic forms and the per-row inv_logit membership draw are also the
-forms that the array accept tests replaced. SingleChainBlocks is the
+forms that the array accept tests replaced. membership_prob is the
+vectorized membership probability the ensemble module once exported; the
+samplers draw from _EnsembleProblem.assignment_probs. SingleChainBlocks is the
 one-chain downscaler sampler in the record layout, fitted to one table at a
 time, whose residual sums the grid statistics of the batch must equal.
 cell_read_csv is the per-cell reader that io.read_csv's column-wise
@@ -47,8 +49,10 @@ from pmfusion.kernels import (
     car_neighbor_count,
     car_precision_tridiag,
     chol_factor_solve,
+    clipped_logit,
     inv_logit,
     jittered_cholesky,
+    norm_logpdf,
     sample_from_log_weights,
     sample_tridiag_mvn,
     tri_solve,
@@ -257,6 +261,12 @@ def solving_update_rho(q, tau2, rho, d, corr_chol, step, rng, mcmc, quad=None):
     if math.log(rng.random()) < delta:
         return prop, True, chol_prop
     return rho, False, corr_chol
+
+
+def membership_prob(y, mu1, var1, mu2, var2, w):
+    """Posterior probability that y came from component 1."""
+    delta = norm_logpdf(y, mu1, var1) - norm_logpdf(y, mu2, var2)
+    return inv_logit(clipped_logit(w) + delta)
 
 
 def inv_logit_assignment_sums(prob, q, rng):

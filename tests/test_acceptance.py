@@ -19,18 +19,18 @@ from pmfusion import io as pio
 from pmfusion.config import MCMCConfig
 from pmfusion.ensemble import (
     MixtureDistribution,
+    _EnsembleProblem,
     fit_joint,
     fit_site_weights,
     fit_two_stage,
     krige_weights,
-    membership_prob,
     mixture_quantiles_arrays,
     update_q,
     update_rho,
     update_tau2,
 )
 from pmfusion.geo import CTM, SAT, GridSpec, Location, distance_matrix
-from pmfusion.kernels import inv_logit, jittered_cholesky
+from pmfusion.kernels import clipped_logit, inv_logit, jittered_cholesky
 from pmfusion.pipeline import PipelineConfig, save_pipeline_config
 from pmfusion.synth import SceneConfig, generate_scene, generate_split_scene
 from pmfusion.tables import PredictiveTable
@@ -79,7 +79,12 @@ def test_01_conditional_draws_match_density_oracles():
     var1 = rng.uniform(0.2, 6.0, n)
     var2 = rng.uniform(0.2, 6.0, n)
     w = rng.uniform(0.02, 0.98, n)
-    probs = membership_prob(y, mu1, var1, mu2, var2, w)
+    # the probabilities the samplers draw memberships from, one site per row
+    ids = np.array([f"s{i:05d}" for i in range(n)], dtype=object)
+    rows = PredictiveTable(ids=ids, day=np.ones(n, dtype=np.int64), mu=np.column_stack([mu1, mu2]),
+                           var=np.column_stack([var1, var2]), available=np.ones((n, 2), dtype=bool))
+    sites = [Location(sid, float(i), 0.0) for i, sid in enumerate(ids)]
+    probs = _EnsembleProblem(y, rows, sites).assignment_probs(clipped_logit(w))
     oracle = np.array(
         [scalar_membership(y[i], mu1[i], var1[i], mu2[i], var2[i], w[i]) for i in range(n)]
     )

@@ -14,7 +14,7 @@ from scipy.stats import chi2
 from pmfusion import downscaler, kernels
 from pmfusion.chain import Chain
 from pmfusion.config import MCMCConfig
-from pmfusion.downscaler import _Blocks, cv_predict, fit_downscaler, predict_at, predict_batches
+from pmfusion.downscaler import _Blocks, cv_predict, fit_downscaler, predict_batches
 from pmfusion.errors import DomainError, InsufficientDataError, OutOfDomainError, SchemaError
 from pmfusion.geo import CTM, SAT, Location, distance_matrix
 from pmfusion.kernels import ETA_GRID, jittered_cholesky
@@ -618,10 +618,16 @@ def noiseless_fit():
     return data, fit
 
 
-class TestPredictAt:
+def predict_one(fit, locations, loc_idx, days, x, z=None, *, seed=0):
+    """predict_batches on one batch, the records at locations[loc_idx] carrying their site ids."""
+    ids = np.asarray([l.site_id for l in locations], dtype=object)[loc_idx]
+    return predict_batches(fit, locations, loc_idx, ids, [(days, x, z, seed)])[0]
+
+
+class TestPredictive:
     def test_noiseless_fit_reproduces_observations(self, noiseless_fit):
         data, fit = noiseless_fit
-        pred = predict_at(fit, data.sites, data.site_idx, data.day, data.x_ctm, seed=1)
+        pred = predict_one(fit, data.sites, data.site_idx, data.day, data.x_ctm, seed=1)
         assert pred.available.all()
         resid = data.y - pred.mu
         r2 = 1.0 - float(resid @ resid) / float(np.sum((data.y - data.y.mean()) ** 2))
@@ -632,7 +638,7 @@ class TestPredictAt:
         rng = np.random.default_rng(42)
         data = build_table(rng, 10, 20, noise_sd=1.0)
         fit = fit_downscaler(data, CTM, MCMCConfig(n_iter=200, burn_in=100, thin=2, seed=42))
-        pred = predict_at(fit, data.sites, data.site_idx, data.day, data.x_ctm, seed=3)
+        pred = predict_one(fit, data.sites, data.site_idx, data.day, data.x_ctm, seed=3)
         day0 = data.day - 1
         s = data.site_idx
         per_sample = (
@@ -653,7 +659,7 @@ class TestPredictAt:
         fit = fit_downscaler(data, SAT, MCMCConfig(n_iter=60, burn_in=30, thin=1, seed=43))
         x = data.x_sat[:12].copy()
         x[5] = np.nan
-        pred = predict_at(
+        pred = predict_one(
             fit, data.sites, data.site_idx[:12], data.day[:12], x, data.z[:12], seed=2
         )
         assert not pred.available[5]
@@ -665,7 +671,7 @@ class TestPredictAt:
         data = build_table(rng, 6, 10)
         fit = fit_downscaler(data, SAT, MCMCConfig(n_iter=40, burn_in=20, thin=1, seed=44))
         with pytest.raises(SchemaError, match="covariate"):
-            predict_at(fit, data.sites, data.site_idx[:4], data.day[:4], data.x_sat[:4])
+            predict_one(fit, data.sites, data.site_idx[:4], data.day[:4], data.x_sat[:4])
 
     def test_misshapen_targets_are_schema_errors(self):
         rng = np.random.default_rng(44)
@@ -673,14 +679,14 @@ class TestPredictAt:
         fit = fit_downscaler(data, SAT, MCMCConfig(n_iter=40, burn_in=20, thin=1, seed=44))
         idx, day, x, z = data.site_idx[:4], data.day[:4], data.x_sat[:4], data.z[:4]
         with pytest.raises(SchemaError, match="equal length"):
-            predict_at(fit, data.sites, idx, day[:3], x, z)
+            predict_one(fit, data.sites, idx, day[:3], x, z)
         with pytest.raises(SchemaError, match="shape"):
-            predict_at(fit, data.sites, idx, day, x, z[:, :3])
+            predict_one(fit, data.sites, idx, day, x, z[:, :3])
 
     def test_day_outside_horizon_rejected(self, noiseless_fit):
         data, fit = noiseless_fit
         with pytest.raises(OutOfDomainError):
-            predict_at(fit, data.sites, np.array([0]), np.array([data.n_days + 1]),
+            predict_one(fit, data.sites, np.array([0]), np.array([data.n_days + 1]),
                        np.array([5.0]))
 
     def test_new_location_draws_are_seeded(self):
@@ -691,16 +697,16 @@ class TestPredictAt:
         idx = np.array([0, 1, 0])
         days = np.array([1, 5, 9])
         x = np.array([7.0, 9.5, 8.2])
-        a = predict_at(fit, targets, idx, days, x, seed=10)
-        b = predict_at(fit, targets, idx, days, x, seed=10)
-        c = predict_at(fit, targets, idx, days, x, seed=11)
+        a = predict_one(fit, targets, idx, days, x, seed=10)
+        b = predict_one(fit, targets, idx, days, x, seed=10)
+        c = predict_one(fit, targets, idx, days, x, seed=11)
         assert np.array_equal(a.mu, b.mu) and np.array_equal(a.var, b.var)
         assert not np.array_equal(a.mu, c.mu)
 
 
 def per_call_reference(fit, locations, loc_idx, days, x, z, seed):
-    """(mu, var) of one predict_at call, every sample's GP conditional rebuilt
-    for the call: the reference for the operators predict_batches shares."""
+    """(mu, var) of one batch, every sample's GP conditional rebuilt for the
+    batch: the reference for the operators predict_batches shares."""
     mu = np.full(x.shape[0], np.nan)
     var = np.full(x.shape[0], np.nan)
     sub = np.flatnonzero(np.isfinite(x))
@@ -756,7 +762,7 @@ class TestPredictBatches:
         got = predict_batches(fit, xy, idx, np.array([t.site_id for t in targets], dtype=object), batches)
         assert len(got) == len(batches)
         for (days, x, z, seed), batch in zip(batches, got):
-            single = predict_at(fit, targets, idx, days, x, z, seed=seed)
+            single = predict_one(fit, targets, idx, days, x, z, seed=seed)
             ref_mu, ref_var = per_call_reference(fit, targets, idx, days, x, z, seed)
             assert list(batch.ids) == list(single.ids) == [t.site_id for t in targets]
             for pred in (batch, single):
@@ -811,8 +817,9 @@ class TestCvPredict:
         data = build_table(rng, 10, 100, noise_sd=1.0)
         assert data.n_records == 1000
         plan = make_folds(data, "kfold", k=10, seed=1)
-        pred = cv_predict(data, plan.fold_of_record, CTM,
-                          MCMCConfig(n_iter=80, burn_in=40, thin=2, seed=51))
+        pred, full = cv_predict(data, plan.fold_of_record, CTM,
+                                MCMCConfig(n_iter=80, burn_in=40, thin=2, seed=51))
+        assert full is None
         assert pred.mu.shape == (1000,)
         assert np.isfinite(pred.mu).all()
         assert np.all(pred.var > 0)
@@ -826,8 +833,8 @@ class TestCvPredict:
         plan = make_folds(data, "spatial")
         assert plan.n_folds == 6
         mcmc = MCMCConfig(n_iter=40, burn_in=20, thin=2, seed=52)
-        pred_a = cv_predict(data, plan.fold_of_record, CTM, mcmc)
-        pred_b = cv_predict(data, plan.fold_of_record, CTM, mcmc)
+        pred_a, _ = cv_predict(data, plan.fold_of_record, CTM, mcmc)
+        pred_b, _ = cv_predict(data, plan.fold_of_record, CTM, mcmc)
         assert np.isfinite(pred_a.mu).all()
         assert np.array_equal(pred_a.mu, pred_b.mu)
         assert np.array_equal(pred_a.var, pred_b.var)
@@ -870,8 +877,10 @@ def cv_predict_fold_by_fold(data, plan, source, mcmc):
     blocks_cls, run = downscaler._Blocks, downscaler._run_chains
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(downscaler, "_Blocks", lambda *args: args)
-        mp.setattr(downscaler, "_run_chains", lambda args: [run(solo(*args[:3], c))[0] for c in args[3]])
-        return cv_predict(data, plan, source, mcmc)
+        mp.setattr(downscaler, "_run_chains",
+                   lambda args, predictors: [fit for c, p in zip(args[3], predictors)
+                                             for fit in run(solo(*args[:3], c), [p])])
+        return cv_predict(data, plan, source, mcmc)[0]
 
 
 class TestFoldBatch:
@@ -956,7 +965,7 @@ class TestFoldBatch:
         # the range stacks fell back to matrix by matrix, jittering some matrices only
         assert any(jitter) and not all(jitter)
         monkeypatch.undo()
-        got = cv_predict(data, plan, CTM, mcmc)
+        got, _ = cv_predict(data, plan, CTM, mcmc)
         want = cv_predict_fold_by_fold(data, plan, CTM, mcmc)
         assert np.array_equal(got.mu, want.mu) and np.array_equal(got.var, want.var)
 
@@ -973,7 +982,7 @@ class TestFoldBatch:
         blocks_cls = downscaler._Blocks
         monkeypatch.setattr(downscaler, "_Blocks", lambda *a: batches.append(a[3]) or blocks_cls(*a))
         mcmc = MCMCConfig(n_iter=60, burn_in=30, thin=2, seed=9)
-        got = cv_predict(data, plan, source, mcmc)
+        got, _ = cv_predict(data, plan, source, mcmc)
         assert sorted(len(b) for b in batches) == [1, 3]
         assert {b[0].sites.size for b in batches} == {5, 6}
         monkeypatch.undo()
@@ -1007,6 +1016,49 @@ class TestFoldBatch:
         # the draws are not views that would keep the whole batch's draws alive
         assert all(getattr(got, name).base is None for name in downscaler._RECORDED)
         assert got.acceptance == want.acceptance  # the adapted steps included
-        folds_alone = cv_predict(data, plan, source, self.MCMC)
+        folds_alone, none = cv_predict(data, plan, source, self.MCMC)
+        assert none is None
         assert np.array_equal(pred.mu, folds_alone.mu, equal_nan=True)
         assert np.array_equal(pred.var, folds_alone.var, equal_nan=True)
+
+    @pytest.mark.parametrize("kind", ["kfold", "spatial"])
+    @pytest.mark.parametrize("source", [CTM, SAT])
+    def test_each_fold_streams_predict_batches_of_its_chain_alone(self, kind, source):
+        """A fold's held-out (mu, var), built up from its chain's live state in
+        the batch, equals predict_batches on the draws of its chain run alone."""
+        from pmfusion.crossval import make_folds
+
+        rng = np.random.default_rng(76)
+        data = with_missing_sat(build_table(rng, 6, 10, gamma=[0.2, 0.0, -0.3, 0.1, 0.0, 0.4]), rng)
+        plan = make_folds(data, kind, k=3, seed=5).fold_of_record
+        folds = np.unique(plan)
+        pred, _ = cv_predict(data, plan, source, self.MCMC)
+        seeds = fold_seeds(2 * folds.size, seed=self.MCMC.seed)
+        usable = data.usable_mask(source)
+        for k, fold in enumerate(folds):
+            chain = downscaler._training_set(data, source, plan != fold, seeds[2 * k])
+            fit = downscaler._run_chains(solo(data, source, self.MCMC, chain))[0]
+            held = np.flatnonzero((plan == fold) & usable)
+            held_sites, loc_idx = np.unique(data.site_idx[held], return_inverse=True)
+            z = data.z[held] if source == SAT else None
+            batch = (data.day[held], data.x_for(source)[held], z, seeds[2 * k + 1])
+            want = predict_batches(fit, [data.sites[s] for s in held_sites], loc_idx, data.record_ids[held], [batch])
+            assert np.array_equal(pred.mu[held], want[0].mu) and np.array_equal(pred.var[held], want[0].var)
+        assert np.isfinite(pred.mu[usable]).all() and np.isnan(pred.mu[~usable]).all()
+        assert (source == SAT) == (~usable).any()
+
+    def test_a_cv_batch_keeps_the_draws_of_its_full_data_chain_only(self):
+        rng = np.random.default_rng(77)
+        data = build_table(rng, 6, 10)
+        plan = np.arange(data.n_records) % 3
+        chains = [downscaler._training_set(data, CTM, plan != f, s) for f, s in enumerate(fold_seeds(3, seed=6))]
+        predictors = [downscaler._held_out_predictor(data, CTM, c, 100 + f) for f, c in enumerate(chains)]
+        # the full-data chain between the folds', so the fits are not picked by position
+        chains.insert(1, downscaler._training_set(data, CTM, None, 17))
+        predictors.insert(1, None)
+        fits = downscaler._run_chains(_Blocks(data, CTM, self.MCMC, chains), predictors)
+        assert len(fits) == 1
+        want = fit_downscaler(data, CTM, MCMCConfig(n_iter=120, burn_in=60, thin=2, seed=17))
+        for name in FIT_ARRAYS:
+            assert np.array_equal(getattr(fits[0], name), getattr(want, name)), name
+        assert all(p is None or p.count == self.MCMC.n_kept for p in predictors)

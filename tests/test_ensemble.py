@@ -27,7 +27,6 @@ from pmfusion.ensemble import (
     fit_site_weights,
     fit_two_stage,
     krige_weights,
-    membership_prob,
     mixture_quantiles_arrays,
     predict_mixture,
     update_q,
@@ -36,13 +35,14 @@ from pmfusion.ensemble import (
 )
 from pmfusion.errors import DomainError, NoInputsError, SchemaError
 from pmfusion.geo import Location, distance_matrix
-from pmfusion.kernels import inv_logit, jittered_cholesky, logit
+from pmfusion.kernels import clipped_logit, inv_logit, jittered_cholesky, logit
 from pmfusion.tables import PredictiveTable
 
 from oracles import (
     bisection_mixture_quantiles,
     brute_force_weight_posterior,
     masked_inv_logit,
+    membership_prob,
     inv_logit_assignment_sums,
     numpy_scalar_update_q,
     scipy_kriging,
@@ -81,13 +81,25 @@ def make_inputs(ids, day, mu1, var1, mu2, var2, avail1=None, avail2=None):
     )
 
 
+def site_membership(y, mu1, var1, mu2, var2, w):
+    """_EnsembleProblem.assignment_probs over one site per row, with q =
+    clipped_logit(w): the membership probability the samplers draw from."""
+    y, mu1, var1, mu2, var2, w = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float))
+                                                         for a in (y, mu1, var1, mu2, var2, w)))
+    ids = [f"s{i}" for i in range(y.size)]
+    locs = [Location(sid, float(i), 0.0) for i, sid in enumerate(ids)]
+    prob = _EnsembleProblem(y, make_inputs(ids, np.ones(y.size), mu1, var1, mu2, var2), locs)
+    p = prob.assignment_probs(clipped_logit(w))
+    return float(p[0]) if p.size == 1 else p
+
+
 class TestMembershipProb:
     def test_equal_densities_give_half(self):
-        assert membership_prob(5.0, 5.0, 2.0, 5.0, 2.0, 0.5) == pytest.approx(0.5)
+        assert site_membership(5.0, 5.0, 2.0, 5.0, 2.0, 0.5) == pytest.approx(0.5)
 
     def test_three_to_one_density_ratio(self):
         # equal means, sd2 = 3*sd1 makes the density ratio exactly 3 at the mean
-        p = membership_prob(5.0, 5.0, 1.0, 5.0, 9.0, 0.5)
+        p = site_membership(5.0, 5.0, 1.0, 5.0, 9.0, 0.5)
         assert p == pytest.approx(0.75, abs=1e-14)
 
     def test_matches_scalar_oracle(self):
@@ -97,13 +109,14 @@ class TestMembershipProb:
             mu1, mu2 = rng.normal(10, 3, 2)
             var1, var2 = rng.uniform(0.2, 6.0, 2)
             w = rng.uniform(0.01, 0.99)
-            got = membership_prob(y, mu1, var1, mu2, var2, w)
+            got = site_membership(y, mu1, var1, mu2, var2, w)
             want = scalar_membership(y, mu1, var1, mu2, var2, w)
             assert abs(got - want) < 1e-12
+            assert abs(membership_prob(y, mu1, var1, mu2, var2, w) - want) < 1e-12
 
     def test_extreme_logits_saturate_cleanly(self):
-        assert membership_prob(0.0, 0.0, 1.0, 60.0, 1.0, 0.5) == pytest.approx(1.0)
-        assert membership_prob(60.0, 0.0, 1.0, 60.0, 1.0, 0.5) == pytest.approx(0.0)
+        assert site_membership(0.0, 0.0, 1.0, 60.0, 1.0, 0.5) == pytest.approx(1.0)
+        assert site_membership(60.0, 0.0, 1.0, 60.0, 1.0, 0.5) == pytest.approx(0.0)
 
 
 class TestUpdateZ:

@@ -8,13 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pmfusion
 from pmfusion import cli, pipeline
 from pmfusion import io as pio
 from pmfusion.config import MCMCConfig
 from pmfusion.downscaler import fit_downscaler
-from pmfusion.errors import OverwriteError, StageError
+from pmfusion.errors import DomainError, OverwriteError, SchemaError, StageError
 from pmfusion.geo import CTM, SAT, GridSpec, Location
 from pmfusion.pipeline import (
     JOINT,
@@ -260,6 +262,86 @@ class TestPipelineConfig:
             make_config(truth, paths, tmp_path, n_folds=1)
         with pytest.raises(ValueError, match="go together"):
             make_config(truth, paths, tmp_path, sat_grid=None)
+
+
+# a valid config's JSON form; no file it names is read when it loads
+VALID_CONFIG = PipelineConfig(
+    monitors="monitors.csv", obs="obs.csv", grid_ctm="grid_ctm.csv", ctm_grid=GridSpec(-12.0, -12.0, 12.0, 11, 11, CTM),
+    out_dir="runs", grid_sat="grid_sat.csv", sat_grid=GridSpec(0.0, 0.0, 4.0, 25, 25, SAT),
+    covariates="covariates.csv", target_grid=GridSpec(10.0, 10.0, 16.0, 5, 5), n_days=14, n_folds=4,
+    downscaler_mcmc=MCMCConfig(n_iter=240, burn_in=120, thin=2), ensemble_mcmc=MCMCConfig(n_iter=400, burn_in=200),
+    surface_days=(1, 7), seed=3,
+).to_dict()
+GRIDS, CHAINS = ("ctm_grid", "sat_grid", "target_grid"), ("downscaler_mcmc", "ensemble_mcmc")
+# every field, the fields inside the grid and chain objects, and an unknown key at each level
+CONFIG_FIELDS = [(k,) for k in [*VALID_CONFIG, "bogus"]] + [
+    (k, inner) for k in GRIDS + CHAINS for inner in [*VALID_CONFIG[k], "bogus"]
+]
+DELETE = object()
+# each JSON type, NaN and the infinities, and numbers out of range; the grid
+# sizes among them give at most 25 target cells or are refused unallocated
+ODD_VALUES = [
+    DELETE, None, True, False, 0, -1, 1, 2, 2.7, -0.5, 10**10, 10**400, float("nan"), float("inf"),
+    float("-inf"), 1e300, "", "x", "3", "spatial", "two_stage", [], [1, 7], [0], {}, {"bogus": 1},
+]
+
+
+def as_written(written, loaded) -> bool:
+    """loaded holds the JSON value written: a bool only equals a bool, an
+    integer the float of its value, NaN equals NaN, a tuple reads as a list,
+    and an object holds every key written (a key left out may take a default)."""
+    a, b = written, loaded
+    if isinstance(a, bool) or isinstance(b, bool):
+        return type(a) is type(b) and a == b
+    if isinstance(a, dict) and isinstance(b, dict):
+        return all(k in b and as_written(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        return len(a) == len(b) and all(map(as_written, a, b))
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return a == b or a != a and b != b
+    return type(a) is type(b) and a == b
+
+
+def check_mutated_load(d: dict, cfg_path: Path) -> None:
+    """A config loads exactly as written, a GridSpec in every grid field and
+    an MCMCConfig in every chain field, or is refused with a SchemaError or
+    DomainError that starts with the config's path."""
+    cfg_path.write_text(json.dumps(d))
+    try:
+        cfg = load_pipeline_config(cfg_path)
+    except (SchemaError, DomainError) as e:
+        assert str(e).startswith(f"{cfg_path}: ")
+        return
+    assert isinstance(cfg.ctm_grid, GridSpec)
+    assert all(getattr(cfg, g) is None or isinstance(getattr(cfg, g), GridSpec) for g in GRIDS[1:])
+    assert all(isinstance(getattr(cfg, m), MCMCConfig) for m in CHAINS)
+    # nothing truncated, coerced or dropped
+    assert as_written({k: v for k, v in d.items() if k != "config_hash"}, cfg.to_dict())
+
+
+def mutated(edits) -> dict:
+    d = json.loads(json.dumps(VALID_CONFIG))
+    for path, value in edits:
+        owner = d if len(path) == 1 else d.get(path[0])
+        if not isinstance(owner, dict):
+            continue
+        if value is DELETE:
+            owner.pop(path[-1], None)
+        else:
+            owner[path[-1]] = value
+    return d
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(st.lists(st.tuples(st.sampled_from(CONFIG_FIELDS), st.sampled_from(ODD_VALUES)), min_size=1, max_size=3))
+def test_a_config_with_mutated_fields_loads_as_written_or_fails_typed(tmp_path_factory, edits):
+    check_mutated_load(mutated(edits), tmp_path_factory.getbasetemp() / "mutated_config.json")
+
+
+def test_a_config_with_any_one_mutated_field_loads_as_written_or_fails_typed(tmp_path):
+    for field_path in CONFIG_FIELDS:
+        for value in ODD_VALUES:
+            check_mutated_load(mutated([(field_path, value)]), tmp_path / "config.json")
 
 
 def run_cli(*args, cwd, env):
@@ -655,9 +737,22 @@ class TestCliInProcess:
             (lambda d: d.update(surface_days="abc"), "surface_days"),
             (lambda d: d.update(out_dir=5), "out_dir must be a path string"),
             (lambda d: d.update(overwrite="yes"), "overwrite must be true or false"),
+            (lambda d: d.update(ctm_grid=None), "ctm_grid must be a JSON object, got None"),
+            (lambda d: d.update(downscaler_mcmc="x"), "downscaler_mcmc must be a JSON object, got 'x'"),
+            (lambda d: d.update(downscaler_mcmc=[240, 120]), "downscaler_mcmc must be a JSON object, got [240, 120]"),
+            (lambda d: d.update(downscaler_mcmc=None), "downscaler_mcmc must be a JSON object, got None"),
+            (lambda d: d.update(ensemble_mcmc=None), "ensemble_mcmc must be a JSON object, got None"),
+            (lambda d: d["ctm_grid"].update(n_rows=2.7), "ctm_grid: n_rows must be an integer, got 2.7"),
+            (lambda d: d["ctm_grid"].update(n_cols=True), "ctm_grid: n_cols must be an integer, got True"),
+            (lambda d: d["sat_grid"].update(bogus=1), "sat_grid: unknown key 'bogus'"),
+            # refused before all_centers() would allocate 10^20 cells
+            (lambda d: d["target_grid"].update(n_rows=10**10, n_cols=10**10),
+             "target_grid: a 10000000000x10000000000 grid exceeds 134217728 cells"),
         ],
         ids=["unknown-key", "missing-obs", "grid-without-origin_y", "variant", "n_folds", "seed", "surface_days",
-             "out_dir-number", "overwrite-string"],
+             "out_dir-number", "overwrite-string", "ctm_grid-null", "downscaler_mcmc-string",
+             "downscaler_mcmc-list", "downscaler_mcmc-null", "ensemble_mcmc-null", "grid-fractional-rows",
+             "grid-boolean-cols", "grid-unknown-key", "target_grid-oversized"],
     )
     def test_malformed_config_is_a_typed_error(self, edit, named, scene, tmp_path, capsys):
         truth, paths, _ = scene

@@ -403,14 +403,15 @@ def test_full_predictive_targets_match_the_dict(site_ids, fit_ids, keys):
     fit_sites = [Location(sid, -1.0 - i, 0.0) for i, sid in enumerate(fit_ids)]
     seen = []
 
-    def predict_at(fit, locations, loc_idx, days, x, z, seed):
+    def predict_batches(fit, locations, loc_idx, ids, batches):
         seen.append((locations, loc_idx))
+        (days, *_), = batches
         n = len(days)
-        return SourcePredictions(ids=None, day=days, mu=np.zeros(n), var=np.ones(n), available=np.ones(n, dtype=bool))
+        return [SourcePredictions(ids=ids, day=days, mu=np.zeros(n), var=np.ones(n), available=np.ones(n, dtype=bool))]
 
     fit = SimpleNamespace(sites=fit_sites)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(pipeline, "predict_at", predict_at)
+        m.setattr(pipeline, "predict_batches", predict_batches)
         pipeline._full_predictive(data, {CTM: fit, SAT: None}, np.random.SeedSequence(0).spawn(2))
     (locations, loc_idx), = seen
     want_locations, want_idx = dict_full_predictive_targets(data, fit_sites)
