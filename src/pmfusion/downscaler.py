@@ -549,11 +549,11 @@ def _run_chains(blocks: _Blocks, predictors=None) -> list[DownscalerFit]:
         if j is not None:
             for f, p in enumerate(predictors):
                 state = {field: getattr(blocks, name)[f] for field, name in _RECORDED.items()}
-                if p is not None:
+                if p is None:
+                    for field, value in state.items():
+                        draws[f][field][j] = value
+                else:
                     p.add(state)
-                    continue
-                for field, value in state.items():
-                    draws[f][field][j] = value
     acc1, acc2 = chain.acceptance_of("theta1"), chain.acceptance_of("theta2")
     step1, step2 = chain.step("theta1"), chain.step("theta2")
     return [
