@@ -27,7 +27,6 @@ from .downscaler import (
     SourcePredictions,
     cv_predict,
     fit_downscaler,
-    predict_batches,
 )
 from .ensemble import (
     MixtureDistribution,
@@ -112,7 +111,6 @@ __all__ = [
     "PipelineConfig",
     "PipelineResult",
     "fit_downscaler",
-    "predict_batches",
     "cv_predict",
     "fit_joint",
     "fit_two_stage",

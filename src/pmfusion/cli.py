@@ -20,7 +20,7 @@ import numpy as np
 from . import io as pio
 from .config import MCMCConfig
 from .crossval import KFOLD, SPATIAL
-from .downscaler import fit_downscaler, predict_batches
+from .downscaler import fit_downscaler
 from .ensemble import fit_joint, fit_two_stage, krige_weights, predict_mixture
 from .errors import DomainError, OutOfDomainError, PmFusionError, SchemaError
 from .geo import CTM, SAT, GridSpec
@@ -153,9 +153,9 @@ def _parse_days(text: str | None, n_days: int) -> list[int] | None:
 def _cmd_fit_downscaler(args) -> int:
     source = args.source
     view, _ = _source_view(_load_table(args, require_sat=source == SAT), source)
-    fit = fit_downscaler(view, source, _mcmc_from(args))
     batch = (view.day, view.x_for(source), view.z if source == SAT else None, args.seed + 1)
-    pred = predict_batches(fit, view.sites, view.site_idx, view.record_ids, [batch])[0]
+    fit = fit_downscaler(view, source, _mcmc_from(args), [(view.sites, view.site_idx, view.record_ids, [batch])])
+    (pred,), = fit.predictions
     preds = (pred, None) if source == CTM else (None, pred)
     table = combine_predictions(view, *preds)
     meta = {"seed": args.seed, "config": pio.config_hash({"cmd": "fit-downscaler", "source": source, "seed": args.seed})}
@@ -207,7 +207,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_cv(args) -> int:
     data = _load_table(args, require_sat=False)
-    seeds = np.random.SeedSequence(args.seed).spawn(2)
+    seeds = [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(args.seed).spawn(2)]
     table, _ = cv_component_table(
         data, args.derivation, args.folds, _mcmc_from(args), args.seed, seeds
     )

@@ -53,30 +53,16 @@ _A_PRIOR_PREC = np.eye(3) / A_PRIOR_VAR
 
 @dataclass
 class DownscalerFit:
-    """Posterior sample set from fit_downscaler, arrays indexed by sample."""
+    """One chain's source, sites, horizon, covariate scaler and range acceptance,
+    and by request the predictions it streamed, one SourcePredictions per batch."""
 
     source: str
     sites: list[Location]
     n_days: int
-    gamma: np.ndarray
-    alpha0: np.ndarray
-    beta0: np.ndarray
-    a_coreg: np.ndarray  # (A11, A21, A22), lower-triangular by construction
-    v1: np.ndarray
-    v2: np.ndarray
-    sigma2_y: np.ndarray
-    sigma2_alpha0: np.ndarray
-    sigma2_beta0: np.ndarray
-    eta_alpha0: np.ndarray
-    eta_beta0: np.ndarray
-    theta1: np.ndarray
-    theta2: np.ndarray
     z_mean: np.ndarray
     z_sd: np.ndarray
     acceptance: dict
-
-    def __len__(self) -> int:
-        return self.sigma2_y.shape[0]
+    predictions: list
 
 
 @dataclass
@@ -149,8 +135,7 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 class _Blocks:
     """Full-conditional updates for F chains of one source's model, in lockstep.
 
-    Chain f fits the records of chains[f] (by default one chain on every
-    record of data, seeded with mcmc.seed), and all chains have the same
+    Chain f fits the records of chains[f], and all chains have the same
     site count S. State variables carry a leading chain axis.
 
     The usable records are the filled cells of data's (day x site) grid,
@@ -168,9 +153,7 @@ class _Blocks:
     the blocks can be exercised and checked in isolation.
     """
 
-    def __init__(self, data: ObservationTable, source: str, mcmc: MCMCConfig, chains=None):
-        if chains is None:
-            chains = [_training_set(data, source, None, mcmc.seed)]
+    def __init__(self, data: ObservationTable, source: str, mcmc: MCMCConfig, chains: list[_Training]):
         self.source, self.mcmc = source, mcmc
         self.F = F = len(chains)
         self.S = S = chains[0].sites.size
@@ -524,36 +507,28 @@ class _Blocks:
         self.draw_theta(2)
 
 
-# sampler state recorded at each kept iteration, by DownscalerFit field
-_RECORDED = {
+# the sampler state a consumer's add() receives at each kept iteration, by name: its _Blocks attribute
+_STATE = {
     "gamma": "gamma", "alpha0": "alpha0", "beta0": "beta0", "a_coreg": "a", "v1": "v1", "v2": "v2",
     "sigma2_y": "sigma2_y", "sigma2_alpha0": "sigma2_a", "sigma2_beta0": "sigma2_b",
     "eta_alpha0": "eta_a", "eta_beta0": "eta_b", "theta1": "theta1", "theta2": "theta2",
 }
 
 
-def _run_chains(blocks: _Blocks, predictors=None) -> list[DownscalerFit]:
-    """Run a batch of chains. At each kept iteration a chain with a predictor
-    adds its live state to it, and a chain without one (predictors None: every
-    chain) records it; returns the thinned post-burn-in sample set of each
-    recording chain, in batch order."""
-    predictors = predictors or [None] * blocks.F
-    shapes = {field: getattr(blocks, name).shape[1:] for field, name in _RECORDED.items()}
-    draws = {
-        f: {field: np.zeros((blocks.mcmc.n_kept,) + shape) for field, shape in shapes.items()}
-        for f, p in enumerate(predictors) if p is None
-    }
+def _run_chains(blocks: _Blocks, consumers) -> list[DownscalerFit]:
+    """Run a batch of chains, recording nothing. consumers[f] lists chain f's
+    consumers: at each kept iteration each one's add() gets the chain's live
+    state, a mapping from _STATE name to a value or view that is valid during
+    the call. Returns each chain's fit in batch order, its predictions what
+    its consumers' finish() return, in list order."""
     chain = blocks.chain
     for _, j in chain:
         blocks.sweep()
         if j is not None:
-            for f, p in enumerate(predictors):
-                state = {field: getattr(blocks, name)[f] for field, name in _RECORDED.items()}
-                if p is None:
-                    for field, value in state.items():
-                        draws[f][field][j] = value
-                else:
-                    p.add(state)
+            for f, own in enumerate(consumers):
+                state = {key: getattr(blocks, name)[f] for key, name in _STATE.items()}
+                for consumer in own:
+                    consumer.add(state)
     acc1, acc2 = chain.acceptance_of("theta1"), chain.acceptance_of("theta2")
     step1, step2 = chain.step("theta1"), chain.step("theta2")
     return [
@@ -561,7 +536,6 @@ def _run_chains(blocks: _Blocks, predictors=None) -> list[DownscalerFit]:
             source=blocks.source,
             sites=blocks.sites[f],
             n_days=blocks.T,
-            **d,
             z_mean=blocks.z_mean[f],
             z_sd=blocks.z_sd[f],
             acceptance={
@@ -569,75 +543,72 @@ def _run_chains(blocks: _Blocks, predictors=None) -> list[DownscalerFit]:
                 "theta2": float(acc2[f]),
                 "step_theta": (float(step1[f]), float(step2[f])),
             },
+            predictions=[consumer.finish() for consumer in own],
         )
-        for f, d in draws.items()
+        for f, own in enumerate(consumers)
     ]
 
 
-def fit_downscaler(data: ObservationTable, source: str, mcmc: MCMCConfig) -> DownscalerFit:
-    """Run the MCMC and return the thinned post-burn-in sample set.
+def fit_downscaler(data: ObservationTable, source: str, mcmc: MCMCConfig, requests) -> DownscalerFit:
+    """Run the MCMC on every record of data and stream the posterior
+    predictive of each request from the chain's kept states.
 
     Parameters
     ----------
-    data   : ObservationTable; records with a missing value for `source`
-             are excluded from that source's likelihood
-    source : "ctm" (no covariate block) or "sat" (covariates included)
-    mcmc   : chain configuration; the run is deterministic given mcmc.seed
+    data     : ObservationTable; records with a missing value for `source`
+               are excluded from that source's likelihood
+    source   : "ctm" (no covariate block) or "sat" (covariates included)
+    mcmc     : chain configuration; the run is deterministic given mcmc.seed
+    requests : iterable of (targets, loc_idx, ids, batches), each read and
+               checked before the chain runs (see _Predictor)
+
+    Returns the chain's DownscalerFit: fit.predictions[i] lists request i's
+    SourcePredictions, one per batch. No draw is kept.
 
     Raises InsufficientDataError when any site has no usable record for the
     source, the horizon is shorter than 2 days, or a covariate is constant.
     """
-    return _run_chains(_Blocks(data, source, mcmc))[0]
-
-
-def predict_batches(
-    fit: DownscalerFit,
-    targets,
-    loc_idx: np.ndarray,
-    ids: np.ndarray,
-    batches,
-) -> list[SourcePredictions]:
-    """Posterior predictive mean/variance of record batches on the same
-    targets, one SourcePredictions per batch.
-
-    targets is a list of Location or an (m, 2) array of km coordinates;
-    record i sits at targets[loc_idx[i]] and carries the site id ids[i].
-    batches is an iterable, read once, of (days, linked_x, z, seed): record
-    i of a batch is on day days[i] with linked grid value linked_x[i] (NaN,
-    a missing satellite retrieval, makes it unavailable); z holds raw-scale
-    covariates, required for a satellite fit; seed seeds its generator.
-    Latent site fields at the targets are drawn from their GP conditionals
-    given the fitted monitors, per posterior sample; at a fitted monitor the
-    conditional variance is roundoff (up to about 3e-15). The variance is
-    the spread of per-sample predictions plus the mean residual variance.
-    """
-    predictor = _Predictor(fit.source, fit.sites, fit.n_days, fit.z_mean, fit.z_sd, targets, loc_idx, ids, batches)
-    for j in range(len(fit)):
-        predictor.add({field: getattr(fit, field)[j] for field in _RECORDED})
-    return predictor.finish()
+    chain = _training_set(data, source, None, mcmc.seed)
+    predictors = [_Predictor(data, source, chain, *request) for request in requests]
+    return _run_chains(_Blocks(data, source, mcmc, [chain]), [predictors])[0]
 
 
 class _Predictor:
-    """predict_batches built up one posterior sample at a time: add() each
-    sample of a fit of this source, sites, horizon and covariate scaler
-    (z_mean, z_sd), then finish(). Each sample's GP conditional at the
-    targets is built once and shared by all batches; every batch draws its
-    fields from its own generator, in sample order."""
+    """The posterior predictive of one request, built up from a chain of this
+    source, one kept state at a time: add() each state, then finish().
 
-    def __init__(self, source, sites, n_days, z_mean, z_sd, targets, loc_idx, ids, batches):
+    A request is (targets, loc_idx, ids, batches). targets is a list of
+    Location or an (m, 2) array of km coordinates; record i sits at
+    targets[loc_idx[i]] and carries the site id ids[i]. batches is an
+    iterable, read once, of (days, linked_x, z, seed): record i of a batch is
+    on day days[i] with linked grid value linked_x[i] (NaN, a missing
+    satellite retrieval, makes it unavailable); z holds raw-scale
+    covariates, required for a satellite chain; seed seeds its generator.
+    Latent site fields at the targets are drawn from their GP conditionals
+    given the chain's sites, per state; at a fitted monitor the conditional
+    variance is roundoff (up to about 3e-15). Each state's conditional is
+    built once and shared by all batches, and every batch draws its fields
+    from its own generator, in state order. The variance is the spread of
+    the per-state predictions plus the mean residual variance. The work
+    arrays are allocated here, so add() allocates none per batch.
+    """
+
+    def __init__(self, data: ObservationTable, source: str, chain: _Training, targets, loc_idx, ids, batches):
         loc_idx = np.asarray(loc_idx, dtype=np.int64)
         n = loc_idx.shape[0]
         ids = np.asarray(ids, dtype=object)
         if ids.shape != (n,):
             raise SchemaError("loc_idx and ids must have equal length")
+        if n and not 0 <= loc_idx.min() <= loc_idx.max() < len(targets):
+            raise SchemaError(f"loc_idx must index the {len(targets)} targets")
         self.out, self.live = [], []
         for days, linked_x, z, seed in batches:
             days = np.asarray(days, dtype=np.int64)
             linked_x = np.asarray(linked_x, dtype=float)
             if days.shape[0] != n or linked_x.shape[0] != n:
                 raise SchemaError("loc_idx, days, linked_x must have equal length")
-            if days.min(initial=1) < 1 or days.max(initial=1) > n_days:
-                raise OutOfDomainError(f"target days must lie in 1..{n_days}")
+            if days.min(initial=1) < 1 or days.max(initial=1) > data.n_days:
+                raise OutOfDomainError(f"target days must lie in 1..{data.n_days}")
             if source == SAT:
                 if z is None:
                     raise SchemaError("satellite predictions need the covariate block z")
@@ -651,39 +622,49 @@ class _Predictor:
             self.out.append(pred)
             if avail.any():
                 sub = np.flatnonzero(avail)
-                zg = (z[sub] - z_mean) / z_sd if source == SAT else None
+                zg = (z[sub] - chain.z_mean) / chain.z_sd if source == SAT else None
                 self.live.append(_Batch(pred, loc_idx[sub], days[sub] - 1, linked_x[sub], zg, seed))
         self.count, self.s2y_acc = 0, 0.0
         if self.live:
+            sites = [data.sites[s] for s in chain.sites]
             d_sites = distance_matrix(sites)
             d_cross = distance_matrix(sites, targets)
-            self.n_loc = d_cross.shape[1]
             # a rejected range proposal repeats theta, and with it the field operators
             self.krige1, self.krige2 = ExpKriging(d_sites, d_cross), ExpKriging(d_sites, d_cross)
+            # the two fields' conditional SDs, and their draws at the targets and
+            # beta1, which a batch spends before the next one draws
+            self.sd, self.fields = np.empty((2, d_cross.shape[1])), np.empty((3, d_cross.shape[1]))
 
-    def add(self, sample: dict) -> None:
-        """Update every batch with one posterior sample, a mapping from
-        DownscalerFit field to the sample's value."""
+    def add(self, state: dict) -> None:
+        """Update every batch with one kept state, a mapping from _STATE name to value."""
         if not self.live:
             return
-        mean1, resid1 = self.krige1(sample["v1"], float(sample["theta1"]))
-        mean2, resid2 = self.krige2(sample["v2"], float(sample["theta2"]))
-        sd1, sd2 = np.sqrt(resid1), np.sqrt(resid2)
-        a11, a21, a22 = sample["a_coreg"]
-        alpha0, beta0 = sample["alpha0"], sample["beta0"]
+        mean1, resid1 = self.krige1(state["v1"], float(state["theta1"]))
+        mean2, resid2 = self.krige2(state["v2"], float(state["theta2"]))
+        sd1, sd2 = np.sqrt(resid1, out=self.sd[0]), np.sqrt(resid2, out=self.sd[1])
+        a11, a21, a22 = state["a_coreg"]
+        alpha0, beta0 = state["alpha0"], state["beta0"]
         self.count += 1
-        self.s2y_acc += float(sample["sigma2_y"])
+        self.s2y_acc += float(state["sigma2_y"])
+        v1, v2, beta1 = self.fields
         for b in self.live:
-            v1_star = mean1 + sd1 * b.rng.standard_normal(self.n_loc)
-            v2_star = mean2 + sd2 * b.rng.standard_normal(self.n_loc)
-            alpha1 = a11 * v1_star
-            beta1 = a21 * v1_star + a22 * v2_star
-            pred = alpha0[b.day0] + alpha1[b.loc] + (beta0[b.day0] + beta1[b.loc]) * b.x
+            # v1 = mean1 + sd1 z1, v2 = mean2 + sd2 z2, beta1 = a21 v1 + a22 v2, alpha1 = a11 v1
+            # (over v1): each step of the plain expressions, in their order and so to their bits
+            np.add(mean1, np.multiply(sd1, b.rng.standard_normal(out=v1), out=v1), out=v1)
+            np.add(mean2, np.multiply(sd2, b.rng.standard_normal(out=v2), out=v2), out=v2)
+            np.add(np.multiply(a21, v1, out=beta1), np.multiply(a22, v2, out=v2), out=beta1)
+            alpha1 = np.multiply(a11, v1, out=v1)
+            # pred = alpha0[day] + alpha1[loc] + (beta0[day] + beta1[loc]) x (+ zg gamma) and the
+            # Welford update likewise; take's "raise" mode copies via a temporary; checked indices never clip
+            pred, delta, t = b.work
+            np.add(alpha0.take(b.day0, out=pred, mode="clip"), alpha1.take(b.loc, out=delta, mode="clip"), out=pred)
+            np.add(beta0.take(b.day0, out=delta, mode="clip"), beta1.take(b.loc, out=t, mode="clip"), out=delta)
+            np.add(pred, np.multiply(delta, b.x, out=delta), out=pred)
             if b.zg is not None:
-                pred = pred + b.zg @ sample["gamma"]
-            delta = pred - b.mean
-            b.mean += delta / self.count
-            b.m2 += delta * (pred - b.mean)
+                np.add(pred, np.matmul(b.zg, state["gamma"], out=delta), out=pred)
+            np.subtract(pred, b.mean, out=delta)
+            np.add(b.mean, np.divide(delta, self.count, out=t), out=b.mean)
+            np.add(b.m2, np.multiply(delta, np.subtract(pred, b.mean, out=pred), out=pred), out=b.m2)
 
     def finish(self) -> list[SourcePredictions]:
         for b in self.live:
@@ -693,14 +674,15 @@ class _Predictor:
 
 
 class _Batch:
-    """The available rows of one predict_batches batch, its generator and its
-    running (Welford) mean and sum of squared deviations."""
+    """The available rows of one batch of a request, its generator, its
+    running (Welford) mean and sum of squared deviations, and three work rows."""
 
     def __init__(self, out, loc, day0, x, zg, seed):
         self.out, self.loc, self.day0, self.x, self.zg = out, loc, day0, x, zg
         self.rng = np.random.default_rng(seed)
         self.mean = np.zeros(x.size)
         self.m2 = np.zeros(x.size)
+        self.work = np.empty((3, x.size))
 
 
 def _held_out_predictor(data: ObservationTable, source: str, chain: _Training, seed: int) -> _Predictor:
@@ -711,8 +693,7 @@ def _held_out_predictor(data: ObservationTable, source: str, chain: _Training, s
     targets = [data.sites[s] for s in held_sites]
     ids = np.asarray([l.site_id for l in targets], dtype=object)[loc_idx]
     batch = (data.day[held], data.x_for(source)[held], data.z[held] if source == SAT else None, seed)
-    sites = [data.sites[s] for s in chain.sites]
-    return _Predictor(source, sites, data.n_days, chain.z_mean, chain.z_sd, targets, loc_idx, ids, [batch])
+    return _Predictor(data, source, chain, targets, loc_idx, ids, [batch])
 
 
 def cv_predict(
@@ -722,6 +703,7 @@ def cv_predict(
     mcmc: MCMCConfig,
     *,
     full_seed: int | None = None,
+    full_requests=(),
 ) -> tuple[SourcePredictions, DownscalerFit | None]:
     """Out-of-sample predictive for every record via fold-held-out refits.
 
@@ -730,10 +712,12 @@ def cv_predict(
     Fold fits use independent child seeds of mcmc.seed, so the result is
     deterministic and independent of fold ordering. Chains whose training
     sets have the same site count run as one lockstep batch, each equal to
-    its own fit. A fold's predictive is built up from its chain's state at
-    each kept iteration, as predict_batches would from the chain's draws,
-    and no fold keeps its draws. Given full_seed, a chain on every record
-    (fit_downscaler's with that seed) runs with the folds'. Returns the
+    its own fit. A fold's predictive streams from its chain's live state at
+    each kept iteration, and no chain keeps its draws. Given full_seed, a
+    chain on every record runs with the folds': it is fit_downscaler(data,
+    source, mcmc seeded with full_seed, full_requests), and its requests are
+    read and checked with the folds' before any chain runs. Its batch runs
+    first, and a batch's predictors are freed once it has run. Returns the
     predictions and that chain's fit, or None without full_seed.
     """
     fold_of_record = np.asarray(fold_of_record, dtype=np.int64)
@@ -744,19 +728,19 @@ def cv_predict(
     seeds = [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(mcmc.seed).spawn(2 * folds.size)]
     # every fold's training set is checked in fold order before any chain runs
     chains = [_training_set(data, source, fold_of_record != fold, seeds[2 * k]) for k, fold in enumerate(folds)]
-    predictors = [_held_out_predictor(data, source, c, seeds[2 * k + 1]) for k, c in enumerate(chains)]
+    consumers = {k: [_held_out_predictor(data, source, c, seeds[2 * k + 1])] for k, c in enumerate(chains)}
     if full_seed is not None:
         chains.append(_training_set(data, source, None, full_seed))
-        predictors.append(None)
-    full = None
-    for n_sites in dict.fromkeys(c.sites.size for c in chains):
+        consumers[folds.size] = [_Predictor(data, source, chains[-1], *request) for request in full_requests]
+    fits = {}
+    # the full-data batch first, each batch's predictors dropped as it ends: its surface predictor meets no other batch
+    for n_sites in dict.fromkeys(c.sites.size for c in reversed(chains)):
         batch = [k for k, c in enumerate(chains) if c.sites.size == n_sites]
-        fits = _run_chains(_Blocks(data, source, mcmc, [chains[k] for k in batch]), [predictors[k] for k in batch])
-        full = fits[0] if fits else full
-    for c, predictor in zip(chains, predictors):
-        if predictor is not None:
-            pred = predictor.finish()[0]
-            mu[c.held] = pred.mu
-            var[c.held] = pred.var
-    avail = data.usable_mask(source)
-    return SourcePredictions(ids=data.record_ids, day=data.day.copy(), mu=mu, var=var, available=avail), full
+        fits.update(zip(batch, _run_chains(_Blocks(data, source, mcmc, [chains[k] for k in batch]),
+                                           [consumers.pop(k) for k in batch])))
+    for k, c in enumerate(chains[: folds.size]):
+        (held,), = fits[k].predictions
+        mu[c.held] = held.mu
+        var[c.held] = held.var
+    pred = SourcePredictions(ids=data.record_ids, day=data.day.copy(), mu=mu, var=var, available=data.usable_mask(source))
+    return pred, fits.get(folds.size)

@@ -1,11 +1,14 @@
 """Three-stage orchestration from input CSVs to surface artifacts.
 
-Stage 1 fits each source's downscaler under cross-validation, assembling
+Stage 1 runs each source's downscaler under cross-validation, assembling
 the out-of-sample component predictives, and on all its observations, the
 full-data chain running in the folds' batch where the site counts match.
-Stage 2 fits the ensemble weight field to the held-out predictives. Stage 3
-predicts from the full-data fits (no refit), kriges the weight field to the
-target grid, and combines everything into a predictive surface.
+That chain streams the source's full-data predictive and, given a target
+grid, its surface predictive, so a source's Stage 1 reads only the load and
+writes all three of its component predictives. Stage 2 fits the ensemble
+weight field to the held-out predictives. Stage 3 combines the full-data
+predictives, kriges the weight field to the target grid, and mixes the
+surface predictives into a predictive surface.
 
 Outputs land in <out_dir>/run_<confighash>/ so distinct configurations never
 collide; an existing run directory is refused unless overwrite is set. Every
@@ -27,7 +30,7 @@ import numpy as np
 from . import io as pio
 from .config import MCMCConfig
 from .crossval import KFOLD, SPATIAL, EvalReport, evaluate, make_folds
-from .downscaler import SourcePredictions, cv_predict, predict_batches
+from .downscaler import SourcePredictions, cv_predict
 from .ensemble import (
     WeightFieldSamples,
     fit_joint,
@@ -36,7 +39,7 @@ from .ensemble import (
     predict_mixture,
 )
 from .errors import DomainError, OutOfDomainError, OverwriteError, SchemaError, StageError
-from .geo import CTM, SAT, GridSpec, distance_matrix
+from .geo import CTM, SAT, SOURCES, GridSpec, distance_matrix
 from .kernels import GaussianSummary
 from .tables import SOURCE_COLUMNS, ObservationTable, PredictiveTable
 
@@ -257,11 +260,13 @@ def cv_component_table(
     mcmc: MCMCConfig,
     fold_seed: int,
     seeds,
-    full_seeds=None,
+    full=None,
 ) -> tuple[PredictiveTable, dict]:
     """Held-out component predictives for both sources over one record table,
-    and by source the fit on all its records seeded from full_seeds (None
-    without full_seeds, or for a source with no usable record)."""
+    and by source the fit of a chain on all its records (None without full,
+    or for a source with no usable record). seeds holds each source's integer
+    seed; full(source, sites) gives cv_predict's full_seed and full_requests
+    for that chain, called in the source's run with the sites it fits."""
     per_source, fits = {}, {CTM: None, SAT: None}
     for k, source in enumerate((CTM, SAT)):
         if source == SAT and not data.usable_mask(SAT).any():
@@ -269,41 +274,89 @@ def cv_component_table(
             continue
         view, rows = _source_view(data, source)
         plan = make_folds(view, derivation, n_folds, seed=fold_seed)
-        source_mcmc = replace(mcmc, seed=int(seeds[k].generate_state(1)[0]))
-        full_seed = None if full_seeds is None else int(full_seeds[k].generate_state(1)[0])
-        pred, fits[source] = cv_predict(view, plan.fold_of_record, source, source_mcmc, full_seed=full_seed)
+        source_mcmc = replace(mcmc, seed=seeds[k])
+        chain = {} if full is None else full(source, view.sites)
+        pred, fits[source] = cv_predict(view, plan.fold_of_record, source, source_mcmc, **chain)
         per_source[source] = _embed(pred, rows, data.n_records, data)
     return combine_predictions(data, per_source[CTM], per_source[SAT]), fits
 
 
-def _stage1(cfg: PipelineConfig, data: ObservationTable, seeds, full_seeds) -> tuple[PredictiveTable, dict]:
-    return cv_component_table(data, cfg.derivation, cfg.n_folds, cfg.downscaler_mcmc, cfg.seed, seeds, full_seeds)
+def _surface_targets(cfg: PipelineConfig, data: ObservationTable):
+    """The surface days, the target-grid cell centres as one (m, 2) array,
+    their rows and columns, and their rNNNcNNN ids; None without a target grid."""
+    grid = cfg.target_grid
+    if grid is None:
+        return None
+    days = range(1, data.n_days + 1) if cfg.surface_days is None else cfg.surface_days
+    days = tuple(int(d) for d in days)
+    centers = grid.all_centers()
+    rr, cc = np.divmod(np.arange(centers.shape[0]), grid.n_cols)
+    target_ids = np.array([f"r{r:03d}c{c:03d}" for r, c in zip(rr.tolist(), cc.tolist())], dtype=object)
+    return days, centers, rr, cc, target_ids
 
 
-def _stage2(cfg: PipelineConfig, data, cv_inputs: PredictiveTable, seeds) -> WeightFieldSamples:
-    mcmc = replace(cfg.ensemble_mcmc, seed=int(seeds[0].generate_state(1)[0]))
+def _full_predictive_targets(data: ObservationTable, fit_sites) -> tuple[list, np.ndarray]:
+    """The targets of a source's full predictive and each record's index
+    among them: the fitted sites, then the sites the fit lacks, numbered in
+    the order of their first record."""
+    n_fit = len(fit_sites)
+    fit_ids = np.asarray([l.site_id for l in fit_sites], dtype=object)
+    loc_idx, first = pio.key_index(np.concatenate((fit_ids, data.record_ids)))
+    locations = [*fit_sites, *(data.sites[s] for s in data.site_idx[first[n_fit:] - n_fit])]
+    return locations, loc_idx[n_fit:]
+
+
+def _surface_request(data: ObservationTable, source: str, grid, spec: GridSpec, targets, seed: int):
+    """The request of a source's surface predictive: one batch per surface
+    day over the target cells, seeded seed + day, each cell linked to the
+    source grid's value that day (NaN outside the grid) and, for the
+    satellite, to the covariates of the nearest monitor. The batches are
+    built as they are read, so only their available rows stay in memory."""
+    days, centers, _, _, target_ids = targets
+    m = centers.shape[0]
+    values, _ = grid
+    cells = spec.cells_of(centers)
+    inside = cells[:, 0] >= 0
+
+    def linked(d):
+        x = np.full(m, np.nan)
+        x[inside] = values[d - 1, cells[inside, 0], cells[inside, 1]]
+        return x
+
+    zs = _nearest_site_rows(data, centers, days) if source == SAT else repeat(None)
+    return centers, np.arange(m), target_ids, ((np.full(m, d, dtype=np.int64), linked(d), z, seed + d)
+                                               for d, z in zip(days, zs))
+
+
+def _stage1(cfg: PipelineConfig, data: ObservationTable, ctm, sat, targets, seeds) -> tuple[PredictiveTable, dict]:
+    """Both sources' held-out component predictives, and by source its chain
+    on all its records (seeds[3 + k]), which streams the full predictive
+    (seeds[7 + k]) and, given targets, the surface predictive (seeds[10 + k]
+    plus the day). Each source's requests are built in its own run."""
+    grids = {CTM: (ctm, cfg.ctm_grid), SAT: (sat, cfg.sat_grid)}
+
+    def full(source, sites):
+        k = SOURCES.index(source)
+        locations, loc_idx = _full_predictive_targets(data, sites)
+        batch = (data.day, data.x_for(source), data.z if source == SAT else None, seeds[7 + k])
+        requests = [(locations, loc_idx, data.record_ids, [batch])]
+        if targets is not None:
+            requests.append(_surface_request(data, source, *grids[source], targets, seeds[10 + k]))
+        return {"full_seed": seeds[3 + k], "full_requests": requests}
+
+    return cv_component_table(data, cfg.derivation, cfg.n_folds, cfg.downscaler_mcmc, cfg.seed, seeds[0:2], full)
+
+
+def _stage2(cfg: PipelineConfig, data, cv_inputs: PredictiveTable, seed: int) -> WeightFieldSamples:
+    mcmc = replace(cfg.ensemble_mcmc, seed=seed)
     fitter = fit_joint if cfg.variant == JOINT else fit_two_stage
     return fitter(data.y, cv_inputs, data.sites, mcmc)
 
 
-def _full_predictive(data, fits, seeds) -> PredictiveTable:
-    preds = {}
-    for k, source in enumerate((CTM, SAT)):
-        fit = fits[source]
-        if fit is None:
-            preds[source] = None
-            continue
-        # sites absent from the source fit are predicted as new locations,
-        # numbered after the fitted ones in the order of their first record
-        n_fit = len(fit.sites)
-        fit_ids = np.asarray([l.site_id for l in fit.sites], dtype=object)
-        loc_idx, first = pio.key_index(np.concatenate((fit_ids, data.record_ids)))
-        locations = [*fit.sites, *(data.sites[s] for s in data.site_idx[first[n_fit:] - n_fit])]
-        z = data.z if source == SAT else None
-        seed = int(seeds[k].generate_state(1)[0])
-        batch = (data.day, data.x_for(source), z, seed)
-        preds[source] = predict_batches(fit, locations, loc_idx[n_fit:], data.record_ids, [batch])[0]
-    return combine_predictions(data, preds[CTM], preds[SAT])
+def _full_predictive(data, fits) -> PredictiveTable:
+    """The full-data component table, from each source's first request."""
+    preds = (None if fits[s] is None else fits[s].predictions[0][0] for s in (CTM, SAT))
+    return combine_predictions(data, *preds)
 
 
 def _nearest_site_rows(data: ObservationTable, targets, days) -> Iterator[np.ndarray]:
@@ -319,47 +372,13 @@ def _nearest_site_rows(data: ObservationTable, targets, days) -> Iterator[np.nda
         yield data.z[row[nearest]]
 
 
-def _surface_stage(cfg: PipelineConfig, data, fits, weights, ctm, sat, seeds):
-    grid = cfg.target_grid
-    days = (
-        tuple(int(d) for d in cfg.surface_days)
-        if cfg.surface_days is not None
-        else tuple(range(1, data.n_days + 1))
-    )
-    centers = grid.all_centers()
+def _surface_stage(targets, fits, weights, seed: int):
+    """The weight field kriged to the target cells, and the day-by-day
+    mixture of the sources' surface predictives, streamed in Stage 1."""
+    days, centers, rr, cc, _ = targets
     m = centers.shape[0]
-    rr, cc = np.divmod(np.arange(m), grid.n_cols)
-    target_ids = np.array([f"r{r:03d}c{c:03d}" for r, c in zip(rr.tolist(), cc.tolist())], dtype=object)
-    kriged = krige_weights(weights, centers, seed=int(seeds[0].generate_state(1)[0]))
-
-    # linked proxy values of the target cells on a day
-    def linked(values_present, spec):
-        if values_present is None or spec is None:
-            return None
-        values, _ = values_present
-        cells = spec.cells_of(centers)
-        inside = cells[:, 0] >= 0
-
-        def on_day(d):
-            x = np.full(m, np.nan)
-            x[inside] = values[d - 1, cells[inside, 0], cells[inside, 1]]
-            return x
-
-        return on_day
-
-    # one predict_batches call per source, one batch per day; the batches are
-    # built as they are read, so only their available rows stay in memory
-    preds = {}
-    links = (linked(ctm, cfg.ctm_grid), linked(sat, cfg.sat_grid))
-    for k, (source, link) in enumerate(zip((CTM, SAT), links)):
-        fit = fits.get(source)
-        if link is None or fit is None:
-            continue
-        pseed = int(seeds[1 + k].generate_state(1)[0])
-        zs = _nearest_site_rows(data, centers, days) if source == SAT else repeat(None)
-        batches = ((np.full(m, d, dtype=np.int64), link(d), z, pseed + d) for d, z in zip(days, zs))
-        preds[k] = predict_batches(fit, centers, np.arange(m), target_ids, batches)
-
+    kriged = krige_weights(weights, centers, seed=seed)
+    preds = {k: fits[s].predictions[1] for k, s in enumerate((CTM, SAT)) if fits[s] is not None}
     rows = []
     for i, d in enumerate(days):
         mu = np.zeros((m, 2))
@@ -384,7 +403,7 @@ def _surface_stage(cfg: PipelineConfig, data, fits, weights, ctm, sat, seeds):
         )
 
     surface = pio.SurfaceOutput(*(np.concatenate(col) for col in zip(*rows)))
-    return surface, target_ids, kriged
+    return surface, kriged
 
 
 def _reports(
@@ -443,10 +462,10 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     }
     pio.save_json(run_dir / "manifest.json", manifest)
     save_pipeline_config(run_dir / "config.json", cfg)
-    # children by index: 0-1 stage-1 CTM/SAT folds, 2 stage 2, 3-4 stage-1
-    # CTM/SAT full-data chains, 5-6 unused, 7-8 full predictive, 9 kriging,
-    # 10-11 surface CTM/SAT; fixed, because renumbering would change every artifact
-    seeds = np.random.SeedSequence(cfg.seed).spawn(12)
+    # children by index: 0-1 stage-1 CTM/SAT folds, 2 stage 2, 3-4 stage-1 CTM/SAT full-data
+    # chains, 5-6 unused, 7-8 and 10-11 the full and surface predictives those chains stream,
+    # 9 the kriging; fixed, because renumbering would change every artifact
+    seeds = [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(cfg.seed).spawn(12)]
     paths = {}
     reports = []
     surface = None
@@ -471,12 +490,13 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         return out
 
     data, ctm, sat = run_stage("load", lambda: _load_inputs(cfg))
+    targets = _surface_targets(cfg, data)
 
-    cv_inputs, fits = run_stage("stage1-cv-downscalers", lambda: _stage1(cfg, data, seeds[0:2], seeds[3:5]))
+    cv_inputs, fits = run_stage("stage1-cv-downscalers", lambda: _stage1(cfg, data, ctm, sat, targets, seeds))
     paths["cv_predictive"] = pio.emit_predictive(run_dir / "cv_predictive.csv", cv_inputs, meta)
     checkpoint()
 
-    weights = run_stage("stage2-ensemble", lambda: _stage2(cfg, data, cv_inputs, seeds[2:3]))
+    weights = run_stage("stage2-ensemble", lambda: _stage2(cfg, data, cv_inputs, seeds[2]))
     summary = weights.summary()
     paths["site_weights"] = pio.emit_weights(run_dir / "site_weights.csv", weights.site_ids, summary, meta)
     paths["weight_samples"] = pio.emit_weight_samples(
@@ -484,18 +504,13 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     )
     checkpoint()
 
-    full_inputs = run_stage("stage3-full-predictive", lambda: _full_predictive(data, fits, seeds[7:9]))
+    full_inputs = run_stage("stage3-full-predictive", lambda: _full_predictive(data, fits))
     paths["full_predictive"] = pio.emit_predictive(run_dir / "full_predictive.csv", full_inputs, meta)
     checkpoint()
 
-    if cfg.target_grid is not None:
-        surface, target_ids, kriged = run_stage(
-            "stage3-surface",
-            lambda: _surface_stage(cfg, data, fits, weights, ctm, sat, seeds[9:12]),
-        )
-        paths["weight_surface"] = pio.emit_weights(
-            run_dir / "weight_surface.csv", target_ids, kriged, meta
-        )
+    if targets is not None:
+        surface, kriged = run_stage("stage3-surface", lambda: _surface_stage(targets, fits, weights, seeds[9]))
+        paths["weight_surface"] = pio.emit_weights(run_dir / "weight_surface.csv", targets[-1], kriged, meta)
         paths["surface"] = pio.emit_surface(run_dir / "surface.csv", surface, meta)
         checkpoint()
 

@@ -21,7 +21,9 @@ time, whose residual sums the grid statistics of the batch must equal.
 cell_read_csv is the per-cell reader that io.read_csv's column-wise
 conversion replaced. The dict_* functions are the per-row key loops that
 io.key_index and io.key_rows replaced, and the loaders and joins as they
-were built on them and on cell_read_csv.
+were built on them and on cell_read_csv. Recorder is the consumer of a
+chain's kept states that keeps a copy of each, for the tests that inspect
+draws; the package streams every predictive and records none.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import csv
 import io
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import linalg
@@ -39,7 +42,7 @@ from scipy.stats import norm
 from pmfusion import io as pio
 from pmfusion.chain import Chain
 from pmfusion.config import MCMCConfig
-from pmfusion.downscaler import A_PRIOR_VAR
+from pmfusion.downscaler import A_PRIOR_VAR, _Blocks, _Predictor, _run_chains, _training_set
 from pmfusion.ensemble import MixtureDistribution, WeightFieldSamples
 from pmfusion.errors import DomainError, InsufficientDataError, OutOfDomainError, ParseError, SchemaError
 from pmfusion.geo import CTM, SAT, GridSpec, Location, distance_matrix
@@ -327,6 +330,44 @@ def mvn_logpdf_zero_mean(x: np.ndarray, chol_lower: np.ndarray) -> float:
         + 2.0 * float(np.sum(np.log(np.diag(chol_lower))))
         + float(w @ w)
     )
+
+
+class Recorder:
+    """A consumer of downscaler._run_chains that keeps a copy of each field of
+    every kept state; finish() stacks them by field, indexed by kept draw."""
+
+    def __init__(self):
+        self.draws = {}
+
+    def add(self, state: dict) -> None:
+        for name, value in state.items():
+            self.draws.setdefault(name, []).append(np.array(value, copy=True))
+
+    def finish(self) -> dict:
+        return {name: np.array(values) for name, values in self.draws.items()}
+
+
+class RecordedFit(SimpleNamespace):
+    """A chain's DownscalerFit fields, its predictions those of its own
+    consumers, and its draws by state field (fit.gamma, fit.v1, ...)."""
+
+    def __len__(self) -> int:
+        return self.sigma2_y.shape[0]
+
+
+def record_chains(blocks, consumers=None) -> list[RecordedFit]:
+    """_run_chains(blocks, consumers) with a Recorder ahead of each chain's
+    consumers (consumers[f], by default none): each chain's fit with its draws."""
+    consumers = consumers or [[] for _ in range(blocks.F)]
+    fits = _run_chains(blocks, [[Recorder(), *own] for own in consumers])
+    return [RecordedFit(**{**vars(fit), "predictions": fit.predictions[1:]}, **fit.predictions[0]) for fit in fits]
+
+
+def recorded_fit(data, source, mcmc, requests=()) -> RecordedFit:
+    """fit_downscaler(data, source, mcmc, requests), its draws recorded."""
+    chain = _training_set(data, source, None, mcmc.seed)
+    predictors = [_Predictor(data, source, chain, *request) for request in requests]
+    return record_chains(_Blocks(data, source, mcmc, [chain]), [predictors])[0]
 
 
 # sweeps between rebuilds of SingleChainBlocks' running residual, to cap its round-off

@@ -165,10 +165,10 @@ def count(name):
 
 
 out = {"n": n, "missing": tracer.missing}
-fit = downscaler.fit_downscaler(data, "ctm", mcmc)
-out["sweeps"] = count("downscaler.sweep")
 batch = (data.day, data.x_ctm, None, 2)
-pred = downscaler.predict_batches(fit, data.sites, data.site_idx, data.record_ids, [batch])[0]
+fit = downscaler.fit_downscaler(data, "ctm", mcmc, [(data.sites, data.site_idx, data.record_ids, [batch])])
+out["sweeps"] = count("downscaler.sweep")
+(pred,), = fit.predictions
 inputs = combine_predictions(data, pred, pred)
 ensemble.fit_joint(data.y, inputs, data.sites, mcmc)
 out["joint_q"] = count("ensemble.update_q")
@@ -195,7 +195,7 @@ def test_tracer_sees_every_sampler_step(pmfusion_env):
     # every program target resolves but two that perfbench's TARGETS still
     # lists: pipeline._stage3_fits (each source's full-data fit now runs inside
     # its Stage-1 batch, so there is no such stage left to time) and
-    # downscaler.predict_at (its callers call predict_batches)
+    # downscaler.predict_at (every predictive streams from a live chain)
     missing = [m for m in out["missing"] if m.startswith("pmfusion.")]
     assert missing == ["pmfusion.pipeline._stage3_fits", "pmfusion.downscaler.predict_at"]
     assert out["sweeps"] == n

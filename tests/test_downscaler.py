@@ -5,6 +5,8 @@ repeatedly, and compare Monte Carlo moments with the analytic full
 conditional computed by an independent dense linear-algebra route.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,13 +16,20 @@ from scipy.stats import chi2
 from pmfusion import downscaler, kernels
 from pmfusion.chain import Chain
 from pmfusion.config import MCMCConfig
-from pmfusion.downscaler import _Blocks, cv_predict, fit_downscaler, predict_batches
+from pmfusion.downscaler import _Blocks, cv_predict, fit_downscaler
 from pmfusion.errors import DomainError, InsufficientDataError, OutOfDomainError, SchemaError
 from pmfusion.geo import CTM, SAT, Location, distance_matrix
 from pmfusion.kernels import ETA_GRID, jittered_cholesky
 from pmfusion.tables import N_COVARIATES, ObservationTable
 import oracles
-from oracles import scipy_chol_factor_solve, scipy_kriging, scipy_tri_solve, scipy_tridiag_mvn
+from oracles import (
+    record_chains,
+    recorded_fit,
+    scipy_chol_factor_solve,
+    scipy_kriging,
+    scipy_tri_solve,
+    scipy_tridiag_mvn,
+)
 
 
 def build_table(rng, n_sites, n_days, *, alpha=0.0, beta=1.0, gamma=None,
@@ -42,6 +51,11 @@ def build_table(rng, n_sites, n_days, *, alpha=0.0, beta=1.0, gamma=None,
         sites=sites, site_idx=site_idx, day=day, y=y,
         x_ctm=x.copy(), x_sat=x.copy(), z=z, n_days=n_days,
     )
+
+
+def one_chain(data, source, mcmc):
+    """fit_downscaler's batch: one chain on every record, seeded with mcmc.seed."""
+    return _Blocks(data, source, mcmc, [downscaler._training_set(data, source, None, mcmc.seed)])
 
 
 def with_y(data, y):
@@ -128,7 +142,7 @@ class TestConjugateBlocks:
     def make_blocks(self, source, seed=0):
         rng = np.random.default_rng(seed)
         data = build_table(rng, 6, 8, noise_sd=1.0)
-        blocks = _Blocks(data, source, MCMCConfig(n_iter=10, burn_in=5, thin=1, seed=seed))
+        blocks = one_chain(data, source, MCMCConfig(n_iter=10, burn_in=5, thin=1, seed=seed))
         fix_state(blocks, rng)
         return blocks, Records(blocks, data)
 
@@ -211,7 +225,7 @@ class TestConjugateBlocks:
             + 0.3 * rng.standard_normal(blocks.n[0])
         )
         data = with_y(rec.data, y)
-        blocks = copy_state(blocks, _Blocks(data, CTM, blocks.mcmc))
+        blocks = copy_state(blocks, one_chain(data, CTM, blocks.mcmc))
         blocks.sigma2_y[0] = 0.09
         rec = Records(blocks, data)
         e = rec.resid_no_site(blocks)
@@ -392,7 +406,7 @@ class TestTemporalDependenceSampler:
         dependence parameter is uniform over all 1,000 grid points."""
         rng = np.random.default_rng(11)
         data = build_table(rng, 4, 6)
-        blocks = _Blocks(data, CTM, MCMCConfig(n_iter=10, burn_in=5, thin=1, seed=11))
+        blocks = one_chain(data, CTM, MCMCConfig(n_iter=10, burn_in=5, thin=1, seed=11))
         blocks.logdet_table = np.zeros_like(blocks.logdet_table)
         m = 50_000
         draws = np.array([blocks.draw_eta(np.zeros((1, blocks.T)), 1.0)[0] for _ in range(m)])
@@ -405,7 +419,7 @@ class TestTemporalDependenceSampler:
     def test_grid_values_are_cell_midpoints(self):
         rng = np.random.default_rng(12)
         data = build_table(rng, 4, 6)
-        blocks = _Blocks(data, CTM, MCMCConfig(n_iter=10, burn_in=5, thin=1, seed=12))
+        blocks = one_chain(data, CTM, MCMCConfig(n_iter=10, burn_in=5, thin=1, seed=12))
         for _ in range(50):
             eta = blocks.draw_eta(blocks.alpha0, 0.5)[0]
             assert eta in ETA_GRID
@@ -415,7 +429,7 @@ class TestSignConstraints:
     def test_diagonal_stays_nonnegative_under_diffuse_posterior(self):
         rng = np.random.default_rng(21)
         data = build_table(rng, 5, 6, noise_sd=1.0)
-        blocks = _Blocks(data, CTM, MCMCConfig(n_iter=10, burn_in=5, thin=1, seed=21))
+        blocks = one_chain(data, CTM, MCMCConfig(n_iter=10, burn_in=5, thin=1, seed=21))
         fix_state(blocks, rng)
         blocks.sigma2_y[0] = 1.0e6  # posterior ~ prior, reflections fire often
         v1_fix, v2_fix = blocks.v1.copy(), blocks.v2.copy()
@@ -442,8 +456,8 @@ class TestSignConstraints:
         rng = np.random.default_rng(22)
         data = build_table(rng, 5, 6, noise_sd=1.0)
         mcmc = MCMCConfig(n_iter=10, burn_in=5, thin=1, seed=22)
-        one = _Blocks(data, CTM, mcmc)
-        two = _Blocks(data, CTM, mcmc)
+        one = one_chain(data, CTM, mcmc)
+        two = one_chain(data, CTM, mcmc)
         fix_state(one, np.random.default_rng(23))
         fix_state(two, np.random.default_rng(23))
         signs = np.array([-1.0, -1.0, 1.0])
@@ -468,8 +482,8 @@ class TestFitDownscaler:
             n_days=data.n_days,
         )
         mcmc = MCMCConfig(n_iter=60, burn_in=30, thin=1, seed=5)
-        fit_a = fit_downscaler(data, CTM, mcmc)
-        fit_b = fit_downscaler(other, CTM, mcmc)
+        fit_a = recorded_fit(data, CTM, mcmc)
+        fit_b = recorded_fit(other, CTM, mcmc)
         assert fit_a.gamma.shape == (30, 0)
         for name in ("alpha0", "beta0", "a_coreg", "v1", "v2", "sigma2_y",
                      "sigma2_alpha0", "sigma2_beta0", "eta_alpha0", "eta_beta0",
@@ -480,8 +494,8 @@ class TestFitDownscaler:
         rng = np.random.default_rng(32)
         data = build_table(rng, 5, 10)
         mcmc = MCMCConfig(n_iter=40, burn_in=20, thin=2, seed=7)
-        fit_a = fit_downscaler(data, SAT, mcmc)
-        fit_b = fit_downscaler(data, SAT, mcmc)
+        fit_a = recorded_fit(data, SAT, mcmc)
+        fit_b = recorded_fit(data, SAT, mcmc)
         assert np.array_equal(fit_a.gamma, fit_b.gamma)
         assert np.array_equal(fit_a.sigma2_y, fit_b.sigma2_y)
         assert np.array_equal(fit_a.v1, fit_b.v1)
@@ -489,13 +503,13 @@ class TestFitDownscaler:
     def test_noise_variance_recovered_within_15_percent(self):
         rng = np.random.default_rng(33)
         data = build_table(rng, 50, 200, alpha=0.0, beta=1.0, noise_sd=1.0)
-        fit = fit_downscaler(data, CTM, MCMCConfig(n_iter=600, burn_in=300, thin=2, seed=33))
+        fit = recorded_fit(data, CTM, MCMCConfig(n_iter=600, burn_in=300, thin=2, seed=33))
         assert abs(float(fit.sigma2_y.mean()) - 1.0) < 0.15
 
     def test_retained_samples_give_finite_log_density(self):
         rng = np.random.default_rng(34)
         data = build_table(rng, 6, 15, noise_sd=1.2)
-        fit = fit_downscaler(data, CTM, MCMCConfig(n_iter=120, burn_in=60, thin=2, seed=34))
+        fit = recorded_fit(data, CTM, MCMCConfig(n_iter=120, burn_in=60, thin=2, seed=34))
         day0 = data.day - 1
         s = data.site_idx
         for j in range(len(fit)):
@@ -517,7 +531,7 @@ class TestFitDownscaler:
     def test_adaptation_lands_in_working_band(self):
         rng = np.random.default_rng(35)
         data = build_table(rng, 12, 25, noise_sd=1.0)
-        fit = fit_downscaler(data, CTM, MCMCConfig(n_iter=900, burn_in=450, thin=2, seed=35))
+        fit = fit_downscaler(data, CTM, MCMCConfig(n_iter=900, burn_in=450, thin=2, seed=35), [])
         assert 0.15 < fit.acceptance["theta1"] < 0.75
         assert 0.15 < fit.acceptance["theta2"] < 0.75
 
@@ -531,7 +545,7 @@ class TestFitDownscaler:
             x_ctm=data.x_ctm, x_sat=x_sat, z=data.z, n_days=data.n_days,
         )
         with pytest.raises(InsufficientDataError, match="s02"):
-            fit_downscaler(broken, SAT, MCMCConfig(n_iter=10, burn_in=5, thin=1))
+            fit_downscaler(broken, SAT, MCMCConfig(n_iter=10, burn_in=5, thin=1), [])
 
     def test_rejects_constant_covariate(self):
         rng = np.random.default_rng(37)
@@ -543,12 +557,27 @@ class TestFitDownscaler:
             x_ctm=data.x_ctm, x_sat=data.x_sat, z=z, n_days=data.n_days,
         )
         with pytest.raises(InsufficientDataError, match="3"):
-            fit_downscaler(broken, SAT, MCMCConfig(n_iter=10, burn_in=5, thin=1))
+            fit_downscaler(broken, SAT, MCMCConfig(n_iter=10, burn_in=5, thin=1), [])
 
     def test_unknown_source_is_a_domain_error(self):
         data = build_table(np.random.default_rng(38), 4, 6)
         with pytest.raises(DomainError, match="'modis'"):
-            fit_downscaler(data, "modis", MCMCConfig(n_iter=10, burn_in=5, thin=1))
+            fit_downscaler(data, "modis", MCMCConfig(n_iter=10, burn_in=5, thin=1), [])
+
+    def test_it_streams_what_the_recorded_chain_streams(self):
+        """The tests' recorded fits run the chain fit_downscaler runs: every
+        prediction and the acceptance are equal, bit for bit, and the fit
+        holds no draw."""
+        rng = np.random.default_rng(39)
+        data = build_table(rng, 6, 10, gamma=[0.5, -0.3, 0.0, 0.2, 0.1, -0.1])
+        mcmc = MCMCConfig(n_iter=60, burn_in=30, thin=2, seed=9)
+        requests = [request(data.sites, data.site_idx, data.day, data.x_sat, data.z, seed=s) for s in (1, 2)]
+        fit = fit_downscaler(data, SAT, mcmc, requests)
+        want = recorded_fit(data, SAT, mcmc, requests)
+        assert set(vars(fit)) == {"source", "sites", "n_days", "z_mean", "z_sd", "acceptance", "predictions"}
+        assert fit.acceptance == want.acceptance and len(fit.predictions) == len(want.predictions) == 2
+        for (got,), (ref,) in zip(fit.predictions, want.predictions):
+            assert np.array_equal(got.mu, ref.mu) and np.array_equal(got.var, ref.var)
 
 
 class TestLapackSolvesInTheSampler:
@@ -557,7 +586,7 @@ class TestLapackSolvesInTheSampler:
     @pytest.mark.parametrize("which", [1, 2])
     def test_accepted_range_keeps_the_proposal_factor(self, which):
         rng = np.random.default_rng(41)
-        blocks = _Blocks(build_table(rng, 12, 6), CTM, MCMCConfig(n_iter=10, burn_in=5, thin=1, seed=4))
+        blocks = one_chain(build_table(rng, 12, 6), CTM, MCMCConfig(n_iter=10, burn_in=5, thin=1, seed=4))
         fix_state(blocks, rng)
         for _ in range(200):
             if blocks.draw_theta(which):
@@ -576,7 +605,7 @@ class TestLapackSolvesInTheSampler:
         rng = np.random.default_rng(42)
         data = build_table(rng, 9, 15, gamma=[0.5, -0.3, 0.0, 0.2, 0.1, -0.1])
         mcmc = MCMCConfig(n_iter=80, burn_in=40, thin=2, seed=11)
-        fit = fit_downscaler(data, source, mcmc)
+        fit = recorded_fit(data, source, mcmc)
         assert fit.acceptance["theta1"] > 0 and fit.acceptance["theta2"] > 0
         # the same sampler, every solve made chain by chain through scipy.linalg
         monkeypatch.setattr(downscaler, "tri_solve_stack", lambda l, b, trans=0: np.array(
@@ -585,7 +614,7 @@ class TestLapackSolvesInTheSampler:
             [scipy_chol_factor_solve(lf, bf) for lf, bf in zip(l, b)]))
         monkeypatch.setattr(downscaler, "sample_tridiag_mvn_stack", lambda d, off, b, rngs: np.array(
             [scipy_tridiag_mvn(*args) for args in zip(d, off, b, rngs)]))
-        ref = fit_downscaler(data, source, mcmc)
+        ref = recorded_fit(data, source, mcmc)
         for name in ("gamma", "alpha0", "beta0", "a_coreg", "v1", "v2", "sigma2_y",
                      "sigma2_alpha0", "sigma2_beta0", "eta_alpha0", "eta_beta0",
                      "theta1", "theta2"):
@@ -601,7 +630,7 @@ class TestCovariateRecovery:
         for rep in range(100):
             rng = np.random.default_rng(4_000 + rep)
             data = build_table(rng, 8, 30, gamma=gamma_true, noise_sd=1.0)
-            fit = fit_downscaler(
+            fit = recorded_fit(
                 data, SAT, MCMCConfig(n_iter=300, burn_in=100, thin=1, seed=rep)
             )
             target = 2.0 * fit.z_sd[0]  # slope on the internally scaled column
@@ -611,23 +640,28 @@ class TestCovariateRecovery:
 
 
 @pytest.fixture(scope="module")
-def noiseless_fit():
+def noiseless():
     rng = np.random.default_rng(41)
     data = build_table(rng, 12, 30, alpha=2.0, beta=1.5, noise_sd=0.0)
-    fit = fit_downscaler(data, CTM, MCMCConfig(n_iter=400, burn_in=200, thin=2, seed=41))
-    return data, fit
+    return data, MCMCConfig(n_iter=400, burn_in=200, thin=2, seed=41)
 
 
-def predict_one(fit, locations, loc_idx, days, x, z=None, *, seed=0):
-    """predict_batches on one batch, the records at locations[loc_idx] carrying their site ids."""
+def request(locations, loc_idx, days, x, z=None, *, seed=0):
+    """A request of one batch, the records at locations[loc_idx] carrying their site ids."""
     ids = np.asarray([l.site_id for l in locations], dtype=object)[loc_idx]
-    return predict_batches(fit, locations, loc_idx, ids, [(days, x, z, seed)])[0]
+    return locations, loc_idx, ids, [(days, x, z, seed)]
+
+
+def predict_one(data, source, mcmc, *args, **kw):
+    """The batch of request(*args, **kw), streamed by fit_downscaler."""
+    (pred,), = fit_downscaler(data, source, mcmc, [request(*args, **kw)]).predictions
+    return pred
 
 
 class TestPredictive:
-    def test_noiseless_fit_reproduces_observations(self, noiseless_fit):
-        data, fit = noiseless_fit
-        pred = predict_one(fit, data.sites, data.site_idx, data.day, data.x_ctm, seed=1)
+    def test_noiseless_fit_reproduces_observations(self, noiseless):
+        data, mcmc = noiseless
+        pred = predict_one(data, CTM, mcmc, data.sites, data.site_idx, data.day, data.x_ctm, seed=1)
         assert pred.available.all()
         resid = data.y - pred.mu
         r2 = 1.0 - float(resid @ resid) / float(np.sum((data.y - data.y.mean()) ** 2))
@@ -637,8 +671,9 @@ class TestPredictive:
     def test_variance_splits_into_spread_plus_noise(self):
         rng = np.random.default_rng(42)
         data = build_table(rng, 10, 20, noise_sd=1.0)
-        fit = fit_downscaler(data, CTM, MCMCConfig(n_iter=200, burn_in=100, thin=2, seed=42))
-        pred = predict_one(fit, data.sites, data.site_idx, data.day, data.x_ctm, seed=3)
+        fit = recorded_fit(data, CTM, MCMCConfig(n_iter=200, burn_in=100, thin=2, seed=42),
+                           [request(data.sites, data.site_idx, data.day, data.x_ctm, seed=3)])
+        (pred,), = fit.predictions
         day0 = data.day - 1
         s = data.site_idx
         per_sample = (
@@ -656,11 +691,11 @@ class TestPredictive:
     def test_missing_linked_value_is_unavailable(self):
         rng = np.random.default_rng(43)
         data = build_table(rng, 6, 10)
-        fit = fit_downscaler(data, SAT, MCMCConfig(n_iter=60, burn_in=30, thin=1, seed=43))
         x = data.x_sat[:12].copy()
         x[5] = np.nan
         pred = predict_one(
-            fit, data.sites, data.site_idx[:12], data.day[:12], x, data.z[:12], seed=2
+            data, SAT, MCMCConfig(n_iter=60, burn_in=30, thin=1, seed=43),
+            data.sites, data.site_idx[:12], data.day[:12], x, data.z[:12], seed=2
         )
         assert not pred.available[5]
         assert np.isnan(pred.mu[5]) and np.isnan(pred.var[5])
@@ -669,44 +704,43 @@ class TestPredictive:
     def test_satellite_predictions_require_covariates(self):
         rng = np.random.default_rng(44)
         data = build_table(rng, 6, 10)
-        fit = fit_downscaler(data, SAT, MCMCConfig(n_iter=40, burn_in=20, thin=1, seed=44))
+        mcmc = MCMCConfig(n_iter=40, burn_in=20, thin=1, seed=44)
         with pytest.raises(SchemaError, match="covariate"):
-            predict_one(fit, data.sites, data.site_idx[:4], data.day[:4], data.x_sat[:4])
+            predict_one(data, SAT, mcmc, data.sites, data.site_idx[:4], data.day[:4], data.x_sat[:4])
 
     def test_misshapen_targets_are_schema_errors(self):
         rng = np.random.default_rng(44)
         data = build_table(rng, 6, 10)
-        fit = fit_downscaler(data, SAT, MCMCConfig(n_iter=40, burn_in=20, thin=1, seed=44))
+        mcmc = MCMCConfig(n_iter=40, burn_in=20, thin=1, seed=44)
         idx, day, x, z = data.site_idx[:4], data.day[:4], data.x_sat[:4], data.z[:4]
         with pytest.raises(SchemaError, match="equal length"):
-            predict_one(fit, data.sites, idx, day[:3], x, z)
+            predict_one(data, SAT, mcmc, data.sites, idx, day[:3], x, z)
         with pytest.raises(SchemaError, match="shape"):
-            predict_one(fit, data.sites, idx, day, x, z[:, :3])
+            predict_one(data, SAT, mcmc, data.sites, idx, day, x, z[:, :3])
 
-    def test_day_outside_horizon_rejected(self, noiseless_fit):
-        data, fit = noiseless_fit
+    def test_day_outside_horizon_rejected(self, noiseless):
+        data, mcmc = noiseless
         with pytest.raises(OutOfDomainError):
-            predict_one(fit, data.sites, np.array([0]), np.array([data.n_days + 1]),
-                       np.array([5.0]))
+            predict_one(data, CTM, mcmc, data.sites, np.array([0]), np.array([data.n_days + 1]),
+                        np.array([5.0]))
 
     def test_new_location_draws_are_seeded(self):
         rng = np.random.default_rng(45)
         data = build_table(rng, 8, 12, noise_sd=1.0)
-        fit = fit_downscaler(data, CTM, MCMCConfig(n_iter=80, burn_in=40, thin=2, seed=45))
         targets = [Location("new0", 31.0, 57.0), Location("new1", 72.0, 18.0)]
         idx = np.array([0, 1, 0])
         days = np.array([1, 5, 9])
         x = np.array([7.0, 9.5, 8.2])
-        a = predict_one(fit, targets, idx, days, x, seed=10)
-        b = predict_one(fit, targets, idx, days, x, seed=10)
-        c = predict_one(fit, targets, idx, days, x, seed=11)
+        requests = [request(targets, idx, days, x, seed=seed) for seed in (10, 10, 11)]
+        fit = fit_downscaler(data, CTM, MCMCConfig(n_iter=80, burn_in=40, thin=2, seed=45), requests)
+        (a,), (b,), (c,) = fit.predictions
         assert np.array_equal(a.mu, b.mu) and np.array_equal(a.var, b.var)
         assert not np.array_equal(a.mu, c.mu)
 
 
 def per_call_reference(fit, locations, loc_idx, days, x, z, seed):
     """(mu, var) of one batch, every sample's GP conditional rebuilt for the
-    batch: the reference for the operators predict_batches shares."""
+    batch: the reference for the operators a request's batches share."""
     mu = np.full(x.shape[0], np.nan)
     var = np.full(x.shape[0], np.nan)
     sub = np.flatnonzero(np.isfinite(x))
@@ -739,12 +773,11 @@ def per_call_reference(fit, locations, loc_idx, days, x, z, seed):
     return mu, var
 
 
-class TestPredictBatches:
+class TestRequestBatches:
     @pytest.mark.parametrize("source", [CTM, SAT])
     def test_batches_match_separate_calls_bit_for_bit(self, source):
         rng = np.random.default_rng(46)
         data = build_table(rng, 8, 12, noise_sd=1.0)
-        fit = fit_downscaler(data, source, MCMCConfig(n_iter=60, burn_in=30, thin=2, seed=46))
         # the fitted monitors plus new locations, so the field conditionals do not collapse
         targets = list(data.sites) + [Location(f"new{i}", *rng.uniform(0, 100, 2)) for i in range(6)]
         m = len(targets)
@@ -757,12 +790,15 @@ class TestPredictBatches:
                 x[:] = np.nan  # a day with no available target draws nothing
             z = rng.normal(0.0, 1.0, (m, N_COVARIATES)) if source == SAT else None
             batches.append((np.full(m, d), x, z, 100 + d))
-        # the coordinate-array form of the targets, as the surface passes them
+        # the coordinate-array form of the targets, as the surface passes them, then
+        # each batch as a request of its own, all streamed from one chain
         xy = np.array([[t.x_km, t.y_km] for t in targets])
-        got = predict_batches(fit, xy, idx, np.array([t.site_id for t in targets], dtype=object), batches)
+        requests = [(xy, idx, np.array([t.site_id for t in targets], dtype=object), batches)]
+        requests += [request(targets, idx, *batch[:3], seed=batch[3]) for batch in batches]
+        fit = recorded_fit(data, source, MCMCConfig(n_iter=60, burn_in=30, thin=2, seed=46), requests)
+        got, *singles = fit.predictions
         assert len(got) == len(batches)
-        for (days, x, z, seed), batch in zip(batches, got):
-            single = predict_one(fit, targets, idx, days, x, z, seed=seed)
+        for (days, x, z, seed), batch, (single,) in zip(batches, got, singles):
             ref_mu, ref_var = per_call_reference(fit, targets, idx, days, x, z, seed)
             assert list(batch.ids) == list(single.ids) == [t.site_id for t in targets]
             for pred in (batch, single):
@@ -775,7 +811,8 @@ class TestPredictBatches:
     def test_repeated_ranges_reuse_the_operators_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(47)
         data = build_table(rng, 8, 12, noise_sd=1.0)
-        fit = fit_downscaler(data, SAT, MCMCConfig(n_iter=60, burn_in=30, thin=2, seed=47))
+        mcmc = MCMCConfig(n_iter=60, burn_in=30, thin=2, seed=47)
+        fit = recorded_fit(data, SAT, mcmc)
         # runs of one range, as rejected proposals leave them, on offset patterns
         fit.theta1 = np.repeat(fit.theta1[::3], 3)[: len(fit)]
         fit.theta2[1::2] = fit.theta2[0::2][: len(fit) // 2]
@@ -787,26 +824,35 @@ class TestPredictBatches:
             (np.full(m, d), rng.normal(8.0, 3.0, m), rng.normal(0.0, 1.0, (m, N_COVARIATES)), 200 + d)
             for d in (3, 7)
         ]
+        # the chain's predictor, fed the recorded states with their ranges edited
+        chain = downscaler._training_set(data, SAT, None, mcmc.seed)
+        predictor = downscaler._Predictor(data, SAT, chain, targets, idx, [t.site_id for t in targets], batches)
         calls = []
         factor = kernels.jittered_cholesky
         monkeypatch.setattr(kernels, "jittered_cholesky", lambda c: calls.append(1) or factor(c))
-        got = predict_batches(fit, targets, idx, [t.site_id for t in targets], batches)
+        for j in range(len(fit)):
+            predictor.add({name: getattr(fit, name)[j] for name in downscaler._STATE})
+        got = predictor.finish()
         assert len(calls) == distinct < 2 * len(fit)
         monkeypatch.undo()
         for (days, x, z, seed), pred in zip(batches, got):
             ref_mu, ref_var = per_call_reference(fit, targets, idx, days, x, z, seed)
             assert np.array_equal(pred.mu, ref_mu) and np.array_equal(pred.var, ref_var)
 
-    def test_each_batch_is_validated(self, noiseless_fit):
-        data, fit = noiseless_fit
+    def test_each_batch_is_validated(self, noiseless, monkeypatch):
+        """A bad request fails before the chain is built."""
+        data, mcmc = noiseless
+        monkeypatch.setattr(downscaler, "_Blocks", None)
         good = (data.day[:3], data.x_ctm[:3], None, 0)
         bad = (np.array([1, 2, data.n_days + 1]), data.x_ctm[:3], None, 0)
         with pytest.raises(OutOfDomainError):
-            predict_batches(fit, data.sites, data.site_idx[:3], ["a", "b", "c"], [good, bad])
+            fit_downscaler(data, CTM, mcmc, [(data.sites, data.site_idx[:3], ["a", "b", "c"], [good, bad])])
         with pytest.raises(SchemaError, match="ids"):
-            predict_batches(fit, data.sites, data.site_idx[:3], ["a", "b"], [good])
+            fit_downscaler(data, CTM, mcmc, [(data.sites, data.site_idx[:3], ["a", "b"], [good])])
         with pytest.raises(SchemaError, match=r"\(n, 2\)"):
-            predict_batches(fit, np.zeros((4, 3)), data.site_idx[:3], ["a", "b", "c"], [good])
+            fit_downscaler(data, CTM, mcmc, [(np.zeros((4, 3)), data.site_idx[:3], ["a", "b", "c"], [good])])
+        with pytest.raises(SchemaError, match="index the 2 targets"):
+            fit_downscaler(data, CTM, mcmc, [(data.sites[:2], np.array([0, 1, 2]), ["a", "b", "c"], [good])])
 
 
 class TestCvPredict:
@@ -878,8 +924,8 @@ def cv_predict_fold_by_fold(data, plan, source, mcmc):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(downscaler, "_Blocks", lambda *args: args)
         mp.setattr(downscaler, "_run_chains",
-                   lambda args, predictors: [fit for c, p in zip(args[3], predictors)
-                                             for fit in run(solo(*args[:3], c), [p])])
+                   lambda args, consumers: [fit for c, own in zip(args[3], consumers)
+                                            for fit in run(solo(*args[:3], c), [own])])
         return cv_predict(data, plan, source, mcmc)[0]
 
 
@@ -900,10 +946,10 @@ class TestFoldBatch:
         folds = np.unique(plan)
         seeds = fold_seeds(folds.size, seed=kind == "kfold")
         chains = [downscaler._training_set(data, source, plan != f, s) for f, s in zip(folds, seeds)]
-        fits = downscaler._run_chains(_Blocks(data, source, self.MCMC, chains))
+        fits = record_chains(_Blocks(data, source, self.MCMC, chains))
         assert len(fits) == folds.size > 1
         for chain, fit in zip(chains, fits):
-            want = downscaler._run_chains(solo(data, source, self.MCMC, chain))[0]
+            want = record_chains(solo(data, source, self.MCMC, chain))[0]
             assert [l.site_id for l in fit.sites] == [l.site_id for l in want.sites]
             for name in FIT_ARRAYS:
                 assert np.array_equal(getattr(fit, name), getattr(want, name)), name
@@ -995,27 +1041,45 @@ class TestFoldBatch:
     @pytest.mark.parametrize("source", [CTM, SAT])
     def test_the_full_data_chain_equals_fit_downscaler(self, kind, source, monkeypatch):
         """Under kfold it is the last chain of the fold batch; when each fold
-        holds out a site it has one site more than the folds and runs alone."""
+        holds out a site it has one site more than the folds and runs alone,
+        first. No batch's predictors outlive it."""
         from pmfusion.crossval import make_folds
 
         rng = np.random.default_rng(75)
         data = with_missing_sat(build_table(rng, 6, 10, gamma=[0.3, -0.2, 0.0, 0.1, 0.2, 0.0]), rng)
         plan = make_folds(data, kind, k=3, seed=4).fold_of_record
         n_folds = np.unique(plan).size
+        requests = [request(data.sites, data.site_idx, data.day, data.x_for(source), data.z, seed=5)]
         batches = []
         blocks_cls = downscaler._Blocks
         monkeypatch.setattr(downscaler, "_Blocks", lambda *a: batches.append(a[3]) or blocks_cls(*a))
-        pred, got = cv_predict(data, plan, source, self.MCMC, full_seed=17)
-        assert [len(b) for b in batches] == ([n_folds + 1] if kind == "kfold" else [n_folds, 1])
-        assert batches[-1][-1].held.size == 0 and batches[-1][-1].seed == 17
+        # every chain's draws recorded as it runs, and each batch's predictors watched
+        ran = []
+
+        def record(blocks, consumers):
+            assert all(p() is None for p in ran), "an earlier batch's predictor is alive"
+            ran.extend(weakref.ref(p) for own in consumers for p in own)
+            return record_chains(blocks, consumers)
+
+        monkeypatch.setattr(downscaler, "_run_chains", record)
+        pred, got = cv_predict(data, plan, source, self.MCMC, full_seed=17, full_requests=requests)
+        assert [len(b) for b in batches] == ([n_folds + 1] if kind == "kfold" else [1, n_folds])
+        assert batches[0][-1].held.size == 0 and batches[0][-1].seed == 17
+        assert len(ran) == n_folds + 1 and all(p() is None for p in ran)
         monkeypatch.undo()
-        want = fit_downscaler(data, source, MCMCConfig(n_iter=120, burn_in=60, thin=2, seed=17))
+        want = recorded_fit(data, source, MCMCConfig(n_iter=120, burn_in=60, thin=2, seed=17), requests)
         assert [l.site_id for l in got.sites] == [l.site_id for l in want.sites]
         for name in FIT_ARRAYS:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        # the draws are not views that would keep the whole batch's draws alive
-        assert all(getattr(got, name).base is None for name in downscaler._RECORDED)
+        (streamed,), = got.predictions
+        (ref,), = want.predictions
+        assert np.array_equal(streamed.mu, ref.mu, equal_nan=True)
+        assert np.array_equal(streamed.var, ref.var, equal_nan=True)
         assert got.acceptance == want.acceptance  # the adapted steps included
+        # unrecorded, the full-data chain's fit holds its predictions and no draw
+        _, fit = cv_predict(data, plan, source, self.MCMC, full_seed=17, full_requests=requests)
+        assert not set(downscaler._STATE) & set(vars(fit))
+        assert np.array_equal(fit.predictions[0][0].mu, ref.mu, equal_nan=True)
         folds_alone, none = cv_predict(data, plan, source, self.MCMC)
         assert none is None
         assert np.array_equal(pred.mu, folds_alone.mu, equal_nan=True)
@@ -1023,9 +1087,9 @@ class TestFoldBatch:
 
     @pytest.mark.parametrize("kind", ["kfold", "spatial"])
     @pytest.mark.parametrize("source", [CTM, SAT])
-    def test_each_fold_streams_predict_batches_of_its_chain_alone(self, kind, source):
-        """A fold's held-out (mu, var), built up from its chain's live state in
-        the batch, equals predict_batches on the draws of its chain run alone."""
+    def test_each_fold_streams_the_predictive_of_its_chain_run_alone(self, kind, source):
+        """A fold's held-out (mu, var), streamed from its chain's live state in
+        the batch, equals the same request streamed from its chain run alone."""
         from pmfusion.crossval import make_folds
 
         rng = np.random.default_rng(76)
@@ -1037,28 +1101,31 @@ class TestFoldBatch:
         usable = data.usable_mask(source)
         for k, fold in enumerate(folds):
             chain = downscaler._training_set(data, source, plan != fold, seeds[2 * k])
-            fit = downscaler._run_chains(solo(data, source, self.MCMC, chain))[0]
             held = np.flatnonzero((plan == fold) & usable)
             held_sites, loc_idx = np.unique(data.site_idx[held], return_inverse=True)
             z = data.z[held] if source == SAT else None
             batch = (data.day[held], data.x_for(source)[held], z, seeds[2 * k + 1])
-            want = predict_batches(fit, [data.sites[s] for s in held_sites], loc_idx, data.record_ids[held], [batch])
-            assert np.array_equal(pred.mu[held], want[0].mu) and np.array_equal(pred.var[held], want[0].var)
+            targets = [data.sites[s] for s in held_sites]
+            predictor = downscaler._Predictor(data, source, chain, targets, loc_idx, data.record_ids[held], [batch])
+            (want,), = downscaler._run_chains(solo(data, source, self.MCMC, chain), [[predictor]])[0].predictions
+            assert np.array_equal(pred.mu[held], want.mu) and np.array_equal(pred.var[held], want.var)
         assert np.isfinite(pred.mu[usable]).all() and np.isnan(pred.mu[~usable]).all()
         assert (source == SAT) == (~usable).any()
 
-    def test_a_cv_batch_keeps_the_draws_of_its_full_data_chain_only(self):
+    def test_each_chain_of_a_cv_batch_feeds_its_own_consumers(self):
         rng = np.random.default_rng(77)
         data = build_table(rng, 6, 10)
         plan = np.arange(data.n_records) % 3
         chains = [downscaler._training_set(data, CTM, plan != f, s) for f, s in enumerate(fold_seeds(3, seed=6))]
-        predictors = [downscaler._held_out_predictor(data, CTM, c, 100 + f) for f, c in enumerate(chains)]
+        consumers = [[downscaler._held_out_predictor(data, CTM, c, 100 + f)] for f, c in enumerate(chains)]
         # the full-data chain between the folds', so the fits are not picked by position
         chains.insert(1, downscaler._training_set(data, CTM, None, 17))
-        predictors.insert(1, None)
-        fits = downscaler._run_chains(_Blocks(data, CTM, self.MCMC, chains), predictors)
-        assert len(fits) == 1
-        want = fit_downscaler(data, CTM, MCMCConfig(n_iter=120, burn_in=60, thin=2, seed=17))
+        consumers.insert(1, [])
+        fits = record_chains(_Blocks(data, CTM, self.MCMC, chains), consumers)
+        assert len(fits) == 4 and fits[1].predictions == []
+        want = recorded_fit(data, CTM, MCMCConfig(n_iter=120, burn_in=60, thin=2, seed=17))
         for name in FIT_ARRAYS:
-            assert np.array_equal(getattr(fits[0], name), getattr(want, name)), name
-        assert all(p is None or p.count == self.MCMC.n_kept for p in predictors)
+            assert np.array_equal(getattr(fits[1], name), getattr(want, name)), name
+        for fit, own in zip(fits, consumers):
+            assert fit.predictions == [p.out for p in own]
+            assert all(p.count == self.MCMC.n_kept for p in own)

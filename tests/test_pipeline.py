@@ -163,26 +163,44 @@ class TestRunPipeline:
         assert rep.n_pairs == out.cv_inputs.n_records
 
     @pytest.mark.parametrize("derivation", ["kfold", "spatial"])
-    def test_full_fits_are_fit_downscaler_on_seed_children_3_and_4(self, scene, tmp_path, derivation, monkeypatch):
+    def test_stage1_streams_what_fit_downscaler_on_seed_child_3_or_4_streams(
+        self, scene, tmp_path, derivation, monkeypatch
+    ):
+        """Each source's full-data chain (seed child 3 + k) streams its full
+        predictive (child 7 + k) and each surface day's components (child
+        10 + k, plus the day) bit for bit as fit_downscaler on the same requests."""
         truth, paths, _ = scene
         mcmc = MCMCConfig(n_iter=40, burn_in=20, thin=2)
         cfg = make_config(truth, paths, tmp_path, derivation=derivation, downscaler_mcmc=mcmc, ensemble_mcmc=mcmc)
-        passed = []
-        full_predictive = pipeline._full_predictive
-        monkeypatch.setattr(pipeline, "_full_predictive", lambda *a: passed.append(a[1]) or full_predictive(*a))
+        runs = []
+        cv_predict = pipeline.cv_predict
+
+        def spy(view, plan, source, mcmc, *, full_seed, full_requests):
+            # each request's batches read once into a list, so they can be passed again
+            requests = [(*request[:3], list(request[3])) for request in full_requests]
+            pred, fit = cv_predict(view, plan, source, mcmc, full_seed=full_seed, full_requests=requests)
+            runs.append((source, full_seed, requests, fit.acceptance, [list(p) for p in fit.predictions]))
+            return pred, fit
+
+        monkeypatch.setattr(pipeline, "cv_predict", spy)
         cv_inputs = run_pipeline(cfg).cv_inputs
-        (fits,) = passed
+        monkeypatch.undo()
         data, _, _ = _load_inputs(cfg)
-        seeds = np.random.SeedSequence(cfg.seed).spawn(12)
-        for k, source in enumerate((CTM, SAT)):
+        seed = [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(cfg.seed).spawn(12)]
+        assert [run[0] for run in runs] == [CTM, SAT]
+        for k, (source, full_seed, requests, acceptance, streamed) in enumerate(runs):
+            full, surface = requests
+            assert full_seed == seed[3 + k]
+            assert [batch[3] for batch in full[3]] == [seed[7 + k]]
+            assert [batch[3] for batch in surface[3]] == [seed[10 + k] + d for d in cfg.surface_days]
             view, _ = pipeline._source_view(data, source)
-            want = fit_downscaler(view, source, replace(mcmc, seed=int(seeds[3 + k].generate_state(1)[0])))
-            got = fits[source]
-            for name, value in vars(want).items():
-                if isinstance(value, np.ndarray):
-                    assert np.array_equal(getattr(got, name), value), (source, name)
-            assert got.acceptance == want.acceptance
-        folds_only, no_fits = cv_component_table(data, derivation, cfg.n_folds, mcmc, cfg.seed, seeds[0:2])
+            want = fit_downscaler(view, source, replace(mcmc, seed=seed[3 + k]), requests)
+            assert acceptance == want.acceptance
+            assert [len(p) for p in streamed] == [len(p) for p in want.predictions] == [1, len(cfg.surface_days)]
+            for got, ref in zip(sum(streamed, []), sum(want.predictions, [])):
+                assert np.array_equal(got.mu, ref.mu, equal_nan=True), source
+                assert np.array_equal(got.var, ref.var, equal_nan=True), source
+        folds_only, no_fits = cv_component_table(data, derivation, cfg.n_folds, mcmc, cfg.seed, seed[0:2])
         assert no_fits == {CTM: None, SAT: None}
         assert np.array_equal(folds_only.mu, cv_inputs.mu) and np.array_equal(folds_only.var, cv_inputs.var)
 

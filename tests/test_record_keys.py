@@ -6,7 +6,6 @@ import dataclasses
 import re
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,10 +14,9 @@ from hypothesis import strategies as st
 
 from pmfusion import cli, pipeline
 from pmfusion import io as pio
-from pmfusion.downscaler import SourcePredictions
 from pmfusion.ensemble import _EnsembleProblem
 from pmfusion.errors import PmFusionError, SchemaError
-from pmfusion.geo import CTM, SAT, GridSpec, Location
+from pmfusion.geo import CTM, GridSpec, Location
 from pmfusion.tables import N_COVARIATES, ObservationTable, PredictiveTable
 
 from oracles import (
@@ -401,19 +399,7 @@ def test_full_predictive_targets_match_the_dict(site_ids, fit_ids, keys):
     if data is None:
         return
     fit_sites = [Location(sid, -1.0 - i, 0.0) for i, sid in enumerate(fit_ids)]
-    seen = []
-
-    def predict_batches(fit, locations, loc_idx, ids, batches):
-        seen.append((locations, loc_idx))
-        (days, *_), = batches
-        n = len(days)
-        return [SourcePredictions(ids=ids, day=days, mu=np.zeros(n), var=np.ones(n), available=np.ones(n, dtype=bool))]
-
-    fit = SimpleNamespace(sites=fit_sites)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(pipeline, "predict_batches", predict_batches)
-        pipeline._full_predictive(data, {CTM: fit, SAT: None}, np.random.SeedSequence(0).spawn(2))
-    (locations, loc_idx), = seen
+    locations, loc_idx = pipeline._full_predictive_targets(data, fit_sites)
     want_locations, want_idx = dict_full_predictive_targets(data, fit_sites)
     assert locations == want_locations
     assert _same(loc_idx, want_idx)
