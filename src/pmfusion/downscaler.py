@@ -79,11 +79,10 @@ class SourcePredictions:
 @dataclass
 class _Training:
     """One chain: the records usable for the source that it holds out (rows
-    of the data table), its sites (indices into data.sites), its generator's
-    seed, and the scaler and Gram matrix of its standardized covariates."""
+    of the data table), its generator's seed, and the scaler and Gram matrix
+    of its standardized covariates. Every chain fits all sites of the table."""
 
     held: np.ndarray
-    sites: np.ndarray
     seed: int
     z_mean: np.ndarray
     z_sd: np.ndarray
@@ -92,8 +91,8 @@ class _Training:
 
 
 def _training_set(data: ObservationTable, source: str, train: np.ndarray | None, seed: int) -> _Training:
-    """One chain's records: those train masks (None: all records, every site
-    of data kept), checked as fitting data.subset(train) would check them."""
+    """One chain's records: those train masks (None: all records), checked as fitting
+    data.subset(train) would check them; a site with no record in train is latent."""
     if source not in (CTM, SAT):
         raise DomainError(f"unknown source {source!r}, expected {CTM!r} or {SAT!r}")
     if train is None:
@@ -112,7 +111,7 @@ def _training_set(data: ObservationTable, source: str, train: np.ndarray | None,
         raise InsufficientDataError("need a horizon of at least 2 days")
     held = np.flatnonzero(usable & ~train)
     if source == CTM:
-        return _Training(held, sites, seed, np.zeros(N_COVARIATES), np.ones(N_COVARIATES))
+        return _Training(held, seed, np.zeros(N_COVARIATES), np.ones(N_COVARIATES))
     z_raw = data.z[mask]
     z_mean, z_sd = z_raw.mean(axis=0), z_raw.std(axis=0)
     flat = np.flatnonzero(z_sd <= 0)
@@ -124,7 +123,7 @@ def _training_set(data: ObservationTable, source: str, train: np.ndarray | None,
     # the Gram matrix of the standardized covariates, from a copy of them freed on return
     zs = (z_raw - z_mean) / z_sd
     ztz = zs.T @ zs
-    return _Training(held, sites, seed, z_mean, z_sd, ztz, jittered_cholesky(ztz)[0])
+    return _Training(held, seed, z_mean, z_sd, ztz, jittered_cholesky(ztz)[0])
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -135,11 +134,12 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 class _Blocks:
     """Full-conditional updates for F chains of one source's model, in lockstep.
 
-    Chain f fits the records of chains[f], and all chains have the same
-    site count S. State variables carry a leading chain axis.
+    Chain f fits the records of chains[f] on all S sites of data, a site
+    with no training record latent: its sums by site are exactly zero, so
+    it enters through the GP prior only. State variables carry a chain axis.
 
     The usable records are the filled cells of data's (day x site) grid,
-    T x G, held once per batch: the planes M, M x and M x^2 (M the usable
+    T x S, held once per batch: the planes M, M x and M x^2 (M the usable
     mask) and the sums by day and by site of 1, x, x^2, y, x y, z and z x.
     A chain keeps of its own only its held-out cells. Every statistic a
     block reads (sums of r and x r by day and by site, Z'r and r'r, r the
@@ -156,13 +156,9 @@ class _Blocks:
     def __init__(self, data: ObservationTable, source: str, mcmc: MCMCConfig, chains: list[_Training]):
         self.source, self.mcmc = source, mcmc
         self.F = F = len(chains)
-        self.S = S = chains[0].sites.size
+        self.S = S = data.n_sites
         self.T = T = data.n_days
-        self.G = G = data.n_sites
-        if any(c.sites.size != S for c in chains):
-            raise ValueError("the chains of a batch need equal site counts")
-        self.sites = [[data.sites[s] for s in c.sites] for c in chains]
-        self.cols = np.array([c.sites for c in chains])
+        self.sites = list(data.sites)
         self.p_cov = p = N_COVARIATES if source == SAT else 0
 
         use = np.flatnonzero(data.usable_mask(source))
@@ -170,22 +166,24 @@ class _Blocks:
         z = data.z[use][:, :p]
 
         def sums(w: np.ndarray) -> list[np.ndarray]:
-            """The columns of w summed by day, (k, T), and by site, (k, G)."""
-            return [np.array([np.bincount(i, c, n) for c in w.T]).reshape(-1, n) for i, n in ((day0, T), (site, G))]
+            """The columns of w summed by day, (k, T), and by site, (k, S)."""
+            return [np.array([np.bincount(i, c, n) for c in w.T]).reshape(-1, n) for i, n in ((day0, T), (site, S))]
         gram = np.array([np.ones_like(x), x, x * x])
-        self.planes = np.zeros((3, T, G))
+        self.planes = np.zeros((3, T, S))
         self.planes[:, day0, site] = gram
         self._kept = [None, None]
         self.gram, self.ysums = sums(gram.T), sums(np.column_stack([y, x * y]))
-        # z and z x by day, (2, T, p), and by site, (2, G, p)
+        # z and z x by day, (2, T, p), and by site, (2, S, p)
         self.zsums = [np.stack([t[:p].T, t[p:].T]) for t in sums(np.hstack([z, z * x[:, None]]))]
         self.yy, self.zy, self.zz = float(y @ y), z.T @ y, z.T @ z
 
         held = np.concatenate([c.held for c in chains])
         self.h_chain = np.repeat(np.arange(F), [c.held.size for c in chains])
-        self.h_day, self.h_col = self.h_chain * T + data.day[held] - 1, self.h_chain * G + data.site_idx[held]
+        self.h_day, self.h_col = self.h_chain * T + data.day[held] - 1, self.h_chain * S + data.site_idx[held]
         self.h_y, self.h_x, self.h_z = data.y[held], data.x_for(source)[held], data.z[held][:, :p].T.copy()
         self.n = use.size - np.bincount(self.h_chain, minlength=F)
+        # whether a chain has training cells at a site, (F, S)
+        self.seen = np.bincount(site, minlength=S) > np.bincount(self.h_col, minlength=F * S).reshape(F, S)
         # sums of 1, x and x^2 over each chain's training cells, by day (F, 3, T) and by site (F, 3, S)
         w = (np.ones(held.size), self.h_x, self.h_x * self.h_x)
         self.grams = [self._less_held(axis, self.gram[axis], w) for axis in (0, 1)]
@@ -197,9 +195,9 @@ class _Blocks:
         self.ztz, self.ztz_chol = (np.array([getattr(c, k) for c in chains]) for k in ("ztz", "ztz_chol"))
         self.n_t = car_neighbor_count(T)
         self.logdet_table = car_logdet_table(T)
-        self.d_sites = np.array([distance_matrix(s) for s in self.sites])
-        diam = self.d_sites.max(axis=(1, 2))
-        self.theta_floor = np.maximum(diam * 1e-4, 1e-6)
+        self.d_sites = distance_matrix(self.sites)
+        diam = float(self.d_sites.max())
+        self.theta_floor = max(diam * 1e-4, 1e-6)
         self.rngs = [np.random.default_rng(c.seed) for c in chains]
         self.shape_y = [mcmc.ig_a + 0.5 * n for n in self.n.tolist()]
         self.mvn_const = float(S * np.log(2.0 * np.pi))
@@ -223,14 +221,14 @@ class _Blocks:
         self.sigma2_b = np.full(F, 0.1)
         self.eta_a = np.full(F, 0.5)
         self.eta_b = np.full(F, 0.5)
-        self.theta1 = np.maximum(diam / 4.0, self.theta_floor)
+        self.theta1 = np.full(F, max(diam / 4.0, self.theta_floor))
         self.theta2 = self.theta1.copy()
         self.chol_r1, self.rinv1, self.chol_r2, self.rinv2 = (np.empty((F, S, S)) for _ in range(4))
         self.eyes = np.broadcast_to(np.eye(S), (F, S, S))
         self.logdet_r1, self.logdet_r2 = np.empty(F), np.empty(F)
         everyone = np.arange(F)
-        self._set_range_cache(1, everyone, *self._range_chol(self.theta1, everyone))
-        self._set_range_cache(2, everyone, *self._range_chol(self.theta2, everyone))
+        self._set_range_cache(1, everyone, *self._range_chol(self.theta1))
+        self._set_range_cache(2, everyone, *self._range_chol(self.theta2))
         self.chain = Chain(mcmc, theta1=np.full(F, 0.5), theta2=np.full(F, 0.5))
 
     # -- sums over the training cells --------------------------------------
@@ -245,20 +243,19 @@ class _Blocks:
         return alpha1, beta1
 
     def _less_held(self, axis: int, full: np.ndarray, w) -> np.ndarray:
-        """full, k sums by day (axis 0) or grid site (axis 1), less each chain's sums of
-        w[i] over its held-out cells: (F, k, T) by day, (F, k, S) by the chain's sites."""
-        idx, n = (self.h_day, self.T) if axis == 0 else (self.h_col, self.G)
+        """full, k sums by day (axis 0) or site (axis 1), less each chain's sums of
+        w[i] over its held-out cells: (F, k, T) by day, (F, k, S) by site, exactly
+        zero at a chain's latent sites."""
+        idx, n = (self.h_day, self.T) if axis == 0 else (self.h_col, self.S)
         out = full - np.array([np.bincount(idx, wi, self.F * n).reshape(self.F, n) for wi in w]).transpose(1, 0, 2)
-        return out if axis == 0 else np.take_along_axis(out, self.cols[:, None], axis=2)
+        return out if axis == 0 else np.where(self.seen[:, None], out, 0.0)
 
     def _terms(self):
         """The state as coefficients of a cell's regressors (by day, of 1 and
-        x, (F, T); by grid site, of 1 and x, (F, G), zero at sites a chain
-        lacks; of the raw covariates, (F, p), their centring folded into the
-        day intercepts), and r = y - alpha - beta x - z gamma at held-out cells."""
-        site = np.zeros((2, self.F, self.G))
-        np.put_along_axis(site, self.cols[None], np.array(self._site_effects()), axis=2)
-        (b, d), g = site, self.gamma / self.z_sd[:, : self.p_cov]
+        x, (F, T); by site, of 1 and x, (F, S); of the raw covariates, (F, p),
+        their centring folded into the day intercepts), and
+        r = y - alpha - beta x - z gamma at held-out cells."""
+        (b, d), g = self._site_effects(), self.gamma / self.z_sd[:, : self.p_cov]
         a, c = self.alpha0 - _dot(g, self.z_mean[:, : self.p_cov])[:, None], self.beta0
         r = self.h_y - a.ravel()[self.h_day] - b.ravel()[self.h_col]
         r -= (c.ravel()[self.h_day] + d.ravel()[self.h_col]) * self.h_x
@@ -268,7 +265,7 @@ class _Blocks:
 
     def _grid_sums(self, axis: int, terms=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sums of r and x r over each chain's training cells, by day (axis 0,
-        (F, T)) or by the chain's sites (axis 1, (F, S)), and the sum of
+        (F, T)) or by site (axis 1, (F, S)), and the sum of
         squares of the residual without this axis' terms, (F,). A chain's
         sums are taken on the grid when its terms of the other axis or its
         gamma have changed since they last were, and are otherwise shifted
@@ -330,10 +327,10 @@ class _Blocks:
         ss = ss - _dot(alpha1, 2.0 * sr + alpha1 * n + 2.0 * beta1 * sx) - _dot(beta1, 2.0 * sxr + beta1 * sxx)
         return np.maximum(ss, 0.0)
 
-    def _range_chol(self, theta: np.ndarray, chains) -> tuple[np.ndarray, np.ndarray]:
-        """Cholesky factors of the unit-variance site correlations of the given
-        chains (indices or a slice) at ranges theta, and their log-determinants."""
-        chol = cholesky_stack(np.exp(-self.d_sites[chains] / theta[:, None, None]))
+    def _range_chol(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cholesky factors of the unit-variance site correlation at each of
+        the ranges theta, and their log-determinants."""
+        chol = cholesky_stack(np.exp(-self.d_sites / theta[:, None, None]))
         diag = chol.reshape(chol.shape[0], -1)[:, :: self.S + 1]
         return chol, 2.0 * np.log(diag).sum(axis=1)
 
@@ -479,7 +476,7 @@ class _Blocks:
         if live.size:
             # every chain is live in most calls: then take views, not copies
             sel = live if live.size < self.F else slice(None)
-            chol_prop, logdet_prop = self._range_chol(prop[sel], sel)
+            chol_prop, logdet_prop = self._range_chol(prop[sel])
             cur = self._log_range_target(v[sel], chol[sel], logdet[sel], theta[sel])
             new = self._log_range_target(v[sel], chol_prop, logdet_prop, prop[sel])
             ok = np.log([self.rngs[f].random() for f in live.tolist()]) < new - cur
@@ -534,7 +531,7 @@ def _run_chains(blocks: _Blocks, consumers) -> list[DownscalerFit]:
     return [
         DownscalerFit(
             source=blocks.source,
-            sites=blocks.sites[f],
+            sites=blocks.sites,
             n_days=blocks.T,
             z_mean=blocks.z_mean[f],
             z_sd=blocks.z_sd[f],
@@ -584,13 +581,15 @@ class _Predictor:
     on day days[i] with linked grid value linked_x[i] (NaN, a missing
     satellite retrieval, makes it unavailable); z holds raw-scale
     covariates, required for a satellite chain; seed seeds its generator.
-    Latent site fields at the targets are drawn from their GP conditionals
-    given the chain's sites, per state; at a fitted monitor the conditional
-    variance is roundoff (up to about 3e-15). Each state's conditional is
-    built once and shared by all batches, and every batch draws its fields
-    from its own generator, in state order. The variance is the spread of
-    the per-state predictions plus the mean residual variance. The work
-    arrays are allocated here, so add() allocates none per batch.
+    A target at the location of one of the chain's sites reads that site's
+    latent fields from the state, so its prediction is
+    alpha0[d] + a11 v1[s] + (beta0[d] + a21 v1[s] + a22 v2[s]) x (+ z gamma).
+    At any other target the fields are drawn from their GP conditionals
+    given the chain's sites, per state: each state's conditional is built
+    once and shared by all batches, and every batch draws its fields from
+    its own generator, in state order. The variance is the spread of the
+    per-state predictions plus the mean residual variance. The work arrays
+    are allocated here, so add() allocates none per batch.
     """
 
     def __init__(self, data: ObservationTable, source: str, chain: _Training, targets, loc_idx, ids, batches):
@@ -624,34 +623,45 @@ class _Predictor:
                 sub = np.flatnonzero(avail)
                 zg = (z[sub] - chain.z_mean) / chain.z_sd if source == SAT else None
                 self.live.append(_Batch(pred, loc_idx[sub], days[sub] - 1, linked_x[sub], zg, seed))
-        self.count, self.s2y_acc = 0, 0.0
+        self.count, self.s2y_acc, self.S, self.krige1 = 0, 0.0, data.n_sites, None
         if self.live:
-            sites = [data.sites[s] for s in chain.sites]
-            d_sites = distance_matrix(sites)
-            d_cross = distance_matrix(sites, targets)
-            # a rejected range proposal repeats theta, and with it the field operators
-            self.krige1, self.krige2 = ExpKriging(d_sites, d_cross), ExpKriging(d_sites, d_cross)
-            # the two fields' conditional SDs, and their draws at the targets and
-            # beta1, which a batch spends before the next one draws
-            self.sd, self.fields = np.empty((2, d_cross.shape[1])), np.empty((3, d_cross.shape[1]))
+            d_cross = distance_matrix(data.sites, targets)
+            near = d_cross.argmin(axis=0)
+            kriged = np.flatnonzero(d_cross[near, np.arange(near.size)] > 0)
+            # a target's fields are an entry of theirs at the chain's sites, then at the kriged targets
+            near[kriged] = self.S + np.arange(kriged.size)
+            for b in self.live:
+                b.loc = near[b.loc]
+            if kriged.size:
+                d_sites, d_cross = distance_matrix(data.sites), d_cross[:, kriged]
+                # a rejected range proposal repeats theta, and with it the field operators
+                self.krige1, self.krige2 = ExpKriging(d_sites, d_cross), ExpKriging(d_sites, d_cross)
+            # the fields v1, v2 and beta1, which a batch spends before the next one draws
+            self.fields = np.empty((3, self.S + kriged.size))
 
     def add(self, state: dict) -> None:
         """Update every batch with one kept state, a mapping from _STATE name to value."""
         if not self.live:
             return
-        mean1, resid1 = self.krige1(state["v1"], float(state["theta1"]))
-        mean2, resid2 = self.krige2(state["v2"], float(state["theta2"]))
-        sd1, sd2 = np.sqrt(resid1, out=self.sd[0]), np.sqrt(resid2, out=self.sd[1])
+        S = self.S
+        if self.krige1 is not None:
+            mean1, resid1 = self.krige1(state["v1"], float(state["theta1"]))
+            mean2, resid2 = self.krige2(state["v2"], float(state["theta2"]))
+            sd1, sd2 = np.sqrt(resid1), np.sqrt(resid2)
         a11, a21, a22 = state["a_coreg"]
         alpha0, beta0 = state["alpha0"], state["beta0"]
         self.count += 1
         self.s2y_acc += float(state["sigma2_y"])
         v1, v2, beta1 = self.fields
         for b in self.live:
-            # v1 = mean1 + sd1 z1, v2 = mean2 + sd2 z2, beta1 = a21 v1 + a22 v2, alpha1 = a11 v1
-            # (over v1): each step of the plain expressions, in their order and so to their bits
-            np.add(mean1, np.multiply(sd1, b.rng.standard_normal(out=v1), out=v1), out=v1)
-            np.add(mean2, np.multiply(sd2, b.rng.standard_normal(out=v2), out=v2), out=v2)
+            # v1 and v2: the state's at the chain's sites, mean + sd z at the kriged targets;
+            # beta1 = a21 v1 + a22 v2, alpha1 = a11 v1 (over v1): each step of the plain
+            # expressions, in their order and so to their bits
+            v1[:S], v2[:S] = state["v1"], state["v2"]
+            if self.krige1 is not None:
+                u1, u2 = v1[S:], v2[S:]
+                np.add(mean1, np.multiply(sd1, b.rng.standard_normal(out=u1), out=u1), out=u1)
+                np.add(mean2, np.multiply(sd2, b.rng.standard_normal(out=u2), out=u2), out=u2)
             np.add(np.multiply(a21, v1, out=beta1), np.multiply(a22, v2, out=v2), out=beta1)
             alpha1 = np.multiply(a11, v1, out=v1)
             # pred = alpha0[day] + alpha1[loc] + (beta0[day] + beta1[loc]) x (+ zg gamma) and the
@@ -686,14 +696,11 @@ class _Batch:
 
 
 def _held_out_predictor(data: ObservationTable, source: str, chain: _Training, seed: int) -> _Predictor:
-    """The predictor of a chain's held-out records: their sites as targets,
-    one batch seeded with seed."""
+    """The predictor of a chain's held-out records, at their sites among the
+    chain's: one batch seeded with seed."""
     held = chain.held
-    held_sites, loc_idx = np.unique(data.site_idx[held], return_inverse=True)
-    targets = [data.sites[s] for s in held_sites]
-    ids = np.asarray([l.site_id for l in targets], dtype=object)[loc_idx]
     batch = (data.day[held], data.x_for(source)[held], data.z[held] if source == SAT else None, seed)
-    return _Predictor(data, source, chain, targets, loc_idx, ids, [batch])
+    return _Predictor(data, source, chain, data.sites, data.site_idx[held], data.record_ids[held], [batch])
 
 
 def cv_predict(
@@ -710,15 +717,15 @@ def cv_predict(
     fold_of_record assigns each record of `data` to a fold; for each fold
     the model is refit on the complement and the fold's records predicted.
     Fold fits use independent child seeds of mcmc.seed, so the result is
-    deterministic and independent of fold ordering. Chains whose training
-    sets have the same site count run as one lockstep batch, each equal to
-    its own fit. A fold's predictive streams from its chain's live state at
-    each kept iteration, and no chain keeps its draws. Given full_seed, a
-    chain on every record runs with the folds': it is fit_downscaler(data,
-    source, mcmc seeded with full_seed, full_requests), and its requests are
-    read and checked with the folds' before any chain runs. Its batch runs
-    first, and a batch's predictors are freed once it has run. Returns the
-    predictions and that chain's fit, or None without full_seed.
+    deterministic and independent of fold ordering. Every chain fits all
+    sites of data, a fold's held-out sites latent in it, so all chains run
+    as one lockstep batch, each equal to its own fit. A fold's predictive
+    streams from its chain's live state at each kept iteration, read at its
+    sites, and no chain keeps its draws. Given full_seed, a chain on every
+    record runs last in the batch: it is fit_downscaler(data, source, mcmc
+    seeded with full_seed, full_requests), and its requests are read and
+    checked with the folds' before any chain runs. Returns the predictions
+    and that chain's fit, or None without full_seed.
     """
     fold_of_record = np.asarray(fold_of_record, dtype=np.int64)
     if fold_of_record.shape[0] != data.n_records:
@@ -728,19 +735,14 @@ def cv_predict(
     seeds = [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(mcmc.seed).spawn(2 * folds.size)]
     # every fold's training set is checked in fold order before any chain runs
     chains = [_training_set(data, source, fold_of_record != fold, seeds[2 * k]) for k, fold in enumerate(folds)]
-    consumers = {k: [_held_out_predictor(data, source, c, seeds[2 * k + 1])] for k, c in enumerate(chains)}
+    consumers = [[_held_out_predictor(data, source, c, seeds[2 * k + 1])] for k, c in enumerate(chains)]
     if full_seed is not None:
         chains.append(_training_set(data, source, None, full_seed))
-        consumers[folds.size] = [_Predictor(data, source, chains[-1], *request) for request in full_requests]
-    fits = {}
-    # the full-data batch first, each batch's predictors dropped as it ends: its surface predictor meets no other batch
-    for n_sites in dict.fromkeys(c.sites.size for c in reversed(chains)):
-        batch = [k for k, c in enumerate(chains) if c.sites.size == n_sites]
-        fits.update(zip(batch, _run_chains(_Blocks(data, source, mcmc, [chains[k] for k in batch]),
-                                           [consumers.pop(k) for k in batch])))
-    for k, c in enumerate(chains[: folds.size]):
-        (held,), = fits[k].predictions
+        consumers.append([_Predictor(data, source, chains[-1], *request) for request in full_requests])
+    fits = _run_chains(_Blocks(data, source, mcmc, chains), consumers)
+    for c, fit in zip(chains[: folds.size], fits):
+        (held,), = fit.predictions
         mu[c.held] = held.mu
         var[c.held] = held.var
     pred = SourcePredictions(ids=data.record_ids, day=data.day.copy(), mu=mu, var=var, available=data.usable_mask(source))
-    return pred, fits.get(folds.size)
+    return pred, fits[-1] if full_seed is not None else None

@@ -284,28 +284,29 @@ def update_rho(
     rng: np.random.Generator,
     mcmc: MCMCConfig,
     quad: float | None = None,
+    logdet: float | None = None,
 ) -> tuple[float, bool, np.ndarray]:
     """Step 4: log-normal random-walk MH on the weight-field range.
 
     d is the site distance matrix, corr_chol the Cholesky factor of
     C(rho) = exp(-d / rho) and step the SD of log(rho_prop / rho). The
     target is the MVN(0, tau2 * C) density of q times the Gamma prior of
-    mcmc. quad is q' C(rho)^{-1} q at the current range, solved here when
-    the caller does not hold it. Returns (rho, accepted, the factor at the
-    returned rho).
+    mcmc. quad is q' C(rho)^{-1} q and logdet log |C(rho)| at the current
+    range, each formed here when the caller does not hold it. Returns (rho,
+    accepted, the factor at the returned rho).
     """
     prop = float(rho * math.exp(step * rng.standard_normal()))
     chol_prop, _ = jittered_cholesky(np.exp(-d / prop))
 
-    def log_target(r: float, chol: np.ndarray, quad: float | None) -> float:
+    def log_target(r: float, chol: np.ndarray, quad: float | None, logdet: float | None) -> float:
         if quad is None:
             half = tri_solve(chol, q)
             quad = float(half @ half)
-        log_lik = -float(np.log(chol.diagonal()).sum()) - 0.5 * quad / tau2
-        return log_lik + (mcmc.rho_prior_shape - 1.0) * math.log(r) - mcmc.rho_prior_rate * r
+        logdet = _logdet(chol) if logdet is None else logdet
+        return -0.5 * logdet - 0.5 * quad / tau2 + (mcmc.rho_prior_shape - 1.0) * math.log(r) - mcmc.rho_prior_rate * r
 
     # + log(prop) - log(rho) is the Jacobian of the log-normal proposal
-    delta = log_target(prop, chol_prop, None) - log_target(rho, corr_chol, quad) + math.log(prop) - math.log(rho)
+    delta = log_target(prop, chol_prop, None, None) - log_target(rho, corr_chol, quad, logdet) + math.log(prop) - math.log(rho)
     u = rng.random()
     if u == 0.0 or math.log(u) < delta:
         return prop, True, chol_prop
@@ -350,21 +351,29 @@ class _EnsembleProblem:
         return np.bincount(self.row_site, weights=z.astype(float), minlength=self.s_count)
 
 
+def _logdet(chol: np.ndarray) -> float:
+    """log |C| of C = chol chol'."""
+    return 2.0 * float(np.log(chol.diagonal()).sum())
+
+
 class _Range:
     """The range state both fitters share: site distances, rho (started at a
-    quarter of the site diameter) and the Cholesky factor of C(rho)."""
+    quarter of the site diameter), the Cholesky factor of C(rho) and log |C(rho)|."""
 
     def __init__(self, locations):
         self.d = distance_matrix(locations)
         self.rho = max(float(self.d.max()) / 4.0, 1e-3)
         self.chol, _ = jittered_cholesky(np.exp(-self.d / self.rho))
+        self.logdet = _logdet(self.chol)
 
     def move(self, q: np.ndarray, quad: float, tau2: float, chain: Chain, rng) -> bool:
         """Step 4 with the chain's rho step, counted as one rho try; quad is
         q' C(rho)^{-1} q at the current range."""
         self.rho, accepted, self.chol = update_rho(
-            q, tau2, self.rho, self.d, self.chol, chain.step("rho"), rng, chain.mcmc, quad
+            q, tau2, self.rho, self.d, self.chol, chain.step("rho"), rng, chain.mcmc, quad, self.logdet
         )
+        if accepted:
+            self.logdet = _logdet(self.chol)
         chain.tried("rho", accepted)
         return accepted
 

@@ -265,8 +265,8 @@ def cv_component_table(
     """Held-out component predictives for both sources over one record table,
     and by source the fit of a chain on all its records (None without full,
     or for a source with no usable record). seeds holds each source's integer
-    seed; full(source, sites) gives cv_predict's full_seed and full_requests
-    for that chain, called in the source's run with the sites it fits."""
+    seed; full(source) gives cv_predict's full_seed and full_requests for
+    that chain, called in the source's run."""
     per_source, fits = {}, {CTM: None, SAT: None}
     for k, source in enumerate((CTM, SAT)):
         if source == SAT and not data.usable_mask(SAT).any():
@@ -275,7 +275,7 @@ def cv_component_table(
         view, rows = _source_view(data, source)
         plan = make_folds(view, derivation, n_folds, seed=fold_seed)
         source_mcmc = replace(mcmc, seed=seeds[k])
-        chain = {} if full is None else full(source, view.sites)
+        chain = {} if full is None else full(source)
         pred, fits[source] = cv_predict(view, plan.fold_of_record, source, source_mcmc, **chain)
         per_source[source] = _embed(pred, rows, data.n_records, data)
     return combine_predictions(data, per_source[CTM], per_source[SAT]), fits
@@ -293,17 +293,6 @@ def _surface_targets(cfg: PipelineConfig, data: ObservationTable):
     rr, cc = np.divmod(np.arange(centers.shape[0]), grid.n_cols)
     target_ids = np.array([f"r{r:03d}c{c:03d}" for r, c in zip(rr.tolist(), cc.tolist())], dtype=object)
     return days, centers, rr, cc, target_ids
-
-
-def _full_predictive_targets(data: ObservationTable, fit_sites) -> tuple[list, np.ndarray]:
-    """The targets of a source's full predictive and each record's index
-    among them: the fitted sites, then the sites the fit lacks, numbered in
-    the order of their first record."""
-    n_fit = len(fit_sites)
-    fit_ids = np.asarray([l.site_id for l in fit_sites], dtype=object)
-    loc_idx, first = pio.key_index(np.concatenate((fit_ids, data.record_ids)))
-    locations = [*fit_sites, *(data.sites[s] for s in data.site_idx[first[n_fit:] - n_fit])]
-    return locations, loc_idx[n_fit:]
 
 
 def _surface_request(data: ObservationTable, source: str, grid, spec: GridSpec, targets, seed: int):
@@ -332,14 +321,14 @@ def _stage1(cfg: PipelineConfig, data: ObservationTable, ctm, sat, targets, seed
     """Both sources' held-out component predictives, and by source its chain
     on all its records (seeds[3 + k]), which streams the full predictive
     (seeds[7 + k]) and, given targets, the surface predictive (seeds[10 + k]
-    plus the day). Each source's requests are built in its own run."""
+    plus the day). Each source's requests are built in its own run; the full
+    predictive's targets are the monitors, each fitted one read from the chain."""
     grids = {CTM: (ctm, cfg.ctm_grid), SAT: (sat, cfg.sat_grid)}
 
-    def full(source, sites):
+    def full(source):
         k = SOURCES.index(source)
-        locations, loc_idx = _full_predictive_targets(data, sites)
         batch = (data.day, data.x_for(source), data.z if source == SAT else None, seeds[7 + k])
-        requests = [(locations, loc_idx, data.record_ids, [batch])]
+        requests = [(data.sites, data.site_idx, data.record_ids, [batch])]
         if targets is not None:
             requests.append(_surface_request(data, source, *grids[source], targets, seeds[10 + k]))
         return {"full_seed": seeds[3 + k], "full_requests": requests}

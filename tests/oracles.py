@@ -245,9 +245,9 @@ def numpy_scalar_update_q(z_sum, t_s, q, prec, r, step_sd, rng):
 # -- the weight-field steps before their accept tests moved to arrays ------
 
 
-def solving_update_rho(q, tau2, rho, d, corr_chol, step, rng, mcmc, quad=None):
+def solving_update_rho(q, tau2, rho, d, corr_chol, step, rng, mcmc, quad=None, logdet=None):
     """The range move that solves both states' quadratic forms and sums the
-    full MVN log density; quad is accepted and ignored."""
+    full MVN log density; quad and logdet are accepted and ignored."""
     prop = float(rho * math.exp(step * rng.standard_normal()))
     chol_prop, _ = jittered_cholesky(np.exp(-d / prop))
 
@@ -926,21 +926,6 @@ def dict_site_index(ids, locations):
         return np.array([order[sid] for sid in ids], dtype=np.int64)
     except KeyError as exc:
         raise SchemaError(f"record id {exc.args[0]!r} not among the weight-field sites") from None
-
-
-def dict_full_predictive_targets(data, fit_sites):
-    """The targets of a source's full predictive: the fitted sites, then the
-    sites the fit lacks in the order of their first record."""
-    loc_of = {l.site_id: j for j, l in enumerate(fit_sites)}
-    locations = list(fit_sites)
-    loc_idx = np.empty(data.n_records, dtype=np.int64)
-    for i in range(data.n_records):
-        sid = data.sites[data.site_idx[i]].site_id
-        if sid not in loc_of:
-            loc_of[sid] = len(locations)
-            locations.append(data.sites[data.site_idx[i]])
-        loc_idx[i] = loc_of[sid]
-    return locations, loc_idx
 
 
 def dict_join_observations(monitors, ids, day, covariates):

@@ -287,12 +287,19 @@ class TestConjugateBlocks:
         assert abs(draws.var(ddof=1) - var) < 4.0 * var * np.sqrt(2.0 / m)
 
 
+def trained_sites(data, train):
+    """Whether each site of data has a record in train."""
+    return np.isin(np.arange(data.n_sites), data.site_idx[train])
+
+
 def oracle_in_state(blocks, f, data, train):
     """The record-layout sampler of oracles.py on data.subset(train), in the
-    state of chain f of blocks."""
+    state of chain f of blocks, its site fields those at the sites it keeps."""
     one = oracles.SingleChainBlocks(data.subset(train), blocks.source, blocks.mcmc)
-    for name in ("alpha0", "beta0", "gamma", "v1", "v2", "a"):
+    for name in ("alpha0", "beta0", "gamma", "a"):
         setattr(one, name, getattr(blocks, name)[f].copy())
+    for name in ("v1", "v2"):
+        setattr(one, name, getattr(blocks, name)[f][trained_sites(data, train)])
     one.rebuild_residual()
     return one
 
@@ -337,12 +344,23 @@ class TestGridStatistics:
         return stats
 
     def assert_match(self, blocks, data, trains):
+        """Each chain's statistics equal the oracle's on its training records;
+        by site, at the sites it trains on, and at its latent sites (none
+        under kfold) they are exactly zero."""
         got = self.statistics(blocks)
+        latent = 0
         for f, train in enumerate(trains):
             want = self.oracle_statistics(oracle_in_state(blocks, f, data, train))
             assert want.keys() == got.keys()
+            kept = trained_sites(data, train)
+            latent += np.count_nonzero(~kept)
             for name, w in want.items():
-                assert_allclose(got[name][f], w, rtol=0, atol=self.RTOL * np.max(np.abs(w)), err_msg=name)
+                g = got[name][f]
+                if name.startswith("site"):
+                    assert np.all(g[~kept] == 0.0), name
+                    g = g[kept]
+                assert_allclose(g, w, rtol=0, atol=self.RTOL * np.max(np.abs(w)), err_msg=name)
+        return latent
 
     @pytest.mark.parametrize("kind", ["kfold", "spatial"])
     @pytest.mark.parametrize("source", [CTM, SAT])
@@ -355,7 +373,7 @@ class TestGridStatistics:
         blocks.v2 = rng.normal(0.0, 1.0, blocks.v2.shape)
         blocks.a = np.tile([1.3, 0.4, 0.9], (blocks.F, 1))
         blocks.gamma = rng.normal(0.0, 0.5, blocks.gamma.shape)
-        self.assert_match(blocks, data, trains)
+        assert (self.assert_match(blocks, data, trains) > 0) == (kind == "spatial")
 
     @pytest.mark.parametrize("source", [CTM, SAT])
     def test_statistics_hold_along_a_chain(self, source):
@@ -596,7 +614,7 @@ class TestLapackSolvesInTheSampler:
         theta = (blocks.theta1 if which == 1 else blocks.theta2)[0]
         chol = (blocks.chol_r1 if which == 1 else blocks.chol_r2)[0]
         rinv = (blocks.rinv1 if which == 1 else blocks.rinv2)[0]
-        want, _ = jittered_cholesky(np.exp(-blocks.d_sites[0] / theta))
+        want, _ = jittered_cholesky(np.exp(-blocks.d_sites / theta))
         assert np.array_equal(chol, want)
         assert np.array_equal(rinv, cho_solve((want, True), np.eye(blocks.S)))
 
@@ -739,16 +757,22 @@ class TestPredictive:
 
 
 def per_call_reference(fit, locations, loc_idx, days, x, z, seed):
-    """(mu, var) of one batch, every sample's GP conditional rebuilt for the
-    batch: the reference for the operators a request's batches share."""
+    """(mu, var) of one batch, the fields at a location of a fitted site read
+    from each sample and elsewhere drawn from the sample's GP conditional,
+    rebuilt for the batch: the reference for the operators a request's
+    batches share."""
     mu = np.full(x.shape[0], np.nan)
     var = np.full(x.shape[0], np.nan)
     sub = np.flatnonzero(np.isfinite(x))
     if sub.size == 0:
         return mu, var
     rng = np.random.default_rng(seed)
+    at = {(l.x_km, l.y_km): s for s, l in enumerate(fit.sites)}
+    site = [at.get((l.x_km, l.y_km)) for l in locations]
+    fitted = [i for i, s in enumerate(site) if s is not None]
+    kriged = [i for i, s in enumerate(site) if s is None]
     d_sites = distance_matrix(fit.sites)
-    d_cross = distance_matrix(fit.sites, locations)
+    d_cross = distance_matrix(fit.sites, [locations[i] for i in kriged])
     mean = np.zeros(sub.size)
     m2 = np.zeros(sub.size)
     s2y = 0.0
@@ -756,7 +780,10 @@ def per_call_reference(fit, locations, loc_idx, days, x, z, seed):
         fields = []
         for v, theta in ((fit.v1[j], float(fit.theta1[j])), (fit.v2[j], float(fit.theta2[j]))):
             cond_mean, resid = scipy_kriging(d_sites, d_cross, v, theta)
-            fields.append(cond_mean + np.sqrt(resid) * rng.standard_normal(len(locations)))
+            field = np.empty(len(locations))
+            field[fitted] = v[[site[i] for i in fitted]]
+            field[kriged] = cond_mean + np.sqrt(resid) * rng.standard_normal(len(kriged))
+            fields.append(field)
         a11, a21, a22 = fit.a_coreg[j]
         alpha1 = a11 * fields[0]
         beta1 = a21 * fields[0] + a22 * fields[1]
@@ -778,7 +805,7 @@ class TestRequestBatches:
     def test_batches_match_separate_calls_bit_for_bit(self, source):
         rng = np.random.default_rng(46)
         data = build_table(rng, 8, 12, noise_sd=1.0)
-        # the fitted monitors plus new locations, so the field conditionals do not collapse
+        # the fitted monitors, read from the chain, and new locations, kriged
         targets = list(data.sites) + [Location(f"new{i}", *rng.uniform(0, 100, 2)) for i in range(6)]
         m = len(targets)
         idx = np.arange(m)
@@ -970,7 +997,7 @@ class TestFoldBatch:
             one.chain = Chain(mcmc, theta1=np.full(1, 40.0), theta2=np.full(1, 40.0))
         live = []
         factor = blocks._range_chol
-        blocks._range_chol = lambda theta, chains: live.append(theta.size) or factor(theta, chains)
+        blocks._range_chol = lambda theta: live.append(theta.size) or factor(theta)
         for _ in range(30):
             blocks.sweep()
             for f, one in enumerate(singles):
@@ -982,15 +1009,16 @@ class TestFoldBatch:
         for f, one in enumerate(singles):
             assert blocks.chain.step("theta1")[f] == one.chain.step("theta1")[0]
 
-    def test_a_stack_with_one_jittered_factor(self, monkeypatch):
+    @pytest.mark.parametrize("gap_km", [0.0, 1e-9])
+    def test_a_stack_with_one_jittered_factor(self, gap_km, monkeypatch):
         from pmfusion.crossval import make_folds
 
         rng = np.random.default_rng(73)
         data = build_table(rng, 5, 10)
-        # s00 and s01 share a location: their correlation matrix is singular
-        # unless one of them is held out
+        # s01 sits gap_km from s00: their correlation matrix is singular at
+        # any range when they share a location, else at ranges far above the gap
         sites = list(data.sites)
-        sites[1] = Location("s01", sites[0].x_km, sites[0].y_km)
+        sites[1] = Location("s01", sites[0].x_km + gap_km, sites[0].y_km)
         data = ObservationTable(
             sites=sites, site_idx=data.site_idx, day=data.day, y=data.y,
             x_ctm=data.x_ctm, x_sat=data.x_sat, z=data.z, n_days=data.n_days,
@@ -1006,17 +1034,21 @@ class TestFoldBatch:
         plan = make_folds(data, "spatial").fold_of_record
         mcmc = MCMCConfig(n_iter=40, burn_in=20, thin=2, seed=3)
         chains = [downscaler._training_set(data, CTM, plan != f, 0) for f in range(5)]
+        blocks = _Blocks(data, CTM, mcmc, chains)
+        theta = np.array([30.0, 1e12, 30.0])
         monkeypatch.setattr(kernels, "jittered_cholesky", counted)
-        _Blocks(data, CTM, mcmc, chains).sweep()
-        # the range stacks fell back to matrix by matrix, jittering some matrices only
-        assert any(jitter) and not all(jitter)
+        chol, _ = blocks._range_chol(theta)
+        # the stack fell back to matrix by matrix, jittering the singular matrices only
+        assert jitter == ([True] * 3 if gap_km == 0 else [False, True, False])
         monkeypatch.undo()
+        for c, t in zip(chol, theta):
+            assert np.array_equal(c, jittered_cholesky(np.exp(-blocks.d_sites / t))[0])
         got, _ = cv_predict(data, plan, CTM, mcmc)
         want = cv_predict_fold_by_fold(data, plan, CTM, mcmc)
         assert np.array_equal(got.mu, want.mu) and np.array_equal(got.var, want.var)
 
     @pytest.mark.parametrize("source", [CTM, SAT])
-    def test_a_fold_short_of_one_site_forms_its_own_batch(self, source, monkeypatch):
+    def test_a_fold_short_of_one_site_runs_in_the_one_batch_carrying_the_site(self, source, monkeypatch):
         from pmfusion.crossval import make_folds
 
         rng = np.random.default_rng(74)
@@ -1026,11 +1058,13 @@ class TestFoldBatch:
         plan = make_folds(data, "kfold", k=4, seed=1).fold_of_record
         batches = []
         blocks_cls = downscaler._Blocks
-        monkeypatch.setattr(downscaler, "_Blocks", lambda *a: batches.append(a[3]) or blocks_cls(*a))
+        monkeypatch.setattr(downscaler, "_Blocks", lambda *a: batches.append(blocks_cls(*a)) or batches[-1])
         mcmc = MCMCConfig(n_iter=60, burn_in=30, thin=2, seed=9)
         got, _ = cv_predict(data, plan, source, mcmc)
-        assert sorted(len(b) for b in batches) == [1, 3]
-        assert {b[0].sites.size for b in batches} == {5, 6}
+        (blocks,) = batches
+        assert blocks.F == 4 and blocks.S == 6
+        # s03 is latent in the fold that holds its record out, and only there
+        assert (blocks.site_gram[0][:, 3] > 0).tolist() == [f != plan[data.site_idx == 3][0] for f in range(4)]
         monkeypatch.undo()
         want = cv_predict_fold_by_fold(data, plan, source, mcmc)
         assert np.array_equal(got.mu, want.mu, equal_nan=True)
@@ -1040,9 +1074,8 @@ class TestFoldBatch:
     @pytest.mark.parametrize("kind", ["kfold", "spatial"])
     @pytest.mark.parametrize("source", [CTM, SAT])
     def test_the_full_data_chain_equals_fit_downscaler(self, kind, source, monkeypatch):
-        """Under kfold it is the last chain of the fold batch; when each fold
-        holds out a site it has one site more than the folds and runs alone,
-        first. No batch's predictors outlive it."""
+        """It is the last chain of the one batch, whether or not the folds
+        hold out whole sites. No predictor outlives the batch."""
         from pmfusion.crossval import make_folds
 
         rng = np.random.default_rng(75)
@@ -1063,7 +1096,7 @@ class TestFoldBatch:
 
         monkeypatch.setattr(downscaler, "_run_chains", record)
         pred, got = cv_predict(data, plan, source, self.MCMC, full_seed=17, full_requests=requests)
-        assert [len(b) for b in batches] == ([n_folds + 1] if kind == "kfold" else [1, n_folds])
+        assert [len(b) for b in batches] == [n_folds + 1]
         assert batches[0][-1].held.size == 0 and batches[0][-1].seed == 17
         assert len(ran) == n_folds + 1 and all(p() is None for p in ran)
         monkeypatch.undo()
@@ -1129,3 +1162,77 @@ class TestFoldBatch:
         for fit, own in zip(fits, consumers):
             assert fit.predictions == [p.out for p in own]
             assert all(p.count == self.MCMC.n_kept for p in own)
+
+
+def recorded_cv_predict(data, plan, source, mcmc):
+    """cv_predict(data, plan, source, mcmc) with its batch's kept states
+    recorded: the predictions and each fold chain's recorded fit."""
+    fits = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(downscaler, "_run_chains", lambda blocks, consumers: fits.extend(record_chains(blocks, consumers)) or fits)
+        pred, _ = cv_predict(data, plan, source, mcmc)
+    return pred, fits
+
+
+class TestHeldOutSitesInTheChain:
+    """Every fold chain carries all sites; a held-out record is predicted
+    from its chain's state at its site, never kriged."""
+
+    MCMC = MCMCConfig(n_iter=120, burn_in=60, thin=2, seed=0)
+
+    def scene(self, kind, seed):
+        from pmfusion.crossval import make_folds
+
+        rng = np.random.default_rng(seed)
+        data = with_missing_sat(build_table(rng, 6, 10, gamma=[0.3, 0.0, -0.2, 0.1, 0.2, -0.1]), rng)
+        return data, make_folds(data, kind, k=3, seed=seed).fold_of_record
+
+    @pytest.mark.parametrize("kind", ["kfold", "spatial"])
+    @pytest.mark.parametrize("source", [CTM, SAT])
+    def test_a_held_out_mean_is_the_kept_states_mean_at_its_site(self, kind, source, monkeypatch):
+        data, plan = self.scene(kind, 91)
+        monkeypatch.setattr(downscaler, "ExpKriging", None)  # no held-out site is kriged
+        pred, fits = recorded_cv_predict(data, plan, source, self.MCMC)
+        usable = data.usable_mask(source)
+        for fold, fit in zip(np.unique(plan), fits):
+            held = np.flatnonzero((plan == fold) & usable)
+            d0, s, x = data.day[held] - 1, data.site_idx[held], data.x_for(source)[held]
+            a11, a21, a22 = (fit.a_coreg[:, i : i + 1] for i in range(3))
+            v1, v2 = fit.v1[:, s], fit.v2[:, s]
+            per_state = fit.alpha0[:, d0] + a11 * v1 + (fit.beta0[:, d0] + a21 * v1 + a22 * v2) * x
+            if source == SAT:
+                per_state += fit.gamma @ ((data.z[held] - fit.z_mean) / fit.z_sd).T
+            assert_allclose(pred.mu[held], per_state.mean(axis=0), rtol=1e-12)
+            assert_allclose(pred.var[held], per_state.var(axis=0, ddof=1) + fit.sigma2_y.mean(), rtol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["kfold", "spatial"])
+    @pytest.mark.parametrize("source", [CTM, SAT])
+    def test_a_folds_held_out_records_reach_its_chain_by_roundoff_only(self, kind, source):
+        """Editing the monitor values, linked values and covariates of one
+        fold's held-out records moves that fold's chain by roundoff only: its
+        sums are the full grid's less its held-out cells'. Its held-out
+        predictive is then its unedited chain's states streamed through the
+        edited records, while the other folds, which train on them, move."""
+        data, plan = self.scene(kind, 92)
+        pred, fits = recorded_cv_predict(data, plan, source, self.MCMC)
+        rows = plan == 1
+        y, x_ctm, x_sat, z = data.y.copy(), data.x_ctm.copy(), data.x_sat.copy(), data.z.copy()
+        y[rows] += 40.0
+        x_ctm[rows] += 2.5
+        x_sat[rows] += 2.5  # a missing satellite value stays missing
+        z[rows] += 0.8
+        edited = ObservationTable(sites=data.sites, site_idx=data.site_idx, day=data.day, y=y,
+                                  x_ctm=x_ctm, x_sat=x_sat, z=z, n_days=data.n_days)
+        got, moved = recorded_cv_predict(edited, plan, source, self.MCMC)
+        for name in downscaler._STATE:
+            assert_allclose(getattr(moved[1], name), getattr(fits[1], name), rtol=1e-6, atol=1e-6, err_msg=name)
+        assert not np.allclose(moved[0].alpha0, fits[0].alpha0, rtol=1e-3)
+        chain = downscaler._training_set(edited, source, ~rows, 0)
+        replay = downscaler._held_out_predictor(edited, source, chain, 0)
+        for j in range(self.MCMC.n_kept):
+            replay.add({name: getattr(fits[1], name)[j] for name in downscaler._STATE})
+        (want,) = replay.finish()
+        held = np.flatnonzero(rows & data.usable_mask(source))
+        assert_allclose(got.mu[held], want.mu, rtol=1e-6)
+        assert_allclose(got.var[held], want.var, rtol=1e-6)
+        assert np.abs(got.mu[held] - pred.mu[held]).min() > 0.1

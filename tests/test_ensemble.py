@@ -393,11 +393,11 @@ class TestQuadraticForm:
             quads.append(quad)
             return update_tau2(quad, s_count, mcmc, rng)
 
-        def rho_step(q, tau2, rho, d, corr_chol, step, rng, mcmc, quad):
+        def rho_step(q, tau2, rho, d, corr_chol, step, rng, mcmc, quad, logdet):
             # called right after the tau2 draw, with the same q and rho
             states.append((q.copy(), rho, d))
             rho_quads.append(quad)
-            return update_rho(q, tau2, rho, d, corr_chol, step, rng, mcmc, quad)
+            return update_rho(q, tau2, rho, d, corr_chol, step, rng, mcmc, quad, logdet)
 
         monkeypatch.setattr(ensemble, "update_tau2", tau2_step)
         monkeypatch.setattr(ensemble, "update_rho", rho_step)
@@ -504,6 +504,28 @@ class TestAcceptTestsOnArrays:
             rho, accepted, chol = got
             accepts += accepted
         assert 0 < accepts < 300
+
+    @pytest.mark.parametrize("fitter", [fit_joint, fit_two_stage])
+    def test_the_kept_log_determinant_changes_no_bit(self, fitter, monkeypatch):
+        """The fits equal those whose range move takes the log-determinant of
+        the current factor afresh at every iteration, and the kept one is
+        that of the factor the field holds."""
+        locs, inputs, y = overflow_problem(3, 30, 6)
+        mcmc = MCMCConfig(n_iter=400, burn_in=200, thin=2, seed=6)
+        got = fitter(y, inputs, locs, mcmc)
+        kept = []
+
+        def fresh(*args):
+            *args, logdet = args
+            kept.append(logdet == 2.0 * np.log(np.diag(args[4])).sum())
+            return update_rho(*args)
+
+        monkeypatch.setattr(ensemble, "update_rho", fresh)
+        want = fitter(y, inputs, locs, mcmc)
+        assert len(kept) == mcmc.n_iter and all(kept)
+        for name in ("q", "tau2", "rho"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.acceptance == want.acceptance and 0 < got.acceptance["rho"] < 1
 
     def test_a_zero_uniform_accepts_the_logit_moves(self):
         # log(0) = -inf is below any finite log ratio, so every move is taken

@@ -17,11 +17,10 @@ from pmfusion import io as pio
 from pmfusion.ensemble import _EnsembleProblem
 from pmfusion.errors import PmFusionError, SchemaError
 from pmfusion.geo import CTM, GridSpec, Location
-from pmfusion.tables import N_COVARIATES, ObservationTable, PredictiveTable
+from pmfusion.tables import N_COVARIATES, PredictiveTable
 
 from oracles import (
     cell_read_csv,
-    dict_full_predictive_targets,
     dict_join_observations,
     dict_key_index,
     dict_key_rows,
@@ -377,32 +376,6 @@ def test_weight_field_site_index_matches_the_dict(site_ids, keys):
     inputs = _predictive(keys)
     got = _outcome(lambda: _EnsembleProblem(np.zeros(len(keys)), inputs, locations).site_idx)
     _same_outcome(got, _outcome(dict_site_index, inputs.ids, locations))
-
-
-def _table(site_ids, keys):
-    """A record table over the sites, keys drawn from them; None if a site has no record."""
-    sites = [Location(sid, 1.0 + i, 2.0) for i, sid in enumerate(site_ids)]
-    keys = [k for k in keys if k[0] in site_ids]
-    site_idx = np.asarray([site_ids.index(k[0]) for k in keys], dtype=np.int64)
-    if not keys:
-        return None
-    n = len(keys)
-    return ObservationTable(sites=sites, site_idx=site_idx, day=np.asarray([k[1] for k in keys]),
-                            y=np.ones(n), x_ctm=np.ones(n), x_sat=np.ones(n), z=np.zeros((n, N_COVARIATES)),
-                            n_days=4)
-
-
-@JOIN
-@given(ids_of, st.lists(st.sampled_from(IDS), unique=True, max_size=5), record_keys)
-def test_full_predictive_targets_match_the_dict(site_ids, fit_ids, keys):
-    data = _table(site_ids, keys)
-    if data is None:
-        return
-    fit_sites = [Location(sid, -1.0 - i, 0.0) for i, sid in enumerate(fit_ids)]
-    locations, loc_idx = pipeline._full_predictive_targets(data, fit_sites)
-    want_locations, want_idx = dict_full_predictive_targets(data, fit_sites)
-    assert locations == want_locations
-    assert _same(loc_idx, want_idx)
 
 
 @JOIN
