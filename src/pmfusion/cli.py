@@ -29,7 +29,6 @@ from .pipeline import (
     TWO_STAGE,
     PipelineConfig,
     _reports,
-    _source_view,
     combine_predictions,
     cv_component_table,
     load_pipeline_config,
@@ -152,16 +151,16 @@ def _parse_days(text: str | None, n_days: int) -> list[int] | None:
 
 def _cmd_fit_downscaler(args) -> int:
     source = args.source
-    view, _ = _source_view(_load_table(args, require_sat=source == SAT), source)
-    batch = (view.day, view.x_for(source), view.z if source == SAT else None, args.seed + 1)
-    fit = fit_downscaler(view, source, _mcmc_from(args), [(view.sites, view.site_idx, view.record_ids, [batch])])
+    data = _load_table(args, require_sat=source == SAT)
+    batch = (data.day, data.x_for(source), data.z if source == SAT else None, args.seed + 1)
+    fit = fit_downscaler(data, source, _mcmc_from(args), [(data.sites, data.site_idx, data.record_ids, [batch])])
     (pred,), = fit.predictions
     preds = (pred, None) if source == CTM else (None, pred)
-    table = combine_predictions(view, *preds)
+    table = combine_predictions(data, *preds)
     meta = {"seed": args.seed, "config": pio.config_hash({"cmd": "fit-downscaler", "source": source, "seed": args.seed})}
     pio.emit_predictive(args.out, table, meta)
     acc = {k: round(v, 3) for k, v in fit.acceptance.items() if isinstance(v, float)}
-    print(f"fitted {source} downscaler on {view.n_records} records; acceptance {acc}")
+    print(f"fitted {source} downscaler on {int(data.usable_mask(source).sum())} records; acceptance {acc}")
     print(f"wrote {args.out}")
     return 0
 

@@ -91,25 +91,18 @@ class _Training:
 
 
 def _training_set(data: ObservationTable, source: str, train: np.ndarray | None, seed: int) -> _Training:
-    """One chain's records: those train masks (None: all records), checked as fitting
-    data.subset(train) would check them; a site with no record in train is latent."""
+    """One chain's records: those usable for the source that train masks (None:
+    all records). A site with none of them is latent in the chain. Raises
+    InsufficientDataError when there is no such record."""
     if source not in (CTM, SAT):
         raise DomainError(f"unknown source {source!r}, expected {CTM!r} or {SAT!r}")
-    if train is None:
-        train, sites = np.ones(data.n_records, dtype=bool), np.arange(data.n_sites)
-    elif not train.any():
-        raise InsufficientDataError("subset would be empty")
-    else:
-        sites = np.unique(data.site_idx[train])
     usable = data.usable_mask(source)
-    mask = train & usable
-    seen = np.bincount(data.site_idx[mask], minlength=data.n_sites) > 0
-    bad = [data.sites[s].site_id for s in sites if not seen[s]]
-    if bad:
-        raise InsufficientDataError(f"sites with no usable {source} records: {', '.join(bad)}")
+    mask = usable if train is None else train & usable
+    if not mask.any():
+        raise InsufficientDataError(f"no usable {source} record to train on")
     if data.n_days < 2:
         raise InsufficientDataError("need a horizon of at least 2 days")
-    held = np.flatnonzero(usable & ~train)
+    held = np.flatnonzero(usable & ~mask)
     if source == CTM:
         return _Training(held, seed, np.zeros(N_COVARIATES), np.ones(N_COVARIATES))
     z_raw = data.z[mask]
@@ -562,8 +555,9 @@ def fit_downscaler(data: ObservationTable, source: str, mcmc: MCMCConfig, reques
     Returns the chain's DownscalerFit: fit.predictions[i] lists request i's
     SourcePredictions, one per batch. No draw is kept.
 
-    Raises InsufficientDataError when any site has no usable record for the
-    source, the horizon is shorter than 2 days, or a covariate is constant.
+    Raises InsufficientDataError when no record is usable for the source,
+    the horizon is shorter than 2 days, or a covariate is constant; a site
+    with no usable record is latent, entering through the GP prior only.
     """
     chain = _training_set(data, source, None, mcmc.seed)
     predictors = [_Predictor(data, source, chain, *request) for request in requests]
@@ -712,26 +706,29 @@ def cv_predict(
     full_seed: int | None = None,
     full_requests=(),
 ) -> tuple[SourcePredictions, DownscalerFit | None]:
-    """Out-of-sample predictive for every record via fold-held-out refits.
+    """Out-of-sample predictive for every usable record via fold-held-out refits.
 
-    fold_of_record assigns each record of `data` to a fold; for each fold
-    the model is refit on the complement and the fold's records predicted.
-    Fold fits use independent child seeds of mcmc.seed, so the result is
-    deterministic and independent of fold ordering. Every chain fits all
-    sites of data, a fold's held-out sites latent in it, so all chains run
+    fold_of_record assigns each record of `data` to a fold. A fold with a
+    record usable for the source gets a chain fit on the other folds' usable
+    records, seeded with a child of mcmc.seed by its position among those
+    folds; a fold with none runs no chain. Every chain fits all sites of
+    data, a site without training records latent in it, so all chains run
     as one lockstep batch, each equal to its own fit. A fold's predictive
-    streams from its chain's live state at each kept iteration, read at its
-    sites, and no chain keeps its draws. Given full_seed, a chain on every
-    record runs last in the batch: it is fit_downscaler(data, source, mcmc
-    seeded with full_seed, full_requests), and its requests are read and
-    checked with the folds' before any chain runs. Returns the predictions
-    and that chain's fit, or None without full_seed.
+    streams from its chain's live state, read at its sites. Given full_seed,
+    a chain on every record runs last in the batch: it is fit_downscaler(data,
+    source, mcmc seeded with full_seed, full_requests), its requests checked
+    with the folds' before any chain runs. Returns the predictions and that
+    chain's fit, or None without full_seed. Raises InsufficientDataError
+    when no record, or no training record of a chain, is usable.
     """
     fold_of_record = np.asarray(fold_of_record, dtype=np.int64)
     if fold_of_record.shape[0] != data.n_records:
         raise SchemaError("fold assignment length must match the record count")
+    usable = data.usable_mask(source)
     mu, var = np.full((2, data.n_records), np.nan)
-    folds = np.unique(fold_of_record)
+    folds = np.unique(fold_of_record[usable])
+    if not folds.size:
+        raise InsufficientDataError(f"no usable {source} record")
     seeds = [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(mcmc.seed).spawn(2 * folds.size)]
     # every fold's training set is checked in fold order before any chain runs
     chains = [_training_set(data, source, fold_of_record != fold, seeds[2 * k]) for k, fold in enumerate(folds)]
@@ -744,5 +741,5 @@ def cv_predict(
         (held,), = fit.predictions
         mu[c.held] = held.mu
         var[c.held] = held.var
-    pred = SourcePredictions(ids=data.record_ids, day=data.day.copy(), mu=mu, var=var, available=data.usable_mask(source))
+    pred = SourcePredictions(ids=data.record_ids, day=data.day.copy(), mu=mu, var=var, available=usable)
     return pred, fits[-1] if full_seed is not None else None

@@ -33,8 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputFileError, OutOfDomainError, ParseError, SchemaError
-from .geo import GridSpec, Location
-from .tables import COVARIATE_NAMES, N_COVARIATES, SOURCE_COLUMNS, ObservationTable, PredictiveTable
+from .geo import SOURCES, GridSpec, Location
+from .tables import COVARIATE_NAMES, N_COVARIATES, ObservationTable, PredictiveTable
 
 
 @dataclass(frozen=True)
@@ -384,7 +384,7 @@ def load_covariates(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def emit_predictive(path, table: PredictiveTable, meta: dict | None = None):
     """One row per available (record, source), all CTM rows first."""
     k, n = np.nonzero(table.available.T)
-    source = np.asarray(SOURCE_COLUMNS, dtype=object)[k]
+    source = np.asarray(SOURCES, dtype=object)[k]
     columns = (table.ids[n], table.day[n], source, table.mu[n, k], table.var[n, k])
     return write_csv(path, PREDICTIVE, columns, meta)
 
@@ -398,7 +398,7 @@ def load_predictive(path, locations: dict[str, Location]) -> PredictiveTable:
     lines, (ids, day, source, mu, var) = read_csv(path, PREDICTIVE)
     _refuse_repeats(path, lines, (ids, day, source), "(site_id, day, source)")
     known = key_rows((np.asarray(list(locations), dtype=object),), (ids,)) >= 0
-    col = key_rows((np.asarray(SOURCE_COLUMNS, dtype=object),), (source,))
+    col = key_rows((np.asarray(SOURCES, dtype=object),), (source,))
     bad = ~known | (col < 0)
     if bad.any():
         i = int(bad.argmax())

@@ -53,9 +53,9 @@ def _scipy_extension(private: str, public: str):
 
 
 _FLAPACK = _scipy_extension("linalg._flapack", "linalg.lapack")
-# the float64 LAPACK routines behind scipy.linalg's triangular, Cholesky and
-# banded solvers; called directly to skip scipy's per-call input handling
-_TRTRS, _TRTRI, _POTRS, _PBTRF, _PBTRS, _GBSV = (getattr(_FLAPACK, "d" + n) for n in ("trtrs", "trtri", "potrs", "pbtrf", "pbtrs", "gbsv"))
+# the float64 LAPACK routines for triangular, Cholesky and banded solves;
+# called directly to skip scipy.linalg's per-call input handling
+_TRTRS, _TRTRI, _POTRS, _PBTRF, _PBTRS, _TBTRS = (getattr(_FLAPACK, "d" + n) for n in ("trtrs", "trtri", "potrs", "pbtrf", "pbtrs", "tbtrs"))
 # the BLAS-3 triangular product behind kriging's cross term
 _TRMM = _scipy_extension("linalg._fblas", "linalg.blas").dtrmm
 ndtr = _scipy_extension("special._special_ufuncs", "special").ndtr  # the standard normal CDF
@@ -283,9 +283,9 @@ def sample_tridiag_mvn(
     """One draw from N(Q^{-1} b, Q^{-1}) for tridiagonal precision Q.
 
     Q has diagonal prec_diag and sub/super diagonal prec_off. O(T) via the
-    banded Cholesky factor Q = U^T U (LAPACK pbtrf and pbtrs, then gbsv for
-    U x = z, each with the arguments scipy.linalg's cholesky_banded,
-    cho_solve_banded and solve_banded pass). Raises ValueError on
+    banded Cholesky factor Q = U^T U (LAPACK pbtrf and pbtrs with the
+    arguments scipy.linalg's cholesky_banded and cho_solve_banded pass, then
+    the banded triangular solve tbtrs for U x = z). Raises ValueError on
     non-finite input and NotPositiveDefiniteError when Q is not PD.
     """
     t = prec_diag.shape[0]
@@ -319,7 +319,7 @@ def _tridiag_draw(ab: np.ndarray, b: np.ndarray, rng: np.random.Generator) -> np
         raise NotPositiveDefiniteError(f"{info}-th leading minor not positive definite")
     mean, _ = _PBTRS(u, b, lower=0)
     z = rng.standard_normal(b.shape[0])
-    _, _, x, _ = _GBSV(0, 1, u, z)
+    x, _ = _TBTRS(u, z, uplo="U")
     return mean + x
 
 

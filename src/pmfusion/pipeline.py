@@ -1,14 +1,15 @@
 """Three-stage orchestration from input CSVs to surface artifacts.
 
-Stage 1 runs each source's downscaler under cross-validation, assembling
-the out-of-sample component predictives, and on all its observations, the
-full-data chain running in the folds' batch where the site counts match.
-That chain streams the source's full-data predictive and, given a target
-grid, its surface predictive, so a source's Stage 1 reads only the load and
-writes all three of its component predictives. Stage 2 fits the ensemble
-weight field to the held-out predictives. Stage 3 combines the full-data
-predictives, kriges the weight field to the target grid, and mixes the
-surface predictives into a predictive surface.
+Stage 1 runs each source's downscaler under cross-validation, both sources
+on one fold plan over the record table, assembling the out-of-sample
+component predictives, and on all its observations, the full-data chain
+running last in the folds' batch. That chain streams the source's full-data
+predictive and, given a target grid, its surface predictive, so a source's
+Stage 1 reads only the load and writes all three of its component
+predictives. Stage 2 fits the ensemble weight field to the held-out
+predictives. Stage 3 combines the full-data predictives, kriges the weight
+field to the target grid, and mixes the surface predictives into a
+predictive surface.
 
 Outputs land in <out_dir>/run_<confighash>/ so distinct configurations never
 collide; an existing run directory is refused unless overwrite is set. Every
@@ -41,7 +42,7 @@ from .ensemble import (
 from .errors import DomainError, OutOfDomainError, OverwriteError, SchemaError, StageError
 from .geo import CTM, SAT, SOURCES, GridSpec, distance_matrix
 from .kernels import GaussianSummary
-from .tables import SOURCE_COLUMNS, ObservationTable, PredictiveTable
+from .tables import ObservationTable, PredictiveTable
 
 JOINT = "joint"
 TWO_STAGE = "two_stage"
@@ -237,22 +238,6 @@ def _load_inputs(cfg: PipelineConfig):
     return data, ctm, sat
 
 
-def _source_view(data: ObservationTable, source: str):
-    """Records usable for this source, with the mapping back to full rows."""
-    mask = data.usable_mask(source)
-    if mask.all():
-        return data, np.arange(data.n_records)
-    return data.subset(mask), np.flatnonzero(mask)
-
-
-def _embed(pred_sub: SourcePredictions, rows: np.ndarray, n: int, data) -> SourcePredictions:
-    mu, var, avail = np.full(n, np.nan), np.full(n, np.nan), np.zeros(n, dtype=bool)
-    mu[rows] = pred_sub.mu
-    var[rows] = pred_sub.var
-    avail[rows] = pred_sub.available
-    return SourcePredictions(ids=data.record_ids, day=data.day.copy(), mu=mu, var=var, available=avail)
-
-
 def cv_component_table(
     data: ObservationTable,
     derivation: str,
@@ -264,21 +249,19 @@ def cv_component_table(
 ) -> tuple[PredictiveTable, dict]:
     """Held-out component predictives for both sources over one record table,
     and by source the fit of a chain on all its records (None without full,
-    or for a source with no usable record). seeds holds each source's integer
-    seed; full(source) gives cv_predict's full_seed and full_requests for
-    that chain, called in the source's run."""
-    per_source, fits = {}, {CTM: None, SAT: None}
-    for k, source in enumerate((CTM, SAT)):
-        if source == SAT and not data.usable_mask(SAT).any():
-            per_source[source] = None
-            continue
-        view, rows = _source_view(data, source)
-        plan = make_folds(view, derivation, n_folds, seed=fold_seed)
-        source_mcmc = replace(mcmc, seed=seeds[k])
-        chain = {} if full is None else full(source)
-        pred, fits[source] = cv_predict(view, plan.fold_of_record, source, source_mcmc, **chain)
-        per_source[source] = _embed(pred, rows, data.n_records, data)
-    return combine_predictions(data, per_source[CTM], per_source[SAT]), fits
+    or for a source with no usable record). One fold plan over the table
+    serves both sources; each source's chains fit all its sites, a monitor
+    with no usable record of the source latent in them. seeds holds each
+    source's integer seed; full(source) gives cv_predict's full_seed and
+    full_requests for that chain, called in the source's run."""
+    fold_of_record = make_folds(data, derivation, n_folds, seed=fold_seed).fold_of_record
+    per_source, fits = dict.fromkeys(SOURCES), dict.fromkeys(SOURCES)
+    for k, source in enumerate(SOURCES):
+        if data.usable_mask(source).any():
+            chain = {} if full is None else full(source)
+            source_mcmc = replace(mcmc, seed=seeds[k])
+            per_source[source], fits[source] = cv_predict(data, fold_of_record, source, source_mcmc, **chain)
+    return combine_predictions(data, *per_source.values()), fits
 
 
 def _surface_targets(cfg: PipelineConfig, data: ObservationTable):
@@ -404,7 +387,7 @@ def _reports(
     only for rows where both sources exist; None leaves the ensemble out.
     """
     reps = []
-    for k, name in enumerate(SOURCE_COLUMNS):
+    for k, name in enumerate(SOURCES):
         ok = inputs.available[:, k]
         if ok.any():
             rep = evaluate(y[ok], GaussianSummary(inputs.mu[ok, k], inputs.var[ok, k]))

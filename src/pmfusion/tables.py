@@ -13,19 +13,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientDataError, SchemaError
-from .geo import CTM, SAT, Location
+from .geo import SOURCES, Location
 
 COVARIATE_NAMES = ("elev", "forest", "road", "emis", "wind", "temp")
 N_COVARIATES = len(COVARIATE_NAMES)
 
-# column order of the two sources in wide arrays
-SOURCE_COLUMNS = (CTM, SAT)
-
 
 def source_column(source: str) -> int:
-    if source not in SOURCE_COLUMNS:
-        raise SchemaError(f"unknown source {source!r}; expected one of {SOURCE_COLUMNS}")
-    return SOURCE_COLUMNS.index(source)
+    """The column of a source in wide arrays, in SOURCES order."""
+    if source not in SOURCES:
+        raise SchemaError(f"unknown source {source!r}; expected one of {SOURCES}")
+    return SOURCES.index(source)
 
 
 @dataclass

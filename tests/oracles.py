@@ -45,7 +45,7 @@ from pmfusion.config import MCMCConfig
 from pmfusion.downscaler import A_PRIOR_VAR, _Blocks, _Predictor, _run_chains, _training_set
 from pmfusion.ensemble import MixtureDistribution, WeightFieldSamples
 from pmfusion.errors import DomainError, InsufficientDataError, OutOfDomainError, ParseError, SchemaError
-from pmfusion.geo import CTM, SAT, GridSpec, Location, distance_matrix
+from pmfusion.geo import CTM, SAT, SOURCES, GridSpec, Location, distance_matrix
 from pmfusion.kernels import (
     ETA_GRID,
     car_logdet_table,
@@ -60,7 +60,7 @@ from pmfusion.kernels import (
     sample_tridiag_mvn,
     tri_solve,
 )
-from pmfusion.tables import N_COVARIATES, SOURCE_COLUMNS, ObservationTable, PredictiveTable
+from pmfusion.tables import N_COVARIATES, ObservationTable, PredictiveTable
 
 
 def default_weight_grid(n: int = 2000) -> np.ndarray:
@@ -191,7 +191,8 @@ def scipy_chol_factor_solve(l, b):
 
 
 def scipy_tridiag_mvn(prec_diag, prec_off, b, rng):
-    """sample_tridiag_mvn through scipy's banded Cholesky and banded solves."""
+    """sample_tridiag_mvn through scipy's banded Cholesky and banded solves,
+    U x = z by solve_banded's general banded LU (LAPACK gbsv)."""
     t = prec_diag.shape[0]
     ab = np.zeros((2, t))
     ab[1] = prec_diag
@@ -844,7 +845,7 @@ def dict_load_weights(path):
 def dict_load_predictive(path, locations):
     lines, (ids, day, source, mu, var) = cell_read_csv(path, pio.PREDICTIVE)
     dict_refuse_repeats(path, lines, zip(ids, day.tolist(), source), "(site_id, day, source)")
-    col_of = {s: k for k, s in enumerate(SOURCE_COLUMNS)}
+    col_of = {s: k for k, s in enumerate(SOURCES)}
     order: dict = {}
     rows, ks = [], []
     for line, sid, d, src, v in zip(lines, ids, day.tolist(), source, var.tolist()):

@@ -6,6 +6,7 @@ conditional computed by an independent dense linear-algebra route.
 """
 
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -553,17 +554,28 @@ class TestFitDownscaler:
         assert 0.15 < fit.acceptance["theta1"] < 0.75
         assert 0.15 < fit.acceptance["theta2"] < 0.75
 
-    def test_rejects_site_with_no_usable_records(self):
+    def test_a_site_with_no_usable_records_is_latent(self):
         rng = np.random.default_rng(36)
         data = build_table(rng, 4, 6)
         x_sat = data.x_sat.copy()
         x_sat[data.site_idx == 2] = np.nan
-        broken = ObservationTable(
-            sites=data.sites, site_idx=data.site_idx, day=data.day, y=data.y,
-            x_ctm=data.x_ctm, x_sat=x_sat, z=data.z, n_days=data.n_days,
-        )
-        with pytest.raises(InsufficientDataError, match="s02"):
-            fit_downscaler(broken, SAT, MCMCConfig(n_iter=10, burn_in=5, thin=1), [])
+        blank = with_x_sat(data, x_sat)
+        blocks = one_chain(blank, SAT, MCMCConfig(n_iter=10, burn_in=5, thin=1))
+        assert np.all(blocks.site_gram[:, 0, 2] == 0.0)
+        assert np.array_equal(blocks.site_gram[0, 0] > 0, np.arange(4) != 2)
+        batch = (blank.day, blank.x_sat, blank.z, 1)
+        fit = fit_downscaler(blank, SAT, MCMCConfig(n_iter=10, burn_in=5, thin=1),
+                             [(blank.sites, blank.site_idx, blank.record_ids, [batch])])
+        (pred,), = fit.predictions
+        assert np.array_equal(pred.available, blank.site_idx != 2)
+        assert np.isfinite(pred.mu[pred.available]).all()
+
+    def test_rejects_a_table_with_no_usable_record(self):
+        rng = np.random.default_rng(36)
+        data = build_table(rng, 4, 6)
+        with pytest.raises(InsufficientDataError, match="no usable sat record"):
+            fit_downscaler(with_x_sat(data, np.full(data.n_records, np.nan)), SAT,
+                           MCMCConfig(n_iter=10, burn_in=5, thin=1), [])
 
     def test_rejects_constant_covariate(self):
         rng = np.random.default_rng(37)
@@ -883,6 +895,8 @@ class TestRequestBatches:
 
 
 class TestCvPredict:
+    MCMC = MCMCConfig(n_iter=40, burn_in=20, thin=2, seed=54)
+
     def test_ten_fold_covers_every_record_once(self):
         from pmfusion.crossval import make_folds
 
@@ -912,6 +926,42 @@ class TestCvPredict:
         assert np.array_equal(pred_a.mu, pred_b.mu)
         assert np.array_equal(pred_a.var, pred_b.var)
 
+    def batch_sizes(self, monkeypatch):
+        """The chain count of every batch cv_predict builds, in call order."""
+        sizes, blocks = [], downscaler._Blocks
+        monkeypatch.setattr(downscaler, "_Blocks", lambda *args: sizes.append(len(args[3])) or blocks(*args))
+        return sizes
+
+    def test_a_fold_without_usable_records_runs_no_chain(self, monkeypatch):
+        """Fold 1 holds only records missing their retrieval: the satellite
+        runs no chain for it, and the other folds keep the seeds, and so the
+        predictions, they have with those records in fold 0."""
+        rng = np.random.default_rng(54)
+        data = with_missing_sat(build_table(rng, 6, 12), rng)
+        plan = np.array([0, 2, 3])[np.arange(data.n_records) % 3]
+        gap = np.where((plan == 0) & ~data.usable_mask(SAT), 1, plan)
+        assert np.unique(gap).size == 4 and (gap == 1).any()
+        sizes = self.batch_sizes(monkeypatch)
+        got, _ = cv_predict(data, gap, SAT, self.MCMC)
+        want, _ = cv_predict(data, plan, SAT, self.MCMC)
+        cv_predict(data, gap, CTM, replace(self.MCMC, n_iter=4, burn_in=2))
+        assert sizes == [3, 3, 4]
+        assert np.array_equal(got.available, data.usable_mask(SAT))
+        assert np.isfinite(got.mu[got.available]).all()
+        assert np.array_equal(got.mu, want.mu, equal_nan=True)
+        assert np.array_equal(got.var, want.var, equal_nan=True)
+
+    def test_a_chain_without_usable_training_records_is_refused(self):
+        rng = np.random.default_rng(55)
+        data = with_missing_sat(build_table(rng, 4, 6), rng)
+        # fold 0 holds every usable satellite record, so its chain trains on none
+        plan = np.where(data.usable_mask(SAT), 0, 1)
+        with pytest.raises(InsufficientDataError, match="no usable sat record to train on"):
+            cv_predict(data, plan, SAT, self.MCMC)
+        blank = with_x_sat(data, np.full(data.n_records, np.nan))
+        with pytest.raises(InsufficientDataError, match="no usable sat record"):
+            cv_predict(blank, plan, SAT, self.MCMC)
+
     def test_fold_vector_length_checked(self):
         rng = np.random.default_rng(53)
         data = build_table(rng, 4, 6)
@@ -923,6 +973,14 @@ FIT_ARRAYS = ("gamma", "alpha0", "beta0", "a_coreg", "v1", "v2", "sigma2_y", "si
               "sigma2_beta0", "eta_alpha0", "eta_beta0", "theta1", "theta2", "z_mean", "z_sd")
 
 
+def with_x_sat(data, x_sat):
+    """data with the satellite values x_sat."""
+    return ObservationTable(
+        sites=data.sites, site_idx=data.site_idx, day=data.day, y=data.y,
+        x_ctm=data.x_ctm, x_sat=x_sat, z=data.z, n_days=data.n_days,
+    )
+
+
 def with_missing_sat(data, rng, rate=0.3):
     """data with a share of satellite values missing, every site keeping some."""
     x_sat = data.x_sat.copy()
@@ -930,10 +988,7 @@ def with_missing_sat(data, rng, rate=0.3):
     first = np.unique(data.site_idx, return_index=True)[1]
     drop[first] = False
     x_sat[drop] = np.nan
-    return ObservationTable(
-        sites=data.sites, site_idx=data.site_idx, day=data.day, y=data.y,
-        x_ctm=data.x_ctm, x_sat=x_sat, z=data.z, n_days=data.n_days,
-    )
+    return with_x_sat(data, x_sat)
 
 
 def fold_seeds(n_folds, seed=0):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pmfusion
-from pmfusion import cli, pipeline
+from pmfusion import cli, downscaler, pipeline
 from pmfusion import io as pio
 from pmfusion.config import MCMCConfig
 from pmfusion.downscaler import fit_downscaler
@@ -175,10 +175,10 @@ class TestRunPipeline:
         runs = []
         cv_predict = pipeline.cv_predict
 
-        def spy(view, plan, source, mcmc, *, full_seed, full_requests):
+        def spy(data, plan, source, mcmc, *, full_seed, full_requests):
             # each request's batches read once into a list, so they can be passed again
             requests = [(*request[:3], list(request[3])) for request in full_requests]
-            pred, fit = cv_predict(view, plan, source, mcmc, full_seed=full_seed, full_requests=requests)
+            pred, fit = cv_predict(data, plan, source, mcmc, full_seed=full_seed, full_requests=requests)
             runs.append((source, full_seed, requests, fit.acceptance, [list(p) for p in fit.predictions]))
             return pred, fit
 
@@ -193,8 +193,7 @@ class TestRunPipeline:
             assert full_seed == seed[3 + k]
             assert [batch[3] for batch in full[3]] == [seed[7 + k]]
             assert [batch[3] for batch in surface[3]] == [seed[10 + k] + d for d in cfg.surface_days]
-            view, _ = pipeline._source_view(data, source)
-            want = fit_downscaler(view, source, replace(mcmc, seed=seed[3 + k]), requests)
+            want = fit_downscaler(data, source, replace(mcmc, seed=seed[3 + k]), requests)
             assert acceptance == want.acceptance
             assert [len(p) for p in streamed] == [len(p) for p in want.predictions] == [1, len(cfg.surface_days)]
             for got, ref in zip(sum(streamed, []), sum(want.predictions, [])):
@@ -865,6 +864,90 @@ class TestCliInProcess:
         k = (CTM, SAT).index(source)
         assert table.n_records > 0
         assert table.available[:, k].all() and not table.available[:, 1 - k].any()
+
+
+def blank_satellite_at_one_monitor(truth, paths, tmp_path):
+    """The id of a monitor alone in its satellite cell, and a copy of the
+    scene's satellite grid file without that cell on any day."""
+    cells = [tuple(c) for c in truth.site_cell_sat.tolist()]
+    site = next(s for s, c in enumerate(cells) if cells.count(c) == 1)
+    values, present = pio.load_grid(paths["grid_sat"], truth.config.sat_grid, truth.config.n_days)
+    present[:, cells[site][0], cells[site][1]] = False
+    return truth.sites[site].site_id, pio.emit_grid(tmp_path / "grid_sat.csv", values, present)
+
+
+class TestOneFoldPlan:
+    """Both sources' Stage-1 chains run on one fold plan over the record table."""
+
+    MCMC = MCMCConfig(n_iter=40, burn_in=20, thin=2)
+
+    def test_each_kfold_fold_holds_out_the_same_records_for_both_sources(self, scene, tmp_path, monkeypatch):
+        truth, paths, _ = scene
+        data, _, _ = _load_inputs(make_config(truth, paths, tmp_path))
+        plans, batches = [], []
+        make_folds, blocks = pipeline.make_folds, downscaler._Blocks
+
+        def planned(*args, **kw):
+            plans.append(make_folds(*args, **kw))
+            return plans[-1]
+
+        def batch(data, source, mcmc, chains):
+            batches.append((source, chains))
+            return blocks(data, source, mcmc, chains)
+
+        monkeypatch.setattr(pipeline, "make_folds", planned)
+        monkeypatch.setattr(downscaler, "_Blocks", batch)
+        cv_component_table(data, "kfold", 4, MCMCConfig(n_iter=4, burn_in=2, thin=1), 5, [11, 12])
+        (plan,), ((ctm, ctm_chains), (sat, sat_chains)) = plans, batches
+        assert (ctm, sat) == (CTM, SAT) and len(ctm_chains) == len(sat_chains) == 4
+        usable = data.usable_mask(SAT)
+        assert not usable.all()
+        # the satellite chain of a fold leaves out only its records without a retrieval
+        for fold, (c, s) in enumerate(zip(ctm_chains, sat_chains)):
+            assert np.array_equal(c.held, np.flatnonzero(plan.fold_of_record == fold))
+            assert np.array_equal(s.held, c.held[usable[c.held]])
+
+    @pytest.mark.parametrize("derivation", ["kfold", "spatial"])
+    def test_a_monitor_without_satellite_data_is_latent_in_every_satellite_chain(
+        self, derivation, scene, tmp_path, capsys, monkeypatch
+    ):
+        truth, paths, _ = scene
+        site_id, grid_sat = blank_satellite_at_one_monitor(truth, paths, tmp_path)
+        cfg = make_config(truth, paths, tmp_path / "runs", grid_sat=str(grid_sat), derivation=derivation,
+                          downscaler_mcmc=self.MCMC, ensemble_mcmc=self.MCMC)
+        data, _, _ = _load_inputs(cfg)
+        site = data.site_ids.index(site_id)
+        assert (data.site_idx == site).any() and not data.usable_mask(SAT)[data.site_idx == site].any()
+        sizes, run = [], downscaler._run_chains
+
+        def checked(blocks, consumers):
+            fits = run(blocks, consumers)
+            if blocks.source == SAT:
+                assert blocks.S == data.n_sites
+                r, xr, _ = blocks._grid_sums(1)
+                for name, stat in zip(("n", "x", "x^2", "r", "x r"), (*blocks.site_gram, r, xr)):
+                    assert np.all(stat[:, site] == 0.0), name
+                sizes.append(blocks.F)
+            return fits
+
+        monkeypatch.setattr(downscaler, "_run_chains", checked)
+        code, err = run_main(capsys, "run-all", "--config", save_pipeline_config(tmp_path / "config.json", cfg))
+        assert code == 0, err
+        out = tmp_path / "p.csv"
+        code = cli.main([str(a) for a in (
+            "fit-downscaler", "--monitors", paths["monitors"], "--obs", paths["obs"],
+            "--grid-ctm", paths["grid_ctm"], "--grid-sat", grid_sat, "--covariates", paths["covariates"],
+            "--scene", paths["scene"], "--source", SAT, "--iters", 40, "--out", out,
+        )])
+        assert code == 0
+        assert f"on {int(data.usable_mask(SAT).sum())} records;" in capsys.readouterr().out
+        # under spatial folds the monitor's own fold has no satellite record and runs no chain
+        folds = cfg.n_folds if derivation == "kfold" else data.n_sites - 1
+        assert sizes == [folds + 1, 1]
+        cv = (Path(cfg.out_dir) / f"run_{cfg.digest()}" / "cv_predictive.csv").read_text().splitlines()
+        assert any(l.startswith(f"{site_id},") and ",ctm," in l for l in cv)
+        assert not any(l.startswith(f"{site_id},") and ",sat," in l for l in cv)
+        assert not any(l.startswith(f"{site_id},") for l in out.read_text().splitlines())
 
 
 def test_cli_import_skips_the_scipy_package_inits(pmfusion_env):
